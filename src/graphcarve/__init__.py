@@ -31,7 +31,7 @@ from .generators import (
     outlier_stacks,
     union_of_graphs,
 )
-from .geometry import ConeSpec, Subspace, cone_contains, cone_mask, grassmann_distance, project
+from .geometry import Subspace, grassmann_distance, project
 from .grassmannian import (
     GrassmannSampler,
     alpha0_max,

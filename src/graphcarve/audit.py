@@ -2,10 +2,11 @@
 
 For each vertex x of a subset, counts the scales j at which the closed cone
 shell of aperture theta (two-sided around the vertical axis) or alpha
-(one-sided along a direction w) meets some other subset point.  The grid mode
-prunes candidates through the spatial index; the oracle mode scans all pairs.
-Both modes perform identical floating-point comparisons, so their outputs
-match exactly.
+(one-sided along a direction w) meets some other subset point.  The default
+mode reads a ``ShellTable``: kd-tree candidates plus the exact predicate
+``cone_shells``.  The oracle mode runs the same predicate on all pairs, one
+vertex at a time.  Both modes make identical floating-point comparisons, so
+their outputs match exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .cloud import ScaleRange, WeightedCloud
 from .errors import InputError
+from .shells import ShellTable, cone_shells
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,6 @@ class VisitationReport:
         return dict(sorted(out.items()))
 
 
-def _aperture_mask(delta: np.ndarray, dist_sq: np.ndarray, aperture: float,
-                   n: int, direction: np.ndarray | None) -> np.ndarray:
-    """Closed aperture (and half-space) test on displacement vectors."""
-    if direction is None:
-        horiz = delta[:, :n]
-        horiz_sq = np.einsum("ij,ij->i", horiz, horiz)
-        return horiz_sq <= aperture * aperture * dist_sq
-    along = delta @ direction
-    perp_sq = np.maximum(dist_sq - along * along, 0.0)
-    return (perp_sq <= aperture * aperture * dist_sq) & (along >= 0.0)
-
-
 def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
                       scale_range: ScaleRange | None = None,
                       direction=None, oracle: bool = False) -> VisitationReport:
@@ -79,45 +69,39 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
         nrm = np.linalg.norm(w)
         if abs(nrm - 1.0) > 1e-9:
             raise InputError("direction must be a unit vector")
-    js = scale_range.js
-    outer = 2.0 ** (-js.astype(float))
-    inner = outer / 2.0
-    r_max = outer.max() if len(js) else 0.0
-    in_subset = np.zeros(len(cloud), dtype=bool)
-    in_subset[subset] = True
-    counts = np.zeros(len(subset), dtype=np.int64)
-    visited_scales = []
-    witnesses = []
-    for row, v in enumerate(subset):
-        x = cloud.coords[v]
-        if oracle:
-            cand = subset[subset != v]
-        else:
-            nbrs = cloud.grid.ball(x, r_max)
-            cand = nbrs[in_subset[nbrs] & (nbrs != v)]
-        if len(cand) == 0:
-            visited_scales.append(np.empty(0, dtype=np.int64))
-            witnesses.append(np.empty(0, dtype=np.intp))
-            continue
-        delta = cloud.coords[cand] - x
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
-        ok = _aperture_mask(delta, dist_sq, aperture, cloud.n, w)
-        cand = cand[ok]
-        dist = np.sqrt(dist_sq[ok])
-        hit_js = []
-        hit_wit = []
-        for j, ro, ri in zip(js, outer, inner):
-            shell = (dist >= ri) & (dist <= ro)
-            if shell.any():
-                hit_js.append(j)
-                hit_wit.append(int(cand[shell].min()))
-        counts[row] = len(hit_js)
-        visited_scales.append(np.array(hit_js, dtype=np.int64))
-        witnesses.append(np.array(hit_wit, dtype=np.intp))
+    if oracle:
+        counts, visited_scales, witnesses = _oracle_visits(cloud, subset, aperture,
+                                                           scale_range, w)
+    else:
+        counts, visited_scales, witnesses = ShellTable(
+            cloud, subset, aperture, scale_range, w).visits()
     mode = "two_sided_codim" if w is None else "one_sided_dir"
     return VisitationReport(subset=subset, counts=counts, scales=visited_scales,
                             witnesses=witnesses, mode=mode, aperture=aperture,
                             direction=w, scale_range=scale_range)
+
+
+def _oracle_visits(cloud: WeightedCloud, subset: np.ndarray, aperture: float,
+                   scale_range: ScaleRange, w) -> tuple[np.ndarray, list, list]:
+    """Brute-force counts, scales and lowest witnesses: every pair, vertex by vertex."""
+    js = scale_range.js
+    outer = 2.0 ** (-js.astype(float))
+    counts = np.zeros(len(subset), dtype=np.int64)
+    visited_scales = []
+    witnesses = []
+    for row, v in enumerate(subset):
+        cand = subset[subset != v]
+        if len(cand) == 0:
+            visited_scales.append(np.empty(0, dtype=np.int64))
+            witnesses.append(np.empty(0, dtype=np.intp))
+            continue
+        hits = cone_shells(cloud.coords[cand] - cloud.coords[v], aperture, cloud.n,
+                           w, outer / 2.0, outer)
+        seen = hits.any(axis=0)
+        counts[row] = int(seen.sum())
+        visited_scales.append(js[seen])
+        witnesses.append(cand[np.argmax(hits, axis=0)[seen]])
+    return counts, visited_scales, witnesses
 
 
 def bad_set(cloud: WeightedCloud, subset, aperture: float, threshold: int,

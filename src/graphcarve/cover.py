@@ -120,7 +120,8 @@ def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
     remaining = points
     sq = spacing * spacing
     while len(remaining):
-        center = remaining[0]
+        # A copy, not a view: a view would keep its filtered array alive.
+        center = remaining[0].copy()
         chosen.append(center)
         diff = remaining - center
         remaining = remaining[np.einsum("ij,ij->i", diff, diff) > sq]

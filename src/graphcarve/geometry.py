@@ -1,15 +1,14 @@
-"""Subspaces, orthogonal projections, and cone membership predicates.
+"""Subspaces, orthogonal projections and Grassmannian distances.
 
 Conventions used throughout the package: the ambient space is R^d split as
 R^n x R^(d-n).  The first n coordinates are "horizontal" (the base of a
 candidate graph), the last d-n are "vertical".  The standard double cone of
 aperture a at vertex x has the vertical coordinate subspace as its axis, so
-membership of y is the test |horizontal part of (x - y)| <= a * |x - y|.
+membership of y is the test |horizontal part of (x - y)| <= a * |x - y|
+(``shells.cone_shells``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,96 +138,3 @@ def grassmann_distance(v: Subspace, w: Subspace) -> float:
         )
     diff = v.projector() - w.projector()
     return float(np.linalg.svd(diff, compute_uv=False)[0])
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """A (possibly truncated) cone in R^d.
-
-    ``axis`` is either a Subspace (two-sided cone around that subspace) or a
-    unit vector (one-sided cone: the half-space test (y - x) . w >= 0 applies
-    in addition to the aperture test).  ``radii`` = (outer, inner) restricts
-    membership to the closed annulus inner <= |y - x| <= outer.  With
-    ``interior`` set, every comparison is strict.
-    """
-
-    vertex: np.ndarray
-    axis: object  # Subspace | np.ndarray
-    aperture: float
-    radii: tuple[float, float] | None = None
-    interior: bool = False
-    one_sided: bool = field(init=False, default=False)
-
-    def __post_init__(self):
-        vertex = np.asarray(self.vertex, dtype=float)
-        object.__setattr__(self, "vertex", vertex)
-        if not 0.0 < self.aperture < 1.0:
-            raise InputError(f"aperture must lie in (0, 1), got {self.aperture}")
-        if isinstance(self.axis, Subspace):
-            if self.axis.d != vertex.shape[0]:
-                raise InputError("axis subspace dimension does not match vertex")
-            object.__setattr__(self, "one_sided", False)
-        else:
-            w = np.asarray(self.axis, dtype=float)
-            if w.shape != vertex.shape:
-                raise InputError("direction vector dimension does not match vertex")
-            if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-                raise InputError("one-sided cone direction must be a unit vector")
-            object.__setattr__(self, "axis", w)
-            object.__setattr__(self, "one_sided", True)
-        if self.radii is not None:
-            outer, inner = self.radii
-            if not 0.0 < inner < outer:
-                raise InputError(f"radii must satisfy 0 < inner < outer, got {self.radii}")
-
-    @classmethod
-    def two_sided(cls, vertex, axis: Subspace, aperture, radii=None, interior=False):
-        return cls(vertex, axis, aperture, radii, interior)
-
-    @classmethod
-    def one_sided_cone(cls, vertex, direction, aperture, radii=None, interior=False):
-        return cls(vertex, np.asarray(direction, dtype=float), aperture, radii, interior)
-
-    @classmethod
-    def vertical(cls, vertex, n: int, aperture, radii=None, interior=False):
-        """Standard two-sided cone around the last d-n coordinate directions."""
-        vertex = np.asarray(vertex, dtype=float)
-        axis = Subspace.vertical_axis(vertex.shape[0], n)
-        return cls(vertex, axis, aperture, radii, interior)
-
-
-def cone_mask(cone: ConeSpec, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership test; ``points`` has shape (m, d)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != cone.vertex.shape[0]:
-        raise InputError("query point dimension does not match cone vertex")
-    delta = pts - cone.vertex
-    dist_sq = np.einsum("ij,ij->i", delta, delta)
-    if cone.one_sided:
-        along = delta @ cone.axis
-        perp_sq = np.maximum(dist_sq - along * along, 0.0)
-        if cone.interior:
-            ok = (perp_sq < cone.aperture**2 * dist_sq) & (along > 0.0)
-        else:
-            ok = (perp_sq <= cone.aperture**2 * dist_sq) & (along >= 0.0)
-    else:
-        inside = delta @ cone.axis.frame
-        axial_sq = np.einsum("ij,ij->i", inside, inside)
-        perp_sq = np.maximum(dist_sq - axial_sq, 0.0)
-        if cone.interior:
-            ok = perp_sq < cone.aperture**2 * dist_sq
-        else:
-            ok = perp_sq <= cone.aperture**2 * dist_sq
-    if cone.radii is not None:
-        outer, inner = cone.radii
-        dist = np.sqrt(dist_sq)
-        if cone.interior:
-            ok &= (dist > inner) & (dist < outer)
-        else:
-            ok &= (dist >= inner) & (dist <= outer)
-    return ok
-
-
-def cone_contains(cone: ConeSpec, point: np.ndarray) -> bool:
-    """Membership of a single point in the cone."""
-    return bool(cone_mask(cone, np.asarray(point, dtype=float)[None, :])[0])

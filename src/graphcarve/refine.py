@@ -33,6 +33,7 @@ from .errors import (
     ResolutionExhaustedError,
 )
 from .measure import ball_masses, prune_low_density
+from .shells import ShellTable, cone_shells
 
 
 @dataclass
@@ -118,72 +119,6 @@ class RefinementOutcome:
     iterations: int
 
 
-class _ConeCache:
-    """Per-vertex one-sided cone-shell candidates, filtered by an alive mask.
-
-    Built once per refine_once at the counting aperture; as the set only
-    shrinks, recounting reduces to masking the cached candidate lists.
-    """
-
-    def __init__(self, cloud: WeightedCloud, subset: np.ndarray, w: np.ndarray,
-                 aperture: float, scale_range: ScaleRange):
-        self.subset = subset
-        self.scale_range = scale_range
-        js = scale_range.js
-        self.outer = 2.0 ** (-js.astype(float))
-        self.inner = self.outer / 2.0
-        self.js = js
-        r_max = float(self.outer.max())
-        pos_of = np.full(len(cloud), -1, dtype=np.intp)
-        pos_of[subset] = np.arange(len(subset))
-        self.pos_of = pos_of
-        in_subset = pos_of >= 0
-        self.cand: list[np.ndarray] = []
-        self.dist: list[np.ndarray] = []
-        ap_sq = aperture * aperture
-        for v in subset:
-            x = cloud.coords[v]
-            nbrs = cloud.grid.ball(x, r_max)
-            nbrs = nbrs[in_subset[nbrs] & (nbrs != v)]
-            delta = cloud.coords[nbrs] - x
-            dist_sq = np.einsum("ij,ij->i", delta, delta)
-            along = delta @ w
-            perp_sq = np.maximum(dist_sq - along * along, 0.0)
-            keep = (perp_sq <= ap_sq * dist_sq) & (along >= 0.0)
-            nbrs = nbrs[keep]
-            dist = np.sqrt(dist_sq[keep])
-            order = np.argsort(nbrs)  # witness ties resolve to the lowest index
-            self.cand.append(nbrs[order])
-            self.dist.append(dist[order])
-
-    def scales_of(self, pos: int, alive: np.ndarray) -> np.ndarray:
-        """Visited j values of the vertex at subset position ``pos``."""
-        cand = self.cand[pos]
-        ok = alive[self.pos_of[cand]]
-        dist = self.dist[pos][ok]
-        if not len(dist):
-            return np.empty(0, dtype=np.int64)
-        hits = [j for j, ro, ri in zip(self.js, self.outer, self.inner)
-                if ((dist >= ri) & (dist <= ro)).any()]
-        return np.array(hits, dtype=np.int64)
-
-    def witness(self, pos: int, j: int, alive: np.ndarray) -> int:
-        cand = self.cand[pos]
-        ok = alive[self.pos_of[cand]]
-        cand = cand[ok]
-        dist = self.dist[pos][ok]
-        col = int(np.nonzero(self.js == j)[0][0])
-        shell = (dist >= self.inner[col]) & (dist <= self.outer[col])
-        return int(cand[shell].min())
-
-    def all_counts(self, alive: np.ndarray) -> np.ndarray:
-        """Visited-scale counts per position; dead positions report zero."""
-        counts = np.zeros(len(self.subset), dtype=np.int64)
-        for pos in np.nonzero(alive)[0]:
-            counts[pos] = len(self.scales_of(int(pos), alive))
-        return counts
-
-
 def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
                   scale_range: ScaleRange) -> float:
     """Data-driven badness density anchored at the quarter-mass quantile.
@@ -221,52 +156,44 @@ def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
     return float(np.clip(eps, eps_star / 4.0, eps_star * 4.0))
 
 
+def _shadow_annulus(j_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outer) of the union of the three closed shells around scale j_k."""
+    return np.array([2.0 ** (-j_k - 2)]), np.array([2.0 ** (-j_k + 1)])
+
+
 def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
                  alpha: float, j_k: int, alive_mask: np.ndarray) -> np.ndarray:
-    """Alive points inside the open one-sided cone shells of any center.
+    """Alive points in the interior of the closed shadow of any center.
 
-    Shells are the three dyadic annuli around scale j_k, each with strict
-    radii, strict aperture, and strict half-space: a point exactly on any
-    boundary is not deleted.
+    The closed shadow of a center is its closed one-sided alpha-cone cut to
+    the shells j_k - 1, j_k and j_k + 1, whose union is the single closed
+    annulus [2^(-j_k-2), 2^(-j_k+1)].  Its interior is the strict cone in the
+    open annulus: points on the radii 2^(-j_k-1) and 2^(-j_k) that adjacent
+    shells share are deleted, the two rims are kept.  Every closed
+    alpha/2-shell of scale j_k around a center lies in this interior, so the
+    deletion removes each visit the recount below has to clear.
     """
-    ap_sq = alpha * alpha
-    shells = [(2.0 ** (-j_k + l), 2.0 ** (-j_k - 1 + l)) for l in (-1, 0, 1)]
-    r_outer = max(o for o, _ in shells)
+    inner, outer = _shadow_annulus(j_k)
     hit = np.zeros(len(cloud), dtype=bool)
     for c in centers:
         x = cloud.coords[c]
-        nbrs = cloud.grid.ball(x, r_outer, strict=True)
+        nbrs = cloud.grid.ball(x, float(outer[0]), strict=True)
         nbrs = nbrs[alive_mask[nbrs]]
         if not len(nbrs):
             continue
-        delta = cloud.coords[nbrs] - x
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
-        along = delta @ w
-        perp_sq = np.maximum(dist_sq - along * along, 0.0)
-        cone = (perp_sq < ap_sq * dist_sq) & (along > 0.0)
-        dist = np.sqrt(dist_sq)
-        in_shell = np.zeros(len(nbrs), dtype=bool)
-        for outer, inner in shells:
-            in_shell |= (dist > inner) & (dist < outer)
-        hit[nbrs[cone & in_shell]] = True
+        inside = cone_shells(cloud.coords[nbrs] - x, alpha, cloud.n, w, inner, outer,
+                             strict=True)[:, 0]
+        hit[nbrs[inside]] = True
     return np.nonzero(hit)[0]
 
 
 def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray,
                             w: np.ndarray, alpha: float, j_k: int,
                             z: np.ndarray) -> bool:
-    """True when z lies in the closed cone-shell union of every center."""
-    delta = z - cloud.coords[centers]
-    dist_sq = np.einsum("ij,ij->i", delta, delta)
-    along = delta @ w
-    perp_sq = np.maximum(dist_sq - along * along, 0.0)
-    cone = (perp_sq <= alpha * alpha * dist_sq) & (along >= 0.0)
-    dist = np.sqrt(dist_sq)
-    in_shell = np.zeros(len(centers), dtype=bool)
-    for l in (-1, 0, 1):
-        outer, inner = 2.0 ** (-j_k + l), 2.0 ** (-j_k - 1 + l)
-        in_shell |= (dist >= inner) & (dist <= outer)
-    return bool((cone & in_shell).all())
+    """True when z lies in the closed shadow of every center."""
+    inner, outer = _shadow_annulus(j_k)
+    return bool(cone_shells(z - cloud.coords[centers], alpha, cloud.n, w,
+                            inner, outer).all())
 
 
 def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
@@ -302,7 +229,9 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(
         cloud, subset, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    cache = _ConeCache(cloud, subset, w, alpha / 2.0, scale_range)
+    shells = ShellTable(cloud, subset, alpha / 2.0, scale_range, w)
+    pos_of = np.full(len(cloud), -1, dtype=np.intp)
+    pos_of[subset] = np.arange(len(subset))
     delta_n = cloud.delta_res ** cloud.n
     bad_radii = np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]]))
@@ -331,7 +260,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
                     else np.empty(0, dtype=np.intp))
             break
 
-        counts = cache.all_counts(alive)
+        counts = shells.counts(alive)
         if counts[alive].max(initial=0) > big_m:
             raise AlgorithmInvariantViolation(
                 "visit counts exceeded M on a surviving point")
@@ -355,7 +284,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         keys = [cloud.coords[bad][:, col] for col in range(cloud.d - 1, -1, -1)]
         pick = np.lexsort(keys + [w_coords])[0]
         x_k = int(bad[pick])
-        x_pos = int(cache.pos_of[x_k])
+        x_pos = int(pos_of[x_k])
         x_coord = cloud.coords[x_k]
         x_w = float(x_coord @ w)
         if x_w < last_w_coord - 1e-12:
@@ -365,7 +294,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
             raise AlgorithmInvariantViolation(
                 "a previously saved point re-qualified as bad")
 
-        scales = cache.scales_of(x_pos, alive)
+        scales = shells.scales(x_pos, alive)
         if len(scales) != big_m:
             raise AlgorithmInvariantViolation(
                 f"bad point has {len(scales)} visited scales, expected exactly {big_m}")
@@ -378,7 +307,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
 
         committed = False
         for j_k in candidate_js:
-            z_k = cloud.coords[cache.witness(x_pos, int(j_k), alive)]
+            z_k = cloud.coords[shells.witness(x_pos, int(j_k), alive)]
             c_try = cfg.c_factor * alpha
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
@@ -407,13 +336,8 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
                 # ball below M visited scales; otherwise this scale/radius
                 # pair is unusable.
                 alive_after = alive.copy()
-                alive_after[cache.pos_of[d_k]] = False
-                over = False
-                for b in b_k:
-                    if len(cache.scales_of(int(cache.pos_of[b]), alive_after)) > big_m - 1:
-                        over = True
-                        break
-                if over:
+                alive_after[pos_of[d_k]] = False
+                if shells.counts(alive_after)[pos_of[b_k]].max(initial=0) > big_m - 1:
                     c_try /= 2.0
                     continue
                 committed = True
@@ -430,7 +354,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         state.deleted.append(np.sort(d_k))
         state.balls.append((x_k, 100.0 * r_k))
         saved_cloud_mask[s_k] = True
-        alive[cache.pos_of[d_k]] = False
+        alive[pos_of[d_k]] = False
         if saved_cloud_mask[subset[~alive]].any():
             raise AlgorithmInvariantViolation("a saved point was deleted")
         mass_s = cloud.mass(s_k)

@@ -1,0 +1,168 @@
+"""The cone-shell predicate and a kd-tree table of cone-shell visits.
+
+``cone_shells`` is the one membership test: the visit oracle, the shell table
+and the refinement shadows all call it, so they make the same floating-point
+comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
+once: a ``cKDTree`` range search (Bentley, CACM 18(9), 1975) in a sheared
+frame returns a superset of the in-cone pairs, the exact predicate filters
+them, and the survivors are kept as CSR rows with a shell bitmask per pair.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.spatial import cKDTree
+
+from .cloud import ScaleRange, WeightedCloud
+from .errors import InputError
+
+_EPS = np.finfo(float).eps
+_CHUNK = 1 << 15  # candidate pairs per exact-test batch
+
+
+def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
+                inner: np.ndarray, outer: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Membership of each displacement in each shell, shape (len(delta), len(outer)).
+
+    Closed: inner <= |delta| <= outer and |perp| <= aperture |delta|, where
+    perp is the horizontal part (first n coordinates) for the two-sided cone
+    and the part orthogonal to ``direction`` for the one-sided cone, which
+    also needs delta . w >= 0.  ``strict`` makes every comparison strict: the
+    interior of the closed set.  Rows never meet in a BLAS product, so a pair
+    gets the same answer in any batch.
+    """
+    dist_sq = np.einsum("ij,ij->i", delta, delta)
+    if direction is None:
+        horiz = delta[:, :n]
+        perp_sq = np.einsum("ij,ij->i", horiz, horiz)
+    else:
+        along = np.einsum("ij,j->i", delta, direction)
+        perp_sq = np.maximum(dist_sq - along * along, 0.0)
+    bound = aperture * aperture * dist_sq
+    cone = perp_sq < bound if strict else perp_sq <= bound
+    if direction is not None:
+        cone &= along > 0.0 if strict else along >= 0.0
+    dist = np.sqrt(dist_sq)[:, None]
+    if strict:
+        return cone[:, None] & (dist > inner) & (dist < outer)
+    return cone[:, None] & (dist >= inner) & (dist <= outer)
+
+
+def _candidate_pairs(points: np.ndarray, aperture: float, n: int, direction,
+                     r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) position pairs: a superset of the in-cone pairs within r_max.
+
+    Two-sided: with the horizontal coordinates divided by the aperture, the
+    cut cone lies in the Chebyshev ball of radius r_max (query_pairs returns
+    each unordered pair once).  One-sided: in an orthonormal frame with w
+    first and the other coordinates divided by 2 * aperture, it lies in the
+    Chebyshev ball of radius r_max / 2 around x + (r_max / 2) w.  The radius
+    is padded far past the rounding of the frame change and of the predicate,
+    whose one-sided form subtracts squares and so can pass a pair whose exact
+    perpendicular part is up to sqrt(1 + O(eps) / aperture^2) times too long.
+    """
+    scaled = points - points.min(axis=0)
+    radius = r_max
+    if direction is None:
+        scaled[:, :n] /= aperture
+    else:
+        frame = np.linalg.qr(direction[:, None], mode="complete")[0]
+        frame[:, 0] = direction
+        scaled = scaled @ frame
+        scaled[:, 1:] /= 2.0 * aperture
+        radius = r_max / 2.0
+    radius = (radius * (1e-9 + np.sqrt(1.0 + 64.0 * _EPS / aperture ** 2))
+              + 64.0 * _EPS * float(np.abs(scaled).max()))
+    tree = cKDTree(scaled)
+    if direction is None:
+        pairs = tree.query_pairs(radius, p=np.inf, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1]
+    centres = scaled.copy()  # the tree keeps a reference to ``scaled``
+    centres[:, 0] += r_max / 2.0
+    found = cKDTree(centres).sparse_distance_matrix(tree, radius, p=np.inf,
+                                                    output_type="ndarray")
+    keep = found["i"] != found["j"]
+    return found["i"][keep], found["j"][keep]
+
+
+class ShellTable:
+    """Closed cone-shell visits of a subset as CSR rows with shell bitmasks.
+
+    Row p is the vertex ``subset[p]``; its columns are the subset positions of
+    the points in its cone shells, ascending (so ascending cloud index), and
+    bit s of a column's mask marks the shell of scale ``js[s]``.  ``alive``
+    masks are over subset positions and restrict the visitors, not the rows.
+    """
+
+    def __init__(self, cloud: WeightedCloud, subset: np.ndarray, aperture: float,
+                 scale_range: ScaleRange, direction=None):
+        self.subset = np.sort(np.asarray(subset, dtype=np.intp))
+        self.js = scale_range.js
+        if len(self.js) > 64:
+            raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
+        outer = 2.0 ** (-self.js.astype(float))
+        points = cloud.coords[self.subset]
+        rows = cols = np.empty(0, dtype=np.intp)
+        if len(points) > 1:
+            rows, cols = _candidate_pairs(points, aperture, cloud.n, direction,
+                                          float(outer.max()))
+        shell_bit = np.uint64(1) << np.arange(len(self.js), dtype=np.uint64)
+        bits = np.empty(len(rows), dtype=np.uint64)
+        for lo in range(0, len(rows), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            hits = cone_shells(points[cols[part]] - points[rows[part]], aperture,
+                               cloud.n, direction, outer / 2.0, outer)
+            bits[part] = np.bitwise_or.reduce(hits * shell_bit, axis=1)
+        seen = bits != 0
+        rows, cols, bits = rows[seen], cols[seen], bits[seen]
+        if direction is None:
+            # delta -> -delta leaves the two-sided test bit-identical.
+            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+            bits = np.concatenate([bits, bits])
+        order = np.lexsort((cols, rows))
+        self.cols = cols[order].astype(np.intp)
+        self.bits = bits[order]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=len(self.subset)))])
+
+    def counts(self, alive) -> np.ndarray:
+        """Visited-scale count of every row."""
+        bits = np.where(alive[self.cols], self.bits, 0)
+        words = np.zeros(len(self.subset), dtype=np.uint64)
+        starts = self.indptr[:-1]
+        filled = starts < self.indptr[1:]
+        if filled.any():
+            words[filled] = np.bitwise_or.reduceat(bits, starts[filled])
+        return np.bitwise_count(words).astype(np.int64)
+
+    def scales(self, pos: int, alive) -> np.ndarray:
+        """Visited j values of row ``pos``, ascending."""
+        seg = slice(self.indptr[pos], self.indptr[pos + 1])
+        word = np.bitwise_or.reduce(self.bits[seg][alive[self.cols[seg]]])
+        return self.js[(word >> np.arange(len(self.js), dtype=np.uint64)) & 1 != 0]
+
+    def witness(self, pos: int, j: int, alive) -> int:
+        """Lowest alive cloud index in the shell of scale j around row ``pos``."""
+        seg = slice(self.indptr[pos], self.indptr[pos + 1])
+        bit = np.uint64(1) << np.uint64(j - self.js[0])
+        hit = alive[self.cols[seg]] & (self.bits[seg] & bit != 0)
+        return int(self.subset[self.cols[seg][np.argmax(hit)]])
+
+    def visits(self) -> tuple[np.ndarray, list, list]:
+        """Counts, visited scales and lowest witnesses of every row."""
+        n_scales = len(self.js)
+        row_of = np.repeat(np.arange(len(self.subset)), np.diff(self.indptr))
+        pair, scale = np.nonzero(
+            (self.bits[:, None] >> np.arange(n_scales, dtype=np.uint64)) & 1)
+        # Pairs run by row, then column: a stable sort on (row, scale) puts the
+        # lowest column of each key first.
+        key = row_of[pair] * n_scales + scale
+        order = np.argsort(key, kind="stable")
+        key, first = np.unique(key[order], return_index=True)
+        rows, scale = np.divmod(key, n_scales)
+        counts = np.bincount(rows, minlength=len(self.subset)).astype(np.int64)
+        if not len(counts):
+            return counts, [], []
+        cuts = np.cumsum(counts)[:-1]
+        witnesses = self.subset[self.cols[pair[order[first]]]]
+        return counts, np.split(self.js[scale], cuts), np.split(witnesses, cuts)

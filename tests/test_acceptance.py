@@ -300,3 +300,30 @@ def test_criterion_8_determinism(graph_instance, graph_run):
     assert text_a.encode() == text_b.encode()
     _announce(8, "determinism", start,
               f"byte-identical reports ({len(text_a)} bytes)")
+
+
+def test_criterion_9_refinement_end_to_end(tmp_path):
+    # Unlike the graph instance of criteria 3 and 8 (m0 = 0), this union of
+    # crossing graphs makes the direction schedule delete mass.
+    start = time.perf_counter()
+    cloud = union_of_graphs(300, seed=2)
+    first, second = (run_pipeline(cloud, PipelineConfig(seed=4)) for _ in range(2))
+    assert first.refinement["total_applications"] > 0
+    e_cloud, e3 = first.cloud_e, first.e3_indices
+    theta = first.thresholds["theta_certified"]
+    assert first.schedule.final_certificate.max_count == 0
+    assert visitation_counts(e_cloud, first.schedule.e3, theta,
+                             oracle=True).max_count == 0
+    for run in first.schedule.runs:
+        for outcome in run.outcomes:
+            recheck = visitation_counts(e_cloud, outcome.kept, outcome.state.alpha / 2.0,
+                                        direction=run.direction, oracle=True)
+            assert recheck.max_count <= outcome.state.big_m - 1
+    assert len(e3) and first.graph["lipschitz"] <= first.graph["lipschitz_bound"]
+    first.save(tmp_path / "a")
+    second.save(tmp_path / "b")
+    text = (tmp_path / "a" / "report.json").read_bytes()
+    assert text == (tmp_path / "b" / "report.json").read_bytes()
+    _announce(9, "refinement end to end", start,
+              f"{first.refinement['total_applications']} refine applications, "
+              f"byte-identical reports ({len(text)} bytes)")

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from graphcarve import (
-    ConeSpec,
     InputError,
     ScaleRange,
     WeightedCloud,
     bad_set,
-    cone_contains,
     lipschitz_graph,
     outlier_stacks,
     visitation_counts,
 )
+from tests.cones import ConeSpec, cone_contains
 
 
 def stack3():

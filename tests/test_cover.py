@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from graphcarve import (
     Subspace,
     build_cover,
     build_cover_for_theta,
-    cone_mask,
 )
-from graphcarve.cover import _region_samples
-from graphcarve.geometry import ConeSpec
+from graphcarve.cover import _greedy_net, _region_samples
+from tests.cones import ConeSpec, cone_mask
 
 
 def vertical_axis(d):
@@ -114,3 +114,18 @@ class TestCoverForTheta:
         assert np.all(np.linalg.norm(perp, axis=1) <= 0.2 + 1e-12)
         dets = _region_samples(axis, 0.2, 5000)
         assert np.array_equal(dets, _region_samples(axis, 0.2, 5000))
+
+
+class TestGreedyNet:
+    def test_net_points_do_not_pin_filtered_copies(self):
+        # Each round filters the remaining samples into a new array; a net
+        # point kept as a view of one would hold that whole array alive.
+        pts = np.random.default_rng(0).random((4000, 2))
+        tracemalloc.start()
+        try:
+            net = _greedy_net(pts, 0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net) > 500
+        assert peak < 8 * pts.nbytes

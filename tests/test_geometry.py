@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcarve import (
-    ConeSpec,
     DegenerateFrameError,
     InputError,
     Subspace,
-    cone_contains,
-    cone_mask,
     grassmann_distance,
     project,
 )
+from tests.cones import ConeSpec, cone_contains, cone_mask
 
 
 def random_subspace(rng, d, k):

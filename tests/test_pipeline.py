@@ -25,6 +25,21 @@ def graph_report():
     return run_pipeline(cloud, PipelineConfig(seed=13))
 
 
+class TestVerticalStacks:
+    @pytest.mark.parametrize("coords", [[[0.0, 0.0], [0.0, 1.0]],
+                                        [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]])
+    def test_stack_keeps_one_point(self, coords):
+        # Normalization puts the stack ends exactly 2 = 2^1 apart, a radius
+        # shared by two dyadic shells; the refinement must still delete the
+        # witness sitting there instead of running out of saved-ball radii.
+        cloud = WeightedCloud(np.array(coords), np.ones(len(coords)), n=1,
+                              delta_res=0.01)
+        report = run_pipeline(cloud, PipelineConfig())
+        assert report.refinement["total_applications"] >= 1
+        assert report.point_counts["e3"] == 1
+        assert report.graph is not None
+
+
 class TestNormalization:
     def test_unit_ball_and_scale_reported(self):
         cloud = lipschitz_graph(80, 0.2, extent=3.0, seed=1)

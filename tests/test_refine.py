@@ -16,7 +16,8 @@ from graphcarve import (
     refine_schedule,
     visitation_counts,
 )
-from graphcarve.refine import RefineConfig, _ConeCache
+from graphcarve.refine import RefineConfig, _closed_shadow_contains, _open_shadow
+from graphcarve.shells import ShellTable
 
 UP = np.array([0.0, 1.0])
 
@@ -156,21 +157,38 @@ class TestRefineOnce:
         assert out.certificate.max_count == 0
         verify_state_invariants(cloud, out, cloud.all_indices())
 
-    def test_cone_cache_matches_visitation(self, rng):
+    def test_open_shadow_is_interior_of_closed_shadow(self):
+        # At j_k = 0 the closed shadow is the cone cut to [1/4, 2].  Its
+        # interior holds the radii 1/2 and 1 that adjacent shells share, but
+        # not the rims 1/4 and 2 or the points outside the cone.
+        coords = np.array([[0.0, 0.0], [0.0, 0.25], [0.0, 0.5], [0.0, 1.0],
+                           [0.0, 1.5], [0.0, 2.0], [0.0, -1.0], [0.5, 1.0]])
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=0.01)
+        center = np.array([0])
+        alive = np.ones(len(cloud), dtype=bool)
+        assert list(_open_shadow(cloud, center, UP, 0.1, 0, alive)) == [2, 3, 4]
+        for z in range(1, 6):
+            assert _closed_shadow_contains(cloud, center, UP, 0.1, 0, coords[z])
+        for z in (6, 7):
+            assert not _closed_shadow_contains(cloud, center, UP, 0.1, 0, coords[z])
+
+    def test_shell_table_matches_visitation(self):
         cloud = flat_base_with_stack(n_base=120, stack=((0.3, 0.41), (0.31, 0.8)))
         sr = ScaleRange.default_for(cloud)
-        cache = _ConeCache(cloud, cloud.all_indices(), UP, 0.05, sr)
+        table = ShellTable(cloud, cloud.all_indices(), 0.05, sr, UP)
         alive = np.ones(len(cloud), dtype=bool)
-        counts = cache.all_counts(alive)
         report = visitation_counts(cloud, cloud.all_indices(), 0.05, sr,
                                    direction=UP)
-        assert np.array_equal(counts, report.counts)
+        assert np.array_equal(table.counts(alive), report.counts)
         # masking a point out matches recounting on the reduced subset
         alive[-1] = False
-        masked = cache.all_counts(alive)
         reduced = visitation_counts(cloud, cloud.all_indices()[:-1], 0.05, sr,
-                                    direction=UP)
-        assert np.array_equal(masked[:-1], reduced.counts)
+                                    direction=UP, oracle=True)
+        assert np.array_equal(table.counts(alive)[:-1], reduced.counts)
+        for pos in range(len(reduced.subset)):
+            assert np.array_equal(table.scales(pos, alive), reduced.scales[pos])
+            for j, wit in zip(reduced.scales[pos], reduced.witnesses[pos]):
+                assert table.witness(pos, int(j), alive) == wit
 
 
 class TestRefineSchedule:

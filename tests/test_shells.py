@@ -1,0 +1,114 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphcarve import InputError, ScaleRange, WeightedCloud, visitation_counts
+from graphcarve.shells import ShellTable
+
+
+@st.composite
+def shell_cases(draw):
+    """Lattice clouds with exact dyadic gaps, a 3-4-5 pair and random masks.
+
+    On the lattice of step 2^-k, the base point carries a vertical stack at
+    1, 2 and 4 steps (exact dyadic distances, and pairs on the top shell
+    radius, which is the edge of the candidate box) and a point 3 steps
+    across and 4 up, which sits exactly on the boundary of the 0.6-cone.  A
+    1e-9 aperture leaves only pairs whose perpendicular part rounds to zero.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, d - 1))
+    step = 2.0 ** -draw(st.integers(0, 3))
+    coord = st.integers(-6, 6)
+    lattice = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=14))
+    base = np.array(lattice[0])
+    up = np.eye(d, dtype=int)[-1]
+    across = np.eye(d, dtype=int)[0]
+    forced = [base + h * up for h in (1, 2, 4)] + [base + 3 * across + 4 * up]
+    points = sorted({tuple(int(v) for v in p) for p in lattice + forced})
+    cloud = WeightedCloud(np.array(points, dtype=float) * step, np.ones(len(points)),
+                          n=n, delta_res=step / 4.0)
+    aperture = draw(st.one_of(st.sampled_from([0.6, 0.8, 1e-9]), st.floats(0.05, 0.95)))
+    kind = draw(st.sampled_from(["two_sided", "up", "down", "tilted", "random"]))
+    direction = None
+    if kind == "up":
+        direction = up.astype(float)
+    elif kind == "down":
+        direction = -up.astype(float)
+    elif kind == "tilted":
+        direction = 0.6 * across + 0.8 * up
+    elif kind == "random":
+        raw = np.array(draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d)))
+        if np.linalg.norm(raw) < 0.1:
+            raw = up.astype(float)
+        direction = raw / np.linalg.norm(raw)
+    default = ScaleRange.default_for(cloud)
+    j_min = min(default.j_min + draw(st.integers(0, 2)), default.j_max)
+    j_max = max(j_min, default.j_max - draw(st.integers(0, 3)))
+    in_subset = np.array(draw(st.lists(st.booleans(), min_size=len(points),
+                                       max_size=len(points))))
+    in_subset[0] = True
+    subset = np.nonzero(in_subset)[0]
+    alive = np.array(draw(st.lists(st.booleans(), min_size=len(subset),
+                                   max_size=len(subset))))
+    return cloud, subset, aperture, direction, ScaleRange(j_min, j_max), alive
+
+
+def assert_reports_equal(a, b):
+    assert np.array_equal(a.counts, b.counts)
+    for x, y in zip(a.scales + a.witnesses, b.scales + b.witnesses):
+        assert np.array_equal(x, y) and x.dtype == y.dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell_cases())
+def test_table_equals_oracle_on_alive_subsets(case):
+    cloud, subset, aperture, direction, sr, alive = case
+    table = ShellTable(cloud, subset, aperture, sr, direction)
+    ref = visitation_counts(cloud, subset[alive], aperture, sr, direction=direction,
+                            oracle=True)
+    rows = np.nonzero(alive)[0]
+    assert np.array_equal(table.counts(alive)[rows], ref.counts)
+    for row, pos in enumerate(rows):
+        assert np.array_equal(table.scales(pos, alive), ref.scales[row])
+        got = [table.witness(pos, int(j), alive) for j in ref.scales[row]]
+        assert got == list(ref.witnesses[row])
+    assert_reports_equal(
+        visitation_counts(cloud, subset, aperture, sr, direction=direction),
+        visitation_counts(cloud, subset, aperture, sr, direction=direction,
+                          oracle=True))
+
+
+def test_sixty_four_scales_use_the_top_bit():
+    coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    cloud = WeightedCloud(coords, np.ones(3), n=1, delta_res=0.5)
+    sr = ScaleRange(-63, 0)
+    fast = visitation_counts(cloud, cloud.all_indices(), 0.5, sr)
+    assert list(fast.scales[0]) == [-2, -1, 0]
+    assert_reports_equal(fast, visitation_counts(cloud, cloud.all_indices(), 0.5, sr,
+                                                 oracle=True))
+
+
+def test_more_than_sixty_four_scales_rejected():
+    cloud = WeightedCloud(np.array([[0.0, 0.0], [0.0, 1.0]]), np.ones(2), n=1,
+                          delta_res=0.5)
+    with pytest.raises(InputError):
+        visitation_counts(cloud, cloud.all_indices(), 0.5, ScaleRange(-64, 0))
+
+
+def test_pad_keeps_pairs_the_rounded_predicate_accepts():
+    # At aperture 1e-9 the one-sided test subtracts two nearly equal squares,
+    # so it passes pairs 1e-8 off the axis: the candidate box must keep them.
+    rng = np.random.default_rng(0)
+    accepted = 0
+    for _ in range(100):
+        w = rng.standard_normal(2)
+        w /= np.linalg.norm(w)
+        off = 10 ** rng.uniform(-8.5, -7)
+        coords = np.array([[0.0, 0.0], 0.9 * (w + off * np.array([-w[1], w[0]]))])
+        cloud = WeightedCloud(coords, np.ones(2), n=1, delta_res=0.01)
+        args = (cloud, [0, 1], 1e-9, ScaleRange(0, 5))
+        ref = visitation_counts(*args, direction=w, oracle=True)
+        accepted += int(ref.counts[0])
+        assert_reports_equal(visitation_counts(*args, direction=w), ref)
+    assert accepted > 0
