@@ -1,7 +1,7 @@
 """graphcarve: cone-visitation diagnostics and Lipschitz-graph carving."""
 
 from .audit import VisitationReport, bad_set, visitation_counts
-from .cloud import GridIndex, ScaleRange, WeightedCloud
+from .cloud import ScaleRange, WeightedCloud
 from .cloud_io import (
     load_cloud,
     load_cloud_csv,
@@ -37,20 +37,15 @@ from .grassmannian import (
     alpha0_max,
     construct_v0,
     measure_lower_bound_mc,
-    sample_gamma,
 )
 from .measure import (
     AdrReport,
-    DensityProfile,
     PruneResult,
     Pushforward,
     adr_check,
-    density_profile,
     projection_energy,
     prune_low_density,
     pushforward_density,
-    separated_net,
-    triple_count,
 )
 from .pipeline import (
     PipelineConfig,

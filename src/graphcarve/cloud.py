@@ -1,4 +1,4 @@
-"""Weighted point clouds with a uniform-cell spatial index.
+"""Weighted point clouds with a kd-tree neighbour index.
 
 A WeightedCloud discretizes an n-dimensional measure in R^d as point masses
 at resolution ``delta_res``.  Density statements only make sense for radii
@@ -7,13 +7,21 @@ at or above the resolution; the dyadic ScaleRange helpers encode that floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError
+
+_EPS = np.finfo(float).eps
+
+
+def _reach(radius: float, scale: float) -> float:
+    """Tree search radius, padded far past the rounding of the tree's distances
+    and the exact test's for coordinates of magnitude up to ``scale``."""
+    return radius * (1.0 + 1e-9) + 64.0 * _EPS * scale
 
 
 @dataclass(frozen=True)
@@ -61,55 +69,43 @@ class ScaleRange:
 
 
 class GridIndex:
-    """Uniform-cell index over points in R^d (cell side = resolution).
+    """Neighbour index over points in R^d on a kd-tree (Bentley, CACM 18(9), 1975).
 
-    Ball queries enumerate only the cells meeting the query box and fall back
-    to a full vectorized scan when that box covers more cells than points.
+    The tree proposes candidates within a radius padded past its own rounding;
+    the exact squared-distance test below decides membership, so results equal
+    a brute-force scan.  ``cell`` is the cloud resolution.
     """
 
     def __init__(self, coords: np.ndarray, cell: float):
-        if cell <= 0:
-            raise InputError("grid cell side must be positive")
         self.coords = coords
         self.cell = float(cell)
-        self._cells: dict[tuple, np.ndarray] = {}
-        if len(coords):
-            keys = np.floor(coords / self.cell).astype(np.int64)
-            order = np.lexsort(keys.T[::-1])
-            sorted_keys = keys[order]
-            boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-            starts = np.concatenate([[0], boundaries, [len(order)]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                self._cells[tuple(sorted_keys[a])] = np.sort(order[a:b])
-
-    def cell_of(self, point: np.ndarray) -> tuple:
-        return tuple(np.floor(np.asarray(point, dtype=float) / self.cell).astype(np.int64))
+        self._tree = cKDTree(coords)
+        self._scale = float(np.abs(coords).max()) if len(coords) else 0.0
 
     def ball(self, center: np.ndarray, radius: float, strict: bool = False) -> np.ndarray:
         """Sorted indices of points with |x - center| <= radius (< if strict)."""
-        n_pts = len(self.coords)
-        if n_pts == 0 or radius < 0:
+        if len(self.coords) == 0 or radius < 0:
             return np.empty(0, dtype=np.intp)
         center = np.asarray(center, dtype=float)
-        lo = np.floor((center - radius) / self.cell).astype(np.int64)
-        hi = np.floor((center + radius) / self.cell).astype(np.int64)
-        n_cells = float(np.prod((hi - lo + 1).astype(float)))
-        if n_cells > n_pts:
-            cand = np.arange(n_pts)
-        else:
-            chunks = []
-            for key in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                hit = self._cells.get(key)
-                if hit is not None:
-                    chunks.append(hit)
-            if not chunks:
-                return np.empty(0, dtype=np.intp)
-            cand = np.sort(np.concatenate(chunks))
+        reach = _reach(radius, max(self._scale, float(np.abs(center).max())))
+        cand = np.asarray(self._tree.query_ball_point(center, reach, return_sorted=True),
+                          dtype=np.intp)
         delta = self.coords[cand] - center
         dist_sq = np.einsum("ij,ij->i", delta, delta)
         r_sq = radius * radius
         keep = dist_sq < r_sq if strict else dist_sq <= r_sq
         return cand[keep]
+
+    def close_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i, j), i < j, with |x_i - x_j| < radius, sorted by (i, j)."""
+        pairs = self._tree.query_pairs(_reach(radius, self._scale),
+                                       output_type="ndarray").astype(np.intp)
+        i, j = pairs[:, 0], pairs[:, 1]
+        delta = self.coords[j] - self.coords[i]
+        close = np.einsum("ij,ij->i", delta, delta) < radius * radius
+        i, j = i[close], j[close]
+        order = np.lexsort((j, i))
+        return i[order], j[order]
 
 
 class WeightedCloud:
@@ -147,27 +143,11 @@ class WeightedCloud:
     def _check_separation(self):
         """Duplicate guard: pairwise distances must be >= delta_res / 100."""
         guard = self.delta_res / 100.0
-        for key, idx in self.grid._cells.items():
-            neighborhood = [idx]
-            for offset in itertools.product((-1, 0, 1), repeat=self.d):
-                if offset <= (0,) * self.d:
-                    continue  # forward half only; each pair checked once
-                other = self.grid._cells.get(tuple(k + o for k, o in zip(key, offset)))
-                if other is not None:
-                    neighborhood.append(other)
-            cand = np.concatenate(neighborhood)
-            if len(cand) < 2:
-                continue
-            pts = self.coords[cand]
-            local = pts[:len(idx)]
-            diff = local[:, None, :] - pts[None, :, :]
-            dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-            dist_sq[np.arange(len(idx)), np.arange(len(idx))] = np.inf
-            if dist_sq.min() < guard * guard:
-                a, b = np.unravel_index(int(np.argmin(dist_sq)), dist_sq.shape)
-                raise InputError(
-                    f"points {cand[a]} and {cand[b]} are closer than delta_res/100 = {guard:g}"
-                )
+        i, j = self.grid.close_pairs(guard)
+        if len(i):
+            raise InputError(
+                f"points {i[0]} and {j[0]} are closer than delta_res/100 = {guard:g}"
+            )
 
     @property
     def d(self) -> int:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -193,10 +194,8 @@ def build_cover(axis: Subspace, alpha: float, s: float,
 
     sep = np.inf
     if len(directions) > 1:
-        diff = directions[:, None, :] - directions[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, np.inf)
-        sep = float(dist.min())
+        # Net points are distinct, so each one's second-nearest is its nearest other.
+        sep = float(cKDTree(directions).query(directions, k=2)[0][:, 1].min())
 
     cert = CoverCertificate(samples_region=check_samples,
                             samples_cone=len(cone_samples),

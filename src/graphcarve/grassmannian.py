@@ -56,7 +56,7 @@ def _frame_distances(frames: np.ndarray, center: Subspace) -> np.ndarray:
 class GrassmannSampler:
     """Seeded sampler for gamma_{d,n}, optionally restricted to a metric ball.
 
-    The sampler keeps a private generator, so repeated ``sample`` calls
+    The sampler keeps a private generator, so repeated ``sample_frames`` calls
     continue one deterministic stream.  ``acceptance_rate`` reflects the most
     recent ball-restricted call (None in unrestricted mode).
     """
@@ -80,12 +80,8 @@ class GrassmannSampler:
         self.acceptance_rate: float | None = None
         self._rng = np.random.default_rng(self.seed)
 
-    def child(self, index: int) -> "GrassmannSampler":
-        return GrassmannSampler(self.d, self.n, child_seed(self.seed, index),
-                                self.center, self.radius)
-
     def sample_frames(self, count: int) -> np.ndarray:
-        """(count, d, n) orthonormal frames; cheaper than Subspace objects."""
+        """(count, d, n) orthonormal frames spanning the sampled subspaces."""
         if count < 1:
             raise InputError("sample count must be >= 1")
         if self.center is None:
@@ -111,14 +107,6 @@ class GrassmannSampler:
                 )
         self.acceptance_rate = accepted / tried
         return np.concatenate(kept, axis=0)[:count]
-
-    def sample(self, count: int) -> list[Subspace]:
-        return [Subspace(f) for f in self.sample_frames(count)]
-
-
-def sample_gamma(sampler: GrassmannSampler, count: int) -> list[Subspace]:
-    """I.i.d. draws from the sampler's distribution."""
-    return sampler.sample(count)
 
 
 def _epsilon_series(alpha0: float, n: int) -> np.ndarray | None:

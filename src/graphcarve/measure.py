@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +39,6 @@ def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.nd
 
 
 @dataclass(frozen=True)
-class DensityProfile:
-    """Per-point mass table m(x, j) = carrier mass in B(x, 2^-j)."""
-
-    points: np.ndarray
-    scale_range: ScaleRange
-    table: np.ndarray  # (len(points), len(scale_range))
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self.scale_range.radii
-
-
-def density_profile(cloud: WeightedCloud, scale_range: ScaleRange | None = None,
-                    points=None, carrier=None) -> DensityProfile:
-    if scale_range is None:
-        scale_range = ScaleRange.default_for(cloud)
-    pts = cloud.all_indices() if points is None else np.asarray(points, dtype=np.intp)
-    table = ball_masses(cloud, scale_range.radii, pts, carrier)
-    return DensityProfile(points=pts, scale_range=scale_range, table=table)
-
-
-@dataclass(frozen=True)
 class AdrReport:
     c1_hat: float
     c2_hat: float
@@ -78,17 +55,17 @@ def adr_check(cloud: WeightedCloud, scale_range: ScaleRange | None = None,
     """
     if len(cloud) == 0:
         raise InputError("adr_check needs a nonempty cloud")
-    profile = density_profile(cloud, scale_range)
-    radii = profile.radii
-    ratios = profile.table / radii[None, :] ** cloud.n
+    if scale_range is None:
+        scale_range = ScaleRange.default_for(cloud)
+    radii = scale_range.radii
+    ratios = ball_masses(cloud, radii) / radii[None, :] ** cloud.n
     violations = []
     if band is not None:
         lo, hi = band
         bad = np.nonzero((ratios < lo) | (ratios > hi))
-        violations = [(int(profile.points[i]), float(radii[j]), float(ratios[i, j]))
-                      for i, j in zip(*bad)]
+        violations = [(int(i), float(radii[j]), float(ratios[i, j])) for i, j in zip(*bad)]
     return AdrReport(c1_hat=float(ratios.min()), c2_hat=float(ratios.max()),
-                     violations=violations, scale_range=profile.scale_range)
+                     violations=violations, scale_range=scale_range)
 
 
 @dataclass(frozen=True)
@@ -136,36 +113,6 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
     return PruneResult(kept=cloud.subcloud(kept_idx), removed_mass=removed_mass,
                        kept_indices=kept_idx, removed_indices=removed_idx,
                        constant_estimate=removed_mass / epsilon, sweeps=sweeps)
-
-
-def separated_net(cloud: WeightedCloud, delta: float, within=None,
-                  seed_net=None) -> np.ndarray:
-    """Greedy maximal delta-separated subset, scanning in index order.
-
-    Every scanned point ends within delta of the net; net points are pairwise
-    more than delta apart.  ``seed_net`` pre-selects points so a net built on
-    a superset can contain one built on a subset.
-    """
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    scan = cloud.all_indices() if within is None else np.sort(np.asarray(within, dtype=np.intp))
-    picked = np.zeros(len(cloud), dtype=bool)
-    chosen = []
-    if seed_net is not None:
-        for i in np.asarray(seed_net, dtype=np.intp):
-            nbrs = cloud.grid.ball(cloud.coords[i], delta)
-            if picked[nbrs].any():
-                raise InputError("seed net is not delta-separated")
-            picked[i] = True
-            chosen.append(int(i))
-    for i in scan:
-        if picked[i]:
-            continue
-        nbrs = cloud.grid.ball(cloud.coords[i], delta)
-        if not picked[nbrs].any():
-            picked[i] = True
-            chosen.append(int(i))
-    return np.array(sorted(chosen), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -249,98 +196,3 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
                         per_sample=values, distances=dists,
                         acceptance_rate=sampler.acceptance_rate or 0.0,
                         bin_width=bin_width)
-
-
-def _count_pairs(t: np.ndarray, delta: float, rows_mask=None) -> int:
-    """Ordered pairs (x, y) with |t_x - t_y| <= delta, diagonal included.
-
-    ``rows_mask`` restricts x to a subset while y ranges over everything.
-    Uses a cell hash on the projected coordinates when the set is large, with
-    the same inclusive comparison as the dense path.
-    """
-    import itertools as _it
-
-    m = len(t)
-    if rows_mask is None:
-        rows_mask = np.ones(m, dtype=bool)
-    if m <= 2000:
-        count = 0
-        for start in range(0, m, _CHUNK):
-            rows = np.arange(start, min(start + _CHUNK, m))
-            rows = rows[rows_mask[rows]]
-            if not len(rows):
-                continue
-            diff = t[rows][:, None, :] - t[None, :, :]
-            dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-            count += int(np.count_nonzero(dist_sq <= delta * delta))
-        return count
-    if delta <= 0:
-        # Only exact coordinate coincidences (always including x with itself).
-        _, inverse, counts = np.unique(t, axis=0, return_inverse=True, return_counts=True)
-        return int(np.sum(counts[inverse[rows_mask]]))
-    cells = np.floor(t / delta).astype(np.int64)
-    buckets: dict[tuple, np.ndarray] = {}
-    for i, key in enumerate(map(tuple, cells)):
-        buckets.setdefault(key, []).append(i)
-    buckets = {k: np.asarray(v, dtype=np.intp) for k, v in buckets.items()}
-    offsets = list(_it.product((-1, 0, 1), repeat=t.shape[1]))
-    count = 0
-    for key, members in buckets.items():
-        rows = members[rows_mask[members]]
-        if not len(rows):
-            continue
-        cand_chunks = []
-        for off in offsets:
-            hit = buckets.get(tuple(k + o for k, o in zip(key, off)))
-            if hit is not None:
-                cand_chunks.append(hit)
-        cand = np.concatenate(cand_chunks)
-        diff = t[rows][:, None, :] - t[cand][None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        count += int(np.count_nonzero(dist_sq <= delta * delta))
-    return count
-
-
-@dataclass(frozen=True)
-class TripleCountReport:
-    lhs_estimate: float
-    restricted_estimate: float
-    acceptance_rate: float
-    mean_pairs: float
-    samples: int
-
-
-def triple_count(cloud: WeightedCloud, f_prime, f_m, kappa: float, delta: float,
-                 samples: int, seed: int = 0) -> TripleCountReport:
-    """Estimate the mass of (x, y, V) triples with |pi_V (x - y)| <= delta.
-
-    Samples V from the kappa-ball around the horizontal subspace by rejection;
-    the acceptance rate estimates the ball measure, so the reported value is
-    an estimate of sum over ordered pairs of the V-measure of near-collapse.
-    Counts are cardinalities; weights play no role.
-    """
-    f_prime = np.asarray(f_prime, dtype=np.intp)
-    f_m = np.asarray(f_m, dtype=np.intp)
-    if delta < 0:
-        raise InputError("delta must be nonnegative")
-    if not np.isin(f_m, f_prime).all():
-        raise InputError("the bad-point net must be contained in the full net")
-    center = Subspace.horizontal(cloud.d, cloud.n)
-    sampler = GrassmannSampler(cloud.d, cloud.n, seed, center=center, radius=kappa)
-    frames = sampler.sample_frames(samples)
-    coords = cloud.coords[f_prime]
-    in_fm = np.isin(f_prime, f_m)
-    pair_counts = np.empty(len(frames))
-    restricted = np.empty(len(frames))
-    for i, frame in enumerate(frames):
-        t = coords @ frame
-        pair_counts[i] = _count_pairs(t, delta)
-        restricted[i] = _count_pairs(t, delta, rows_mask=in_fm)
-    rate = sampler.acceptance_rate or 0.0
-    return TripleCountReport(
-        lhs_estimate=float(pair_counts.mean() * rate),
-        restricted_estimate=float(restricted.mean() * rate),
-        acceptance_rate=rate,
-        mean_pairs=float(pair_counts.mean()),
-        samples=samples,
-    )

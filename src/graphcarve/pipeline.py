@@ -23,11 +23,11 @@ from .cloud_io import save_cloud_json
 from .cover import DirectionCover, build_cover_for_theta
 from .errors import InputError, RefinementCollapsedError
 from .extract import certify_graph, containment_report, extend_mcshane
-from .generators import generate  # noqa: F401  (re-exported for CLI convenience)
 from .geometry import Subspace
 from .grassmannian import alpha0_max, child_seed
 from .measure import projection_energy, prune_low_density
 from .refine import RefineConfig, refine_schedule
+from .shells import cone_shells
 
 SCHEMA = "graphcarve/1"
 
@@ -195,14 +195,6 @@ def normalize_to_unit_ball(cloud: WeightedCloud) -> tuple[WeightedCloud, dict]:
     return moved, info
 
 
-def _histogram(cloud: WeightedCloud, subset, counts) -> dict:
-    out: dict[str, float] = {}
-    for idx, c in zip(subset, counts):
-        key = str(int(c))
-        out[key] = out.get(key, 0.0) + float(cloud.weights[idx])
-    return dict(sorted(out.items(), key=lambda kv: int(kv[0])))
-
-
 def _resolution_dedup(cloud: WeightedCloud, subset: np.ndarray, theta: float,
                       scale_range: ScaleRange) -> tuple[np.ndarray, float]:
     """Drop sub-resolution near-vertical pairs the shell audit cannot see.
@@ -211,31 +203,24 @@ def _resolution_dedup(cloud: WeightedCloud, subset: np.ndarray, theta: float,
     closer pairs are below the discretization fidelity, so when such a pair
     violates the projection bound the lighter member is removed (ties to the
     higher index).  Pairs inside the audited range can never violate once the
-    certificate has passed.
+    certificate has passed.  Steep pairs are walked in (i, j) order, which
+    drops the same points as visiting each vertex's neighbours in turn.
     """
     floor_radius = 2.0 ** (-scale_range.j_max - 1)
     alive = np.zeros(len(cloud), dtype=bool)
     alive[subset] = True
+    first, second = cloud.grid.close_pairs(floor_radius)
+    both = alive[first] & alive[second]
+    first, second = first[both], second[both]
+    steep = cone_shells(cloud.coords[second] - cloud.coords[first], theta, cloud.n, None,
+                        np.zeros(1), np.full(1, np.inf), strict=True)[:, 0]
     removed = 0.0
-    for i in subset:
-        if not alive[i]:
+    for i, j in zip(first[steep], second[steep]):
+        if not (alive[i] and alive[j]):
             continue
-        nbrs = cloud.grid.ball(cloud.coords[i], floor_radius, strict=True)
-        nbrs = nbrs[alive[nbrs] & (nbrs != i)]
-        if not len(nbrs):
-            continue
-        delta = cloud.coords[nbrs] - cloud.coords[i]
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
-        horiz = delta[:, :cloud.n]
-        horiz_sq = np.einsum("ij,ij->i", horiz, horiz)
-        for j in nbrs[horiz_sq < theta * theta * dist_sq]:
-            if not (alive[i] and alive[j]):
-                continue
-            drop = j if cloud.weights[j] <= cloud.weights[i] else i
-            alive[drop] = False
-            removed += float(cloud.weights[drop])
-            if drop == i:
-                break
+        drop = j if cloud.weights[j] <= cloud.weights[i] else i
+        alive[drop] = False
+        removed += float(cloud.weights[drop])
     return np.nonzero(alive)[0].astype(np.intp), removed
 
 
@@ -356,8 +341,8 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
         point_counts={"e1": len(e1), "e_prime": len(e_prime), "e": len(e_cloud),
                       "e2": int(len(e2_idx)), "e3": int(len(e3_idx))},
         energy=energy_summary,
-        visitation_before=_histogram(e_cloud, before.subset, before.counts),
-        visitation_after=_histogram(e_cloud, after.subset, after.counts),
+        visitation_before={str(k): v for k, v in before.histogram(e_cloud.weights).items()},
+        visitation_after={str(k): v for k, v in after.histogram(e_cloud.weights).items()},
         thresholds={"theta0": theta0, "m_removal": int(m_removal), "m0": int(m0),
                     "theta_certified": theta_certified,
                     "b_used": cover.b_used, "alpha_cover": cover.alpha,

@@ -35,6 +35,8 @@ from .errors import (
 from .measure import ball_masses, prune_low_density
 from .shells import ShellTable, cone_shells
 
+_ALPHA_MAX = 0.1
+
 
 @dataclass
 class RefineConfig:
@@ -46,8 +48,6 @@ class RefineConfig:
     seed: int = 0
     max_c_retries: int = 40
     min_mass_fraction: float = 0.0
-    scale_range: ScaleRange | None = None
-    alpha_max: float = 0.1
     oracle: bool = False
 
     def __post_init__(self):
@@ -211,12 +211,12 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         raise InputError("refine_once needs a nonempty point set")
     if big_m < 1:
         raise InputError("M must be >= 1")
-    if not 0.0 < alpha <= cfg.alpha_max:
-        raise InputError(f"aperture {alpha} outside (0, {cfg.alpha_max}]")
+    if not 0.0 < alpha <= _ALPHA_MAX:
+        raise InputError(f"aperture {alpha} outside (0, {_ALPHA_MAX}]")
     w = np.asarray(direction, dtype=float)
     if w.shape != (cloud.d,) or abs(np.linalg.norm(w) - 1.0) > 1e-9:
         raise InputError("direction must be a unit d-vector")
-    scale_range = cfg.scale_range or ScaleRange.default_for(cloud)
+    scale_range = ScaleRange.default_for(cloud)
 
     entry_report = visitation_counts(cloud, subset, alpha, scale_range,
                                      direction=w, oracle=cfg.oracle)
@@ -436,7 +436,7 @@ def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
         raise InputError(f"cover shrink factor {cover.s} does not match 2^-{m0}")
     if abs(cover.alpha * cover.b_used - theta) > 1e-9 * max(theta, 1.0):
         raise InputError("cover aperture does not satisfy alpha * b_used = theta")
-    scale_range = cfg.scale_range or ScaleRange.default_for(cloud)
+    scale_range = ScaleRange.default_for(cloud)
     mass_e2 = cloud.mass(e2)
     floor_mass = cfg.min_mass_fraction * mass_e2
 

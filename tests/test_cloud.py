@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,15 @@ class TestWeightedCloud:
         coords = np.array([[0.0, 0.0], [0.0, 5e-5]])
         with pytest.raises(InputError):
             WeightedCloud(coords, np.ones(2), n=1, delta_res=0.1)
+
+    def test_duplicate_guard_names_a_pair_closer_than_the_guard(self):
+        # Guard 1e-3; pairs (2, 5) and (4, 6) violate it, (0, 1) sits just above.
+        coords = np.array([[0.0, 0.0], [0.0011, 0.0], [0.5, 0.5], [0.9, 0.1],
+                           [0.2, 0.7], [0.5, 0.5004], [0.2003, 0.7]])
+        with pytest.raises(InputError) as err:
+            WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=0.1)
+        a, b = map(int, re.search(r"points (\d+) and (\d+)", str(err.value)).groups())
+        assert np.linalg.norm(coords[a] - coords[b]) < 1e-3
 
     def test_near_guard_distance_accepted(self):
         coords = np.array([[0.0, 0.0], [0.0, 2e-3]])
@@ -87,6 +98,52 @@ class TestGridIndex:
     def test_negative_radius_empty(self):
         cloud = line_cloud(5, 0.1)
         assert len(cloud.grid.ball(np.zeros(2), -1.0)) == 0
+
+    def test_strict_and_closed_balls_on_the_sphere(self):
+        # Dyadic coordinates make every distance below exact: points 1-4 lie
+        # on the sphere of radius 5h around point 0, point 5 inside, 6 outside.
+        h = 2.0 ** -6
+        coords = 1024.0 + h * np.array([[0, 0], [3, 4], [-4, 3], [5, 0], [0, -5], [1, 1],
+                                        [6, 0]], dtype=float)
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=h)
+        assert np.array_equal(cloud.grid.ball(coords[0], 5 * h), [0, 1, 2, 3, 4, 5])
+        assert np.array_equal(cloud.grid.ball(coords[0], 5 * h, strict=True), [0, 5])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_points_at_exactly_the_radius(self, offset):
+        # Each radius is a point's own distance to the center, so that point
+        # sits on the boundary of the ball in the arithmetic of the exact test.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            d = int(rng.integers(2, 4))
+            coords = offset + rng.uniform(-1e-3, 1e-3, (60, d))
+            cloud = WeightedCloud(coords, np.ones(60), n=1, delta_res=1e-6)
+            center = coords[0] + rng.uniform(-1e-4, 1e-4, d)
+            delta = coords - center
+            dist_sq = np.einsum("ij,ij->i", delta, delta)
+            for radius in np.sqrt(dist_sq):
+                r_sq = radius * radius
+                assert np.array_equal(cloud.grid.ball(center, radius),
+                                      np.nonzero(dist_sq <= r_sq)[0])
+                assert np.array_equal(cloud.grid.ball(center, radius, strict=True),
+                                      np.nonzero(dist_sq < r_sq)[0])
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 1e3]))
+    def test_close_pairs_match_brute_force(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        n_pts = int(rng.integers(2, 80))
+        d = int(rng.integers(2, 4))
+        coords = offset + rng.uniform(-1, 1, (n_pts, d))
+        cloud = WeightedCloud(coords, np.ones(n_pts), n=1, delta_res=1e-6)
+        first, second = np.triu_indices(n_pts, 1)
+        delta = coords[second] - coords[first]
+        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        # A pair's own distance puts it on the boundary of the strict test.
+        for radius in [float(rng.uniform(0, 1.5)), *np.sqrt(rng.choice(dist_sq, 3))]:
+            close = dist_sq < radius * radius
+            got_i, got_j = cloud.grid.close_pairs(radius)
+            assert np.array_equal(got_i, first[close])
+            assert np.array_equal(got_j, second[close])
 
 
 class TestScaleRange:

@@ -38,6 +38,15 @@ class TestBuildCover:
         # angular separation above half the net parameter
         assert cover.certificate.min_net_separation > 0.3 * 0.5 / 2
 
+    def test_min_net_separation_matches_brute_force(self):
+        cover = build_cover(vertical_axis(3), 0.3, 0.5, check_samples=2_000,
+                            net_samples=20_000, seed=4)
+        dirs = cover.directions
+        assert cover.m > 10
+        dist = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        assert cover.certificate.min_net_separation == pytest.approx(dist.min(), rel=1e-12)
+
     def test_axis_directions_covered(self):
         # A vector on the cone axis lies in the region for every aperture and
         # must land inside some small one-sided cone.

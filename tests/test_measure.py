@@ -8,16 +8,13 @@ from graphcarve import (
     Subspace,
     WeightedCloud,
     adr_check,
-    density_profile,
     four_corner_cantor,
     lipschitz_graph,
     projection_energy,
     prune_low_density,
     pushforward_density,
-    separated_net,
-    triple_count,
 )
-from graphcarve.measure import _count_pairs, ball_masses
+from graphcarve.measure import ball_masses
 from tests.conftest import line_cloud
 
 
@@ -35,14 +32,16 @@ class TestDensityProfile:
     def test_single_point(self):
         cloud = WeightedCloud(np.array([[0.5, 0.5]]), np.array([0.7]), n=1,
                               delta_res=0.1)
-        prof = density_profile(cloud, ScaleRange(0, 2))
-        assert np.allclose(prof.table, 0.7)
+        assert np.allclose(ball_masses(cloud, ScaleRange(0, 2).radii), 0.7)
+        report = adr_check(cloud, ScaleRange(0, 2))  # radii 1, 1/2, 1/4 and n = 1
+        assert report.c1_hat == pytest.approx(0.7)
+        assert report.c2_hat == pytest.approx(2.8)
 
     def test_monotone_in_scale_and_floor(self):
         cloud = line_cloud(60, 0.02)
-        prof = density_profile(cloud, ScaleRange(1, 5))
-        assert np.all(np.diff(prof.table, axis=1) <= 1e-15)
-        assert np.all(prof.table >= cloud.weights[prof.points][:, None] - 1e-15)
+        table = ball_masses(cloud, ScaleRange(1, 5).radii)
+        assert np.all(np.diff(table, axis=1) <= 1e-15)
+        assert np.all(table >= cloud.weights[:, None] - 1e-15)
 
     def test_masses_match_brute_force(self, rng):
         cloud = line_cloud(40, 0.03, extra=[[0.2, 0.4], [0.9, -0.3]])
@@ -131,42 +130,6 @@ class TestPrune:
         assert ratios and max(ratios) / min(ratios) < 20
 
 
-class TestSeparatedNet:
-    def test_hand_run_example(self):
-        # Greedy scan of {0, 0.4, 0.9, 1.0} at delta = 0.5 keeps 0 and 0.9.
-        coords = np.array([[0.0, 0.0], [0.4, 0.0], [0.9, 0.0], [1.0, 0.0]])
-        cloud = WeightedCloud(coords, np.ones(4), n=1, delta_res=0.05)
-        net = separated_net(cloud, 0.5)
-        assert np.array_equal(net, [0, 2])
-
-    def test_tiny_delta_keeps_everything(self):
-        cloud = line_cloud(20, 0.05)
-        assert len(separated_net(cloud, 0.01)) == 20
-
-    def test_separation_and_covering(self, rng):
-        cloud = line_cloud(150, 0.007, extra=rng.uniform(0.2, 0.8, (40, 2)))
-        delta = 0.08
-        net = separated_net(cloud, delta)
-        pts = cloud.coords[net]
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(dist, np.inf)
-        assert dist.min() > delta
-        gaps = np.linalg.norm(cloud.coords[:, None, :] - pts[None, :, :], axis=2)
-        assert gaps.min(axis=1).max() <= delta
-
-    def test_seeded_nesting(self):
-        cloud = line_cloud(50, 0.02, extra=[[0.31, 0.4], [0.72, 0.6]])
-        inner = separated_net(cloud, 0.25, within=np.arange(25))
-        outer = separated_net(cloud, 0.25, seed_net=inner)
-        assert set(inner).issubset(set(outer))
-
-    def test_bad_seed_rejected(self):
-        cloud = line_cloud(10, 0.05)
-        with pytest.raises(InputError):
-            separated_net(cloud, 0.3, seed_net=[0, 1])
-
-
 class TestPushforward:
     def test_uniform_segment_density(self):
         cloud = line_cloud(1000, 0.001)
@@ -234,49 +197,3 @@ class TestProjectionEnergy:
         report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3,
                                    20, 0.1, seed=3, subset=np.empty(0, dtype=int))
         assert report.mean_l2_sq == 0.0
-
-
-class TestTripleCount:
-    def test_two_point_vertical_pair_matches_quadrature(self):
-        # Ordered pairs: the two diagonal pairs always land within delta, and
-        # each off-diagonal pair carries the angle mass 2 arcsin(delta)/pi
-        # (the kappa = 1 ball is all of the line Grassmannian).
-        coords = np.array([[0.0, 0.0], [0.0, 1.0]])
-        cloud = WeightedCloud(coords, np.ones(2), n=1, delta_res=0.01)
-        expected = 2.0 * 1.0 + 2.0 * (2.0 * np.arcsin(0.1) / np.pi)
-        report = triple_count(cloud, cloud.all_indices(), cloud.all_indices(),
-                              kappa=1.0, delta=0.1, samples=60_000, seed=5)
-        assert report.acceptance_rate == pytest.approx(1.0)
-        assert report.lhs_estimate == pytest.approx(expected, abs=0.02)
-
-    def test_delta_zero_counts_diagonal_only(self):
-        cloud = line_cloud(7, 0.1)
-        report = triple_count(cloud, cloud.all_indices(), cloud.all_indices(),
-                              kappa=0.5, delta=0.0, samples=500, seed=6)
-        assert report.mean_pairs == pytest.approx(7.0)
-
-    def test_weights_do_not_matter(self):
-        cloud = line_cloud(9, 0.1)
-        heavy = WeightedCloud(cloud.coords, 2 * cloud.weights, n=1,
-                              delta_res=cloud.delta_res)
-        a = triple_count(cloud, cloud.all_indices(), cloud.all_indices(),
-                         0.5, 0.05, 400, seed=7)
-        b = triple_count(heavy, heavy.all_indices(), heavy.all_indices(),
-                         0.5, 0.05, 400, seed=7)
-        assert a.lhs_estimate == b.lhs_estimate
-
-    def test_nesting_validated(self):
-        cloud = line_cloud(5, 0.1)
-        with pytest.raises(InputError):
-            triple_count(cloud, np.array([0, 1]), np.array([3]), 0.5, 0.1, 100)
-
-    def test_bucketed_pair_count_matches_dense(self, rng):
-        t = rng.uniform(0, 1, (2500, 1))
-        delta = 0.01
-        diff = np.abs(t[:, 0][:, None] - t[:, 0][None, :])
-        want = int(np.count_nonzero(diff <= delta))
-        assert _count_pairs(t, delta) == want
-        mask = np.zeros(len(t), dtype=bool)
-        mask[:700] = True
-        want_rows = int(np.count_nonzero(diff[:700] <= delta))
-        assert _count_pairs(t, delta, rows_mask=mask) == want_rows

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphcarve import (
     InputError,
     PipelineConfig,
     PipelineReport,
+    ScaleRange,
     WeightedCloud,
     emit_plots,
     four_corner_cantor,
@@ -16,6 +18,8 @@ from graphcarve import (
     outlier_stacks,
     run_pipeline,
 )
+from graphcarve.pipeline import _resolution_dedup
+from tests.dedup_reference import resolution_dedup_loop
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,60 @@ class TestVerticalStacks:
         assert report.refinement["total_applications"] >= 1
         assert report.point_counts["e3"] == 1
         assert report.graph is not None
+
+
+class TestResolutionDedup:
+    # j_max = 4: pairs closer than 2^-5 = 0.03125 are below the audit floor.
+    SCALES = ScaleRange(0, 4)
+
+    def dedup(self, coords, weights, subset=None, theta=0.5):
+        cloud = WeightedCloud(np.array(coords, dtype=float), np.array(weights, dtype=float),
+                              n=1, delta_res=0.01)
+        subset = cloud.all_indices() if subset is None else np.array(subset)
+        got = _resolution_dedup(cloud, subset, theta, self.SCALES)
+        want = resolution_dedup_loop(cloud, subset, theta, self.SCALES)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        return got
+
+    def test_only_steep_sub_floor_pairs_lose_a_point(self):
+        line = [[0.1 * k, 0.0] for k in range(10)]
+        extra = [[0.5, 0.02],     # 10: steep and below the floor -> dropped
+                 [0.72, 0.001],   # 11: below the floor but shallow
+                 [0.3, 0.05],     # 12: steep but above the floor
+                 [0.9, 0.02]]     # 13: steep, below the floor, outside the subset
+        weights = [1.0] * 10 + [0.5, 0.5, 0.5, 0.5]
+        kept, removed = self.dedup(line + extra, weights, subset=np.arange(13))
+        assert np.array_equal(kept, [*range(10), 11, 12])
+        assert removed == 0.5
+
+    @pytest.mark.parametrize("weights, kept, removed", [
+        ([1.0, 2.0, 1.5], [1], 2.5),   # the middle one outweighs both ends
+        ([2.0, 1.0, 2.0], [0], 3.0),   # tie between the ends drops the higher index
+        ([1.0, 1.0, 1.0], [0], 2.0),
+    ])
+    def test_vertical_chain_of_three(self, weights, kept, removed):
+        got_kept, got_removed = self.dedup([[0.0, 0.0], [0.0, 0.01], [0.0, 0.02]], weights)
+        assert np.array_equal(got_kept, kept)
+        assert got_removed == removed
+
+    def test_equal_weights_drop_the_higher_index(self):
+        kept, removed = self.dedup([[0.3, 0.01], [0.3, 0.0]], [0.7, 0.7])
+        assert np.array_equal(kept, [0])
+        assert removed == 0.7
+
+    @given(st.integers(0, 10_000))
+    def test_matches_per_vertex_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 4))
+        centres = rng.uniform(-1, 1, (int(rng.integers(1, 8)), d))
+        coords = np.concatenate([c + rng.uniform(-0.03, 0.03, (int(rng.integers(1, 6)), d))
+                                 for c in centres])
+        weights = rng.choice([1.0, 2.0, 3.0], len(coords))
+        subset = np.nonzero(rng.random(len(coords)) < 0.8)[0]
+        try:
+            self.dedup(coords, weights, subset, theta=float(rng.uniform(0.05, 0.95)))
+        except InputError:
+            pass  # two points under the duplicate guard; not this test's topic
 
 
 class TestNormalization:
