@@ -96,13 +96,19 @@ class GridIndex:
         keep = dist_sq < r_sq if strict else dist_sq <= r_sq
         return cand[keep]
 
-    def close_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs (i, j), i < j, with |x_i - x_j| < radius, sorted by (i, j)."""
+    def near_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index pairs (i, j), i < j, and their squared distances: every pair with
+        |x_i - x_j| <= radius, plus some just beyond it that the exact test drops."""
         pairs = self._tree.query_pairs(_reach(radius, self._scale),
                                        output_type="ndarray").astype(np.intp)
         i, j = pairs[:, 0], pairs[:, 1]
         delta = self.coords[j] - self.coords[i]
-        close = np.einsum("ij,ij->i", delta, delta) < radius * radius
+        return i, j, np.einsum("ij,ij->i", delta, delta)
+
+    def close_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i, j), i < j, with |x_i - x_j| < radius, sorted by (i, j)."""
+        i, j, dist_sq = self.near_pairs(radius)
+        close = dist_sq < radius * radius
         i, j = i[close], j[close]
         order = np.lexsort((j, i))
         return i[order], j[order]

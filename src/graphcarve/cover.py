@@ -111,16 +111,28 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
         if rng is not None:
             g = rng.standard_normal((batch, d))
         else:
-            u = np.clip(sobol.random(batch), 1e-12, 1.0 - 1e-12)
-            g = ndtri(u)
-        axial = g @ proj.T
-        y = axial + alpha * (g - axial)
-        norms = np.linalg.norm(y, axis=1)
+            g = sobol.random(batch)
+            np.clip(g, 1e-12, 1.0 - 1e-12, out=g)
+            ndtri(g, out=g)
+        # The batch is large, so every step writes into an array it already
+        # holds, in the operation order of y = axial + alpha * (g - axial) and
+        # of np.linalg.norm (sqrt of the row sums of squares): the samples stay
+        # bit for bit those of the plain expressions.
+        y = g @ proj.T
+        g -= y
+        g *= alpha
+        y += g
+        del g
+        norms = np.sqrt(np.add.reduce(y * y, axis=1))
         good = norms > 1e-12
-        y = y[good] / norms[good, None]
-        perp = y - y @ proj.T
-        perp_norm = np.linalg.norm(perp, axis=1)
-        y = y[perp_norm <= alpha]
+        if not good.all():
+            y, norms = y[good], norms[good]
+        y /= norms[:, None]
+        perp_sq = y @ proj.T
+        np.subtract(y, perp_sq, out=perp_sq)
+        perp_sq *= perp_sq
+        y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha]
+        del perp_sq
         if len(y):
             out.append(y)
             kept += len(y)

@@ -23,6 +23,7 @@ from graphcarve.cover import (
 from graphcarve.grassmannian import alpha0_max
 from tests.cones import ConeSpec, cone_mask
 from tests.net_reference import greedy_net_loop
+from tests.sampler_reference import region_samples_reference
 
 
 def vertical_axis(d):
@@ -133,6 +134,28 @@ class TestCoverForTheta:
         assert np.all(np.linalg.norm(perp, axis=1) <= 0.2 + 1e-12)
         dets = _region_samples(axis, 0.2, 5000)
         assert np.array_equal(dets, _region_samples(axis, 0.2, 5000))
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.3), (3, 0.2), (3, 0.05), (4, 0.5)])
+    def test_region_sampler_matches_reference(self, d, alpha):
+        axis = vertical_axis(d)
+        assert np.array_equal(_region_samples(axis, alpha, 30_000),
+                              region_samples_reference(axis, alpha, 30_000))
+        got = _region_samples(axis, alpha, 3000, rng=np.random.default_rng(5))
+        want = region_samples_reference(axis, alpha, 3000, rng=np.random.default_rng(5))
+        assert np.array_equal(got, want)
+
+    def test_region_sampler_memory(self):
+        # 200,000 samples draw one batch of 2^19 proposals, 12.6 MB per
+        # (batch, 3) array; the samples are formed in place, so at most about
+        # three such arrays are alive at once.
+        batch_bytes = 2**19 * 3 * 8
+        tracemalloc.start()
+        try:
+            _region_samples(vertical_axis(3), 0.2, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * batch_bytes
 
 
 class TestGreedyNet:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,8 +16,9 @@ from graphcarve import (
     prune_low_density,
     pushforward_density,
 )
-from graphcarve.measure import ball_masses
+from graphcarve.measure import _CELLS_PER_POINT, _mass_bounds, _unique_rows, ball_masses
 from tests.conftest import line_cloud
+from tests.prune_reference import prune_dense, prune_radii
 
 
 def grid_cloud_2d(side):
@@ -53,6 +56,16 @@ class TestDensityProfile:
             dist = np.linalg.norm(cloud.coords - cloud.coords[i], axis=1)
             want = cloud.weights[dist <= radii[j]].sum()
             assert table[i, j] == pytest.approx(want, abs=1e-12)
+
+    def test_rows_do_not_depend_on_the_block(self, rng):
+        # The exact fallback of the prune recomputes a few rows; each must
+        # equal its value in the full pass, bit for bit.
+        coords = rng.random((701, 2))
+        cloud = WeightedCloud(coords, rng.uniform(0.1, 1.0, 701), n=1, delta_res=1e-4)
+        radii = np.array([0.05, 0.2, 0.7])
+        full = ball_masses(cloud, radii)
+        rows = np.vstack([ball_masses(cloud, radii, [i]) for i in range(len(cloud))])
+        assert np.array_equal(full, rows)
 
 
 class TestAdrCheck:
@@ -128,6 +141,129 @@ class TestPrune:
             if res.removed_mass > 0:
                 ratios.append(res.removed_mass / eps)
         assert ratios and max(ratios) / min(ratios) < 20
+
+
+def prune_matches_dense(cloud, epsilon, scale_range=None):
+    got = prune_low_density(cloud, epsilon, scale_range)
+    kept, removed, sweeps = prune_dense(cloud, epsilon, scale_range)
+    assert np.array_equal(got.kept_indices, kept)
+    assert np.array_equal(got.removed_indices, removed)
+    assert got.sweeps == sweeps
+
+
+def grid_bounds(cloud, radius):
+    """Summed-area bounds of every point at one radius, next to the dense masses."""
+    radii = np.array([radius])
+    lower, upper = _mass_bounds(cloud, np.ones(len(cloud), dtype=bool), radii,
+                                np.zeros(1, dtype=bool), None)
+    return lower[:, 0], upper[:, 0], ball_masses(cloud, radii)[:, 0]
+
+
+class TestPruneBounds:
+    """The bounds that let the prune skip the dense table, against that table."""
+
+    @given(d=st.integers(1, 3), data=st.data(),
+           offset=st.sampled_from([0.0, 1e3]),
+           spacing=st.sampled_from([0.25, 0.125, 0.0625]),
+           tie=st.booleans())
+    def test_prune_matches_dense_reference(self, d, data, offset, spacing, tie):
+        # Dyadic lattices with dyadic weights: many pairs sit exactly at a
+        # scanned radius, on a grid cell face or on a circumscribed-cube
+        # corner, and with a tied epsilon some mass equals epsilon * r^n.
+        n = data.draw(st.integers(1, d))
+        k = data.draw(st.integers(1, min(40, 6**d)))
+        cells = data.draw(st.lists(st.integers(0, 6**d - 1), min_size=k, max_size=k,
+                                   unique=True))
+        coords = np.array(np.unravel_index(cells, (6,) * d), dtype=float).T * spacing
+        coords += offset
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                                              min_size=k, max_size=k)))
+        cloud = WeightedCloud(coords, weights, n=n, delta_res=spacing)
+        radii = prune_radii(cloud)
+        if tie:
+            table = ball_masses(cloud, radii)
+            i = data.draw(st.integers(0, k - 1))
+            col = data.draw(st.integers(0, len(radii) - 1))
+            epsilon = table[i, col] / radii[col] ** n
+        else:
+            epsilon = data.draw(st.sampled_from([0.05, 0.5, 2.0, 8.0])) * cloud.mass()
+        prune_matches_dense(cloud, epsilon)
+
+    def test_radii_choose_grid_and_pairs(self):
+        # One prune that uses both kinds of bounds: the finer radii of a long
+        # line would need more than _CELLS_PER_POINT grid cells per point.
+        cloud = line_cloud(200, 0.005, extra=[[0.3, 0.7], [0.31, 0.7], [0.9, 0.05]])
+        radii = prune_radii(cloud)
+        span = cloud.coords.max(axis=0) - cloud.coords.min(axis=0)
+        cells = np.prod(np.floor(span / (radii[:, None] / 4.0)) + 1.0, axis=1)
+        assert (cells > _CELLS_PER_POINT * len(cloud)).any()
+        assert (cells <= _CELLS_PER_POINT * len(cloud)).any()
+        for factor in (0.2, 0.5, 1.0, 2.0):
+            prune_matches_dense(cloud, factor * cloud.mass())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_epsilon_at_a_non_dyadic_mass(self, seed):
+        # Weights like 0.1 make the bounds' sums and the dense sums round
+        # differently; with epsilon * r^n equal to a dense mass, only the
+        # margin keeps the bounds from deciding that entry the wrong way.
+        rng = np.random.default_rng(seed)
+        coords = np.column_stack([np.arange(60) * 0.05, rng.uniform(0.0, 0.3, 60)])
+        weights = rng.choice([0.1, 0.3, 0.7, 1.1], 60)
+        cloud = WeightedCloud(coords, weights, n=1, delta_res=0.01)
+        for j in (1, 3, 5):  # grid radii, then pair radii
+            scales = ScaleRange(j, j)
+            radius = scales.radii[0]
+            for mass in np.unique(ball_masses(cloud, [radius])):
+                prune_matches_dense(cloud, mass / radius, scales)
+
+    def test_inscribed_cube_corner_is_outside(self):
+        # In d = 3, r/sqrt(3) rounds up: a point at the corner of the
+        # inscribed cube lies outside the closed ball.  It sits at the grid
+        # origin, on a cell corner, so only the pad keeps its cell out of the
+        # lower bound.
+        for radius in (1.0, 0.5, 0.25):
+            corner = radius / math.sqrt(3)
+            coords = np.array([[0.0, 0.0, 0.0], [corner] * 3, [2 * corner] * 3])
+            cloud = WeightedCloud(coords, np.array([4.0, 1.0, 2.0]), n=1, delta_res=0.01)
+            lower, upper, dense = grid_bounds(cloud, radius)
+            assert dense[1] == 1.0
+            assert np.all(lower <= dense) and np.all(dense <= upper)
+
+    def test_axis_neighbours_a_few_ulps_off(self):
+        # Neighbours at distance r along an axis, moved by a few ulps: the
+        # cell index and the squared distance round separately, and only the
+        # pad keeps some of them inside the upper bound's cube.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            d = 2 + seed % 2
+            centre = rng.random(d) * 0.01
+            coords = [centre]
+            for axis in range(d):
+                for sign in (-1.0, 1.0):
+                    y = centre.copy()
+                    y[axis] += sign * 0.5
+                    coords.append(y + rng.integers(-2, 3, d) * np.spacing(y))
+            cloud = WeightedCloud(np.array(coords), 2.0 ** np.arange(2 * d + 1),
+                                  n=1, delta_res=1e-3)
+            lower, upper, dense = grid_bounds(cloud, 0.5)
+            assert np.all(lower <= dense) and np.all(dense <= upper)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "negative"])
+    def test_matches_numpy_unique(self, n, kind, rng):
+        for size in (1, 2, 17, 500):
+            if kind == "random":
+                cells = rng.integers(0, 1 << 40, (size, n))
+            elif kind == "duplicates":
+                cells = rng.integers(0, 3, (size, n))
+            else:
+                cells = rng.integers(-4, 4, (size, n))
+            uniq, inverse = _unique_rows(cells)
+            want, want_inverse = np.unique(cells, axis=0, return_inverse=True)
+            assert np.array_equal(uniq, want) and uniq.dtype == want.dtype
+            assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 class TestPushforward:

@@ -18,6 +18,7 @@ from graphcarve import (
     outlier_stacks,
     run_pipeline,
 )
+from graphcarve.errors import STAGE_COLLAPSE_ERRORS
 from graphcarve.pipeline import _resolution_dedup
 from tests.dedup_reference import resolution_dedup_loop
 
@@ -42,6 +43,35 @@ class TestVerticalStacks:
         assert report.refinement["total_applications"] >= 1
         assert report.point_counts["e3"] == 1
         assert report.graph is not None
+
+
+class TestTinyClouds:
+    @given(d=st.sampled_from([2, 3]), stack=st.booleans(), data=st.data())
+    def test_report_or_stage_collapse(self, d, stack, data):
+        # One to eight points on a dyadic lattice, or stacked vertically with
+        # dyadic gaps: one-point clouds, zero-span axes and exact distance
+        # ties everywhere.  The run ends in a report or a documented stage
+        # collapse, never in an invariant trap or another error.
+        k = data.draw(st.integers(1, 8))
+        gap = 2.0 ** -data.draw(st.integers(0, 3))
+        if stack:
+            base = data.draw(st.lists(st.integers(0, 3), min_size=d - 1, max_size=d - 1))
+            heights = data.draw(st.lists(st.integers(0, 15), min_size=k, max_size=k,
+                                         unique=True))
+            coords = np.array([[*base, h] for h in sorted(heights)], dtype=float) * gap
+        else:
+            cells = data.draw(st.lists(st.integers(0, 4**d - 1), min_size=k, max_size=k,
+                                       unique=True))
+            coords = np.array(np.unravel_index(cells, (4,) * d), dtype=float).T * gap
+        weights = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                                     min_size=k, max_size=k))
+        cloud = WeightedCloud(coords, np.array(weights), n=1, delta_res=gap / 2)
+        cfg = PipelineConfig(cover_net_samples=20_000, cover_check_samples=2_000)
+        try:
+            report = run_pipeline(cloud, cfg)
+        except STAGE_COLLAPSE_ERRORS:
+            return
+        assert report.masses["e3"] <= report.masses["e1"]
 
 
 class TestResolutionDedup:
