@@ -4,46 +4,21 @@ For each vertex x of a subset, counts the scales j at which the closed cone
 shell of aperture theta (two-sided around the vertical axis) or alpha
 (one-sided along a direction w) meets some other subset point.  The default
 mode reads a ``ShellTable``: kd-tree candidates plus the exact predicate
-``cone_shells``.  The oracle mode runs the same predicate on all pairs, one
-vertex at a time.  Both modes make identical floating-point comparisons, so
-their outputs match exactly.
+``cone_shells``.  The pipeline's visit reports and both runtime refinement
+certificates use it.  The oracle mode runs the same predicate on all pairs,
+one vertex at a time; it is the test reference, and runs in the pipeline only
+when ``oracle`` is set (``PipelineConfig.oracle``, the CLI's ``--oracle``).
+Both modes make identical floating-point comparisons, so their outputs match
+exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import ScaleRange, WeightedCloud
 from .errors import InputError
-from .shells import ShellTable, cone_shells
-
-
-@dataclass(frozen=True)
-class VisitationReport:
-    """Per-vertex visit counts with the witnessing scales and points."""
-
-    subset: np.ndarray
-    counts: np.ndarray           # visited-scale count per subset vertex
-    scales: list                 # per vertex: np array of visited j values
-    witnesses: list              # per vertex: one witnessing point index per j
-    mode: str                    # "two_sided_codim" | "one_sided_dir"
-    aperture: float
-    direction: np.ndarray | None
-    scale_range: ScaleRange
-
-    @property
-    def max_count(self) -> int:
-        return int(self.counts.max()) if len(self.counts) else 0
-
-    def histogram(self, weights: np.ndarray | None = None) -> dict[int, float]:
-        """count value -> mass (or cardinality) of vertices with that count."""
-        out: dict[int, float] = {}
-        for i, c in enumerate(self.counts):
-            w = 1.0 if weights is None else float(weights[self.subset[i]])
-            out[int(c)] = out.get(int(c), 0.0) + w
-        return dict(sorted(out.items()))
+from .shells import ShellTable, VisitationReport, cone_shells
 
 
 def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
@@ -69,16 +44,13 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
         nrm = np.linalg.norm(w)
         if abs(nrm - 1.0) > 1e-9:
             raise InputError("direction must be a unit vector")
-    if oracle:
-        counts, visited_scales, witnesses = _oracle_visits(cloud, subset, aperture,
-                                                           scale_range, w)
-    else:
-        counts, visited_scales, witnesses = ShellTable(
-            cloud, subset, aperture, scale_range, w).visits()
-    mode = "two_sided_codim" if w is None else "one_sided_dir"
-    return VisitationReport(subset=subset, counts=counts, scales=visited_scales,
-                            witnesses=witnesses, mode=mode, aperture=aperture,
-                            direction=w, scale_range=scale_range)
+    if not oracle:
+        return ShellTable(cloud, subset, aperture, scale_range, w).visits()
+    counts, visited_scales, witnesses = _oracle_visits(cloud, subset, aperture,
+                                                       scale_range, w)
+    return VisitationReport(subset=subset, counts=counts, aperture=aperture,
+                            direction=w, scale_range=scale_range,
+                            per_row=lambda: (visited_scales, witnesses))
 
 
 def _oracle_visits(cloud: WeightedCloud, subset: np.ndarray, aperture: float,

@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--oracle", action="store_true",
-                       help="force brute-force (no kd-tree) visit counts")
+                       help="brute-force (no kd-tree) visit counts, for the "
+                            "refinement certificates too")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("generate", help="emit a synthetic cloud")

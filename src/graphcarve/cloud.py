@@ -56,11 +56,10 @@ class ScaleRange:
 
         The top shell's outer radius is at least the extent, so no point pair
         escapes the range from above; pairs closer than half the finest
-        radius stay below the audit floor.
+        radius stay below the audit floor.  A cloud narrower than its
+        resolution gets the one shell at the resolution.
         """
-        extent = cloud.extent()
-        if extent <= 0:
-            extent = cloud.delta_res
+        extent = max(cloud.extent(), cloud.delta_res)
         j_min = math.floor(-math.log2(extent))
         j_max = math.floor(-math.log2(cloud.delta_res)) - 1
         if j_max < j_min:
@@ -117,7 +116,8 @@ class GridIndex:
 class WeightedCloud:
     """Finite weighted point set in R^d discretizing an n-dimensional measure."""
 
-    def __init__(self, coords: np.ndarray, weights: np.ndarray, n: int, delta_res: float):
+    def __init__(self, coords: np.ndarray, weights: np.ndarray, n: int, delta_res: float,
+                 *, check_separation: bool = True):
         coords = np.ascontiguousarray(np.asarray(coords, dtype=float))
         weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
         if coords.ndim != 2:
@@ -144,7 +144,8 @@ class WeightedCloud:
         self.delta_res = float(delta_res)
         self.grid = GridIndex(coords, delta_res)
         self._extent: float | None = None
-        self._check_separation()
+        if check_separation:
+            self._check_separation()
 
     def _check_separation(self):
         """Duplicate guard: pairwise distances must be >= delta_res / 100."""
@@ -182,4 +183,5 @@ class WeightedCloud:
 
     def subcloud(self, indices) -> "WeightedCloud":
         idx = np.asarray(indices, dtype=np.intp)
-        return WeightedCloud(self.coords[idx], self.weights[idx], self.n, self.delta_res)
+        return WeightedCloud(self.coords[idx], self.weights[idx], self.n, self.delta_res,
+                             check_separation=False)

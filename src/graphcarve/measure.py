@@ -283,7 +283,8 @@ def pushforward_density(cloud: WeightedCloud, v_sub: Subspace, bin_width: float,
     """Project the cloud onto the subspace and bin mass on a uniform lattice.
 
     Densities are mass / bin_width^n; the lattice is anchored at the origin of
-    the frame coordinates so repeated runs bin identically.
+    the frame coordinates so repeated runs bin identically.  Raises
+    ``InputError`` when the squared density overflows the float range.
     """
     if bin_width < cloud.delta_res:
         raise InputError(
@@ -301,10 +302,20 @@ def pushforward_density(cloud: WeightedCloud, v_sub: Subspace, bin_width: float,
     uniq, inverse = _unique_rows(cells)
     masses = np.bincount(inverse, weights=cloud.weights[idx], minlength=len(uniq))
     cell_vol = bin_width**cloud.n
-    l2_sq = float(np.sum(masses * masses) / cell_vol)
-    linf = float(masses.max() / cell_vol)
+    with np.errstate(over="ignore", divide="ignore"):
+        l2_sq = _within_float_range(float(np.sum(masses * masses) / cell_vol),
+                                    "the squared projected density")
+        linf = float(masses.max() / cell_vol)
     return Pushforward(bin_width=bin_width, n=cloud.n, cells=uniq,
                        masses=masses, l2_sq=l2_sq, linf=linf)
+
+
+def _within_float_range(value: float, what: str) -> float:
+    """The value, or ``InputError`` naming the limit when it overflowed."""
+    if not math.isfinite(value):
+        raise InputError(f"{what} exceeds the largest float, "
+                         f"{np.finfo(float).max:.6g}; scale the weights down")
+    return value
 
 
 @dataclass(frozen=True)
@@ -335,7 +346,9 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
         values[i] = pushforward_density(cloud, v_sub, bin_width, subset).l2_sq
         diff = v_sub.projector() - center.projector()
         dists[i] = float(np.linalg.svd(diff, compute_uv=False)[0])
-    return EnergyReport(mean_l2_sq=float(values.mean()) if len(values) else 0.0,
+    with np.errstate(over="ignore"):
+        mean = float(values.mean()) if len(values) else 0.0
+    return EnergyReport(mean_l2_sq=_within_float_range(mean, "the mean projection energy"),
                         per_sample=values, distances=dists,
                         acceptance_rate=sampler.acceptance_rate or 0.0,
                         bin_width=bin_width)

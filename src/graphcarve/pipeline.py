@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from .errors import InputError, RefinementCollapsedError
 from .extract import certify_graph, containment_report, extend_mcshane
 from .geometry import Subspace
 from .grassmannian import alpha0_max, child_seed
-from .measure import projection_energy, prune_low_density
+from .measure import _within_float_range, projection_energy, prune_low_density
 from .refine import RefineConfig, refine_schedule
-from .shells import cone_shells
+from .shells import ShellTable, VisitationReport, cone_shells
 
 SCHEMA = "graphcarve/1"
 
@@ -146,7 +147,8 @@ class PipelineReport:
         return out
 
     def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.payload(include_timings), sort_keys=True, indent=2)
+        return json.dumps(self.payload(include_timings), sort_keys=True, indent=2,
+                          allow_nan=False)
 
     @classmethod
     def empty(cls) -> "PipelineReport":
@@ -181,16 +183,23 @@ class PipelineReport:
 
 
 def normalize_to_unit_ball(cloud: WeightedCloud) -> tuple[WeightedCloud, dict]:
-    """Translate and rescale into B(0, 1); weights scale by s^n."""
+    """Translate and rescale into B(0, 1); weights scale by s^n.
+
+    The separation guard is not rechecked: rounding may move a pair that sat
+    exactly on it an ulp closer, which does not make the pair a duplicate.
+    """
     if len(cloud) == 0:
         raise InputError("cannot normalize an empty cloud")
     center = (cloud.coords.max(axis=0) + cloud.coords.min(axis=0)) / 2.0
     radii = np.linalg.norm(cloud.coords - center, axis=1)
     r_max = float(radii.max())
     scale = 1.0 / r_max if r_max > 0 else 1.0
-    moved = WeightedCloud((cloud.coords - center) * scale,
-                          cloud.weights * scale**cloud.n,
-                          n=cloud.n, delta_res=cloud.delta_res * scale)
+    with np.errstate(over="ignore"):
+        weights = cloud.weights * scale**cloud.n
+    _within_float_range(float(weights.max()), "a normalized weight")
+    moved = WeightedCloud((cloud.coords - center) * scale, weights,
+                          n=cloud.n, delta_res=cloud.delta_res * scale,
+                          check_separation=False)
     info = {"offset": [float(c) for c in center], "scale": scale}
     return moved, info
 
@@ -222,6 +231,25 @@ def _resolution_dedup(cloud: WeightedCloud, subset: np.ndarray, theta: float,
         alive[drop] = False
         removed += float(cloud.weights[drop])
     return np.nonzero(alive)[0].astype(np.intp), removed
+
+
+def _visit_reader(cloud: WeightedCloud, theta: float, scale_range: ScaleRange,
+                  oracle: bool) -> Callable[[np.ndarray], VisitationReport]:
+    """Two-sided visit reports of subsets of the cloud at aperture theta.
+
+    One shell table over the whole cloud answers every subset: its alive
+    mask restricts both the rows and the visitors.  The oracle counts each
+    subset from scratch.
+    """
+    if oracle:
+        return lambda idx: visitation_counts(cloud, idx, theta, scale_range, oracle=True)
+    table = ShellTable(cloud, cloud.all_indices(), theta, scale_range)
+
+    def visits(idx):
+        alive = np.zeros(len(cloud), dtype=bool)
+        alive[idx] = True
+        return table.visits(alive)
+    return visits
 
 
 def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> PipelineReport:
@@ -272,8 +300,8 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
 
     t = time.perf_counter()
     scale_range = ScaleRange.default_for(e_cloud)
-    before = visitation_counts(e_cloud, e_cloud.all_indices(), theta0,
-                               scale_range, oracle=cfg.oracle)
+    visits = _visit_reader(e_cloud, theta0, scale_range, cfg.oracle)
+    before = visits(e_cloud.all_indices())
     mass_e = e_cloud.mass()
     max_count = before.max_count
     m_removal = max_count + 1
@@ -286,8 +314,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
     e2_idx = before.subset[before.counts < m_removal]
     # An empty survivor set is a legitimate negative outcome: nothing in the
     # cloud fits the certified visit budget, and the report shows zeros.
-    e2_report = visitation_counts(e_cloud, e2_idx, theta0, scale_range,
-                                  oracle=cfg.oracle)
+    e2_report = visits(e2_idx)
     m0 = e2_report.max_count
     times["visit_removal"] = time.perf_counter() - t
 
@@ -323,8 +350,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
             "contained_mass_e1": cont_e1.contained_mass,
             "tolerance": tol,
         }
-    after = visitation_counts(e_cloud, e3_idx, theta0, scale_range,
-                              oracle=cfg.oracle)
+    after = visits(e3_idx)
     times["extract"] = time.perf_counter() - t
 
     masses = {

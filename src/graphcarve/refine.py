@@ -5,7 +5,9 @@ direction w are at most M (aperture alpha) and carves out K in F whose counts
 at aperture alpha/2 are at most M - 1, never wasting much more mass than it
 keeps.  ``refine_schedule`` drives it over every direction of a cone cover,
 down to zero visits per direction, and certifies the resulting two-sided
-property directly.
+property with a fresh visit count.  Both certificates count with the shell
+engine (``shells.ShellTable``), or with the brute-force oracle when
+``RefineConfig.oracle`` is set; the two make the same comparisons.
 
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point is banked, the open cone shadows of
@@ -370,8 +372,11 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         k += 1
 
     state.current = subset[alive]
-    certificate = visitation_counts(cloud, kept, alpha / 2.0, scale_range,
-                                    direction=w, oracle=True)
+    if cfg.oracle:
+        certificate = visitation_counts(cloud, kept, alpha / 2.0, scale_range,
+                                        direction=w, oracle=True)
+    else:
+        certificate = shells.visits(np.isin(subset, kept))
     if certificate.max_count > big_m - 1:
         raise AlgorithmInvariantViolation(
             f"output certificate failed: {certificate.max_count} visited scales "
@@ -426,7 +431,7 @@ def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
     The cover must be built with aperture theta / b_used and shrink factor
     2^-m0: then each direction needs at most m0 passes (the aperture halves
     per pass), and the surviving set's two-sided visits at aperture
-    theta / b_used vanish, which is verified directly in oracle mode.
+    theta / b_used vanish, which a fresh two-sided visit count verifies.
     """
     cfg = cfg or RefineConfig()
     e2 = np.sort(np.asarray(e2, dtype=np.intp))
@@ -450,9 +455,9 @@ def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
             initial = None
             applications = 0
             verified_aperture = aperture
+            report = visitation_counts(cloud, current, aperture, scale_range,
+                                       direction=w, oracle=cfg.oracle)
             while True:
-                report = visitation_counts(cloud, current, aperture, scale_range,
-                                           direction=w, oracle=cfg.oracle)
                 m_cur = report.max_count
                 if initial is None:
                     initial = m_cur
@@ -465,6 +470,7 @@ def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
                 outcome = refine_once(cloud, current, w, aperture, m_cur, cfg)
                 outcomes.append(outcome)
                 current = outcome.kept
+                report = outcome.certificate  # counts of kept at aperture / 2
                 applications += 1
                 aperture /= 2.0
                 if cloud.mass(current) < floor_mass:
@@ -480,7 +486,7 @@ def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
                 outcomes=outcomes))
 
     certificate = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                    direction=None, oracle=True)
+                                    direction=None, oracle=cfg.oracle)
     if certificate.max_count > 0:
         raise AlgorithmInvariantViolation(
             "final two-sided certificate failed after the direction schedule")

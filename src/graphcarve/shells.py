@@ -6,9 +6,15 @@ comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
 once: a ``cKDTree`` range search (Bentley, CACM 18(9), 1975) in a sheared
 frame returns a superset of the in-cone pairs, the exact predicate filters
 them, and the survivors are kept as CSR rows with a shell bitmask per pair.
+One table answers the visits of any alive subset of its rows as a
+``VisitationReport``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -46,6 +52,49 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
     if strict:
         return cone[:, None] & (dist > inner) & (dist < outer)
     return cone[:, None] & (dist >= inner) & (dist <= outer)
+
+
+@dataclass(frozen=True)
+class VisitationReport:
+    """Per-vertex visit counts; the visited scales and their lowest witnesses
+    are computed on first access."""
+
+    subset: np.ndarray
+    counts: np.ndarray           # visited-scale count per subset vertex
+    aperture: float
+    direction: np.ndarray | None
+    scale_range: ScaleRange
+    per_row: Callable[[], tuple[list, list]] = field(repr=False, compare=False)
+
+    @property
+    def mode(self) -> str:
+        return "two_sided_codim" if self.direction is None else "one_sided_dir"
+
+    @cached_property
+    def _rows(self) -> tuple[list, list]:
+        return self.per_row()
+
+    @property
+    def scales(self) -> list:
+        """Per vertex: the visited j values, ascending."""
+        return self._rows[0]
+
+    @property
+    def witnesses(self) -> list:
+        """Per vertex: the lowest witnessing point index at each visited j."""
+        return self._rows[1]
+
+    @property
+    def max_count(self) -> int:
+        return int(self.counts.max()) if len(self.counts) else 0
+
+    def histogram(self, weights: np.ndarray | None = None) -> dict[int, float]:
+        """count value -> mass (or cardinality) of vertices with that count."""
+        out: dict[int, float] = {}
+        for i, c in enumerate(self.counts):
+            w = 1.0 if weights is None else float(weights[self.subset[i]])
+            out[int(c)] = out.get(int(c), 0.0) + w
+        return dict(sorted(out.items()))
 
 
 def _candidate_pairs(points: np.ndarray, aperture: float, n: int, direction,
@@ -97,6 +146,7 @@ class ShellTable:
     def __init__(self, cloud: WeightedCloud, subset: np.ndarray, aperture: float,
                  scale_range: ScaleRange, direction=None):
         self.subset = np.sort(np.asarray(subset, dtype=np.intp))
+        self.aperture, self.direction, self.scale_range = aperture, direction, scale_range
         self.js = scale_range.js
         if len(self.js) > 64:
             raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
@@ -148,21 +198,32 @@ class ShellTable:
         hit = alive[self.cols[seg]] & (self.bits[seg] & bit != 0)
         return int(self.subset[self.cols[seg][np.argmax(hit)]])
 
-    def visits(self) -> tuple[np.ndarray, list, list]:
-        """Counts, visited scales and lowest witnesses of every row."""
+    def visits(self, alive=None) -> VisitationReport:
+        """Report of the alive rows, visited by alive columns only (default: all)."""
+        alive = (np.ones(len(self.subset), dtype=bool) if alive is None
+                 else np.array(alive, dtype=bool))
+        return VisitationReport(subset=self.subset[alive], counts=self.counts(alive)[alive],
+                                aperture=self.aperture, direction=self.direction,
+                                scale_range=self.scale_range,
+                                per_row=partial(self._per_row, alive))
+
+    def _per_row(self, alive) -> tuple[list, list]:
+        """Visited scales and lowest alive witnesses of every alive row."""
         n_scales = len(self.js)
         row_of = np.repeat(np.arange(len(self.subset)), np.diff(self.indptr))
+        live = alive[row_of] & alive[self.cols]
+        rank = np.cumsum(alive) - 1
         pair, scale = np.nonzero(
-            (self.bits[:, None] >> np.arange(n_scales, dtype=np.uint64)) & 1)
+            (self.bits[live, None] >> np.arange(n_scales, dtype=np.uint64)) & 1)
         # Pairs run by row, then column: a stable sort on (row, scale) puts the
         # lowest column of each key first.
-        key = row_of[pair] * n_scales + scale
+        key = rank[row_of[live][pair]] * n_scales + scale
         order = np.argsort(key, kind="stable")
         key, first = np.unique(key[order], return_index=True)
         rows, scale = np.divmod(key, n_scales)
-        counts = np.bincount(rows, minlength=len(self.subset)).astype(np.int64)
+        counts = np.bincount(rows, minlength=int(alive.sum()))
         if not len(counts):
-            return counts, [], []
+            return [], []
         cuts = np.cumsum(counts)[:-1]
-        witnesses = self.subset[self.cols[pair[order[first]]]]
-        return counts, np.split(self.js[scale], cuts), np.split(witnesses, cuts)
+        witnesses = self.subset[self.cols[live][pair[order[first]]]]
+        return np.split(self.js[scale], cuts), np.split(witnesses, cuts)

@@ -52,6 +52,14 @@ class TestWeightedCloud:
         a, b = map(int, re.search(r"points (\d+) and (\d+)", str(err.value)).groups())
         assert np.linalg.norm(coords[a] - coords[b]) < 1e-3
 
+    def test_guard_boundary_is_exact(self):
+        guard = 0.01 / 100.0
+        WeightedCloud(np.array([[0.0, 0.0], [guard, 0.0]]), np.ones(2), n=1,
+                      delta_res=0.01)
+        with pytest.raises(InputError):
+            WeightedCloud(np.array([[0.0, 0.0], [np.nextafter(guard, 0.0), 0.0]]),
+                          np.ones(2), n=1, delta_res=0.01)
+
     def test_near_guard_distance_accepted(self):
         coords = np.array([[0.0, 0.0], [0.0, 2e-3]])
         cloud = WeightedCloud(coords, np.ones(2), n=1, delta_res=0.1)
@@ -147,6 +155,15 @@ class TestGridIndex:
 
 
 class TestScaleRange:
+    def test_cloud_narrower_than_its_resolution(self):
+        # Two points on the separation guard: the one default shell sits at
+        # the resolution, not at the (smaller) extent.
+        cloud = WeightedCloud(np.array([[0.0, 0.0], [0.0, 1e-3]]), np.ones(2), n=1,
+                              delta_res=0.1)
+        sr = ScaleRange.default_for(cloud)
+        assert sr.j_min == sr.j_max
+        assert 2.0 ** (-sr.j_max) >= cloud.delta_res > 2.0 ** (-sr.j_max - 1)
+
     def test_ordering_validation(self):
         with pytest.raises(InputError):
             ScaleRange(3, 1)

@@ -17,6 +17,7 @@ from graphcarve import (
     normalize_to_unit_ball,
     outlier_stacks,
     run_pipeline,
+    union_of_graphs,
 )
 from graphcarve.errors import STAGE_COLLAPSE_ERRORS
 from graphcarve.pipeline import _resolution_dedup
@@ -46,12 +47,16 @@ class TestVerticalStacks:
 
 
 class TestTinyClouds:
-    @given(d=st.sampled_from([2, 3]), stack=st.booleans(), data=st.data())
-    def test_report_or_stage_collapse(self, d, stack, data):
+    @given(d=st.sampled_from([2, 3]), stack=st.booleans(),
+           twin=st.sampled_from([None, "at_guard", "ulp_above"]), data=st.data())
+    def test_report_or_stage_collapse(self, d, stack, twin, data):
         # One to eight points on a dyadic lattice, or stacked vertically with
         # dyadic gaps: one-point clouds, zero-span axes and exact distance
-        # ties everywhere.  The run ends in a report or a documented stage
-        # collapse, never in an invariant trap or another error.
+        # ties everywhere.  A twin of the first point may sit exactly at, or
+        # one ulp beyond, the delta_res/100 separation guard, along a random
+        # axis.  Weights reach 1e300.  The run ends in a report whose fields
+        # are all finite, a documented stage collapse, or an InputError that
+        # names the float limit; never in an invariant trap or another error.
         k = data.draw(st.integers(1, 8))
         gap = 2.0 ** -data.draw(st.integers(0, 3))
         if stack:
@@ -63,15 +68,60 @@ class TestTinyClouds:
             cells = data.draw(st.lists(st.integers(0, 4**d - 1), min_size=k, max_size=k,
                                        unique=True))
             coords = np.array(np.unravel_index(cells, (4,) * d), dtype=float).T * gap
-        weights = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
-                                     min_size=k, max_size=k))
-        cloud = WeightedCloud(coords, np.array(weights), n=1, delta_res=gap / 2)
+        delta_res = gap / 2
+        if twin is not None:
+            guard = delta_res / 100.0
+            spacing = guard if twin == "at_guard" else np.nextafter(guard, np.inf)
+            coords = coords - coords[0]  # the twin offset is then exact
+            offset = np.zeros(d)
+            offset[data.draw(st.integers(0, d - 1))] = spacing
+            coords = np.vstack([coords, offset])
+        weights = data.draw(st.lists(
+            st.sampled_from([0.25, 0.5, 1.0, 3.0, 1e150, 1e300]),
+            min_size=len(coords), max_size=len(coords)))
+        cloud = WeightedCloud(coords, np.array(weights), n=1, delta_res=delta_res)
         cfg = PipelineConfig(cover_net_samples=20_000, cover_check_samples=2_000)
         try:
             report = run_pipeline(cloud, cfg)
         except STAGE_COLLAPSE_ERRORS:
             return
+        except InputError as exc:
+            assert "the largest float" in str(exc)
+            return
+        json.loads(report.to_json())  # allow_nan=False: every field is finite
         assert report.masses["e3"] <= report.masses["e1"]
+
+    def test_heavy_weights_name_the_float_limit(self):
+        # Squaring 1e300 cell masses overflowed into an inf energy, which
+        # reached report.json as the non-JSON token Infinity.
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]) * 0.25
+        with pytest.raises(InputError, match="exceeds the largest float"):
+            run_pipeline(WeightedCloud(line, np.full(4, 1e300), n=1, delta_res=0.125))
+        # Normalizing scales the weights of this 0.25-wide pair by 8.
+        pair = WeightedCloud(line[:2], np.full(2, 1e308), n=1, delta_res=0.125)
+        with pytest.raises(InputError, match="exceeds the largest float"):
+            run_pipeline(pair)
+        report = run_pipeline(WeightedCloud(line, np.full(4, 1e150), n=1,
+                                            delta_res=0.125))
+        assert report.masses["e3"] == report.masses["e1"]
+        json.loads(report.to_json())
+
+
+class TestOracleMode:
+    @pytest.mark.parametrize("make_cloud", [
+        lambda: union_of_graphs(300, seed=2),  # refinement deletes mass
+        lambda: outlier_stacks(n_base=300, lip=0.3, n_stacks=4, points_per_stack=8,
+                               max_height=0.6, mass_fraction=0.1, seed=5),
+    ], ids=["union_of_graphs", "outlier_stacks"])
+    def test_report_bytes_match_the_default_mode(self, make_cloud):
+        # The oracle counts every visit report and certificate by brute force;
+        # only the recorded switch may differ from the shell-table run.
+        cloud = make_cloud()
+        default = run_pipeline(cloud, PipelineConfig(seed=4))
+        oracle = run_pipeline(cloud, PipelineConfig(seed=4, oracle=True))
+        assert oracle.params["oracle"] and not default.params["oracle"]
+        oracle.params["oracle"] = False
+        assert oracle.to_json().encode() == default.to_json().encode()
 
 
 class TestResolutionDedup:
@@ -137,6 +187,15 @@ class TestNormalization:
         assert len(info["offset"]) == 2
         # weights scale with the intrinsic-dimension power of the map
         assert moved.mass() == pytest.approx(cloud.mass() * info["scale"])
+
+    def test_pair_on_the_guard_survives_rounding(self):
+        # Points 0 and 5 sit exactly delta_res/100 apart; scaled by 2/sqrt(10)
+        # they round to just under the scaled guard.
+        coords = [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [0.005, 0]]
+        cloud = WeightedCloud(np.array(coords, dtype=float), np.ones(6), n=1,
+                              delta_res=0.5)
+        moved, _ = normalize_to_unit_ball(cloud)
+        assert len(moved) == 6
 
     def test_empty_rejected(self):
         empty = WeightedCloud(np.empty((0, 2)), np.empty(0), n=1, delta_res=0.1)

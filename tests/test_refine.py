@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphcarve import (
+    AlgorithmInvariantViolation,
     InputError,
     RefinementCollapsedError,
     ResolutionExhaustedError,
@@ -16,6 +17,7 @@ from graphcarve import (
     refine_schedule,
     visitation_counts,
 )
+from graphcarve import refine as refine_module
 from graphcarve.refine import RefineConfig, _closed_shadow_contains, _open_shadow
 from graphcarve.shells import ShellTable
 
@@ -190,6 +192,24 @@ class TestRefineOnce:
             for j, wit in zip(reduced.scales[pos], reduced.witnesses[pos]):
                 assert table.witness(pos, int(j), alive) == wit
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_output_certificate_catches_a_planted_visit(self, monkeypatch, oracle):
+        # The deletion loop's first recount is blinded to every visit, so the
+        # loop stops at once and keeps the outlier above the base: the output
+        # certificate, not the loop, must find the visit that survives.
+        class BlindOnce(ShellTable):
+            calls = 0
+
+            def counts(self, alive):
+                BlindOnce.calls += 1
+                got = super().counts(alive)
+                return np.zeros_like(got) if BlindOnce.calls == 1 else got
+
+        monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
+        cloud = flat_base_with_stack()
+        with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
+            refine_once(cloud, cloud.all_indices(), UP, 0.1, 1, RefineConfig(oracle=oracle))
+
 
 class TestRefineSchedule:
     def _cover(self, theta, m0, seed=0):
@@ -237,6 +257,18 @@ class TestRefineSchedule:
         assert any(run.applications for run in result.runs)
         for run in result.runs:
             assert run.reached_target_aperture
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_final_certificate_catches_a_planted_visit(self, oracle):
+        # m0 = 0 refines along no direction, so the vertical pair 0.6 apart
+        # (in the closed shell [0.5, 1] of a cone at cover.alpha) reaches the
+        # final two-sided certificate unchanged.
+        cloud = flat_base_with_stack(n_base=100, spacing=0.01, stack=((0.0, 0.6),))
+        cover = self._cover(0.3, 0)
+        assert visitation_counts(cloud, cloud.all_indices(), cover.alpha).max_count > 0
+        with pytest.raises(AlgorithmInvariantViolation, match="final two-sided"):
+            refine_schedule(cloud, cloud.all_indices(), 0.3, 0, cover,
+                            RefineConfig(oracle=oracle))
 
     def test_cover_mismatch_rejected(self):
         cloud = lipschitz_graph(60, 0.1, seed=4)
