@@ -31,7 +31,7 @@ from .generators import (
     outlier_stacks,
     union_of_graphs,
 )
-from .geometry import Subspace, grassmann_distance, project
+from .geometry import Subspace, grassmann_distance
 from .grassmannian import (
     GrassmannSampler,
     alpha0_max,

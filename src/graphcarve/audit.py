@@ -9,7 +9,8 @@ certificates use it.  The oracle mode runs the same predicate on all pairs,
 one vertex at a time; it is the test reference, and runs in the pipeline only
 when ``oracle`` is set (``PipelineConfig.oracle``, the CLI's ``--oracle``).
 Both modes make identical floating-point comparisons, so their outputs match
-exactly.
+exactly.  Reports carry counts only: ``_oracle_visits``' per-vertex scales and
+witnesses are the reference for ``ShellTable.scales`` and ``ShellTable.witness``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
             raise InputError("direction must be a unit vector")
     if not oracle:
         return ShellTable(cloud, subset, aperture, scale_range, w).visits()
-    counts, visited_scales, witnesses = _oracle_visits(cloud, subset, aperture,
-                                                       scale_range, w)
+    counts = _oracle_visits(cloud, subset, aperture, scale_range, w)[0]
     return VisitationReport(subset=subset, counts=counts, aperture=aperture,
-                            direction=w, scale_range=scale_range,
-                            per_row=lambda: (visited_scales, witnesses))
+                            direction=w, scale_range=scale_range)
 
 
 def _oracle_visits(cloud: WeightedCloud, subset: np.ndarray, aperture: float,
@@ -76,17 +75,13 @@ def _oracle_visits(cloud: WeightedCloud, subset: np.ndarray, aperture: float,
     return counts, visited_scales, witnesses
 
 
-def bad_set(cloud: WeightedCloud, subset, aperture: float, threshold: int,
-            scale_range: ScaleRange | None = None, direction=None,
-            flavor: str = "at_least", oracle: bool = False) -> np.ndarray:
-    """Vertices whose visit count reaches (or exactly equals) the threshold."""
+def bad_set(report: VisitationReport, threshold: int,
+            flavor: str = "at_least") -> np.ndarray:
+    """Vertices of the report whose count reaches (or exactly equals) the threshold."""
     if threshold < 0:
         raise InputError("threshold must be >= 0")
     if flavor not in ("at_least", "exactly"):
         raise InputError(f"unknown flavor {flavor!r}")
-    report = visitation_counts(cloud, subset, aperture, scale_range, direction, oracle)
     if flavor == "at_least":
-        keep = report.counts >= threshold
-    else:
-        keep = report.counts == threshold
-    return report.subset[keep]
+        return report.subset[report.counts >= threshold]
+    return report.subset[report.counts == threshold]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cloud_io
 from .audit import bad_set, visitation_counts
-from .cloud import ScaleRange
+from .cloud import ScaleRange, WeightedCloud
 from .cover import build_cover
 from .errors import (
     STAGE_COLLAPSE_ERRORS,
@@ -54,18 +54,23 @@ def _load_cloud(args):
                                delta_res=getattr(args, "delta_res", None))
 
 
-def _parse_scales(text):
-    if text is None:
-        return None
+def _parse_pair(text, flag, cast):
     try:
-        j_min, j_max = (int(v) for v in text.split(":"))
+        lo, hi = (cast(v) for v in text.split(":"))
     except ValueError as exc:
-        raise InputError(f"--scales expects JMIN:JMAX, got {text!r}") from exc
-    return ScaleRange(j_min, j_max)
+        raise InputError(f"{flag} expects two values joined by ':', got {text!r}") from exc
+    return lo, hi
+
+
+def _parse_scales(text):
+    return None if text is None else ScaleRange(*_parse_pair(text, "--scales", int))
 
 
 def _parse_vector(text):
-    vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
+    try:
+        vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
+    except ValueError as exc:
+        raise InputError(f"--direction expects comma-separated numbers, got {text!r}") from exc
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise InputError("direction vector must be nonzero")
@@ -100,10 +105,7 @@ def cmd_generate(args) -> int:
 
 def cmd_adr_check(args) -> int:
     cloud = _load_cloud(args)
-    band = None
-    if args.band:
-        lo, hi = (float(v) for v in args.band.split(":"))
-        band = (lo, hi)
+    band = _parse_pair(args.band, "--band", float) if args.band else None
     report = adr_check(cloud, _parse_scales(args.scales), band)
     _emit(args, {"c1_hat": report.c1_hat, "c2_hat": report.c2_hat,
                  "violations": len(report.violations)})
@@ -130,9 +132,7 @@ def cmd_visitation(args) -> int:
     payload = {"mode": report.mode, "max_count": report.max_count,
                "histogram": report.histogram(cloud.weights)}
     if args.threshold is not None:
-        selected = bad_set(cloud, cloud.all_indices(), args.aperture,
-                           args.threshold, _parse_scales(args.scales),
-                           direction, flavor=args.flavor, oracle=args.oracle)
+        selected = bad_set(report, args.threshold, args.flavor)
         payload["selected"] = len(selected)
         payload["selected_mass"] = cloud.mass(selected)
     _emit(args, payload)
@@ -259,8 +259,11 @@ def cmd_plots(args) -> int:
     e1_path = indir / "cloud_e1.json"
     e3_path = indir / "cloud_e3.json"
     if e1_path.exists() and e3_path.exists():
-        report.cloud_e1 = cloud_io.load_cloud_json(e1_path)
-        e3 = cloud_io.load_cloud_json(e3_path)
+        # Derived clouds, as the pipeline built them: normalization may round
+        # a pair of the input a hair under the separation guard.
+        report.cloud_e1, e3 = (WeightedCloud(*cloud_io.read_cloud_json(path),
+                                             check_separation=False)
+                               for path in (e1_path, e3_path))
         report.cloud_e = e3
         report.e3_indices = e3.all_indices()
         theta = data.get("thresholds", {}).get("theta_certified")
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for weighted point clouds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, oracle=False):
         if needs_input:
             p.add_argument("--input", required=True, help="cloud file (.json or .csv)")
             p.add_argument("--n", type=int, default=None,
@@ -286,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta-res", dest="delta_res", type=float, default=None)
         p.add_argument("--output-dir", default=".")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--oracle", action="store_true",
-                       help="brute-force (no kd-tree) visit counts, for the "
-                            "refinement certificates too")
+        if oracle:
+            p.add_argument("--oracle", action="store_true",
+                           help="brute-force (no kd-tree) visit counts, for the "
+                                "refinement certificates too")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("generate", help="emit a synthetic cloud")
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default=None, metavar="JMIN:JMAX")
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--flavor", choices=("at_least", "exactly"), default="at_least")
-    common(p)
+    common(p, oracle=True)
     p.set_defaults(func=cmd_visitation)
 
     p = sub.add_parser("cover", help="one-sided direction cover of a cone")
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--big-m", dest="big_m", type=int, default=None)
-    common(p)
+    common(p, oracle=True)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("extract", help="certify and extend a graph set")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full end-to-end run")
     p.add_argument("--config", default=None)
-    common(p)
+    common(p, oracle=True)
     # --seed overrides the config file only when given explicitly
     p.set_defaults(func=cmd_pipeline, seed=None)
 

@@ -43,10 +43,6 @@ class ScaleRange:
     def radii(self) -> np.ndarray:
         return 2.0 ** (-self.js.astype(float))
 
-    def annulus(self, j: int) -> tuple[float, float]:
-        """(outer, inner) radii of the closed shell at scale j."""
-        return 2.0 ** (-j), 2.0 ** (-j - 1)
-
     def __len__(self):
         return self.j_max - self.j_min + 1
 

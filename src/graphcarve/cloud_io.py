@@ -7,26 +7,26 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .cloud import WeightedCloud
+from .cloud import WeightedCloud, _reach
 from .errors import InputError
 
 SCHEMA = "graphcarve/1"
 
 
 def estimate_delta_res(coords: np.ndarray) -> float:
-    """Smallest nearest-neighbor distance, a usable default resolution."""
+    """Smallest pairwise distance, a usable default resolution: the kd-tree's
+    nearest-neighbour distances bound it, and every pair within a hair of that
+    bound is measured exactly, so the result equals a dense scan's."""
     if len(coords) < 2:
         raise InputError("cannot estimate a resolution from fewer than two points")
-    best = np.inf
-    for start in range(0, len(coords), 512):
-        block = coords[start:start + 512]
-        diff = block[:, None, :] - coords[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(len(block))
-        dist_sq[rows, start + rows] = np.inf
-        best = min(best, float(dist_sq.min()))
-    return float(np.sqrt(best))
+    tree = cKDTree(coords)
+    nearest = float(tree.query(coords, k=2)[0][:, 1].min())
+    pairs = tree.query_pairs(_reach(nearest, float(np.abs(coords).max())),
+                             output_type="ndarray")
+    delta = coords[pairs[:, 0]] - coords[pairs[:, 1]]
+    return float(np.sqrt(np.einsum("ij,ij->i", delta, delta).min()))
 
 
 def save_cloud_csv(cloud: WeightedCloud, path) -> None:
@@ -70,7 +70,8 @@ def save_cloud_json(cloud: WeightedCloud, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
-def load_cloud_json(path) -> WeightedCloud:
+def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Coordinates, weights, n and delta_res of a JSON cloud file."""
     data = json.loads(Path(path).read_text())
     for key in ("d", "n", "delta_res", "points"):
         if key not in data:
@@ -79,8 +80,11 @@ def load_cloud_json(path) -> WeightedCloud:
     weights = np.asarray([p["w"] for p in data["points"]], dtype=float)
     if coords.ndim != 2 or coords.shape[1] != data["d"]:
         raise InputError(f"{path}: point dimensions do not match d")
-    return WeightedCloud(coords, weights, n=int(data["n"]),
-                         delta_res=float(data["delta_res"]))
+    return coords, weights, int(data["n"]), float(data["delta_res"])
+
+
+def load_cloud_json(path) -> WeightedCloud:
+    return WeightedCloud(*read_cloud_json(path))
 
 
 def load_cloud(path, n: int | None = None, delta_res: float | None = None) -> WeightedCloud:

@@ -82,15 +82,6 @@ class DirectionCover:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DirectionCover":
-        data = json.loads(text)
-        axis = Subspace(np.asarray(data["axis_frame"], dtype=float))
-        directions = np.asarray(data["directions"], dtype=float)
-        cert = CoverCertificate(0, 0, True, True, True, float(data["b_used"]), 0.0)
-        return cls(axis=axis, alpha=float(data["alpha"]), s=float(data["s"]),
-                   directions=directions, b_used=float(data["b_used"]), certificate=cert)
-
 
 def _region_samples(axis: Subspace, alpha: float, count: int,
                     rng: np.random.Generator | None = None) -> np.ndarray:

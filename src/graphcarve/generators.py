@@ -7,6 +7,7 @@ jitter so no pair of points lands exactly on a dyadic annulus boundary.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -199,16 +200,17 @@ def hrycak_like(depth: int = 3, pieces: int = 4, angle: float = 0.35,
 
 
 def generate(kind: str, params: dict | None = None, seed: int = 0) -> WeightedCloud:
-    """Dispatch a generator by name with keyword parameters."""
+    """Dispatch a generator by name with keyword parameters; ``seed`` goes to
+    the generators that take one."""
+    if kind not in GENERATOR_KINDS:
+        raise InputError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    make = globals()[kind]
+    accepted = inspect.signature(make).parameters
+    names = [name for name in accepted if name != "seed"]
     params = dict(params or {})
-    if kind == "lipschitz_graph":
-        return lipschitz_graph(seed=seed, **params)
-    if kind == "four_corner_cantor":
-        return four_corner_cantor(**params)
-    if kind == "outlier_stacks":
-        return outlier_stacks(seed=seed, **params)
-    if kind == "union_of_graphs":
-        return union_of_graphs(seed=seed, **params)
-    if kind == "hrycak_like":
-        return hrycak_like(seed=seed, **params)
-    raise InputError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    for key in params:
+        if key not in names:
+            raise InputError(f"{kind} takes no parameter {key!r}; it takes {names}")
+    if "seed" in accepted:
+        params["seed"] = seed
+    return make(**params)

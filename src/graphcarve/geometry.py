@@ -117,19 +117,6 @@ class Subspace:
         return f"Subspace(d={self.d}, k={self.k})"
 
 
-def project(subspace: Subspace, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the subspace.
-
-    Accepts a single point of shape (d,) or a batch of shape (m, d).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != subspace.d:
-        raise InputError(
-            f"point dimension {x.shape[-1]} does not match subspace ambient dimension {subspace.d}"
-        )
-    return (x @ subspace.frame) @ subspace.frame.T
-
-
 def grassmann_distance(v: Subspace, w: Subspace) -> float:
     """Operator-norm distance between the projection matrices of v and w."""
     if (v.d, v.k) != (w.d, w.k):

@@ -102,7 +102,6 @@ class PruneResult:
     removed_mass: float
     kept_indices: np.ndarray
     removed_indices: np.ndarray
-    constant_estimate: float
     sweeps: int
 
 
@@ -242,7 +241,7 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
     removed_mass = cloud.mass(removed_idx)
     return PruneResult(kept=cloud.subcloud(kept_idx), removed_mass=removed_mass,
                        kept_indices=kept_idx, removed_indices=removed_idx,
-                       constant_estimate=removed_mass / epsilon, sweeps=sweeps)
+                       sweeps=sweeps)
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,6 @@ class RefinementState:
     alpha: float
     big_m: int
     epsilon: float
-    initial: np.ndarray
     current: np.ndarray
     saved: list = field(default_factory=list)       # list of cloud-index arrays
     deleted: list = field(default_factory=list)
@@ -242,7 +241,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
     alive = np.ones(len(subset), dtype=bool)       # positions into subset
     saved_cloud_mask = np.zeros(len(cloud), dtype=bool)
     state = RefinementState(direction=w, alpha=alpha, big_m=big_m,
-                            epsilon=epsilon, initial=subset, current=subset)
+                            epsilon=epsilon, current=subset)
     sum_saved = 0.0
     sum_deleted = 0.0
     saved_ratio = math.inf

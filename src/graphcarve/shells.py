@@ -6,15 +6,14 @@ comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
 once: a ``cKDTree`` range search (Bentley, CACM 18(9), 1975) in a sheared
 frame returns a superset of the in-cone pairs, the exact predicate filters
 them, and the survivors are kept as CSR rows with a shell bitmask per pair.
-One table answers the visits of any alive subset of its rows as a
-``VisitationReport``.
+One table answers the visit counts of any alive subset of its rows as a
+``VisitationReport``, and the visited scales and lowest witnesses of one row
+at a time, which is what refinement reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -56,33 +55,21 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
 
 @dataclass(frozen=True)
 class VisitationReport:
-    """Per-vertex visit counts; the visited scales and their lowest witnesses
-    are computed on first access."""
+    """Per-vertex visited-scale counts of a subset.
+
+    The visited scales and witnesses of one vertex come from the table that
+    counted it: ``ShellTable.scales`` and ``ShellTable.witness``.
+    """
 
     subset: np.ndarray
     counts: np.ndarray           # visited-scale count per subset vertex
     aperture: float
     direction: np.ndarray | None
     scale_range: ScaleRange
-    per_row: Callable[[], tuple[list, list]] = field(repr=False, compare=False)
 
     @property
     def mode(self) -> str:
         return "two_sided_codim" if self.direction is None else "one_sided_dir"
-
-    @cached_property
-    def _rows(self) -> tuple[list, list]:
-        return self.per_row()
-
-    @property
-    def scales(self) -> list:
-        """Per vertex: the visited j values, ascending."""
-        return self._rows[0]
-
-    @property
-    def witnesses(self) -> list:
-        """Per vertex: the lowest witnessing point index at each visited j."""
-        return self._rows[1]
 
     @property
     def max_count(self) -> int:
@@ -204,26 +191,4 @@ class ShellTable:
                  else np.array(alive, dtype=bool))
         return VisitationReport(subset=self.subset[alive], counts=self.counts(alive)[alive],
                                 aperture=self.aperture, direction=self.direction,
-                                scale_range=self.scale_range,
-                                per_row=partial(self._per_row, alive))
-
-    def _per_row(self, alive) -> tuple[list, list]:
-        """Visited scales and lowest alive witnesses of every alive row."""
-        n_scales = len(self.js)
-        row_of = np.repeat(np.arange(len(self.subset)), np.diff(self.indptr))
-        live = alive[row_of] & alive[self.cols]
-        rank = np.cumsum(alive) - 1
-        pair, scale = np.nonzero(
-            (self.bits[live, None] >> np.arange(n_scales, dtype=np.uint64)) & 1)
-        # Pairs run by row, then column: a stable sort on (row, scale) puts the
-        # lowest column of each key first.
-        key = rank[row_of[live][pair]] * n_scales + scale
-        order = np.argsort(key, kind="stable")
-        key, first = np.unique(key[order], return_index=True)
-        rows, scale = np.divmod(key, n_scales)
-        counts = np.bincount(rows, minlength=int(alive.sum()))
-        if not len(counts):
-            return [], []
-        cuts = np.cumsum(counts)[:-1]
-        witnesses = self.subset[self.cols[live][pair[order[first]]]]
-        return np.split(self.js[scale], cuts), np.split(witnesses, cuts)
+                                scale_range=self.scale_range)

@@ -12,6 +12,7 @@ import pytest
 
 from graphcarve import (
     PipelineConfig,
+    ScaleRange,
     Subspace,
     WeightedCloud,
     alpha0_max,
@@ -32,7 +33,9 @@ from graphcarve import (
     visitation_counts,
 )
 from graphcarve.refine import RefineConfig
+from graphcarve.shells import ShellTable
 from tests.test_refine import verify_state_invariants
+from tests.visit_rows import assert_rows_match_oracle
 
 
 def _announce(number, name, start, detail):
@@ -88,17 +91,14 @@ def test_criterion_1_oracle_equivalence():
         slow = visitation_counts(cloud, cloud.all_indices(), aperture,
                                  direction=direction, oracle=True)
         assert np.array_equal(fast.counts, slow.counts)
-        for a, b in zip(fast.scales, slow.scales):
-            assert np.array_equal(a, b)
-        for a, b in zip(fast.witnesses, slow.witnesses):
-            assert np.array_equal(a, b)
+        # Per-vertex visited scales and lowest witnesses, on every vertex.
+        assert_rows_match_oracle(cloud, ShellTable(
+            cloud, cloud.all_indices(), aperture, ScaleRange.default_for(cloud),
+            direction))
         threshold = int(rng.integers(0, max(fast.max_count, 1) + 1))
         flavor = "at_least" if index % 3 else "exactly"
-        assert np.array_equal(
-            bad_set(cloud, cloud.all_indices(), aperture, threshold,
-                    direction=direction, flavor=flavor, oracle=False),
-            bad_set(cloud, cloud.all_indices(), aperture, threshold,
-                    direction=direction, flavor=flavor, oracle=True))
+        assert np.array_equal(bad_set(fast, threshold, flavor),
+                              bad_set(slow, threshold, flavor))
         for _ in range(5):
             center = cloud.coords[int(rng.integers(len(cloud)))] \
                 + rng.uniform(-0.05, 0.05, cloud.d)

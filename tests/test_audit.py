@@ -10,7 +10,9 @@ from graphcarve import (
     outlier_stacks,
     visitation_counts,
 )
+from graphcarve.shells import ShellTable
 from tests.cones import ConeSpec, cone_contains
+from tests.visit_rows import assert_rows_match_oracle
 
 
 def stack3():
@@ -26,7 +28,8 @@ class TestVisitationCounts:
         report = visitation_counts(cloud, cloud.all_indices(), 0.5,
                                    ScaleRange(-1, 2))
         assert list(report.counts) == [2, 2, 2]
-        assert list(report.scales[0]) == [-1, 0]
+        table = ShellTable(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2))
+        assert list(table.scales(0, np.ones(3, dtype=bool))) == [-1, 0]
 
     def test_horizontal_cloud_never_visits(self):
         coords = np.column_stack([np.arange(6) * 0.3, np.zeros(6)])
@@ -44,21 +47,24 @@ class TestVisitationCounts:
 
     def test_witnesses_satisfy_cone_membership(self):
         cloud = stack3()
-        report = visitation_counts(cloud, cloud.all_indices(), 0.5,
-                                   ScaleRange(-1, 2), direction=np.array([0.0, 1.0]))
-        for row, v in enumerate(report.subset):
-            for j, witness in zip(report.scales[row], report.witnesses[row]):
-                outer, inner = report.scale_range.annulus(int(j))
+        table = ShellTable(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2),
+                           np.array([0.0, 1.0]))
+        alive = np.ones(3, dtype=bool)
+        for pos, v in enumerate(table.subset):
+            for j in table.scales(pos, alive):
+                witness = table.witness(pos, int(j), alive)
                 cone = ConeSpec.one_sided_cone(cloud.coords[v], [0.0, 1.0], 0.5,
-                                               radii=(outer, inner))
+                                               radii=(2.0 ** -j, 2.0 ** (-j - 1)))
                 assert cone_contains(cone, cloud.coords[witness])
 
     def test_count_equals_scale_list_length(self):
         cloud = stack3()
         report = visitation_counts(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2))
+        table = ShellTable(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2))
+        alive = np.ones(3, dtype=bool)
         for row in range(len(report.subset)):
-            assert report.counts[row] == len(report.scales[row])
-            assert len(report.scales[row]) == len(report.witnesses[row])
+            assert report.counts[row] == len(table.scales(row, alive))
+        assert_rows_match_oracle(cloud, table)
 
     def test_vertex_never_witnesses_itself(self):
         cloud = WeightedCloud(np.array([[0.0, 0.0], [5.0, 5.0]]), np.ones(2),
@@ -81,10 +87,9 @@ class TestVisitationCounts:
             slow = visitation_counts(cloud, cloud.all_indices(), aperture,
                                      direction=direction, oracle=True)
             assert np.array_equal(fast.counts, slow.counts)
-            for a, b in zip(fast.scales, slow.scales):
-                assert np.array_equal(a, b)
-            for a, b in zip(fast.witnesses, slow.witnesses):
-                assert np.array_equal(a, b)
+            assert_rows_match_oracle(cloud, ShellTable(
+                cloud, cloud.all_indices(), aperture, ScaleRange.default_for(cloud),
+                direction))
 
     def test_monotone_in_subset_and_aperture(self, rng):
         cloud = outlier_stacks(n_base=120, lip=0.3, n_stacks=4,
@@ -101,12 +106,11 @@ class TestVisitationCounts:
     def test_removing_witnesses_removes_scale(self):
         cloud = stack3()
         sr = ScaleRange(-1, 2)
-        report = visitation_counts(cloud, cloud.all_indices(), 0.5, sr,
-                                   direction=np.array([0.0, 1.0]))
-        assert 0 in report.scales[0]  # (0,1) witnesses scale 0 for vertex 0
-        without = visitation_counts(cloud, np.array([0, 2]), 0.5, sr,
-                                    direction=np.array([0.0, 1.0]))
-        assert 0 not in without.scales[0]
+        up = np.array([0.0, 1.0])
+        table = ShellTable(cloud, cloud.all_indices(), 0.5, sr, up)
+        assert 0 in table.scales(0, np.ones(3, dtype=bool))  # (0,1) witnesses scale 0
+        without = ShellTable(cloud, np.array([0, 2]), 0.5, sr, up)
+        assert 0 not in without.scales(0, np.ones(2, dtype=bool))
 
     def test_resolution_floor_validated(self):
         cloud = stack3()
@@ -117,27 +121,31 @@ class TestVisitationCounts:
 class TestBadSet:
     def test_at_least_selects_stack_base(self):
         cloud = stack3()
-        got = bad_set(cloud, cloud.all_indices(), 0.5, 2, ScaleRange(-1, 2),
-                      direction=np.array([0.0, 1.0]), flavor="at_least")
+        report = visitation_counts(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2),
+                                   direction=np.array([0.0, 1.0]))
+        got = bad_set(report, 2, flavor="at_least")
         assert np.array_equal(got, [0, 1])
 
     def test_threshold_zero_is_everything(self):
         cloud = stack3()
-        got = bad_set(cloud, cloud.all_indices(), 0.5, 0, ScaleRange(-1, 2),
-                      flavor="at_least")
+        report = visitation_counts(cloud, cloud.all_indices(), 0.5, ScaleRange(-1, 2))
+        got = bad_set(report, 0, flavor="at_least")
         assert np.array_equal(got, cloud.all_indices())
 
     def test_exactly_above_range_is_empty(self):
         cloud = stack3()
         sr = ScaleRange(-1, 2)
-        got = bad_set(cloud, cloud.all_indices(), 0.5, len(sr) + 1, sr,
-                      flavor="exactly")
+        report = visitation_counts(cloud, cloud.all_indices(), 0.5, sr)
+        got = bad_set(report, len(sr) + 1, flavor="exactly")
         assert len(got) == 0
 
     def test_flavor_validation(self):
         cloud = stack3()
+        report = visitation_counts(cloud, cloud.all_indices(), 0.5)
         with pytest.raises(InputError):
-            bad_set(cloud, cloud.all_indices(), 0.5, 1, flavor="roughly")
+            bad_set(report, 1, flavor="roughly")
+        with pytest.raises(InputError):
+            bad_set(report, -1)
 
     def test_exactly_partition(self):
         cloud = outlier_stacks(n_base=100, lip=0.2, n_stacks=3,
@@ -146,8 +154,7 @@ class TestBadSet:
         report = visitation_counts(cloud, cloud.all_indices(), 0.3, sr)
         total = 0
         for m in range(report.max_count + 1):
-            total += len(bad_set(cloud, cloud.all_indices(), 0.3, m, sr,
-                                 flavor="exactly"))
+            total += len(bad_set(report, m, flavor="exactly"))
         assert total == len(cloud)
 
 

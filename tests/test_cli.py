@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphcarve import WeightedCloud, lipschitz_graph, save_cloud_csv, save_cloud_json
-from graphcarve.cli import main
+from graphcarve import audit
+from graphcarve.cli import build_parser, main
 
 
 @pytest.fixture
@@ -35,6 +36,12 @@ class TestGenerate:
                      "--param", "bogus"])
         assert code == 2
 
+    def test_unknown_param_exits_2(self, tmp_path, capsys):
+        code = run(["generate", "--kind", "lipschitz_graph", "--param", "bogus=1",
+                    "--output", tmp_path / "c.json"])
+        assert code == 2
+        assert "'bogus'" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(["generate", "--kind", "four_corner_cantor",
@@ -59,6 +66,18 @@ class TestDiagnostics:
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["adr-check", "--input", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3"])
+    def test_malformed_band_exits_2(self, cloud_file, band, capsys):
+        assert run(["adr-check", "--input", cloud_file, "--band", band]) == 2
+        assert "--band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["visitation", "--aperture", "0.3"],
+                                         ["refine", "--alpha", "0.1"]])
+    def test_malformed_direction_exits_2(self, cloud_file, tmp_path, command, capsys):
+        assert run(command + ["--input", cloud_file, "--direction", "a,b",
+                              "--output-dir", tmp_path]) == 2
+        assert "--direction" in capsys.readouterr().err
+
     def test_energy(self, cloud_file, capsys):
         assert run(["energy", "--input", cloud_file, "--samples", "20",
                     "--json"]) == 0
@@ -71,6 +90,35 @@ class TestDiagnostics:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_count"] == 0
         assert payload["selected"] == 0
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_visitation_threshold_counts_once(self, tmp_path, monkeypatch, oracle,
+                                              capsys):
+        # The bad set is read off the report printed above it: one shell
+        # table (or one all-pairs oracle pass) per invocation.
+        builds = []
+        oracle_visits = audit._oracle_visits
+
+        class Counted(audit.ShellTable):
+            def __init__(self, *args, **kwargs):
+                builds.append("table")
+                super().__init__(*args, **kwargs)
+
+        def counted_oracle(*args):
+            builds.append("oracle")
+            return oracle_visits(*args)
+
+        monkeypatch.setattr(audit, "ShellTable", Counted)
+        monkeypatch.setattr(audit, "_oracle_visits", counted_oracle)
+        cloud = WeightedCloud(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.5, 0.0]]),
+                              np.ones(4), n=1, delta_res=0.1)
+        path = tmp_path / "stack.json"
+        save_cloud_json(cloud, path)
+        assert run(["visitation", "--input", path, "--aperture", "0.5",
+                    "--threshold", "1", "--json"] + ["--oracle"] * oracle) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["selected"] == 3
+        assert builds == ["oracle" if oracle else "table"]
 
     def test_grassmann_verify(self, capsys):
         assert run(["grassmann-verify", "--samples", "20000", "--trials", "5",
@@ -145,6 +193,18 @@ class TestPipelineCommand:
         assert (plotdir / "mass_ledger.csv").exists()
         assert (plotdir / "cloud.svg").exists()
 
+    def test_plots_accept_a_pair_rounded_under_the_guard(self, tmp_path, capsys):
+        # Points 0 and 5 sit exactly delta_res/100 apart; normalization rounds
+        # them to just under the guard, and the saved clouds keep them so.
+        coords = [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [0.005, 0]]
+        cloud_path = tmp_path / "c.json"
+        save_cloud_json(WeightedCloud(np.array(coords, dtype=float), np.ones(6), n=1,
+                                      delta_res=0.5), cloud_path)
+        outdir, plotdir = tmp_path / "run", tmp_path / "plots"
+        assert run(["pipeline", "--input", cloud_path, "--output-dir", outdir]) == 0
+        assert run(["plots", "--input-dir", outdir, "--output-dir", plotdir]) == 0
+        assert (plotdir / "cloud.svg").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.json"
         save_cloud_json(lipschitz_graph(100, 0.1, seed=2), cloud_path)
@@ -167,3 +227,28 @@ class TestPipelineCommand:
 def outlier_cloud():
     from graphcarve import outlier_stacks
     return outlier_stacks(n_base=250, n_stacks=3, points_per_stack=5, seed=17)
+
+
+class TestOracleFlag:
+    @pytest.mark.parametrize("argv", [
+        ["visitation", "--input", "c.json", "--aperture", "0.3"],
+        ["refine", "--input", "c.json", "--direction", "0,1", "--alpha", "0.1"],
+        ["pipeline", "--input", "c.json"],
+    ])
+    def test_taken_where_it_acts(self, argv):
+        assert build_parser().parse_args(argv + ["--oracle"]).oracle
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "lipschitz_graph"],
+        ["adr-check", "--input", "c.json"],
+        ["energy", "--input", "c.json"],
+        ["cover", "--d", "2", "--n", "1", "--alpha", "0.3"],
+        ["extract", "--input", "c.json", "--theta", "0.5"],
+        ["grassmann-verify"],
+        ["plots", "--input-dir", "run"],
+    ])
+    def test_rejected_where_it_does_nothing(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--oracle"])
+        assert exc.value.code == 2
+        build_parser().parse_args(argv)

@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcarve import InputError, ScaleRange, WeightedCloud
+from graphcarve.cloud_io import estimate_delta_res
 from tests.conftest import line_cloud
+from tests.delta_res_reference import min_pair_distance
 
 
 def brute_ball(coords, center, radius, strict=False):
@@ -170,7 +172,7 @@ class TestScaleRange:
 
     def test_annulus(self):
         sr = ScaleRange(0, 3)
-        assert sr.annulus(1) == (0.5, 0.25)
+        assert (sr.radii[1], sr.radii[2]) == (0.5, 0.25)  # the shell of scale 1
         assert len(sr) == 4
         assert np.allclose(sr.radii, [1.0, 0.5, 0.25, 0.125])
 
@@ -181,3 +183,34 @@ class TestScaleRange:
         assert 2.0 ** (-sr.j_max) >= cloud.delta_res
         # finest shell sits one octave above the resolution
         assert 2.0 ** (-sr.j_max - 1) <= 2 * cloud.delta_res
+
+
+@st.composite
+def resolution_cases(draw):
+    """Lattice clouds (exact ties, repeated rows for duplicates), optionally
+    jittered, scaled and shifted far from the origin, in dimensions 1-4."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=2, max_size=60))
+    coords = np.array(rows, dtype=float)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        coords += rng.uniform(-0.5, 0.5, coords.shape)
+    step = draw(st.sampled_from([1.0, 0.1, 2.0 ** -7, 3e-5]))
+    offset = draw(st.sampled_from([0.0, 1e3, -37.25]))
+    return coords * step + offset
+
+
+class TestEstimateDeltaRes:
+    @settings(max_examples=300, deadline=None)
+    @given(resolution_cases())
+    def test_equals_the_dense_scan(self, coords):
+        assert estimate_delta_res(coords) == min_pair_distance(coords)
+
+    def test_duplicates_and_ties(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert estimate_delta_res(coords) == 1.0
+        assert estimate_delta_res(np.vstack([coords, coords[2]])) == 0.0
+
+    def test_needs_two_points(self):
+        with pytest.raises(InputError):
+            estimate_delta_res(np.zeros((1, 2)))

@@ -99,3 +99,10 @@ class TestOtherKinds:
         a = generate("lipschitz_graph", {"n_points": 40, "lip": 0.2}, seed=9)
         b = lipschitz_graph(40, 0.2, seed=9)
         assert np.array_equal(a.coords, b.coords)
+
+    @pytest.mark.parametrize("kind, params", [("lipschitz_graph", {"bogus": 1}),
+                                              ("lipschitz_graph", {"seed": 3}),
+                                              ("four_corner_cantor", {"seed": 3})])
+    def test_dispatch_names_an_unknown_parameter(self, kind, params):
+        with pytest.raises(InputError, match=repr(next(iter(params)))):
+            generate(kind, params)

@@ -7,7 +7,6 @@ from graphcarve import (
     InputError,
     Subspace,
     grassmann_distance,
-    project,
 )
 from tests.cones import ConeSpec, cone_contains, cone_mask
 
@@ -44,33 +43,6 @@ class TestSubspace:
         p1 = Subspace(base).projector()
         p2 = Subspace(mix).projector()
         assert np.max(np.abs(p1 - p2)) < 1e-9
-
-
-class TestProject:
-    def test_axis_aligned(self):
-        v = Subspace.coordinate(2, [0])
-        assert np.allclose(project(v, np.array([3.0, 4.0])), [3.0, 0.0])
-
-    def test_diagonal_matches_matrix_oracle(self):
-        # Oracle: P = u u^T with u = (1,1)/sqrt(2), applied by hand.
-        v = Subspace.spanning([1.0, 1.0])
-        u = np.array([1.0, 1.0]) / np.sqrt(2)
-        oracle = np.outer(u, u) @ np.array([1.0, 0.0])
-        got = project(v, np.array([1.0, 0.0]))
-        assert np.allclose(got, oracle, atol=1e-12)
-        assert np.allclose(got, [0.5, 0.5], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        v = Subspace.coordinate(3, [0])
-        with pytest.raises(InputError):
-            project(v, np.array([1.0, 2.0]))
-
-    def test_idempotent_and_contractive(self, rng):
-        v = random_subspace(rng, 5, 2)
-        x = rng.standard_normal(5)
-        once = project(v, x)
-        assert np.allclose(project(v, once), once, atol=1e-10)
-        assert np.linalg.norm(once) <= np.linalg.norm(x) + 1e-12
 
 
 class TestGrassmannDistance:

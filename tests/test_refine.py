@@ -20,6 +20,7 @@ from graphcarve import (
 from graphcarve import refine as refine_module
 from graphcarve.refine import RefineConfig, _closed_shadow_contains, _open_shadow
 from graphcarve.shells import ShellTable
+from tests.visit_rows import assert_rows_match_oracle
 
 UP = np.array([0.0, 1.0])
 
@@ -187,10 +188,7 @@ class TestRefineOnce:
         reduced = visitation_counts(cloud, cloud.all_indices()[:-1], 0.05, sr,
                                     direction=UP, oracle=True)
         assert np.array_equal(table.counts(alive)[:-1], reduced.counts)
-        for pos in range(len(reduced.subset)):
-            assert np.array_equal(table.scales(pos, alive), reduced.scales[pos])
-            for j, wit in zip(reduced.scales[pos], reduced.witnesses[pos]):
-                assert table.witness(pos, int(j), alive) == wit
+        assert_rows_match_oracle(cloud, table, alive)
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_output_certificate_catches_a_planted_visit(self, monkeypatch, oracle):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphcarve import InputError, ScaleRange, WeightedCloud, visitation_counts
 from graphcarve.shells import ShellTable
+from tests.visit_rows import assert_rows_match_oracle
 
 
 @st.composite
@@ -58,10 +59,7 @@ def shell_cases(draw):
 
 def assert_reports_equal(a, b):
     assert np.array_equal(a.subset, b.subset)
-    assert np.array_equal(a.counts, b.counts)
-    assert len(a.scales) == len(b.scales) == len(a.witnesses) == len(b.witnesses)
-    for x, y in zip(a.scales + a.witnesses, b.scales + b.witnesses):
-        assert np.array_equal(x, y) and x.dtype == y.dtype
+    assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
 
 
 @settings(max_examples=300, deadline=None)
@@ -69,17 +67,12 @@ def assert_reports_equal(a, b):
 def test_table_equals_oracle_on_alive_subsets(case):
     cloud, subset, aperture, direction, sr, alive, inner = case
     table = ShellTable(cloud, subset, aperture, sr, direction)
-    ref = visitation_counts(cloud, subset[alive], aperture, sr, direction=direction,
-                            oracle=True)
-    rows = np.nonzero(alive)[0]
-    assert np.array_equal(table.counts(alive)[rows], ref.counts)
-    for row, pos in enumerate(rows):
-        assert np.array_equal(table.scales(pos, alive), ref.scales[row])
-        got = [table.witness(pos, int(j), alive) for j in ref.scales[row]]
-        assert got == list(ref.witnesses[row])
     # One table answers nested subsets, as the pipeline's before, e2 and
     # after reports do, equal to separate counts on each subset.
     for mask in (np.ones(len(subset), dtype=bool), alive, inner):
+        assert_rows_match_oracle(cloud, table, mask)
+        assert_rows_match_oracle(cloud, ShellTable(cloud, subset[mask], aperture, sr,
+                                                   direction))
         ref = visitation_counts(cloud, subset[mask], aperture, sr, direction=direction,
                                 oracle=True)
         assert_reports_equal(table.visits(mask), ref)
@@ -92,7 +85,9 @@ def test_sixty_four_scales_use_the_top_bit():
     cloud = WeightedCloud(coords, np.ones(3), n=1, delta_res=0.5)
     sr = ScaleRange(-63, 0)
     fast = visitation_counts(cloud, cloud.all_indices(), 0.5, sr)
-    assert list(fast.scales[0]) == [-2, -1, 0]
+    table = ShellTable(cloud, cloud.all_indices(), 0.5, sr)
+    assert list(table.scales(0, np.ones(3, dtype=bool))) == [-2, -1, 0]
+    assert_rows_match_oracle(cloud, table)
     assert_reports_equal(fast, visitation_counts(cloud, cloud.all_indices(), 0.5, sr,
                                                  oracle=True))
 
@@ -119,4 +114,6 @@ def test_pad_keeps_pairs_the_rounded_predicate_accepts():
         ref = visitation_counts(*args, direction=w, oracle=True)
         accepted += int(ref.counts[0])
         assert_reports_equal(visitation_counts(*args, direction=w), ref)
+        assert_rows_match_oracle(cloud, ShellTable(cloud, np.array([0, 1]), 1e-9,
+                                                   ScaleRange(0, 5), w))
     assert accepted > 0
