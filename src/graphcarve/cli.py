@@ -33,19 +33,13 @@ from .refine import RefineConfig, refine_once
 
 
 def _parse_params(pairs):
+    """KEY=VALUE strings as a dict; the generator types the values."""
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise InputError(f"--param expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
-        for cast in (int, float):
-            try:
-                out[key] = cast(value)
-                break
-            except ValueError:
-                continue
-        else:
-            out[key] = value
+        out[key] = value
     return out
 
 
@@ -152,20 +146,14 @@ def cmd_cover(args) -> int:
 
 def cmd_refine(args) -> int:
     cloud = _load_cloud(args)
-    direction = _parse_vector(args.direction)
-    subset = cloud.all_indices()
-    cfg = RefineConfig(seed=args.seed, oracle=args.oracle)
-    if args.big_m is not None:
-        big_m = args.big_m
-    else:
-        big_m = visitation_counts(cloud, subset, args.alpha, direction=direction,
-                                  oracle=args.oracle).max_count
-        if big_m == 0:
-            _emit(args, {"status": "already_zero", "retained_mass": cloud.mass()})
-            return 0
-    outcome = refine_once(cloud, subset, direction, args.alpha, big_m, cfg)
+    entry = visitation_counts(cloud, cloud.all_indices(), args.alpha,
+                              direction=_parse_vector(args.direction), oracle=args.oracle)
+    if entry.max_count == 0:
+        _emit(args, {"status": "already_zero", "retained_mass": cloud.mass()})
+        return 0
+    outcome = refine_once(cloud, entry, RefineConfig(seed=args.seed, oracle=args.oracle))
     ledger_path = _outdir(args) / "refine_ledger.json"
-    ledger_path.write_text(outcome.state.ledger_json())
+    ledger_path.write_text(json.dumps(outcome.ledger(), sort_keys=True))
     _emit(args, {"status": outcome.status, "iterations": outcome.iterations,
                  "retained_mass": outcome.mass_retained,
                  "retained_points": len(outcome.kept),
@@ -339,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="one refinement pass along a direction")
     p.add_argument("--direction", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--big-m", dest="big_m", type=int, default=None)
     common(p, oracle=True)
     p.set_defaults(func=cmd_refine)
 

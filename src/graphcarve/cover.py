@@ -39,6 +39,9 @@ _NET_MARGIN = 0.15
 _BLOCK = 4096
 # Cap on the elements of one certificate product chunk (check rows x net size).
 _CHUNK_ELEMS = 1 << 22
+# build_cover_for_theta: first widening constant tried, and rounds allowed.
+_B_INIT = 2.5
+_MAX_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -250,8 +253,7 @@ def build_cover(axis: Subspace, alpha: float, s: float,
 
 def build_cover_for_theta(axis: Subspace, theta: float, s: float,
                           check_samples: int = 20000, seed: int = 0,
-                          net_samples: int = 200000, b_init: float = 2.5,
-                          max_rounds: int = 6) -> DirectionCover:
+                          net_samples: int = 200000) -> DirectionCover:
     """Cover with alpha = theta / b where b upper-bounds the measured widening.
 
     The widening constant is only known after building, so iterate until the
@@ -260,9 +262,9 @@ def build_cover_for_theta(axis: Subspace, theta: float, s: float,
     """
     if theta <= 0 or theta >= 1:
         raise InputError("theta must lie in (0, 1)")
-    b = max(b_init, 1.0)
+    b = _B_INIT
     last = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         alpha = theta / b
         cover = build_cover(axis, alpha, s, check_samples, seed, net_samples)
         last = cover
@@ -272,5 +274,5 @@ def build_cover_for_theta(axis: Subspace, theta: float, s: float,
                                   certificate=cover.certificate)
         b = cover.certificate.b_measured * 1.05
     raise CoverInvalidError(
-        f"widening constant did not stabilize after {max_rounds} rounds "
+        f"widening constant did not stabilize after {_MAX_ROUNDS} rounds "
         f"(last measured {last.certificate.b_measured:.3f})")

@@ -53,8 +53,7 @@ def _base_grid(rng: np.random.Generator, n_points: int, n: int, extent: float,
 
 
 def lipschitz_graph(n_points: int = 500, lip: float = 0.3, d: int = 2, n: int = 1,
-                    extent: float = 1.0, jitter: float = 0.2, seed: int = 0,
-                    value_map=None) -> WeightedCloud:
+                    extent: float = 1.0, jitter: float = 0.2, seed: int = 0) -> WeightedCloud:
     """Samples of a Lipschitz graph over [0, extent]^n with total mass ~1.
 
     Weights are secant-length shares along the base order for curves and
@@ -65,8 +64,7 @@ def lipschitz_graph(n_points: int = 500, lip: float = 0.3, d: int = 2, n: int = 
         raise InputError("need at least two points")
     rng = np.random.default_rng(seed)
     base, h = _base_grid(rng, n_points, n, extent, jitter)
-    if value_map is None:
-        value_map = _piecewise_linear_map(rng, n, d - n, lip, extent)
+    value_map = _piecewise_linear_map(rng, n, d - n, lip, extent)
     if n == 1:
         order = np.argsort(base[:, 0])
         base = base[order]
@@ -199,18 +197,40 @@ def hrycak_like(depth: int = 3, pieces: int = 4, angle: float = 0.35,
                          delta_res=seg_len / points_per_segment)
 
 
+# --param strings by the type of the parameter's default: (expected, parse).
+_PARSERS = {
+    int: ("an integer", int),
+    float: ("a number", float),
+    bool: ("true or false", lambda text: {"true": True, "false": False}[text.lower()]),
+    tuple: ("comma-separated numbers", lambda text: tuple(map(float, text.split(",")))),
+}
+
+
+def _typed(kind: str, key: str, text: str, default):
+    """A --param string as the type of the parameter's default."""
+    expected, parse = _PARSERS[type(default)]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise InputError(f"{kind} parameter {key!r} expects {expected}, "
+                         f"got {text!r}") from None
+
+
 def generate(kind: str, params: dict | None = None, seed: int = 0) -> WeightedCloud:
     """Dispatch a generator by name with keyword parameters; ``seed`` goes to
-    the generators that take one."""
+    the generators that take one.  String values (as from the CLI) are
+    converted to the type of the parameter's default."""
     if kind not in GENERATOR_KINDS:
         raise InputError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
     make = globals()[kind]
     accepted = inspect.signature(make).parameters
     names = [name for name in accepted if name != "seed"]
     params = dict(params or {})
-    for key in params:
+    for key, value in params.items():
         if key not in names:
             raise InputError(f"{kind} takes no parameter {key!r}; it takes {names}")
+        if isinstance(value, str):
+            params[key] = _typed(kind, key, value, accepted[key].default)
     if "seed" in accepted:
         params["seed"] = seed
     return make(**params)

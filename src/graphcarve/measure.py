@@ -277,8 +277,8 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
-def pushforward_density(cloud: WeightedCloud, v_sub: Subspace, bin_width: float,
-                        subset=None) -> Pushforward:
+def pushforward_density(cloud: WeightedCloud, v_sub: Subspace,
+                        bin_width: float) -> Pushforward:
     """Project the cloud onto the subspace and bin mass on a uniform lattice.
 
     Densities are mass / bin_width^n; the lattice is anchored at the origin of
@@ -291,15 +291,14 @@ def pushforward_density(cloud: WeightedCloud, v_sub: Subspace, bin_width: float,
         )
     if v_sub.d != cloud.d or v_sub.k != cloud.n:
         raise InputError("projection subspace must lie in G(d, n) for this cloud")
-    idx = cloud.all_indices() if subset is None else np.asarray(subset, dtype=np.intp)
-    if len(idx) == 0:
+    if len(cloud) == 0:
         return Pushforward(bin_width=bin_width, n=cloud.n,
                            cells=np.empty((0, cloud.n), dtype=np.int64),
                            masses=np.empty(0), l2_sq=0.0, linf=0.0)
-    t = cloud.coords[idx] @ v_sub.frame
+    t = cloud.coords @ v_sub.frame
     cells = np.floor(t / bin_width).astype(np.int64)
     uniq, inverse = _unique_rows(cells)
-    masses = np.bincount(inverse, weights=cloud.weights[idx], minlength=len(uniq))
+    masses = np.bincount(inverse, weights=cloud.weights, minlength=len(uniq))
     cell_vol = bin_width**cloud.n
     with np.errstate(over="ignore", divide="ignore"):
         l2_sq = _within_float_range(float(np.sum(masses * masses) / cell_vol),
@@ -327,8 +326,7 @@ class EnergyReport:
 
 
 def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
-                      samples: int, bin_width: float, seed: int = 0,
-                      subset=None) -> EnergyReport:
+                      samples: int, bin_width: float, seed: int = 0) -> EnergyReport:
     """Average squared L2 pushforward density over a Grassmannian ball.
 
     This is the projection-energy statistic tested against the budget C: small
@@ -342,7 +340,7 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
     dists = np.empty(len(frames))
     for i, frame in enumerate(frames):
         v_sub = Subspace(frame)
-        values[i] = pushforward_density(cloud, v_sub, bin_width, subset).l2_sq
+        values[i] = pushforward_density(cloud, v_sub, bin_width).l2_sq
         diff = v_sub.projector() - center.projector()
         dists[i] = float(np.linalg.svd(diff, compute_uv=False)[0])
     with np.errstate(over="ignore"):

@@ -31,6 +31,7 @@ from .refine import RefineConfig, refine_schedule
 from .shells import ShellTable, VisitationReport, cone_shells
 
 SCHEMA = "graphcarve/1"
+_STAGES = ("e1", "e_prime", "e", "e2", "e3")  # mass ledger rows, in run order
 
 
 @dataclass
@@ -327,7 +328,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
     times["cover"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    schedule = refine_schedule(e_cloud, e2_idx, theta0, m0, cover, cfg.refine_config())
+    schedule = refine_schedule(e_cloud, e2_idx, cover, cfg.refine_config())
     times["refine"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -403,7 +404,11 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 
 def emit_plots(report: PipelineReport, outdir) -> list[str]:
-    """Write CSV series and, for planar runs, an SVG sketch of the carving."""
+    """Write CSV series and, for planar runs, an SVG sketch of the carving.
+
+    The energy and refinement series are written only when the report holds
+    their source (a live run does; one loaded from report.json does not).
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -413,31 +418,26 @@ def emit_plots(report: PipelineReport, outdir) -> list[str]:
         path.write_text(text)
         written.append(str(path))
 
+    # A loaded report.json has sorted keys: write stages and counts in run order.
     _write("mass_ledger.csv", _csv_lines(
-        ["stage", "mass"], [[k, v] for k, v in report.masses.items()]))
-    _write("visitation_before.csv", _csv_lines(
-        ["count", "mass"], [[k, v] for k, v in report.visitation_before.items()]))
-    _write("visitation_after.csv", _csv_lines(
-        ["count", "mass"], [[k, v] for k, v in report.visitation_after.items()]))
-
-    energy_rows = []
+        ["stage", "mass"], [[k, report.masses[k]] for k in _STAGES if k in report.masses]))
+    for name in ("visitation_before", "visitation_after"):
+        hist = getattr(report, name)
+        _write(f"{name}.csv", _csv_lines(
+            ["count", "mass"], [[k, hist[k]] for k in sorted(hist, key=int)]))
     if report.energy_detail is not None:
         det = report.energy_detail
-        energy_rows = [[i, float(det.distances[i]), float(det.per_sample[i])]
-                       for i in range(len(det.per_sample))]
-    _write("energy_scatter.csv", _csv_lines(
-        ["sample", "distance_to_center", "l2_sq"], energy_rows))
-
-    refine_rows = []
+        _write("energy_scatter.csv", _csv_lines(
+            ["sample", "distance_to_center", "l2_sq"],
+            [[i, float(det.distances[i]), float(det.per_sample[i])]
+             for i in range(len(det.per_sample))]))
     if report.schedule is not None:
-        for direction, run in enumerate(report.schedule.runs):
-            for outcome in run.outcomes:
-                for rec in outcome.state.records:
-                    refine_rows.append([
-                        direction, rec.k, rec.j_k, rec.r_k,
-                        rec.mass_saved, rec.mass_deleted, rec.mass_remaining])
-    _write("refine_ledger.csv", _csv_lines(
-        ["direction", "k", "j_k", "r_k", "mass_S", "mass_D", "mass_F"], refine_rows))
+        _write("refine_ledger.csv", _csv_lines(
+            ["direction", "k", "j_k", "r_k", "mass_S", "mass_D", "mass_F"],
+            [[direction, rec.k, rec.j_k, rec.r_k, rec.mass_saved, rec.mass_deleted,
+              rec.mass_remaining]
+             for direction, run in enumerate(report.schedule.runs)
+             for outcome in run.outcomes for rec in outcome.records]))
 
     if (report.cloud_e1 is not None and report.cloud_e1.d == 2
             and report.model is not None):

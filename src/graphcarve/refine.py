@@ -1,13 +1,15 @@
 """Iterative cone-deletion refinement.
 
-``refine_once`` takes a finite set F whose one-sided visit counts along a
-direction w are at most M (aperture alpha) and carves out K in F whose counts
-at aperture alpha/2 are at most M - 1, never wasting much more mass than it
-keeps.  ``refine_schedule`` drives it over every direction of a cone cover,
-down to zero visits per direction, and certifies the resulting two-sided
-property with a fresh visit count.  Both certificates count with the shell
-engine (``shells.ShellTable``), or with the brute-force oracle when
-``RefineConfig.oracle`` is set; the two make the same comparisons.
+``refine_once`` takes the one-sided visit report of a finite set F along a
+direction w at aperture alpha, whose largest count is M, and carves out K in
+F whose counts at aperture alpha/2 are at most M - 1, never wasting much more
+mass than it keeps.  Its outcome carries K's counts at alpha/2, which is the
+report the next pass refines.  ``refine_schedule`` drives it over every
+direction of a cone cover, down to zero visits per direction, and certifies
+the resulting two-sided property with a fresh visit count.  Both
+certificates count with the shell engine (``shells.ShellTable``), or with the
+brute-force oracle when ``RefineConfig.oracle`` is set; the two make the same
+comparisons.
 
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point is banked, the open cone shadows of
@@ -19,9 +21,8 @@ recoverable condition.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .measure import ball_masses, prune_low_density
 from .shells import ShellTable, cone_shells
 
 _ALPHA_MAX = 0.1
+_MAX_C_RETRIES = 40  # saved-ball shrink steps tried per visited scale
 
 
 @dataclass
@@ -48,7 +50,6 @@ class RefineConfig:
     epsilon: float | None = None       # badness density threshold; None = data-driven
     scale_choice: str = "largest"      # largest | smallest | random
     seed: int = 0
-    max_c_retries: int = 40
     min_mass_fraction: float = 0.0
     oracle: bool = False
 
@@ -81,43 +82,36 @@ class IterationRecord:
         }
 
 
-@dataclass
-class RefinementState:
-    """Ledger of one refine_once run."""
+@dataclass(frozen=True)
+class RefinementOutcome:
+    """One refine_once pass: the report it refined and one record per iteration."""
 
-    direction: np.ndarray
-    alpha: float
-    big_m: int
+    entry: VisitationReport         # counts of the input set at alpha; M = max
     epsilon: float
-    current: np.ndarray
-    saved: list = field(default_factory=list)       # list of cloud-index arrays
-    deleted: list = field(default_factory=list)
-    balls: list = field(default_factory=list)       # (center index, 100 * r_k)
-    records: list = field(default_factory=list)
-    status: str = "running"
+    kept: np.ndarray
+    remaining: np.ndarray           # alive when the loop stopped
+    status: str                     # stopped_1 | stopped_2
+    saved: tuple                    # cloud-index arrays, one per iteration
+    deleted: tuple
+    records: tuple
+    certificate: VisitationReport   # counts of kept at alpha / 2
+    mass_retained: float
+    saved_ratio: float              # measured min mass(S)/max(mass(D), delta^n)
 
-    def ledger_json(self) -> str:
-        payload = {
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    def ledger(self) -> dict:
+        return {
             "schema": "graphcarve/1",
-            "direction": self.direction.tolist(),
-            "alpha": self.alpha,
-            "M": self.big_m,
+            "direction": self.entry.direction.tolist(),
+            "alpha": self.entry.aperture,
+            "M": self.entry.max_count,
             "epsilon": self.epsilon,
             "status": self.status,
             "iterations": [r.as_dict() for r in self.records],
         }
-        return json.dumps(payload, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class RefinementOutcome:
-    kept: np.ndarray
-    status: str                     # stopped_1 | stopped_2
-    mass_retained: float
-    certificate: VisitationReport
-    state: RefinementState
-    saved_ratio: float              # measured min mass(S)/max(mass(D), delta^n)
-    iterations: int
 
 
 def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
@@ -197,35 +191,25 @@ def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray,
                             inner, outer).all())
 
 
-def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
-                big_m: int, cfg: RefineConfig | None = None) -> RefinementOutcome:
+def refine_once(cloud: WeightedCloud, entry: VisitationReport,
+                cfg: RefineConfig | None = None) -> RefinementOutcome:
     """One refinement pass: (alpha, M) visit bound in, (alpha/2, M-1) out.
 
-    Alternates between banking a saved ball around the bad point with the
-    smallest coordinate along the direction and deleting the open cone
-    shadows of its enlarged neighborhood, until either half the mass is
-    accounted for or no dense bad points remain.
+    ``entry`` is the one-sided visit report of the input set along w at
+    aperture alpha, and M is its largest count.  Alternates between banking a
+    saved ball around the bad point with the smallest coordinate along w and
+    deleting the open cone shadows of its enlarged neighborhood, until either
+    half the mass is accounted for or no dense bad points remain.
     """
     cfg = cfg or RefineConfig()
-    subset = np.sort(np.asarray(subset, dtype=np.intp))
-    if len(subset) == 0:
-        raise InputError("refine_once needs a nonempty point set")
-    if big_m < 1:
-        raise InputError("M must be >= 1")
+    if entry.direction is None:
+        raise InputError("refine_once needs a one-sided visit report")
+    subset, w, alpha = entry.subset, entry.direction, entry.aperture
+    scale_range, big_m = entry.scale_range, entry.max_count
     if not 0.0 < alpha <= _ALPHA_MAX:
         raise InputError(f"aperture {alpha} outside (0, {_ALPHA_MAX}]")
-    w = np.asarray(direction, dtype=float)
-    if w.shape != (cloud.d,) or abs(np.linalg.norm(w) - 1.0) > 1e-9:
-        raise InputError("direction must be a unit d-vector")
-    scale_range = ScaleRange.default_for(cloud)
-
-    entry_report = visitation_counts(cloud, subset, alpha, scale_range,
-                                     direction=w, oracle=cfg.oracle)
-    if entry_report.max_count > big_m:
-        raise InputError(
-            f"input set has a vertex with {entry_report.max_count} visited scales "
-            f"at aperture {alpha}; the hypothesis allows at most {big_m}"
-        )
+    if big_m == 0:
+        raise InputError("nothing to refine: the report has no visits")
 
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(
         cloud, subset, scale_range)
@@ -240,8 +224,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
     mass_total = cloud.mass(subset)
     alive = np.ones(len(subset), dtype=bool)       # positions into subset
     saved_cloud_mask = np.zeros(len(cloud), dtype=bool)
-    state = RefinementState(direction=w, alpha=alpha, big_m=big_m,
-                            epsilon=epsilon, current=subset)
+    saved, deleted, records = [], [], []
     sum_saved = 0.0
     sum_deleted = 0.0
     saved_ratio = math.inf
@@ -250,14 +233,13 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
     def alive_indices():
         return subset[alive]
 
-    k = 0
     while True:
-        if k > len(subset):
+        if len(records) > len(subset):
             raise AlgorithmInvariantViolation(
                 "refinement failed to terminate within the saved-set bound")
         if sum_saved >= mass_total / 2.0 or sum_deleted >= mass_total / 2.0:
-            state.status = "stopped_1"
-            kept = (np.sort(np.concatenate(state.saved)) if state.saved
+            status = "stopped_1"
+            kept = (np.sort(np.concatenate(saved)) if saved
                     else np.empty(0, dtype=np.intp))
             break
 
@@ -275,7 +257,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
             bad = f_km[dense]
 
         if len(bad) == 0:
-            state.status = "stopped_2"
+            status = "stopped_2"
             keep_mask = alive.copy()
             keep_mask[exactly_m] = False
             kept = subset[keep_mask]
@@ -313,7 +295,7 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
             # automatic.  The retry budget bounds the loop regardless.
-            for _ in range(cfg.max_c_retries):
+            for _ in range(_MAX_C_RETRIES):
                 r_k = c_try * 2.0 ** (-float(j_k))
                 ball = cloud.grid.ball(x_coord, r_k)
                 s_k = ball[np.isin(ball, f_km)]
@@ -348,12 +330,11 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         if not committed:
             raise ResolutionExhaustedError(
                 f"no saved-ball radius passed the shadow checks within "
-                f"{cfg.max_c_retries} shrink steps at any of the {big_m} "
+                f"{_MAX_C_RETRIES} shrink steps at any of the {big_m} "
                 f"scales of the bad point {x_k}")
 
-        state.saved.append(np.sort(s_k))
-        state.deleted.append(np.sort(d_k))
-        state.balls.append((x_k, 100.0 * r_k))
+        saved.append(np.sort(s_k))
+        deleted.append(np.sort(d_k))
         saved_cloud_mask[s_k] = True
         alive[pos_of[d_k]] = False
         if saved_cloud_mask[subset[~alive]].any():
@@ -364,13 +345,11 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         sum_deleted += mass_d
         saved_ratio = min(saved_ratio, mass_s / max(mass_d, delta_n))
         last_w_coord = max(last_w_coord, x_w)
-        state.records.append(IterationRecord(
-            k=k, x_index=x_k, x_coord=tuple(x_coord), j_k=int(j_k), r_k=r_k,
+        records.append(IterationRecord(
+            k=len(records), x_index=x_k, x_coord=tuple(x_coord), j_k=int(j_k), r_k=r_k,
             c_used=c_try, mass_saved=mass_s, mass_deleted=mass_d,
             mass_remaining=cloud.mass(alive_indices()), bad_points=len(bad)))
-        k += 1
 
-    state.current = subset[alive]
     if cfg.oracle:
         certificate = visitation_counts(cloud, kept, alpha / 2.0, scale_range,
                                         direction=w, oracle=True)
@@ -380,12 +359,11 @@ def refine_once(cloud: WeightedCloud, subset, direction, alpha: float,
         raise AlgorithmInvariantViolation(
             f"output certificate failed: {certificate.max_count} visited scales "
             f"remain at aperture {alpha / 2.0}")
-    if saved_ratio is math.inf:
-        saved_ratio = 0.0
-    return RefinementOutcome(kept=np.sort(kept), status=state.status,
-                             mass_retained=cloud.mass(kept),
-                             certificate=certificate, state=state,
-                             saved_ratio=saved_ratio, iterations=k)
+    return RefinementOutcome(
+        entry=entry, epsilon=epsilon, kept=np.sort(kept), remaining=subset[alive],
+        status=status, saved=tuple(saved), deleted=tuple(deleted), records=tuple(records),
+        certificate=certificate, mass_retained=cloud.mass(kept),
+        saved_ratio=0.0 if saved_ratio is math.inf else saved_ratio)
 
 
 @dataclass(frozen=True)
@@ -393,7 +371,7 @@ class DirectionRun:
     direction: np.ndarray
     initial_count: int
     applications: int
-    final_aperture: float
+    final_aperture: float           # aperture of the zero-visit report
     reached_target_aperture: bool
     outcomes: list
 
@@ -416,73 +394,53 @@ class ScheduleResult:
                     "applications": run.applications,
                     "final_aperture": run.final_aperture,
                     "reached_target_aperture": run.reached_target_aperture,
-                    "iterations": [o.state.ledger_json() for o in run.outcomes],
+                    "iterations": [o.ledger() for o in run.outcomes],
                 }
                 for run in self.runs
             ],
         }
 
 
-def refine_schedule(cloud: WeightedCloud, e2, theta: float, m0: int,
-                    cover: DirectionCover, cfg: RefineConfig | None = None) -> ScheduleResult:
+def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
+                    cfg: RefineConfig | None = None) -> ScheduleResult:
     """Refine along every cover direction until each has zero visits.
 
-    The cover must be built with aperture theta / b_used and shrink factor
-    2^-m0: then each direction needs at most m0 passes (the aperture halves
-    per pass), and the surviving set's two-sided visits at aperture
-    theta / b_used vanish, which a fresh two-sided visit count verifies.
+    The cover is built with aperture theta / b_used and shrink factor 2^-m0,
+    where m0 is the largest two-sided visit count of e2 at theta: each
+    direction then needs at most m0 passes (the aperture halves per pass),
+    and the surviving set's two-sided visits at aperture theta / b_used
+    vanish, which a fresh two-sided visit count verifies.  With m0 = 0
+    (``cover.s == 1``) no direction is refined.
     """
     cfg = cfg or RefineConfig()
     e2 = np.sort(np.asarray(e2, dtype=np.intp))
-    if m0 < 0:
-        raise InputError("m0 must be >= 0")
-    if abs(cover.s - 2.0 ** (-m0)) > 1e-12:
-        raise InputError(f"cover shrink factor {cover.s} does not match 2^-{m0}")
-    if abs(cover.alpha * cover.b_used - theta) > 1e-9 * max(theta, 1.0):
-        raise InputError("cover aperture does not satisfy alpha * b_used = theta")
     scale_range = ScaleRange.default_for(cloud)
-    mass_e2 = cloud.mass(e2)
-    floor_mass = cfg.min_mass_fraction * mass_e2
+    floor_mass = cfg.min_mass_fraction * cloud.mass(e2)
 
     current = e2
     runs = []
-    if m0 > 0:
-        for row in range(cover.m):
-            w = cover.directions[row]
-            aperture = cover.alpha
-            outcomes = []
-            initial = None
-            applications = 0
-            verified_aperture = aperture
-            report = visitation_counts(cloud, current, aperture, scale_range,
-                                       direction=w, oracle=cfg.oracle)
-            while True:
-                m_cur = report.max_count
-                if initial is None:
-                    initial = m_cur
-                if m_cur == 0:
-                    verified_aperture = aperture
-                    break
-                if applications > initial + 2:
-                    raise AlgorithmInvariantViolation(
-                        "per-direction refinement failed to drain the visit counts")
-                outcome = refine_once(cloud, current, w, aperture, m_cur, cfg)
-                outcomes.append(outcome)
-                current = outcome.kept
-                report = outcome.certificate  # counts of kept at aperture / 2
-                applications += 1
-                aperture /= 2.0
-                if cloud.mass(current) < floor_mass:
-                    raise RefinementCollapsedError(
-                        f"mass fell below the configured floor while refining "
-                        f"direction {row}",
-                        ledger=[o.state.ledger_json() for o in outcomes])
-            runs.append(DirectionRun(
-                direction=w, initial_count=int(initial), applications=applications,
-                final_aperture=verified_aperture,
-                reached_target_aperture=bool(
-                    verified_aperture >= cover.alpha * cover.s - 1e-15),
-                outcomes=outcomes))
+    directions = cover.directions if cover.s < 1.0 else []  # m0 = 0: nothing to refine
+    for row, w in enumerate(directions):
+        report = visitation_counts(cloud, current, cover.alpha, scale_range,
+                                   direction=w, oracle=cfg.oracle)
+        initial = report.max_count
+        outcomes = []
+        while report.max_count:
+            if len(outcomes) > initial + 2:
+                raise AlgorithmInvariantViolation(
+                    "per-direction refinement failed to drain the visit counts")
+            outcome = refine_once(cloud, report, cfg)
+            outcomes.append(outcome)
+            current, report = outcome.kept, outcome.certificate  # kept at half the aperture
+            if cloud.mass(current) < floor_mass:
+                raise RefinementCollapsedError(
+                    f"mass fell below the configured floor while refining "
+                    f"direction {row}", ledger=[o.ledger() for o in outcomes])
+        runs.append(DirectionRun(
+            direction=w, initial_count=initial, applications=len(outcomes),
+            final_aperture=report.aperture,
+            reached_target_aperture=bool(report.aperture >= cover.alpha * cover.s - 1e-15),
+            outcomes=outcomes))
 
     certificate = visitation_counts(cloud, current, cover.alpha, scale_range,
                                     direction=None, oracle=cfg.oracle)

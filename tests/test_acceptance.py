@@ -34,7 +34,7 @@ from graphcarve import (
 )
 from graphcarve.refine import RefineConfig
 from graphcarve.shells import ShellTable
-from tests.test_refine import verify_state_invariants
+from tests.test_refine import verify_outcome_invariants
 from tests.visit_rows import assert_rows_match_oracle
 
 
@@ -159,21 +159,20 @@ def test_criterion_2_refinement_soundness():
         rng = np.random.default_rng(1000 + seed)
         alpha = float(rng.choice([0.1, 0.07, 0.05]))
         w = np.array([0.0, 1.0])
-        measured = visitation_counts(cloud, cloud.all_indices(), alpha,
-                                     direction=w).max_count
-        big_m = max(measured, 1)
+        entry = visitation_counts(cloud, cloud.all_indices(), alpha, direction=w)
+        big_m = entry.max_count
         assert 1 <= big_m <= 3, f"seed {seed}: measured M = {big_m}"
         cfg = RefineConfig(
             epsilon=eps_override if eps_override is not None
             else [None, 0.5, 2.0][seed % 3],
             scale_choice=["largest", "smallest", "random"][seed % 3],
             seed=seed)
-        outcome = refine_once(cloud, cloud.all_indices(), w, alpha, big_m, cfg)
+        outcome = refine_once(cloud, entry, cfg)
         # independent certificate recomputation in oracle mode
         recheck = visitation_counts(cloud, outcome.kept, alpha / 2.0,
                                     direction=w, oracle=True)
         assert recheck.max_count <= big_m - 1
-        verify_state_invariants(cloud, outcome, cloud.all_indices())
+        verify_outcome_invariants(cloud, outcome)
         if outcome.iterations and outcome.saved_ratio > 0:
             bound = math.ceil(2.0 * cloud.mass()
                               / (outcome.saved_ratio * cloud.delta_res**cloud.n))
@@ -316,9 +315,9 @@ def test_criterion_9_refinement_end_to_end(tmp_path):
                              oracle=True).max_count == 0
     for run in first.schedule.runs:
         for outcome in run.outcomes:
-            recheck = visitation_counts(e_cloud, outcome.kept, outcome.state.alpha / 2.0,
+            recheck = visitation_counts(e_cloud, outcome.kept, outcome.entry.aperture / 2.0,
                                         direction=run.direction, oracle=True)
-            assert recheck.max_count <= outcome.state.big_m - 1
+            assert recheck.max_count <= outcome.entry.max_count - 1
     assert len(e3) and first.graph["lipschitz"] <= first.graph["lipschitz_bound"]
     first.save(tmp_path / "a")
     second.save(tmp_path / "b")

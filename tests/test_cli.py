@@ -1,9 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphcarve import WeightedCloud, lipschitz_graph, save_cloud_csv, save_cloud_json
+from graphcarve import (
+    WeightedCloud,
+    lipschitz_graph,
+    load_cloud_json,
+    save_cloud_csv,
+    save_cloud_json,
+    union_of_graphs,
+)
 from graphcarve import audit
 from graphcarve.cli import build_parser, main
 
@@ -41,6 +49,34 @@ class TestGenerate:
                     "--output", tmp_path / "c.json"])
         assert code == 2
         assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, param, named", [
+        ("lipschitz_graph", "n_points=abc", "'n_points'"),
+        ("lipschitz_graph", "n_points=3.5", "'n_points'"),
+        ("lipschitz_graph", "value_map=1", "'value_map'"),
+        ("union_of_graphs", "lips=0.1,x", "'lips'"),
+        ("outlier_stacks", "unit_weights=maybe", "'unit_weights'"),
+    ])
+    def test_mistyped_param_exits_2(self, tmp_path, kind, param, named, capsys):
+        code = run(["generate", "--kind", kind, "--param", param,
+                    "--output", tmp_path / "c.json"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_tuple_params_match_the_python_call(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["generate", "--kind", "union_of_graphs", "--param", "n_points=120",
+                    "--param", "lips=0.1,0.25", "--param", "offsets=0,0.5",
+                    "--seed", "3", "--output", out]) == 0
+        want = union_of_graphs(120, lips=(0.1, 0.25), offsets=(0.0, 0.5), seed=3)
+        got = load_cloud_json(out)
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.weights, want.weights)
+
+    def test_one_tuple_param_keeps_the_other_default(self, tmp_path, capsys):
+        # lips alone arrives as two numbers, matching the two default offsets.
+        assert run(["generate", "--kind", "union_of_graphs", "--param", "lips=0.1,0.2",
+                    "--output", tmp_path / "c.json"]) == 0
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -192,6 +228,30 @@ class TestPipelineCommand:
                     "--output-dir", plotdir]) == 0
         assert (plotdir / "mass_ledger.csv").exists()
         assert (plotdir / "cloud.svg").exists()
+
+    @pytest.mark.parametrize("make, refines", [
+        (lambda: union_of_graphs(300, seed=2), True),
+        (lambda: lipschitz_graph(200, 0.2, seed=1), False),
+    ], ids=["refining", "m0_zero"])
+    def test_plots_rewrite_the_pipeline_files(self, tmp_path, make, refines, capsys):
+        # Every series plots writes from the saved run equals the file the
+        # pipeline wrote; the ones a saved run cannot rebuild are not written.
+        cloud_path = tmp_path / "c.json"
+        save_cloud_json(make(), cloud_path)
+        outdir, plotdir = tmp_path / "run", tmp_path / "plots"
+        assert run(["pipeline", "--input", cloud_path, "--seed", "4",
+                    "--output-dir", outdir]) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        assert (report["thresholds"]["m0"] > 0) == refines
+        capsys.readouterr()
+        assert run(["plots", "--input-dir", outdir, "--output-dir", plotdir,
+                    "--json"]) == 0
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert {Path(p).name for p in written} == {
+            "mass_ledger.csv", "visitation_before.csv", "visitation_after.csv",
+            "cloud.svg"}
+        for name in (Path(p).name for p in written):
+            assert (plotdir / name).read_bytes() == (outdir / name).read_bytes(), name
 
     def test_plots_accept_a_pair_rounded_under_the_guard(self, tmp_path, capsys):
         # Points 0 and 5 sit exactly delta_res/100 apart; normalization rounds

@@ -329,7 +329,7 @@ class TestProjectionEnergy:
         assert e_cant / e_flat > 1.8
 
     def test_empty_subset_zero(self):
-        cloud = line_cloud(10, 0.05)
+        cloud = line_cloud(10, 0.05).subcloud(np.empty(0, dtype=int))
         report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3,
-                                   20, 0.1, seed=3, subset=np.empty(0, dtype=int))
+                                   20, 0.1, seed=3)
         assert report.mean_l2_sq == 0.0

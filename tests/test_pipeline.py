@@ -31,6 +31,12 @@ def graph_report():
     return run_pipeline(cloud, PipelineConfig(seed=13))
 
 
+@pytest.fixture(scope="module")
+def refine_report():
+    # m0 = 1: the direction schedule deletes mass.
+    return run_pipeline(union_of_graphs(300, seed=2), PipelineConfig(seed=4))
+
+
 class TestVerticalStacks:
     @pytest.mark.parametrize("coords", [[[0.0, 0.0], [0.0, 1.0]],
                                         [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]])
@@ -287,8 +293,8 @@ class TestConfigFile:
 
 
 class TestPlots:
-    def test_emit_from_live_report(self, graph_report, tmp_path):
-        written = emit_plots(graph_report, tmp_path)
+    def test_emit_from_live_report(self, refine_report, tmp_path):
+        written = emit_plots(refine_report, tmp_path)
         names = {Path(p).name for p in written}
         assert {"mass_ledger.csv", "visitation_before.csv",
                 "visitation_after.csv", "energy_scatter.csv",
@@ -297,10 +303,12 @@ class TestPlots:
         assert svg.count("<polyline") == 1
         ledger = (tmp_path / "refine_ledger.csv").read_text().strip().splitlines()
         rows = len(ledger) - 1
-        iterations = sum(
-            len(o.state.records)
-            for run in graph_report.schedule.runs for o in run.outcomes)
-        assert rows == iterations
+        iterations = sum(o.iterations for run in refine_report.schedule.runs
+                         for o in run.outcomes)
+        assert rows == iterations > 0
+        stages = (tmp_path / "mass_ledger.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in stages] == [
+            "stage", "e1", "e_prime", "e", "e2", "e3"]
 
     def test_empty_report_headers_only(self, tmp_path):
         written = emit_plots(PipelineReport.empty(), tmp_path)
@@ -308,6 +316,14 @@ class TestPlots:
         assert mass == "stage,mass\n"
         assert not (tmp_path / "cloud.svg").exists()
         assert all(Path(p).exists() for p in written)
+
+    def test_saved_ledger_holds_pass_objects(self, refine_report, tmp_path):
+        refine_report.save(tmp_path)
+        ledger = json.loads((tmp_path / "refine_ledger.json").read_text())
+        passes = [p for run in ledger["directions"] for p in run["iterations"]]
+        assert passes
+        assert passes[0]["status"] in ("stopped_1", "stopped_2")
+        assert passes[0]["iterations"][0]["k"] == 0
 
     def test_save_artifacts(self, graph_report, tmp_path):
         files = graph_report.save(tmp_path / "out")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphcarve import (
     refine_schedule,
     visitation_counts,
 )
+from graphcarve import audit
 from graphcarve import refine as refine_module
 from graphcarve.refine import RefineConfig, _closed_shadow_contains, _open_shadow
 from graphcarve.shells import ShellTable
@@ -32,11 +34,16 @@ def flat_base_with_stack(n_base=400, spacing=0.005, stack=((0.0, 0.611),)):
     return WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=spacing)
 
 
-def verify_state_invariants(cloud, outcome, subset):
+def entry_report(cloud, alpha=0.1, w=UP, subset=None):
+    """One-sided counts of the subset (default: the whole cloud): refine_once's input."""
+    subset = cloud.all_indices() if subset is None else subset
+    return visitation_counts(cloud, subset, alpha, direction=w)
+
+
+def verify_outcome_invariants(cloud, outcome):
     """Re-check the ledger invariants independently of the implementation."""
-    state = outcome.state
-    saved = [set(map(int, s)) for s in state.saved]
-    deleted = [set(map(int, d)) for d in state.deleted]
+    saved = [set(map(int, s)) for s in outcome.saved]
+    deleted = [set(map(int, d)) for d in outcome.deleted]
     # saved sets pairwise disjoint, and disjoint from every deleted set
     for i in range(len(saved)):
         for j in range(i + 1, len(saved)):
@@ -44,7 +51,7 @@ def verify_state_invariants(cloud, outcome, subset):
         for dset in deleted:
             assert not (saved[i] & dset)
     # union of saved sets survives into the final remaining set
-    remaining = set(map(int, state.current))
+    remaining = set(map(int, outcome.remaining))
     for s in saved:
         assert s <= remaining
     # deleted sets pairwise disjoint (each was removed from the live set)
@@ -52,45 +59,46 @@ def verify_state_invariants(cloud, outcome, subset):
         for j in range(i + 1, len(deleted)):
             assert not (deleted[i] & deleted[j])
     # direction coordinates of the chosen bad points never decrease
-    heights = [rec.x_coord[-1] for rec in state.records]
+    heights = [rec.x_coord[-1] for rec in outcome.records]
     assert all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
     # saved mass dominates deleted mass at the recorded ratio
     delta_n = cloud.delta_res**cloud.n
-    for rec in state.records:
+    for rec in outcome.records:
         assert rec.mass_saved >= outcome.saved_ratio * max(rec.mass_deleted,
                                                            delta_n) - 1e-9
 
 
 class TestRefineOnce:
     def test_vacuous_refinement_stops_immediately(self):
+        # A report with no visits (M = 0) has nothing to refine: the pass
+        # refuses it instead of claiming an (alpha/2, -1) bound.
         cloud = lipschitz_graph(150, 0.2, seed=0)
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1)
-        assert out.status == "stopped_2"
-        assert out.iterations == 0
-        assert np.array_equal(out.kept, cloud.all_indices())
-        assert out.mass_retained == pytest.approx(cloud.mass())
+        entry = entry_report(cloud)
+        assert entry.max_count == 0
+        with pytest.raises(InputError, match="nothing to refine"):
+            refine_once(cloud, entry)
 
     def test_crafted_stack_instance(self):
         # 400 unit-weight base points plus one stacked outlier: the shadowed
         # base points are sparse enough that the no-bad-points rule fires and
         # the output drops the shadow, keeping >= 75% with zero visits left.
         cloud = flat_base_with_stack()
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1)
+        out = refine_once(cloud, entry_report(cloud))
+        assert out.entry.max_count == 1
         assert out.certificate.max_count == 0
         assert out.mass_retained >= 0.75 * cloud.mass()
-        verify_state_invariants(cloud, out, cloud.all_indices())
+        verify_outcome_invariants(cloud, out)
 
     def test_deletion_path_removes_shadow(self):
         # A taller stack with a forced badness density exercises the
         # saved-ball / deleted-shadow loop; the stack is the shadow.
         cloud = flat_base_with_stack(stack=((1.0, 1.77),))
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                          RefineConfig(epsilon=1.0))
+        out = refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=1.0))
         assert out.iterations >= 1
-        deleted = np.concatenate(out.state.deleted)
+        deleted = np.concatenate(out.deleted)
         assert 400 in deleted  # the stack point index
         assert out.certificate.max_count == 0
-        verify_state_invariants(cloud, out, cloud.all_indices())
+        verify_outcome_invariants(cloud, out)
 
     def test_tight_cluster_triggers_first_stop(self):
         # Half the mass sits in one tiny ball, so saving it satisfies the
@@ -103,51 +111,38 @@ class TestRefineOnce:
         coords = np.vstack([cluster, stack, base])
         weights = np.concatenate([np.full(5, 100.0), [1.0], np.ones(400)])
         cloud = WeightedCloud(coords, weights, n=1, delta_res=0.005)
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                          RefineConfig(epsilon=10.0))
+        out = refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=10.0))
         assert out.status == "stopped_1"
         assert out.iterations <= 2
         assert out.mass_retained >= cloud.mass() / 2 - 1e-9
-        verify_state_invariants(cloud, out, cloud.all_indices())
+        verify_outcome_invariants(cloud, out)
 
     def test_iteration_bound(self):
         cloud = flat_base_with_stack(stack=((1.0, 1.77),))
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                          RefineConfig(epsilon=1.0))
+        out = refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=1.0))
         if out.iterations and out.saved_ratio > 0:
             bound = math.ceil(2 * cloud.mass()
                               / (out.saved_ratio * cloud.delta_res**cloud.n))
             assert out.iterations <= bound
 
-    def test_hypothesis_violation_rejected(self):
-        cloud = flat_base_with_stack()
-        with pytest.raises(InputError):
-            # stack gives count 1 at this aperture, but M=1 demands the input
-            # already satisfies it for aperture alpha: claim M too small by
-            # passing a cloud whose counts exceed it
-            coords = np.vstack([cloud.coords, [[0.0, 0.29], [0.0, 0.15]]])
-            tall = WeightedCloud(coords, np.ones(len(coords)), n=1,
-                                 delta_res=cloud.delta_res)
-            refine_once(tall, tall.all_indices(), UP, 0.1, 1)
-
     def test_parameter_validation(self):
         cloud = flat_base_with_stack(n_base=20)
-        with pytest.raises(InputError):
-            refine_once(cloud, cloud.all_indices(), UP, 0.1, 0)
-        with pytest.raises(InputError):
-            refine_once(cloud, cloud.all_indices(), UP, 0.4, 1)
-        with pytest.raises(InputError):
-            refine_once(cloud, np.empty(0, dtype=int), UP, 0.1, 1)
+        with pytest.raises(InputError, match="one-sided"):
+            refine_once(cloud, visitation_counts(cloud, cloud.all_indices(), 0.1))
+        with pytest.raises(InputError, match="aperture"):
+            refine_once(cloud, entry_report(cloud, alpha=0.4))
+        with pytest.raises(InputError, match="nothing to refine"):
+            refine_once(cloud, entry_report(cloud, subset=np.empty(0, dtype=int)))
 
-    def test_resolution_exhausted_when_retries_cannot_shed_neighbor(self):
+    def test_resolution_exhausted_when_retries_cannot_shed_neighbor(self, monkeypatch):
         # A companion point never sees the witness in its widened cone; with
         # the shrink budget too small to push it out of the enlarged ball,
         # no saved-ball radius can be committed.
         coords = np.array([[0.0, 0.0], [0.08, 0.0], [0.0, 0.7]])
         cloud = WeightedCloud(coords, np.ones(3), n=1, delta_res=0.01)
+        monkeypatch.setattr(refine_module, "_MAX_C_RETRIES", 1)
         with pytest.raises(ResolutionExhaustedError):
-            refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                        RefineConfig(epsilon=1e-9, max_c_retries=1))
+            refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=1e-9))
 
     def test_tiny_scale_visit_still_commits(self):
         # The first candidate radius starts far below the resolution; the
@@ -155,10 +150,9 @@ class TestRefineOnce:
         # commit rather than give up.
         coords = np.array([[0.0, 0.0], [0.009, 0.0], [0.0, 0.022]])
         cloud = WeightedCloud(coords, np.ones(3), n=1, delta_res=0.01)
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                          RefineConfig(epsilon=1e-9))
+        out = refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=1e-9))
         assert out.certificate.max_count == 0
-        verify_state_invariants(cloud, out, cloud.all_indices())
+        verify_outcome_invariants(cloud, out)
 
     def test_open_shadow_is_interior_of_closed_shadow(self):
         # At j_k = 0 the closed shadow is the cone cut to [1/4, 2].  Its
@@ -203,10 +197,11 @@ class TestRefineOnce:
                 got = super().counts(alive)
                 return np.zeros_like(got) if BlindOnce.calls == 1 else got
 
-        monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         cloud = flat_base_with_stack()
+        entry = entry_report(cloud)
+        monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
-            refine_once(cloud, cloud.all_indices(), UP, 0.1, 1, RefineConfig(oracle=oracle))
+            refine_once(cloud, entry, RefineConfig(oracle=oracle))
 
 
 class TestRefineSchedule:
@@ -223,31 +218,35 @@ class TestRefineSchedule:
         report = visitation_counts(cloud, cloud.all_indices(), theta)
         assert report.max_count == 0
         cover = self._cover(theta, 0)
-        result = refine_schedule(cloud, cloud.all_indices(), theta, 0, cover)
+        result = refine_schedule(cloud, cloud.all_indices(), cover)
         assert np.array_equal(result.e3, cloud.all_indices())
         assert result.final_certificate.max_count == 0
 
     def test_m0_zero_is_noop(self):
         cloud = lipschitz_graph(100, 0.1, seed=3)
         cover = self._cover(0.3, 0)
-        result = refine_schedule(cloud, cloud.all_indices(), 0.3, 0, cover)
+        result = refine_schedule(cloud, cloud.all_indices(), cover)
         assert np.array_equal(result.e3, cloud.all_indices())
         assert result.runs == []
 
-    def test_embedded_stack_end_to_end(self):
+    @staticmethod
+    def _embedded_stack():
         rng = np.random.default_rng(8)
         tt = np.unique(np.sort(rng.uniform(0, 1, 350).round(4) * 0.99 + 0.005))
         base = np.column_stack([tt, 0.05 * np.sin(3 * tt)])
         site = base[len(base) // 2]
         stack = np.array([[site[0], site[1] + 0.53], [site[0], site[1] + 0.29]])
         coords = np.vstack([base, stack])
-        cloud = WeightedCloud(coords, np.full(len(coords), 1.0 / len(coords)),
-                              n=1, delta_res=0.004)
+        return WeightedCloud(coords, np.full(len(coords), 1.0 / len(coords)),
+                             n=1, delta_res=0.004)
+
+    def test_embedded_stack_end_to_end(self):
+        cloud = self._embedded_stack()
         theta = 0.04
         m0 = visitation_counts(cloud, cloud.all_indices(), theta).max_count
         assert m0 >= 1
         cover = self._cover(theta, m0)
-        result = refine_schedule(cloud, cloud.all_indices(), theta, m0, cover,
+        result = refine_schedule(cloud, cloud.all_indices(), cover,
                                  RefineConfig(epsilon=0.5))
         assert cloud.mass(result.e3) >= 0.5 * cloud.mass()
         assert result.final_certificate.max_count == 0
@@ -255,6 +254,36 @@ class TestRefineSchedule:
         assert any(run.applications for run in result.runs)
         for run in result.runs:
             assert run.reached_target_aperture
+            assert run.applications == len(run.outcomes) <= run.initial_count
+            assert run.final_aperture == cover.alpha / 2.0 ** run.applications
+            # each pass refines the report the previous one certified
+            for first, second in zip(run.outcomes, run.outcomes[1:]):
+                assert second.entry is first.certificate
+
+    def test_one_table_per_direction_and_per_pass(self, monkeypatch):
+        # The schedule counts each direction once at cover.alpha; every pass
+        # then builds only its alpha/2 table and hands its certificate on as
+        # the next pass's entry report, with no recount of the entry set.
+        built = []
+
+        class Counted(ShellTable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.direction is not None:
+                    built.append(self.aperture)
+
+        monkeypatch.setattr(audit, "ShellTable", Counted)
+        monkeypatch.setattr(refine_module, "ShellTable", Counted)
+        cloud = self._embedded_stack()
+        theta = 0.04
+        cover = self._cover(theta, visitation_counts(cloud, cloud.all_indices(),
+                                                     theta).max_count)
+        built.clear()
+        result = refine_schedule(cloud, cloud.all_indices(), cover,
+                                 RefineConfig(epsilon=0.5))
+        passes = sum(run.applications for run in result.runs)
+        assert passes >= 1
+        assert len(built) == cover.m + passes
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_final_certificate_catches_a_planted_visit(self, oracle):
@@ -265,14 +294,7 @@ class TestRefineSchedule:
         cover = self._cover(0.3, 0)
         assert visitation_counts(cloud, cloud.all_indices(), cover.alpha).max_count > 0
         with pytest.raises(AlgorithmInvariantViolation, match="final two-sided"):
-            refine_schedule(cloud, cloud.all_indices(), 0.3, 0, cover,
-                            RefineConfig(oracle=oracle))
-
-    def test_cover_mismatch_rejected(self):
-        cloud = lipschitz_graph(60, 0.1, seed=4)
-        cover = self._cover(0.3, 1)
-        with pytest.raises(InputError):
-            refine_schedule(cloud, cloud.all_indices(), 0.3, 2, cover)
+            refine_schedule(cloud, cloud.all_indices(), cover, RefineConfig(oracle=oracle))
 
     def test_mass_floor_collapse(self):
         cloud = flat_base_with_stack(stack=((1.0, 1.77),))
@@ -281,13 +303,14 @@ class TestRefineSchedule:
         assert m0 >= 1
         cover = self._cover(theta, m0)
         cfg = RefineConfig(epsilon=1.0, min_mass_fraction=1.01)
-        with pytest.raises(RefinementCollapsedError):
-            refine_schedule(cloud, cloud.all_indices(), theta, m0, cover, cfg)
+        with pytest.raises(RefinementCollapsedError) as exc:
+            refine_schedule(cloud, cloud.all_indices(), cover, cfg)
+        assert exc.value.ledger and exc.value.ledger[0]["M"] >= 1
 
     def test_ledger_serializes(self):
         cloud = flat_base_with_stack(stack=((1.0, 1.77),))
-        out = refine_once(cloud, cloud.all_indices(), UP, 0.1, 1,
-                          RefineConfig(epsilon=1.0))
-        text = out.state.ledger_json()
-        assert '"schema": "graphcarve/1"' in text
-        assert '"iterations"' in text
+        out = refine_once(cloud, entry_report(cloud), RefineConfig(epsilon=1.0))
+        ledger = json.loads(json.dumps(out.ledger(), sort_keys=True))
+        assert ledger["schema"] == "graphcarve/1"
+        assert (ledger["alpha"], ledger["M"], ledger["direction"]) == (0.1, 1, [0.0, 1.0])
+        assert len(ledger["iterations"]) == out.iterations >= 1
