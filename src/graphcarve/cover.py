@@ -9,7 +9,8 @@ random samples, the three inclusions that make the net a cover:
   (b) each one-sided (alpha*s)-cone sits inside the one-sided alpha-cone of
       the same direction (aperture monotonicity),
   (c) the union of one-sided alpha-cones stays inside the two-sided cone of
-      aperture b_used * alpha, with b_used measured empirically.
+      aperture b * alpha, with b measured empirically; it is at most 2, so
+      ``build_cover_for_theta`` builds once and reports b_used = 2.5.
 
 The net scans the region samples in blocks against a kd-tree over the
 centres chosen so far (Bentley 1975) and makes the dense scan's exact
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,9 +40,9 @@ _NET_MARGIN = 0.15
 _BLOCK = 4096
 # Cap on the elements of one certificate product chunk (check rows x net size).
 _CHUNK_ELEMS = 1 << 22
-# build_cover_for_theta: first widening constant tried, and rounds allowed.
-_B_INIT = 2.5
-_MAX_ROUNDS = 6
+# build_cover_for_theta's widening constant: above the bound 2 that every
+# one-sided cover of the aperture-alpha cone meets (see there).
+_B_USED = 2.5
 
 
 @dataclass(frozen=True)
@@ -254,25 +255,20 @@ def build_cover(axis: Subspace, alpha: float, s: float,
 def build_cover_for_theta(axis: Subspace, theta: float, s: float,
                           check_samples: int = 20000, seed: int = 0,
                           net_samples: int = 200000) -> DirectionCover:
-    """Cover with alpha = theta / b where b upper-bounds the measured widening.
+    """Cover with alpha = theta / b, b = ``_B_USED``, built once.
 
-    The widening constant is only known after building, so iterate until the
-    measured value fits under the assumed one; the returned cover reports the
-    assumed b (a valid empirical upper bound), making alpha * b_used == theta.
+    A unit vector y = cos u + sin p in the one-sided alpha-cone of a net
+    direction u, with u in the alpha-cone (|pi_perp u| <= alpha), p a unit
+    vector orthogonal to u and sin <= alpha, has |pi_perp y| <= |pi_perp u|
+    + sin <= 2 alpha.  So the measured widening is at most 2 up to rounding,
+    under b = 2.5; the check stays, and a cover that fails it is invalid.
+    The returned cover reports b_used = b, making alpha * b_used == theta.
     """
     if theta <= 0 or theta >= 1:
         raise InputError("theta must lie in (0, 1)")
-    b = _B_INIT
-    last = None
-    for _ in range(_MAX_ROUNDS):
-        alpha = theta / b
-        cover = build_cover(axis, alpha, s, check_samples, seed, net_samples)
-        last = cover
-        if cover.certificate.b_measured <= b:
-            return DirectionCover(axis=cover.axis, alpha=cover.alpha, s=cover.s,
-                                  directions=cover.directions, b_used=b,
-                                  certificate=cover.certificate)
-        b = cover.certificate.b_measured * 1.05
-    raise CoverInvalidError(
-        f"widening constant did not stabilize after {_MAX_ROUNDS} rounds "
-        f"(last measured {last.certificate.b_measured:.3f})")
+    cover = build_cover(axis, theta / _B_USED, s, check_samples, seed, net_samples)
+    if cover.certificate.b_measured > _B_USED:
+        raise CoverInvalidError(
+            f"measured widening constant {cover.certificate.b_measured:.3f} "
+            f"exceeds {_B_USED}")
+    return replace(cover, b_used=_B_USED)

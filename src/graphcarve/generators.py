@@ -197,23 +197,23 @@ def hrycak_like(depth: int = 3, pieces: int = 4, angle: float = 0.35,
                          delta_res=seg_len / points_per_segment)
 
 
-# --param strings by the type of the parameter's default: (expected, parse).
+# Option strings by the type they take: (expected, parse).
 _PARSERS = {
     int: ("an integer", int),
     float: ("a number", float),
     bool: ("true or false", lambda text: {"true": True, "false": False}[text.lower()]),
     tuple: ("comma-separated numbers", lambda text: tuple(map(float, text.split(",")))),
+    str: ("text", str),
 }
 
 
-def _typed(kind: str, key: str, text: str, default):
-    """A --param string as the type of the parameter's default."""
-    expected, parse = _PARSERS[type(default)]
+def _typed(name: str, text: str, kind: type):
+    """An option string as ``kind``; an InputError names the option otherwise."""
+    expected, parse = _PARSERS[kind]
     try:
         return parse(text)
     except (KeyError, ValueError):
-        raise InputError(f"{kind} parameter {key!r} expects {expected}, "
-                         f"got {text!r}") from None
+        raise InputError(f"{name} expects {expected}, got {text!r}") from None
 
 
 def generate(kind: str, params: dict | None = None, seed: int = 0) -> WeightedCloud:
@@ -230,7 +230,8 @@ def generate(kind: str, params: dict | None = None, seed: int = 0) -> WeightedCl
         if key not in names:
             raise InputError(f"{kind} takes no parameter {key!r}; it takes {names}")
         if isinstance(value, str):
-            params[key] = _typed(kind, key, value, accepted[key].default)
+            params[key] = _typed(f"{kind} parameter {key!r}", value,
+                                 type(accepted[key].default))
     if "seed" in accepted:
         params["seed"] = seed
     return make(**params)

@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .cloud_io import save_cloud_json
 from .cover import DirectionCover, build_cover_for_theta
 from .errors import InputError, RefinementCollapsedError
 from .extract import certify_graph, containment_report, extend_mcshane
+from .generators import _typed
 from .geometry import Subspace
 from .grassmannian import alpha0_max, child_seed
 from .measure import _within_float_range, projection_energy, prune_low_density
@@ -70,8 +71,9 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Parse ``key = value`` lines; '#' starts a comment."""
-        known = {f.name: f for f in dc_fields(cls)}
+        """Parse ``key = value`` lines, each value typed by its field; '#' starts
+        a comment.  A field whose default is None also takes ``none`` or ``auto``."""
+        types = get_type_hints(cls)
         kwargs = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -80,26 +82,12 @@ class PipelineConfig:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in types:
                 raise InputError(f"{path}:{lineno}: unknown option {key!r}")
-            kwargs[key] = _parse_value(value)
+            kind, *optional = get_args(types[key]) or (types[key],)
+            kwargs[key] = (None if optional and value.lower() in ("none", "auto")
+                           else _typed(f"{path}:{lineno}: option {key!r}", value, kind))
         return cls(**kwargs)
-
-
-def _parse_value(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "auto"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 @dataclass

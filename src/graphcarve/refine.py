@@ -9,7 +9,9 @@ direction of a cone cover, down to zero visits per direction, and certifies
 the resulting two-sided property with a fresh visit count.  Both
 certificates count with the shell engine (``shells.ShellTable``), or with the
 brute-force oracle when ``RefineConfig.oracle`` is set; the two make the same
-comparisons.
+comparisons.  A pass lives inside the set F it refines: it runs on F's
+subcloud, in its positions, and maps them back to cloud indices only in its
+outcome and ledger.
 
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point is banked, the open cone shadows of
@@ -22,7 +24,7 @@ recoverable condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,8 +116,7 @@ class RefinementOutcome:
         }
 
 
-def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
-                  scale_range: ScaleRange) -> float:
+def _auto_epsilon(cloud: WeightedCloud, scale_range: ScaleRange) -> float:
     """Data-driven badness density anchored at the quarter-mass quantile.
 
     Probes the loneliest density ratio of every point, finds the threshold
@@ -128,12 +129,11 @@ def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
     radii = radii[radii <= 1.0 + 1e-12]
     if not len(radii):
         radii = scale_range.radii[-1:]
-    table = ball_masses(cloud, radii, subset, subset)
+    table = ball_masses(cloud, radii)
     ratios = (table / radii[None, :] ** cloud.n).min(axis=1)
-    weights = cloud.weights[subset]
-    mass = float(weights.sum())
+    mass = cloud.mass()
     order = np.argsort(ratios)
-    cum = np.cumsum(weights[order])
+    cum = np.cumsum(cloud.weights[order])
     k = int(np.searchsorted(cum, mass / 4.0, side="right"))
     sorted_ratios = ratios[order]
     if k == 0:
@@ -143,7 +143,7 @@ def _auto_epsilon(cloud: WeightedCloud, subset: np.ndarray,
     else:
         eps_star = 0.5 * (float(sorted_ratios[k - 1]) + float(sorted_ratios[k]))
     eps_star = max(eps_star, 1e-12)
-    probe = prune_low_density(cloud.subcloud(subset), eps_star, scale_range)
+    probe = prune_low_density(cloud, eps_star, scale_range)
     k_prune = probe.removed_mass / eps_star
     if k_prune <= 0:
         return eps_star
@@ -195,11 +195,13 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
                 cfg: RefineConfig | None = None) -> RefinementOutcome:
     """One refinement pass: (alpha, M) visit bound in, (alpha/2, M-1) out.
 
-    ``entry`` is the one-sided visit report of the input set along w at
+    ``entry`` is the one-sided visit report of the input set F along w at
     aperture alpha, and M is its largest count.  Alternates between banking a
     saved ball around the bad point with the smallest coordinate along w and
     deleting the open cone shadows of its enlarged neighborhood, until either
-    half the mass is accounted for or no dense bad points remain.
+    half the mass is accounted for or no dense bad points remain.  The pass
+    runs on the subcloud of F, in its positions; the outcome maps them back
+    to cloud indices.
     """
     cfg = cfg or RefineConfig()
     if entry.direction is None:
@@ -211,36 +213,30 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     if big_m == 0:
         raise InputError("nothing to refine: the report has no visits")
 
-    epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(
-        cloud, subset, scale_range)
+    sub = cloud.subcloud(subset)
+    epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    shells = ShellTable(cloud, subset, alpha / 2.0, scale_range, w)
-    pos_of = np.full(len(cloud), -1, dtype=np.intp)
-    pos_of[subset] = np.arange(len(subset))
-    delta_n = cloud.delta_res ** cloud.n
+    shells = ShellTable(sub, sub.all_indices(), alpha / 2.0, scale_range, w)
+    delta_n = sub.delta_res ** sub.n
     bad_radii = np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]]))
 
-    mass_total = cloud.mass(subset)
-    alive = np.ones(len(subset), dtype=bool)       # positions into subset
-    saved_cloud_mask = np.zeros(len(cloud), dtype=bool)
-    saved, deleted, records = [], [], []
+    mass_total = sub.mass()
+    alive = np.ones(len(sub), dtype=bool)
+    saved = np.zeros(len(sub), dtype=bool)
+    saved_sets, deleted_sets, records = [], [], []
     sum_saved = 0.0
     sum_deleted = 0.0
     saved_ratio = math.inf
     last_w_coord = -math.inf
 
-    def alive_indices():
-        return subset[alive]
-
     while True:
-        if len(records) > len(subset):
+        if len(records) > len(sub):
             raise AlgorithmInvariantViolation(
                 "refinement failed to terminate within the saved-set bound")
         if sum_saved >= mass_total / 2.0 or sum_deleted >= mass_total / 2.0:
             status = "stopped_1"
-            kept = (np.sort(np.concatenate(saved)) if saved
-                    else np.empty(0, dtype=np.intp))
+            keep_mask = saved
             break
 
         counts = shells.counts(alive)
@@ -248,36 +244,32 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             raise AlgorithmInvariantViolation(
                 "visit counts exceeded M on a surviving point")
         exactly_m = alive & (counts == big_m)
-        f_km = subset[exactly_m]
+        f_km = np.flatnonzero(exactly_m)
 
         bad = np.empty(0, dtype=np.intp)
         if len(f_km):
-            table = ball_masses(cloud, bad_radii, f_km, f_km)
-            dense = (table >= epsilon * bad_radii[None, :] ** cloud.n).all(axis=1)
+            table = ball_masses(sub, bad_radii, f_km, f_km)
+            dense = (table >= epsilon * bad_radii[None, :] ** sub.n).all(axis=1)
             bad = f_km[dense]
 
         if len(bad) == 0:
             status = "stopped_2"
-            keep_mask = alive.copy()
-            keep_mask[exactly_m] = False
-            kept = subset[keep_mask]
+            keep_mask = alive & ~exactly_m
             break
 
-        w_coords = cloud.coords[bad] @ w
-        keys = [cloud.coords[bad][:, col] for col in range(cloud.d - 1, -1, -1)]
-        pick = np.lexsort(keys + [w_coords])[0]
-        x_k = int(bad[pick])
-        x_pos = int(pos_of[x_k])
-        x_coord = cloud.coords[x_k]
+        w_coords = sub.coords[bad] @ w
+        keys = [sub.coords[bad][:, col] for col in range(sub.d - 1, -1, -1)]
+        x_k = int(bad[np.lexsort(keys + [w_coords])[0]])
+        x_coord = sub.coords[x_k]
         x_w = float(x_coord @ w)
         if x_w < last_w_coord - 1e-12:
             raise AlgorithmInvariantViolation(
                 "bad-point coordinates along the direction decreased")
-        if saved_cloud_mask[x_k]:
+        if saved[x_k]:
             raise AlgorithmInvariantViolation(
                 "a previously saved point re-qualified as bad")
 
-        scales = shells.scales(x_pos, alive)
+        scales = shells.scales(x_k, alive)
         if len(scales) != big_m:
             raise AlgorithmInvariantViolation(
                 f"bad point has {len(scales)} visited scales, expected exactly {big_m}")
@@ -290,37 +282,35 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
 
         committed = False
         for j_k in candidate_js:
-            z_k = cloud.coords[shells.witness(x_pos, int(j_k), alive)]
+            z_k = sub.coords[shells.witness(x_k, int(j_k), alive)]
             c_try = cfg.c_factor * alpha
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
             # automatic.  The retry budget bounds the loop regardless.
             for _ in range(_MAX_C_RETRIES):
                 r_k = c_try * 2.0 ** (-float(j_k))
-                ball = cloud.grid.ball(x_coord, r_k)
-                s_k = ball[np.isin(ball, f_km)]
-                if saved_cloud_mask[s_k].any():
+                ball = sub.grid.ball(x_coord, r_k)
+                s_k = ball[exactly_m[ball]]
+                if saved[s_k].any():
                     # An old saved point re-entered the exactly-M set and sits
                     # inside the ball; shrink until the ball excludes it.
                     c_try /= 2.0
                     continue
-                big_ball = cloud.grid.ball(x_coord, 100.0 * r_k)
-                alive_cloud = np.zeros(len(cloud), dtype=bool)
-                alive_cloud[alive_indices()] = True
-                b_k = big_ball[alive_cloud[big_ball]]
-                if not _closed_shadow_contains(cloud, b_k, w, alpha, int(j_k), z_k):
+                big_ball = sub.grid.ball(x_coord, 100.0 * r_k)
+                b_k = big_ball[alive[big_ball]]
+                if not _closed_shadow_contains(sub, b_k, w, alpha, int(j_k), z_k):
                     c_try /= 2.0
                     continue
-                d_k = _open_shadow(cloud, b_k, w, alpha, int(j_k), alive_cloud)
-                if saved_cloud_mask[d_k].any() or np.isin(d_k, s_k).any():
+                d_k = _open_shadow(sub, b_k, w, alpha, int(j_k), alive)
+                if saved[d_k].any() or np.isin(d_k, s_k).any():
                     c_try /= 2.0
                     continue
                 # Deleting the shadow must knock every neighbor of the saved
                 # ball below M visited scales; otherwise this scale/radius
                 # pair is unusable.
                 alive_after = alive.copy()
-                alive_after[pos_of[d_k]] = False
-                if shells.counts(alive_after)[pos_of[b_k]].max(initial=0) > big_m - 1:
+                alive_after[d_k] = False
+                if shells.counts(alive_after)[b_k].max(initial=0) > big_m - 1:
                     c_try /= 2.0
                     continue
                 committed = True
@@ -331,38 +321,40 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             raise ResolutionExhaustedError(
                 f"no saved-ball radius passed the shadow checks within "
                 f"{_MAX_C_RETRIES} shrink steps at any of the {big_m} "
-                f"scales of the bad point {x_k}")
+                f"scales of the bad point {subset[x_k]}")
 
-        saved.append(np.sort(s_k))
-        deleted.append(np.sort(d_k))
-        saved_cloud_mask[s_k] = True
-        alive[pos_of[d_k]] = False
-        if saved_cloud_mask[subset[~alive]].any():
+        saved_sets.append(subset[s_k])
+        deleted_sets.append(subset[d_k])
+        saved[s_k] = True
+        alive[d_k] = False
+        if saved[~alive].any():
             raise AlgorithmInvariantViolation("a saved point was deleted")
-        mass_s = cloud.mass(s_k)
-        mass_d = cloud.mass(d_k)
+        mass_s = sub.mass(s_k)
+        mass_d = sub.mass(d_k)
         sum_saved += mass_s
         sum_deleted += mass_d
         saved_ratio = min(saved_ratio, mass_s / max(mass_d, delta_n))
         last_w_coord = max(last_w_coord, x_w)
         records.append(IterationRecord(
-            k=len(records), x_index=x_k, x_coord=tuple(x_coord), j_k=int(j_k), r_k=r_k,
-            c_used=c_try, mass_saved=mass_s, mass_deleted=mass_d,
-            mass_remaining=cloud.mass(alive_indices()), bad_points=len(bad)))
+            k=len(records), x_index=int(subset[x_k]), x_coord=tuple(x_coord),
+            j_k=int(j_k), r_k=r_k, c_used=c_try, mass_saved=mass_s, mass_deleted=mass_d,
+            mass_remaining=sub.mass(np.flatnonzero(alive)), bad_points=len(bad)))
 
+    kept = subset[keep_mask]
     if cfg.oracle:
         certificate = visitation_counts(cloud, kept, alpha / 2.0, scale_range,
                                         direction=w, oracle=True)
     else:
-        certificate = shells.visits(np.isin(subset, kept))
+        certificate = shells.visits(keep_mask)
+        certificate = replace(certificate, subset=subset[certificate.subset])
     if certificate.max_count > big_m - 1:
         raise AlgorithmInvariantViolation(
             f"output certificate failed: {certificate.max_count} visited scales "
             f"remain at aperture {alpha / 2.0}")
     return RefinementOutcome(
-        entry=entry, epsilon=epsilon, kept=np.sort(kept), remaining=subset[alive],
-        status=status, saved=tuple(saved), deleted=tuple(deleted), records=tuple(records),
-        certificate=certificate, mass_retained=cloud.mass(kept),
+        entry=entry, epsilon=epsilon, kept=kept, remaining=subset[alive],
+        status=status, saved=tuple(saved_sets), deleted=tuple(deleted_sets),
+        records=tuple(records), certificate=certificate, mass_retained=cloud.mass(kept),
         saved_ratio=0.0 if saved_ratio is math.inf else saved_ratio)
 
 

@@ -274,6 +274,22 @@ class TestPipelineCommand:
         report = json.loads((outdir / "report.json").read_text())
         assert report["params"]["seed"] == 77
 
+    @pytest.mark.parametrize("line, named", [
+        ("energy_samples = 4.5", "'energy_samples'"),
+        ("oracle = yes", "'oracle'"),
+        ("theta0 = wide", "'theta0'"),
+        ("m0_cap = none", "'m0_cap'"),   # only the fields whose default is None
+        ("kappa = auto", "'kappa'"),     # take none or auto
+    ])
+    def test_mistyped_config_value_exits_2(self, cloud_file, tmp_path, line, named, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        code = run(["pipeline", "--input", cloud_file, "--config", cfg,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and f"{cfg}:2:" in err
+
     def test_stage_collapse_exits_3(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.json"
         save_cloud_json(lipschitz_graph(80, 0.1, seed=3), cloud_path)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphcarve import (
     CoverInvalidError,
@@ -125,6 +125,45 @@ class TestCoverForTheta:
         assert cover.alpha * cover.b_used == pytest.approx(0.05, rel=1e-9)
         assert cover.certificate.b_measured <= cover.b_used
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 4), data=st.data(),
+           alpha=st.floats(0.05, 0.45), s=st.sampled_from([0.5, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_widening_is_at_most_two(self, d, data, alpha, s, seed):
+        # A cap vector cos u + sin p around a net direction u with
+        # |pi_perp u| <= alpha and sin <= alpha has |pi_perp| <= 2 alpha.
+        n = data.draw(st.integers(1, d - 1))
+        try:
+            cover = build_cover(Subspace.vertical_axis(d, n), alpha, s,
+                                check_samples=500, net_samples=4_000, seed=seed)
+        except CoverInvalidError as exc:
+            # Too few region samples to cover the cone: no cover to measure.
+            assert "escape" in str(exc)
+            assume(False)
+        assert cover.certificate.b_measured <= 2.0 + 1e-12
+
+    def test_built_once_and_too_wide_caps_rejected(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_cover(*args)
+
+        caps = cover_module._one_sided_caps
+
+        def wide_caps(directions, aperture, per_dir, rng):
+            return caps(directions, 2.0 * aperture, per_dir, rng)
+
+        monkeypatch.setattr(cover_module, "build_cover", counted)
+        cover = build_cover_for_theta(vertical_axis(2), 0.05, 0.5, check_samples=2_000,
+                                      net_samples=20_000)
+        assert len(calls) == 1 and cover.b_used == 2.5
+        monkeypatch.setattr(cover_module, "_one_sided_caps", wide_caps)
+        with pytest.raises(CoverInvalidError, match="exceeds 2.5"):
+            build_cover_for_theta(vertical_axis(2), 0.05, 0.5, check_samples=2_000,
+                                  net_samples=20_000)
+        assert len(calls) == 2
+
     def test_region_sampler_stays_in_region(self, rng):
         axis = vertical_axis(3)
         pts = _region_samples(axis, 0.2, 5000, rng=rng)
@@ -217,7 +256,7 @@ class TestGreedyNet:
                              ids=["graph_large", "union_refine", "codim2_cover"])
     def test_matches_dense_reference_on_workload_inputs(self, n_axis, d, s):
         # The benchmark workloads' cover inputs: default kappa, theta0 from the
-        # tilt bound, alpha = theta0 / b_init, and s = 2^-m0.
+        # tilt bound, alpha = theta0 / b_used, and s = 2^-m0.
         alpha = alpha0_max(n_axis, 0.2) / 2.0 / 2.5
         axis = Subspace.vertical_axis(d, n_axis)
         region = _region_samples(axis, alpha, 200_000)

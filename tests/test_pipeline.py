@@ -285,6 +285,18 @@ class TestConfigFile:
         assert cfg.oracle is True
         assert cfg.refine_scale_choice == "smallest"
 
+    def test_values_take_the_field_type(self, tmp_path):
+        # An integer written for a float field loads as a float; the fields
+        # whose default is None take none or auto.
+        path = tmp_path / "cfg.txt"
+        path.write_text("kappa = 1\nrefine_epsilon = auto\nenergy_bin = 0.1\n"
+                        "refine_scale_choice = random\n")
+        cfg = PipelineConfig.from_file(path)
+        assert type(cfg.kappa) is float and cfg.kappa == 1.0
+        assert cfg.refine_epsilon is None
+        assert cfg.energy_bin == 0.1
+        assert cfg.refine_scale_choice == "random"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("warp_factor = 9\n")

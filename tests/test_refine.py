@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,64 @@ class TestRefineOnce:
         monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
             refine_once(cloud, entry, RefineConfig(oracle=oracle))
+
+
+def two_stacks_cloud():
+    """A base line with two points stacked over x = 1: M = 2 at alpha = 0.1."""
+    return flat_base_with_stack(stack=((1.0, 0.3), (1.0, 0.77)))
+
+
+def tight_cluster_cloud():
+    """Half the mass in one tiny cluster (indices 401-405): the first stop fires."""
+    tt = 0.2 + np.arange(400) * 0.005
+    base = np.column_stack([tt, np.zeros_like(tt)])
+    cluster = np.column_stack([np.arange(5) * 2e-4, np.zeros(5)])
+    coords = np.vstack([base, [[4e-4, 1.43]], cluster])
+    weights = np.concatenate([np.ones(401), np.full(5, 100.0)])
+    return WeightedCloud(coords, weights, n=1, delta_res=0.005)
+
+
+class TestRefineOnceOnASubset:
+    """A pass over a proper subset S of a cloud equals the pass over all of
+    S's subcloud, with positions mapped to cloud indices through S."""
+
+    @pytest.mark.parametrize("scale_choice", ["largest", "smallest", "random"])
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("make, epsilon, status", [
+        (two_stacks_cloud, 1.0, "stopped_2"),
+        (tight_cluster_cloud, 10.0, "stopped_1"),
+    ], ids=["two_stacks", "tight_cluster"])
+    def test_equals_the_pass_on_the_subcloud(self, make, epsilon, status, oracle,
+                                             scale_choice):
+        cloud = make()
+        # Every third base point is left out, so cloud indices and positions
+        # in S differ, and points outside S sit inside the balls and shadows.
+        subset = np.array([i for i in range(len(cloud)) if i % 3 != 1 or i >= 400])
+        sub = cloud.subcloud(subset)
+        sr = ScaleRange.default_for(cloud)
+        cfg = RefineConfig(epsilon=epsilon, scale_choice=scale_choice, seed=3,
+                           oracle=oracle)
+        out = refine_once(cloud, visitation_counts(cloud, subset, 0.1, sr, direction=UP),
+                          cfg)
+        ref = refine_once(sub, visitation_counts(sub, sub.all_indices(), 0.1, sr,
+                                                 direction=UP), cfg)
+        assert out.iterations >= 1 and out.status == status
+        assert np.array_equal(out.kept, subset[ref.kept])
+        assert np.array_equal(out.remaining, subset[ref.remaining])
+        for mine, theirs in ((out.saved, ref.saved), (out.deleted, ref.deleted)):
+            assert len(mine) == len(theirs)
+            assert all(np.array_equal(a, subset[b]) for a, b in zip(mine, theirs))
+        assert [r.x_index for r in out.records] == [int(subset[r.x_index])
+                                                    for r in ref.records]
+        assert ([replace(r, x_index=0) for r in out.records]
+                == [replace(r, x_index=0) for r in ref.records])
+        assert np.array_equal(out.certificate.subset, subset[ref.certificate.subset])
+        assert np.array_equal(out.certificate.counts, ref.certificate.counts)
+        assert (out.epsilon, out.mass_retained, out.saved_ratio) == (
+            ref.epsilon, ref.mass_retained, ref.saved_ratio)
+        assert ({k: v for k, v in out.ledger().items() if k != "iterations"}
+                == {k: v for k, v in ref.ledger().items() if k != "iterations"})
+        verify_outcome_invariants(cloud, out)
 
 
 class TestRefineSchedule:
