@@ -1,23 +1,22 @@
 """Covering a two-sided cone by finitely many one-sided direction cones.
 
 Given an axis subspace V and apertures alpha, alpha*s, builds a greedy
-(alpha*s)-net of unit directions inside the cone region and certifies, on
-random samples, the three inclusions that make the net a cover:
+(alpha*s)-net of unit directions inside the cone region; three inclusions
+make the net a cover:
 
   (a) every unit vector of the alpha-cone lies in some one-sided
-      (alpha*s)-cone of the net,
+      (alpha*s)-cone of the net: checked on random region samples,
   (b) each one-sided (alpha*s)-cone sits inside the one-sided alpha-cone of
-      the same direction (aperture monotonicity),
+      the same direction (aperture monotonicity): it holds by construction,
+      since alpha*s <= alpha makes cos(alpha*s) >= cos(alpha),
   (c) the union of one-sided alpha-cones stays inside the two-sided cone of
       aperture b * alpha, with b measured empirically; it is at most 2, so
       ``build_cover_for_theta`` builds once and reports b_used = 2.5.
 
-The net scans the region samples in blocks against a kd-tree over the
-centres chosen so far (Bentley 1975) and makes the dense scan's exact
-squared-distance test on the candidate pairs, so its work grows with the net
-size and its output equals the dense scan's.  The certificate's dot products
-are formed in chunks of check rows, so no allocation grows with net size x
-check samples.
+The net and the check of (a) both ask a kd-tree (Bentley 1975) for the
+candidate pairs within a padded radius and settle them with the exact test,
+so their work grows with the net size instead of with net size x samples,
+and their output equals the dense scan's.
 """
 
 from __future__ import annotations
@@ -31,29 +30,16 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .cloud import _reach
+from .cloud import _EPS, _reach
 from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
 
 _NET_MARGIN = 0.15
 # Greedy-net candidates per block.
 _BLOCK = 4096
-# Cap on the elements of one certificate product chunk (check rows x net size).
-_CHUNK_ELEMS = 1 << 22
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
 _B_USED = 2.5
-
-
-@dataclass(frozen=True)
-class CoverCertificate:
-    samples_region: int
-    samples_cone: int
-    inclusion_a_ok: bool
-    inclusion_b_ok: bool
-    inclusion_c_ok: bool
-    b_measured: float
-    min_net_separation: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,7 @@ class DirectionCover:
     s: float
     directions: np.ndarray  # (m, d) unit vectors
     b_used: float
-    certificate: CoverCertificate
+    b_measured: float
 
     @property
     def m(self) -> int:
@@ -94,7 +80,7 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
     Proposes Gaussian directions with the perpendicular part damped to the
     aperture width, then keeps exact region members.  With ``rng`` given the
     proposals are random instead of low-discrepancy (used for checks so the
-    certificate is independent of the net construction).
+    check is independent of the net construction).
     """
     d = axis.d
     proj = axis.projector()
@@ -184,15 +170,32 @@ def _one_sided_caps(directions: np.ndarray, aperture: float, per_dir: int,
     return y.reshape(-1, d)
 
 
+def _covered(check: np.ndarray, directions: np.ndarray,
+             cos_small: float) -> np.ndarray:
+    """Mask of the check samples y with y . u >= cos_small for some direction u.
+
+    As |y - u|^2 = 2 - 2 y . u for unit vectors, a kd-tree proposes the pairs
+    within the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps)
+    past that subtraction's rounding, and the exact dot settles them."""
+    reach = _reach(math.sqrt(2.0 - 2.0 * cos_small + 64.0 * _EPS), 1.0)
+    pairs = cKDTree(check).sparse_distance_matrix(cKDTree(directions), reach,
+                                                  output_type="ndarray")
+    dots = np.einsum("ij,ij->i", check[pairs["i"]], directions[pairs["j"]])
+    covered = np.zeros(len(check), dtype=bool)
+    covered[pairs["i"][dots >= cos_small]] = True
+    return covered
+
+
 def build_cover(axis: Subspace, alpha: float, s: float,
                 check_samples: int = 20000, seed: int = 0,
                 net_samples: int = 200000) -> DirectionCover:
-    """Construct and certify a one-sided direction cover of the alpha-cone."""
+    """Construct and certify a one-sided direction cover of the alpha-cone:
+    (a) is decided on kd-tree candidates by the exact dot, (b) holds by
+    construction, and (c) measures b."""
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     if not 0.0 < s <= 1.0:
         raise InputError("s must lie in (0, 1]")
-    d = axis.d
     # Net spacing sits under alpha*s so directions between the finite sample
     # points still land inside some small cone; the membership test itself
     # uses the exact aperture.
@@ -207,18 +210,7 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     rng = np.random.default_rng(seed)
     check = _region_samples(axis, alpha, check_samples, rng=rng)
     small_ap = alpha * s
-    cos_small = math.sqrt(max(1.0 - small_ap * small_ap, 0.0))
-    # (b) holds by aperture monotonicity: s <= 1 makes cos(alpha*s) >= cos(alpha),
-    # so a sample inside a small cone is inside the big one.  It is still
-    # checked, on the same dot products.
-    cos_big = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-    covered = np.empty(len(check), dtype=bool)
-    inclusion_b_ok = True
-    rows = max(_CHUNK_ELEMS // len(directions), 1)
-    for start in range(0, len(check), rows):
-        cos = check[start:start + rows] @ directions.T
-        covered[start:start + rows] = (cos >= cos_small).any(axis=1)
-        inclusion_b_ok &= bool(((cos < cos_small) | (cos >= cos_big)).all())
+    covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)))
     if not covered.all():
         witness = check[int(np.argmax(~covered))]
         raise CoverInvalidError(
@@ -236,20 +228,8 @@ def build_cover(axis: Subspace, alpha: float, s: float,
             f"measured widening constant {b_measured:.3f} makes the enclosing cone "
             "aperture exceed 1", witness=worst)
 
-    sep = np.inf
-    if len(directions) > 1:
-        # Net points are distinct, so each one's second-nearest is its nearest other.
-        sep = float(cKDTree(directions).query(directions, k=2)[0][:, 1].min())
-
-    cert = CoverCertificate(samples_region=check_samples,
-                            samples_cone=len(cone_samples),
-                            inclusion_a_ok=True,
-                            inclusion_b_ok=inclusion_b_ok,
-                            inclusion_c_ok=True,
-                            b_measured=b_measured,
-                            min_net_separation=sep)
     return DirectionCover(axis=axis, alpha=alpha, s=s, directions=directions,
-                          b_used=b_measured, certificate=cert)
+                          b_used=b_measured, b_measured=b_measured)
 
 
 def build_cover_for_theta(axis: Subspace, theta: float, s: float,
@@ -267,8 +247,8 @@ def build_cover_for_theta(axis: Subspace, theta: float, s: float,
     if theta <= 0 or theta >= 1:
         raise InputError("theta must lie in (0, 1)")
     cover = build_cover(axis, theta / _B_USED, s, check_samples, seed, net_samples)
-    if cover.certificate.b_measured > _B_USED:
+    if cover.b_measured > _B_USED:
         raise CoverInvalidError(
-            f"measured widening constant {cover.certificate.b_measured:.3f} "
+            f"measured widening constant {cover.b_measured:.3f} "
             f"exceeds {_B_USED}")
     return replace(cover, b_used=_B_USED)

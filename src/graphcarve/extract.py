@@ -32,23 +32,18 @@ class GraphModel:
     theta: float
 
     @property
-    def d(self) -> int:
-        return self.n + self.sample_values.shape[1]
-
-    @property
     def inflated_lipschitz(self) -> float:
         """Lipschitz bound of the coordinatewise midpoint extension."""
         codim = self.sample_values.shape[1]
         return math.sqrt(codim) * self.lipschitz
 
-    def _site_table(self) -> dict:
-        return {row.tobytes(): i for i, row in enumerate(self.sample_base)}
-
 
 def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> GraphModel:
     """Verify the pairwise projection bound and build the sample graph.
 
-    Raises NotAGraphError with a witnessing pair when some pair has
+    Block rows meet only the columns from the block's start on, so each
+    unordered pair is tested once (the test is symmetric); raises
+    NotAGraphError with the first pair, in row order, that has
     |horizontal difference| < theta * |difference|.
     """
     if not 0.0 < theta < 1.0:
@@ -59,14 +54,14 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
     lip = 0.0
     for start in range(0, len(pts), _CHUNK):
         block = pts[start:start + _CHUNK]
-        diff = block[:, None, :] - pts[None, :, :]
+        diff = block[:, None, :] - pts[None, start:, :]
         dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
         horiz = diff[:, :, :n]
         horiz_sq = np.einsum("ijk,ijk->ij", horiz, horiz)
         bad = horiz_sq < theta * theta * dist_sq
         if bad.any():
             a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            i, j = int(idx[start + a]), int(idx[b])
+            i, j = int(idx[start + a]), int(idx[start + b])
             ratio = math.sqrt(horiz_sq[a, b] / dist_sq[a, b]) if dist_sq[a, b] else 0.0
             raise NotAGraphError(
                 f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
@@ -87,9 +82,9 @@ def extend_mcshane(model: GraphModel, queries: np.ndarray) -> np.ndarray:
     """Coordinatewise midpoint extension of the sample map.
 
     For each output coordinate the value is the average of the two extremal
-    Lipschitz extensions, so the result interpolates the samples exactly and
-    is L-Lipschitz per coordinate.  Accepts a single query (n,) or a batch
-    (Q, n); exact sample sites reproduce their stored values bit for bit.
+    Lipschitz extensions, so it is L-Lipschitz per coordinate.  Accepts a
+    query (n,) or a batch (Q, n).  Exact sample sites are looked up first and
+    get their stored values; only the other queries reach the envelopes.
     """
     if len(model.sample_base) == 0:
         raise InputError("cannot extend an empty sample map")
@@ -101,19 +96,18 @@ def extend_mcshane(model: GraphModel, queries: np.ndarray) -> np.ndarray:
     lip = model.lipschitz
     base = model.sample_base
     vals = model.sample_values
+    sites = {row.tobytes(): i for i, row in enumerate(base)}
+    hit = np.array([sites.get(point.tobytes(), -1) for point in q], dtype=np.intp)
     out = np.empty((len(q), vals.shape[1]))
-    for start in range(0, len(q), _CHUNK):
-        block = q[start:start + _CHUNK]
-        diff = block[:, None, :] - base[None, :, :]
+    out[hit >= 0] = vals[hit[hit >= 0]]
+    rest = np.flatnonzero(hit < 0)
+    for start in range(0, len(rest), _CHUNK):
+        rows = rest[start:start + _CHUNK]
+        diff = q[rows][:, None, :] - base[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         upper = (vals[None, :, :] + lip * dist[:, :, None]).min(axis=1)
         lower = (vals[None, :, :] - lip * dist[:, :, None]).max(axis=1)
-        out[start:start + len(block)] = 0.5 * (upper + lower)
-    sites = model._site_table()
-    for row, point in enumerate(q):
-        hit = sites.get(point.tobytes())
-        if hit is not None:
-            out[row] = vals[hit]
+        out[rows] = 0.5 * (upper + lower)
     return out[0] if single else out
 
 

@@ -365,7 +365,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
                     "resolution_dedup_removed_mass": dedup_removed},
         cover_summary={"m": cover.m, "c_cover": cover.c_cover,
                        "b_used": cover.b_used,
-                       "b_measured": cover.certificate.b_measured},
+                       "b_measured": cover.b_measured},
         refinement={
             "directions": [
                 {"initial_count": run.initial_count,

@@ -16,11 +16,13 @@ from graphcarve import cover as cover_module
 from graphcarve.cover import (
     _BLOCK,
     _NET_MARGIN,
+    _covered,
     _greedy_net,
     _region_samples,
 )
 from graphcarve.grassmannian import alpha0_max
 from tests.cones import ConeSpec, cone_mask
+from tests.cover_reference import covered_chunked
 from tests.net_reference import greedy_net_loop
 from tests.sampler_reference import region_samples_reference
 
@@ -35,9 +37,6 @@ class TestBuildCover:
                             net_samples=100_000, seed=0)
         assert cover.m <= 8
         assert cover.b_used <= 3.0
-        assert cover.certificate.inclusion_a_ok
-        assert cover.certificate.inclusion_b_ok
-        assert cover.certificate.inclusion_c_ok
 
     def test_directions_in_region_and_separated(self):
         cover = build_cover(vertical_axis(3), 0.3, 0.5, check_samples=20_000,
@@ -45,17 +44,13 @@ class TestBuildCover:
         perp = cover.directions - cover.directions @ cover.axis.projector().T
         assert np.all(np.linalg.norm(perp, axis=1) <= 0.3 + 1e-12)
         assert np.all(np.abs(np.linalg.norm(cover.directions, axis=1) - 1) < 1e-9)
-        # angular separation above half the net parameter
-        assert cover.certificate.min_net_separation > 0.3 * 0.5 / 2
-
-    def test_min_net_separation_matches_brute_force(self):
-        cover = build_cover(vertical_axis(3), 0.3, 0.5, check_samples=2_000,
-                            net_samples=20_000, seed=4)
+        # The greedy net's guarantee: every pair of directions is more than
+        # the spacing alpha*s*(1 - margin) apart.
         dirs = cover.directions
         assert cover.m > 10
         dist = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
         np.fill_diagonal(dist, np.inf)
-        assert cover.certificate.min_net_separation == pytest.approx(dist.min(), rel=1e-12)
+        assert dist.min() > 0.3 * 0.5 * (1.0 - _NET_MARGIN)
 
     def test_axis_directions_covered(self):
         # A vector on the cone axis lies in the region for every aperture and
@@ -71,7 +66,6 @@ class TestBuildCover:
     def test_s_one_makes_small_and_large_cones_coincide(self):
         cover = build_cover(vertical_axis(2), 0.4, 1.0, check_samples=20_000,
                             net_samples=60_000, seed=3)
-        assert cover.certificate.inclusion_b_ok
         assert cover.s == 1.0
 
     def test_translation_covariance(self, rng):
@@ -123,7 +117,7 @@ class TestCoverForTheta:
                                       check_samples=10_000, net_samples=60_000,
                                       seed=0)
         assert cover.alpha * cover.b_used == pytest.approx(0.05, rel=1e-9)
-        assert cover.certificate.b_measured <= cover.b_used
+        assert cover.b_measured <= cover.b_used
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(2, 4), data=st.data(),
@@ -140,7 +134,7 @@ class TestCoverForTheta:
             # Too few region samples to cover the cone: no cover to measure.
             assert "escape" in str(exc)
             assume(False)
-        assert cover.certificate.b_measured <= 2.0 + 1e-12
+        assert cover.b_measured <= 2.0 + 1e-12
 
     def test_built_once_and_too_wide_caps_rejected(self, monkeypatch):
         calls = []
@@ -266,28 +260,75 @@ class TestGreedyNet:
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
 
+def rim_samples(rng, d, aperture, count=600):
+    """Eight directions a few apertures apart, and samples at angle
+    aperture * (1 + t) from one of them, |t| <= 1e-6, 1e-2 or 0.5: on the rim,
+    just inside and just past it.  cos_small is the dot of the first sample
+    with its direction, so that sample sits on the rim exactly."""
+    dirs = rng.standard_normal(d) + 5.0 * aperture * rng.standard_normal((8, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    owner = dirs[rng.integers(0, 8, count)]
+    g = rng.standard_normal((count, d))
+    g -= np.einsum("ij,ij->i", g, owner)[:, None] * owner
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    angle = aperture * (1.0 + rng.choice([1e-6, 1e-2, 0.5], count)
+                        * rng.uniform(-1.0, 1.0, count))
+    check = np.cos(angle)[:, None] * owner + np.sin(angle)[:, None] * g
+    cos_small = float(np.einsum("ij,ij->i", check[:1], owner[:1])[0])
+    return check, dirs, cos_small
+
+
+def covered_all_pairs(check, dirs, cos_small):
+    """The einsum dot of ``_covered`` on every (sample, direction) pair."""
+    i, j = np.divmod(np.arange(len(check) * len(dirs)), len(dirs))
+    dots = np.einsum("ij,ij->i", check[i], dirs[j]).reshape(len(check), len(dirs))
+    return (dots >= cos_small).any(axis=1)
+
+
+class TestCovered:
+    @given(d=st.sampled_from([2, 3, 4]),
+           aperture=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_all_pairs_reference(self, d, aperture, seed):
+        check, dirs, cos_small = rim_samples(np.random.default_rng(seed), d, aperture)
+        got = _covered(check, dirs, cos_small)
+        assert got[0]
+        assert np.array_equal(got, covered_all_pairs(check, dirs, cos_small))
+
+    def test_the_plain_chord_drops_rim_pairs(self, monkeypatch):
+        # Without the sqrt(r^2 + 64 eps) pad the tree's radius is the chord r
+        # itself, and at aperture 1e-7 it misses samples that the exact dot
+        # counts as covered.
+        check, dirs, cos_small = rim_samples(np.random.default_rng(0), 4, 1e-7)
+        monkeypatch.setattr(cover_module, "_EPS", 0.0)
+        assert not np.array_equal(_covered(check, dirs, cos_small),
+                                  covered_all_pairs(check, dirs, cos_small))
+
+
 class TestCertificateChunks:
     @pytest.mark.parametrize("alpha, s", [(0.3, 0.5), (0.05, 0.25)],
                              ids=["cover", "escapes"])
-    def test_chunk_size_keeps_the_verdict(self, monkeypatch, alpha, s):
-        # One check row per product against the default chunks (a single
-        # product for the 173-direction cover, 18 for the 3,630-direction
-        # net): the same certificate, or the same escape count and witness.
+    def test_matches_the_chunked_loop(self, monkeypatch, alpha, s):
+        # The kd-tree check against the dense chunked product it replaced (a
+        # single product for the 173-direction cover, 18 for the
+        # 3,630-direction net): the same cover, or the same escape count and
+        # witness.
         def outcome():
             try:
-                return build_cover(vertical_axis(3), alpha, s, check_samples=20_000,
-                                   net_samples=100_000, seed=0).certificate
+                cover = build_cover(vertical_axis(3), alpha, s, check_samples=20_000,
+                                    net_samples=100_000, seed=0)
+                return cover.directions.tobytes(), cover.b_measured
             except CoverInvalidError as exc:
                 return str(exc), exc.witness.tobytes()
 
-        default = outcome()
-        monkeypatch.setattr(cover_module, "_CHUNK_ELEMS", 1)
-        assert outcome() == default
+        got = outcome()
+        monkeypatch.setattr(cover_module, "_covered", covered_chunked)
+        assert got == outcome()
 
     def test_products_are_chunked(self, monkeypatch):
         # 2,527 directions x 20,000 check samples would be a 386 MB dense
-        # product; the chunked one stays far under 256 MB.  The net size is
-        # read before the certificate, so the premise is checked whether the
+        # product; the coverage check stays far under 256 MB.  The net size
+        # is read before the check, so the premise is checked whether the
         # call returns a cover or raises.
         sizes = []
 

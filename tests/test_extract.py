@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphcarve import (
     GraphModel,
@@ -13,6 +14,7 @@ from graphcarve import (
     visitation_counts,
 )
 from tests.conftest import line_cloud
+from tests.extract_reference import certify_graph_loop, extend_mcshane_loop
 
 
 def two_point_model():
@@ -148,3 +150,54 @@ class TestContainment:
         model = certify_graph(cloud, theta=0.5)
         report = containment_report(cloud, model)
         assert report.tolerance == pytest.approx(2 * cloud.delta_res)
+
+
+class TestAgainstReference:
+    @given(n=st.integers(1, 2), codim=st.integers(1, 2), sites=st.integers(1, 300),
+           site_queries=st.integers(0, 400), other_queries=st.integers(0, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extend_mcshane_matches_full_envelope(self, n, codim, sites, site_queries,
+                                                  other_queries, seed):
+        # Site queries (repeated ones among them) and off-site queries,
+        # shuffled, and a single 1-D query of each kind: answering the sites
+        # first leaves every row's value bit for bit.
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-1.0, 1.0, (sites, n))
+        model = GraphModel(n=n, sample_base=base,
+                           sample_values=rng.standard_normal((sites, codim)),
+                           lipschitz=float(rng.uniform(0.0, 3.0)), theta=0.3)
+        queries = np.concatenate([base[rng.integers(0, sites, site_queries)],
+                                  rng.uniform(-1.5, 1.5, (other_queries, n))])
+        queries = queries[rng.permutation(len(queries))]
+        for q in (queries, base[sites // 2], rng.uniform(-1.5, 1.5, n)):
+            got, want = extend_mcshane(model, q), extend_mcshane_loop(model, q)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(size=st.integers(513, 800), subset=st.booleans(), theta=st.sampled_from([0.3, 0.5]),
+           planted=st.lists(st.tuples(st.integers(0, 799), st.sampled_from([1, 7, 300, 600])),
+                            max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certify_graph_matches_all_columns(self, size, subset, theta, planted, seed):
+        # A gentle graph over more than two blocks of rows, in the order of
+        # its horizontal coordinate, with steep pairs (a, a + gap) planted
+        # inside blocks (gap 1, 7) and across them (300, 600): the same slope
+        # bits, or the same witness and message.
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 10.0, size))
+        coords = np.column_stack([t, 0.3 * np.sin(t), 0.2 * np.cos(2.0 * t)])
+        for a, gap in planted:
+            a %= size
+            coords[(a + gap) % size] = coords[a] + [1e-4, 0.05, -0.02]
+        cloud = WeightedCloud(coords, np.ones(size), n=1, delta_res=1e-3,
+                              check_separation=False)
+        rows = rng.permutation(size)[:int(rng.integers(513, size + 1))] if subset else None
+
+        def outcome(slope):
+            try:
+                return np.float64(slope(cloud, rows, theta)).tobytes()
+            except NotAGraphError as exc:
+                return exc.witness, str(exc)
+
+        assert (outcome(lambda *args: certify_graph(*args).lipschitz)
+                == outcome(certify_graph_loop))
