@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from graphcarve import (
     CoverInvalidError,
@@ -50,6 +51,20 @@ class TestBuildCover:
         assert cover.m > 10
         dist = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
         np.fill_diagonal(dist, np.inf)
+        assert dist.min() > 0.3 * 0.5 * (1.0 - _NET_MARGIN)
+
+    def test_min_net_separation_matches_brute_force(self):
+        # The closest pair of directions, found by brute force over all
+        # pairs, equals the kd-tree nearest-neighbour minimum and clears the
+        # greedy net's spacing alpha*s*(1 - margin).
+        cover = build_cover(vertical_axis(3), 0.3, 0.5, check_samples=2_000,
+                            net_samples=20_000, seed=4)
+        dirs = cover.directions
+        assert cover.m > 10
+        dist = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        nearest, _ = cKDTree(dirs).query(dirs, k=2)
+        assert nearest[:, 1].min() == pytest.approx(dist.min(), rel=1e-12)
         assert dist.min() > 0.3 * 0.5 * (1.0 - _NET_MARGIN)
 
     def test_axis_directions_covered(self):
