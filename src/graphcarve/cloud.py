@@ -76,15 +76,26 @@ class GridIndex:
         self.cell = float(cell)
         self._tree = cKDTree(coords)
         self._scale = float(np.abs(coords).max()) if len(coords) else 0.0
+        if len(coords):
+            self._box = (coords.min(axis=0), coords.max(axis=0))
 
     def ball(self, center: np.ndarray, radius: float, strict: bool = False) -> np.ndarray:
-        """Sorted indices of points with |x - center| <= radius (< if strict)."""
+        """Sorted indices of points with |x - center| <= radius (< if strict).
+
+        When the padded radius reaches the far corner of the points' bounding
+        box, every point is a candidate and the tree is skipped: its list of
+        indices would cost more to build and convert than the scan."""
         if len(self.coords) == 0 or radius < 0:
             return np.empty(0, dtype=np.intp)
         center = np.asarray(center, dtype=float)
         reach = _reach(radius, max(self._scale, float(np.abs(center).max())))
-        cand = np.asarray(self._tree.query_ball_point(center, reach, return_sorted=True),
-                          dtype=np.intp)
+        lo, hi = self._box
+        far = np.maximum(center - lo, hi - center)
+        if far @ far <= reach * reach:
+            cand = np.arange(len(self.coords), dtype=np.intp)
+        else:
+            found = self._tree.query_ball_point(center, reach, return_sorted=True)
+            cand = np.fromiter(found, dtype=np.intp, count=len(found))
         delta = self.coords[cand] - center
         dist_sq = np.einsum("ij,ij->i", delta, delta)
         r_sq = radius * radius

@@ -12,9 +12,10 @@ radii a summed-area table over a grid of side r/4 (Crow, SIGGRAPH 1984),
 at fine radii the exact closed-ball sums over kd-tree pairs.  Entries whose
 bounds clear the threshold by the rounding margin are decided there; only
 the rows left open go through ``ball_masses``, so the light set is the one
-the dense table gives.  ``refine_once`` keeps the dense table for its
-bad-point test: its calls are many and small, and building the grids and
-querying the pairs for each of them costs about as much as the dense pass.
+the dense table gives.  A caller that already holds the dense table of the
+whole cloud hands it to the first sweep (``_prune``).  ``refine_once``
+decides its bad points the same way, from one dense table per pass that it
+updates as points leave (``refine._DenseRows``).
 """
 
 from __future__ import annotations
@@ -202,6 +203,15 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
     rows share the call, so the kept set and the sweep count equal those of
     the dense table.
     """
+    return _prune(cloud, epsilon, scale_range)
+
+
+def _prune(cloud: WeightedCloud, epsilon: float, scale_range: ScaleRange | None,
+           table: np.ndarray | None = None) -> PruneResult:
+    """``prune_low_density``, whose first sweep reads ``table`` when given: the
+    dense ``ball_masses`` table of the whole cloud at the radii the prune
+    scans (those <= 1, or all when none is), which is the first sweep's
+    answer.  The sweep count is the same either way."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     if scale_range is None:
@@ -224,14 +234,18 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
         idx = np.nonzero(alive)[0]
         if len(idx) == 0:
             break
-        lower, upper = _mass_bounds(cloud, alive, radii, fine, pairs)
-        light = (upper + margin <= thresholds).any(axis=1)
-        heavy = lower - margin > thresholds
-        open_rows = np.nonzero(~light & ~heavy.all(axis=1))[0]
-        if len(open_rows):
-            cols = ~heavy[open_rows].all(axis=0)
-            table = ball_masses(cloud, radii[cols], idx[open_rows], idx)
-            light[open_rows] = (table <= thresholds[cols]).any(axis=1)
+        if table is not None:
+            light = (table <= thresholds).any(axis=1)
+            table = None
+        else:
+            lower, upper = _mass_bounds(cloud, alive, radii, fine, pairs)
+            light = (upper + margin <= thresholds).any(axis=1)
+            heavy = lower - margin > thresholds
+            open_rows = np.nonzero(~light & ~heavy.all(axis=1))[0]
+            if len(open_rows):
+                cols = ~heavy[open_rows].all(axis=0)
+                masses = ball_masses(cloud, radii[cols], idx[open_rows], idx)
+                light[open_rows] = (masses <= thresholds[cols]).any(axis=1)
         sweeps += 1
         if not light.any():
             break

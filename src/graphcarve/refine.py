@@ -13,6 +13,11 @@ comparisons.  A pass lives inside the set F it refines: it runs on F's
 subcloud, in its positions, and maps them back to cloud indices only in its
 outcome and ledger.
 
+The bad-point test reads one dense ball-mass table per pass (``_DenseRows``):
+the exactly-M set only loses points between iterations, so the table is
+updated by the mass of the points that leave, and only the rows that land
+within rounding of the threshold are recomputed exactly.
+
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point is banked, the open cone shadows of
 its neighborhood are deleted, and two stopping rules bound how long this can
@@ -37,7 +42,7 @@ from .errors import (
     RefinementCollapsedError,
     ResolutionExhaustedError,
 )
-from .measure import ball_masses, prune_low_density
+from .measure import _EPS, _prune, ball_masses, prune_low_density
 from .shells import ShellTable, cone_shells
 
 _ALPHA_MAX = 0.1
@@ -126,9 +131,8 @@ def _auto_epsilon(cloud: WeightedCloud, scale_range: ScaleRange) -> float:
     cannot run away.
     """
     radii = scale_range.radii
-    radii = radii[radii <= 1.0 + 1e-12]
-    if not len(radii):
-        radii = scale_range.radii[-1:]
+    unit = radii[radii <= 1.0 + 1e-12]
+    radii = unit if len(unit) else radii[-1:]
     table = ball_masses(cloud, radii)
     ratios = (table / radii[None, :] ** cloud.n).min(axis=1)
     mass = cloud.mass()
@@ -143,12 +147,70 @@ def _auto_epsilon(cloud: WeightedCloud, scale_range: ScaleRange) -> float:
     else:
         eps_star = 0.5 * (float(sorted_ratios[k - 1]) + float(sorted_ratios[k]))
     eps_star = max(eps_star, 1e-12)
-    probe = prune_low_density(cloud, eps_star, scale_range)
+    if len(unit):  # the probe prune scans the same radii: the table is its first sweep
+        probe = _prune(cloud, eps_star, scale_range, table)
+    else:
+        probe = prune_low_density(cloud, eps_star, scale_range)
     k_prune = probe.removed_mass / eps_star
     if k_prune <= 0:
         return eps_star
     eps = mass / (4.0 * k_prune)
     return float(np.clip(eps, eps_star / 4.0, eps_star * 4.0))
+
+
+class _DenseRows:
+    """The bad-point test of one pass: the points of the exactly-M set F whose
+    mass within F is at least epsilon * r^n at every radius r.
+
+    The first call tables ``ball_masses`` of F over itself.  F only loses
+    points during a pass (counts only fall as points are deleted), so each
+    later call subtracts from the surviving rows the mass of the points that
+    left since the last call, read off one |F| x |departed| ``ball_masses``
+    block, which makes the same squared-distance test.  A point that joins F
+    raises ``AlgorithmInvariantViolation``: the table would miss its mass.
+    A row is dense when est - margin >= epsilon * r^n at every radius and
+    not dense when est + margin < epsilon * r^n at some radius; the rows in
+    between go through ``ball_masses`` against the current F, whose rows do
+    not depend on the block they share, so the bad set is the dense table's
+    bit for bit.
+
+    The margin is twice the largest gap between a running mass and the dense
+    one.  With N the subcloud's size, M its mass and eps the float64 machine
+    epsilon, every sum here has nonnegative terms that add up to at most M:
+    the first table errs by at most N eps M, the update blocks (at most N
+    departed points in a pass) by N eps M together, the subtractions (at
+    most N calls after the first) by N eps M, and the dense reference by
+    N eps M.  So margin = 2 * 4 N eps M.
+    """
+
+    def __init__(self, sub: WeightedCloud, radii: np.ndarray, epsilon: float):
+        self.sub = sub
+        self.radii = radii
+        self.thresholds = epsilon * radii ** sub.n
+        self.margin = 8.0 * len(sub) * _EPS * sub.mass()
+        self.masses = np.zeros((len(sub), len(radii)))
+        self.carrier: np.ndarray | None = None
+
+    def bad(self, exactly_m: np.ndarray) -> np.ndarray:
+        """Positions of the dense points of the exactly-M mask, ascending."""
+        f_km = np.flatnonzero(exactly_m)
+        if self.carrier is None:
+            self.masses[f_km] = ball_masses(self.sub, self.radii, f_km, f_km)
+        else:
+            if (exactly_m & ~self.carrier).any():
+                raise AlgorithmInvariantViolation(
+                    "a point joined the exactly-M set during a pass")
+            departed = np.flatnonzero(self.carrier & ~exactly_m)
+            if len(departed):
+                self.masses[f_km] -= ball_masses(self.sub, self.radii, f_km, departed)
+        self.carrier = exactly_m.copy()
+        est = self.masses[f_km]
+        dense = (est - self.margin >= self.thresholds).all(axis=1)
+        open_rows = np.flatnonzero(~dense & (est + self.margin >= self.thresholds).all(axis=1))
+        if len(open_rows):
+            exact = ball_masses(self.sub, self.radii, f_km[open_rows], f_km)
+            dense[open_rows] = (exact >= self.thresholds).all(axis=1)
+        return f_km[dense]
 
 
 def _shadow_annulus(j_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +280,8 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     rng = np.random.default_rng(cfg.seed)
     shells = ShellTable(sub, sub.all_indices(), alpha / 2.0, scale_range, w)
     delta_n = sub.delta_res ** sub.n
-    bad_radii = np.unique(np.concatenate([
-        scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]]))
+    dense_rows = _DenseRows(sub, np.unique(np.concatenate([
+        scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]])), epsilon)
 
     mass_total = sub.mass()
     alive = np.ones(len(sub), dtype=bool)
@@ -244,14 +306,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             raise AlgorithmInvariantViolation(
                 "visit counts exceeded M on a surviving point")
         exactly_m = alive & (counts == big_m)
-        f_km = np.flatnonzero(exactly_m)
-
-        bad = np.empty(0, dtype=np.intp)
-        if len(f_km):
-            table = ball_masses(sub, bad_radii, f_km, f_km)
-            dense = (table >= epsilon * bad_radii[None, :] ** sub.n).all(axis=1)
-            bad = f_km[dense]
-
+        bad = dense_rows.bad(exactly_m)
         if len(bad) == 0:
             status = "stopped_2"
             keep_mask = alive & ~exactly_m

@@ -138,6 +138,49 @@ class TestGridIndex:
                 assert np.array_equal(cloud.grid.ball(center, radius, strict=True),
                                       np.nonzero(dist_sq < r_sq)[0])
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_radius_that_spans_the_cloud_skips_the_tree(self, offset):
+        # Seen from point 0, the far corner (3, 4)h of the bounding box is
+        # point 1, at distance exactly 5h: at radius 5h the padded reach
+        # covers the box, so no tree query is made, and the closed ball holds
+        # the corner point while the strict one drops it.
+        h = 2.0 ** -6
+        coords = offset + h * np.array([[0, 0], [3, 4], [1, 1], [2, 3], [3, 0], [0, 4]],
+                                       dtype=float)
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=h)
+
+        class NoTree:
+            def query_ball_point(self, *args, **kwargs):
+                raise AssertionError("the tree was queried")
+
+        cloud.grid._tree = NoTree()
+        assert np.array_equal(cloud.grid.ball(coords[0], 5 * h), [0, 1, 2, 3, 4, 5])
+        assert np.array_equal(cloud.grid.ball(coords[0], 5 * h, strict=True),
+                              [0, 2, 3, 4, 5])
+        assert np.array_equal(cloud.grid.ball(coords[2], 8 * h, strict=True),
+                              np.arange(6))
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 1e3]))
+    def test_radii_around_the_cloud_span(self, seed, offset):
+        # Radii from a point's own distance to well past the far corner of
+        # the bounding box, so both the tree and the full candidate set are
+        # used, with boundary points in both.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 4))
+        coords = offset + rng.uniform(-1, 1, (int(rng.integers(2, 80)), d))
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6)
+        center = coords[int(rng.integers(len(coords)))]
+        delta = coords - center
+        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        far = np.maximum(center - coords.min(axis=0), coords.max(axis=0) - center)
+        for radius in [*np.sqrt(rng.choice(dist_sq, 3)), float(np.sqrt(far @ far)),
+                       float(np.sqrt(dist_sq.max())), 3.0 * d]:
+            r_sq = radius * radius
+            assert np.array_equal(cloud.grid.ball(center, radius),
+                                  np.nonzero(dist_sq <= r_sq)[0])
+            assert np.array_equal(cloud.grid.ball(center, radius, strict=True),
+                                  np.nonzero(dist_sq < r_sq)[0])
+
     @given(st.integers(0, 10_000), st.sampled_from([0.0, 1e3]))
     def test_close_pairs_match_brute_force(self, seed, offset):
         rng = np.random.default_rng(seed)

@@ -16,7 +16,13 @@ from graphcarve import (
     prune_low_density,
     pushforward_density,
 )
-from graphcarve.measure import _CELLS_PER_POINT, _mass_bounds, _unique_rows, ball_masses
+from graphcarve.measure import (
+    _CELLS_PER_POINT,
+    _mass_bounds,
+    _prune,
+    _unique_rows,
+    ball_masses,
+)
 from tests.conftest import line_cloud
 from tests.prune_reference import prune_dense, prune_radii
 
@@ -200,6 +206,18 @@ class TestPruneBounds:
         assert (cells <= _CELLS_PER_POINT * len(cloud)).any()
         for factor in (0.2, 0.5, 1.0, 2.0):
             prune_matches_dense(cloud, factor * cloud.mass())
+
+    @pytest.mark.parametrize("factor", [0.05, 0.2, 0.5, 1.0])
+    def test_first_sweep_from_a_handed_table(self, factor):
+        # The dense table of the whole cloud decides the first sweep; the
+        # later sweeps bound the survivors as before.
+        cloud = line_cloud(200, 0.005, extra=[[0.3, 0.7], [0.31, 0.7], [0.9, 0.05]])
+        epsilon = factor * cloud.mass()
+        got = _prune(cloud, epsilon, None, ball_masses(cloud, prune_radii(cloud)))
+        want = prune_low_density(cloud, epsilon)
+        assert np.array_equal(got.kept_indices, want.kept_indices)
+        assert np.array_equal(got.removed_indices, want.removed_indices)
+        assert (got.removed_mass, got.sweeps) == (want.removed_mass, want.sweeps)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_epsilon_at_a_non_dyadic_mass(self, seed):

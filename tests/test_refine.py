@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcarve import (
     AlgorithmInvariantViolation,
@@ -15,14 +16,24 @@ from graphcarve import (
     WeightedCloud,
     build_cover_for_theta,
     lipschitz_graph,
+    prune_low_density,
     refine_once,
     refine_schedule,
+    union_of_graphs,
     visitation_counts,
 )
 from graphcarve import audit
 from graphcarve import refine as refine_module
-from graphcarve.refine import RefineConfig, _closed_shadow_contains, _open_shadow
+from graphcarve.measure import ball_masses
+from graphcarve.pipeline import normalize_to_unit_ball
+from graphcarve.refine import (
+    RefineConfig,
+    _closed_shadow_contains,
+    _DenseRows,
+    _open_shadow,
+)
 from graphcarve.shells import ShellTable
+from tests.bad_points_reference import dense_bad
 from tests.visit_rows import assert_rows_match_oracle
 
 UP = np.array([0.0, 1.0])
@@ -203,6 +214,109 @@ class TestRefineOnce:
         monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
             refine_once(cloud, entry, RefineConfig(oracle=oracle))
+
+
+class TestDenseRows:
+    """The pass's bad-point test, kept across iterations, against the dense
+    table of every iteration."""
+
+    RADII = np.array([0.125, 0.25, 0.5, 1.0])
+
+    @settings(max_examples=200)
+    @given(data=st.data(), offset=st.sampled_from([0.0, 1e3]))
+    def test_matches_the_dense_test_on_shrinking_carriers(self, data, offset):
+        # Points of a dyadic lattice sit exactly at the radii from each other,
+        # and weights 1, 1/2 and 2^-52..2^-54 make the sums round, so the
+        # running masses and the dense ones differ in their last bits.
+        # Epsilon puts one row of a later carrier exactly on the threshold at
+        # its lowest density ratio: only the margin and the exact recount of
+        # the rows within it decide that row as the dense table does.
+        k = data.draw(st.integers(2, 40))
+        cells = data.draw(st.lists(st.integers(0, 63), min_size=k, max_size=k, unique=True))
+        coords = offset + np.array(np.unravel_index(cells, (8, 8)), dtype=float).T / 8.0
+        weights = 2.0 ** -np.array(data.draw(st.lists(st.sampled_from([0, 1, 52, 53, 54]),
+                                                       min_size=k, max_size=k)), dtype=float)
+        sub = WeightedCloud(coords, weights, n=1, delta_res=0.125)
+        masks = [np.ones(k, dtype=bool)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            mask = masks[-1].copy()
+            mask[data.draw(st.lists(st.integers(0, k - 1), max_size=4))] = False
+            masks.append(mask)
+        f_km = np.flatnonzero(masks[data.draw(st.integers(1, len(masks) - 1))])
+        if len(f_km):
+            row = f_km[data.draw(st.integers(0, len(f_km) - 1))]
+            epsilon = (ball_masses(sub, self.RADII, [row], f_km)[0] / self.RADII).min()
+        else:
+            epsilon = data.draw(st.sampled_from([2.0 ** -60, 2.0 ** -3, 1.0]))
+        rows = _DenseRows(sub, self.RADII, epsilon)
+        for mask in masks:
+            assert np.array_equal(rows.bad(mask), dense_bad(sub, self.RADII, epsilon, mask))
+
+    def test_a_point_joining_the_carrier_is_a_bug(self):
+        cloud = flat_base_with_stack(n_base=20)
+        rows = _DenseRows(cloud, self.RADII, 1.0)
+        first = np.arange(len(cloud)) % 2 == 0
+        rows.bad(first)
+        with pytest.raises(AlgorithmInvariantViolation, match="joined the exactly-M"):
+            rows.bad(first | (np.arange(len(cloud)) == 1))
+
+    def test_a_planted_exactly_m_row_stops_the_pass(self, monkeypatch):
+        # From the second recount on, base point 0 (count 0, far from the
+        # stack over x = 1) reports M visits: it joins the exactly-M set after
+        # the set was first tabled, which the pass refuses.
+        class Planted(ShellTable):
+            calls = 0
+
+            def counts(self, alive):
+                Planted.calls += 1
+                got = super().counts(alive)
+                if Planted.calls > 1:
+                    got = got.copy()
+                    got[0] = 1
+                return got
+
+        cloud = flat_base_with_stack(stack=((1.0, 1.77),))
+        entry = entry_report(cloud)
+        assert entry.max_count == 1 and entry.counts[0] == 0
+        monkeypatch.setattr(refine_module, "ShellTable", Planted)
+        with pytest.raises(AlgorithmInvariantViolation, match="joined the exactly-M"):
+            refine_once(cloud, entry, RefineConfig(epsilon=1.0))
+        assert Planted.calls > 2
+
+
+class TestAutoEpsilonProbe:
+    """``_auto_epsilon`` hands its dense table to the probe prune's first sweep
+    when both scan the same radii."""
+
+    @pytest.mark.parametrize("make, scale_range, handed", [
+        (lambda: flat_base_with_stack(stack=((1.0, 1.77),)), None, True),
+        (lambda: normalize_to_unit_ball(union_of_graphs(n_points=300, seed=2))[0],
+         None, True),
+        (lambda: lipschitz_graph(200, 0.3, seed=1), None, True),
+        # No radius <= 1: the epsilon probe scans only the finest radius, the
+        # prune every radius, so no table is handed over.
+        (lambda: lipschitz_graph(200, 0.3, seed=1), ScaleRange(-3, -1), False),
+    ], ids=["stack", "union", "graph", "no_unit_radius"])
+    def test_same_prune_with_and_without_the_table(self, monkeypatch, make,
+                                                   scale_range, handed):
+        cloud = make()
+        scale_range = scale_range or ScaleRange.default_for(cloud)
+        probes = []
+        real = refine_module._prune
+
+        def spy(cloud, epsilon, scale_range, table=None):
+            got = real(cloud, epsilon, scale_range, table)
+            probes.append((table, got, prune_low_density(cloud, epsilon, scale_range)))
+            return got
+
+        monkeypatch.setattr(refine_module, "_prune", spy)
+        monkeypatch.setattr(refine_module, "prune_low_density", spy)
+        refine_module._auto_epsilon(cloud, scale_range)
+        (table, got, want), = probes
+        assert (table is not None) == handed
+        assert np.array_equal(got.kept_indices, want.kept_indices)
+        assert got.removed_mass == want.removed_mass
+        assert got.sweeps == want.sweeps
 
 
 def two_stacks_cloud():
