@@ -17,6 +17,11 @@ The net and the check of (a) both ask a kd-tree (Bentley 1975) for the
 candidate pairs within a padded radius and settle them with the exact test,
 so their work grows with the net size instead of with net size x samples,
 and their output equals the dense scan's.
+
+The net's candidates are Gaussian images of the unscrambled Sobol' sequence,
+generated here in Gray-code order (Antonov & Saleev, USSR Comput. Math. Math.
+Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
+30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .cloud import _EPS, _reach
 from .errors import CoverInvalidError, InputError
@@ -40,6 +44,73 @@ _BLOCK = 4096
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
 _B_USED = 2.5
+
+# Joe & Kuo's (2008) primitive polynomials and initial direction numbers m_k
+# for Sobol' dimensions 2..21, the polynomial's bits from x^deg down to 1.
+# Dimension 1 has every m_k = 1.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+)
+_SOBOL_BITS = 30
+_SOBOL_MAX_D = 1 + len(_JOE_KUO)
+
+
+def _direction_numbers() -> np.ndarray:
+    """(bits, _SOBOL_MAX_D) table: row k holds v_k = m_k 2^(bits-1-k) per dimension.
+
+    Past the initial values, m_k = m_(k-deg) ^ XOR_(j=1..deg) a_j 2^j m_(k-j),
+    with a_j bit deg-j of the polynomial (Bratley & Fox, ACM TOMS 14(1), 1988).
+    """
+    columns = [[1] * _SOBOL_BITS]
+    for poly, initial in _JOE_KUO:
+        deg = poly.bit_length() - 1
+        m = list(initial)
+        for k in range(deg, _SOBOL_BITS):
+            new = m[k - deg]
+            for j in range(1, deg + 1):
+                if poly >> (deg - j) & 1:
+                    new ^= m[k - j] << j
+            m.append(new)
+        columns.append(m)
+    shifts = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    return np.array(columns, dtype=np.uint32).T << shifts[:, None]
+
+
+_SOBOL_V = _direction_numbers()
+
+
+def _sobol(d: int, start: int, n: int) -> np.ndarray:
+    """Points start .. start + n - 1 of the unscrambled Sobol' sequence in [0, 1)^d.
+
+    Point i is the XOR of the v_k over the set bits k of gray(i) = i ^ (i >> 1)
+    (Antonov & Saleev 1979), scaled by 2^-bits.  The block [0, 2^q) is built
+    by reflection, x[2^k + i] = x[2^k - 1 - i] ^ v_k.  With n = 2^q and start
+    a multiple of n, gray(start + b) = gray(start) ^ gray(b) for b < n, so the
+    block is x[b] ^ x[start]: a later block needs only its start index.
+    """
+    assert n & (n - 1) == 0 and start % n == 0
+    v = _SOBOL_V[:, :d]
+    # One contiguous row per dimension: the reflection then runs along rows.
+    x = np.zeros((d, n), dtype=np.uint32)
+    half = 1
+    while half < n:
+        np.bitwise_xor(x[:, half - 1::-1], v[half.bit_length() - 1, :, None],
+                       out=x[:, half:2 * half])
+        half *= 2
+    gray = start ^ (start >> 1)
+    offset = np.zeros(d, dtype=np.uint32)
+    for k in range(gray.bit_length()):
+        if gray >> k & 1:
+            offset ^= v[k]
+    x ^= offset[:, None]
+    return np.multiply(x.T, 2.0 ** -_SOBOL_BITS, out=np.empty((n, d)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +155,9 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
     """
     d = axis.d
     proj = axis.projector()
-    sobol = None if rng is not None else qmc.Sobol(d=d, scramble=False)
+    # Batch sizes never grow, so each Sobol' batch starts at a multiple of its
+    # size and continues the sequence from ``drawn`` alone.
+    drawn = 0
     out = []
     kept = 0
     while kept < count:
@@ -92,7 +165,8 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
         if rng is not None:
             g = rng.standard_normal((batch, d))
         else:
-            g = sobol.random(batch)
+            g = _sobol(d, drawn, batch)
+            drawn += batch
             np.clip(g, 1e-12, 1.0 - 1e-12, out=g)
             ndtri(g, out=g)
         # The batch is large, so every step writes into an array it already
@@ -196,6 +270,13 @@ def build_cover(axis: Subspace, alpha: float, s: float,
         raise InputError("alpha must lie in (0, 1)")
     if not 0.0 < s <= 1.0:
         raise InputError("s must lie in (0, 1]")
+    for name, count in (("check_samples", check_samples), ("net_samples", net_samples)):
+        if count < 1:
+            raise InputError(f"{name} must be at least 1, got {count}")
+    if axis.d > _SOBOL_MAX_D:
+        raise CoverInvalidError(
+            f"the direction cover's Sobol' net supports d <= {_SOBOL_MAX_D}, "
+            f"got d = {axis.d}")
     # Net spacing sits under alpha*s so directions between the finite sample
     # points still land inside some small cone; the membership test itself
     # uses the exact aperture.

@@ -173,6 +173,24 @@ class TestCoverCommand:
         assert data["schema"] == "graphcarve/1"
         assert len(data["directions"]) >= 2
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--check-samples", "0", "check_samples"),
+        ("--net-samples", "0", "net_samples"),
+        ("--net-samples", "-5", "net_samples"),
+    ])
+    def test_sample_count_below_one_exits_2(self, tmp_path, flag, value, named, capsys):
+        code = run(["cover", "--d", "2", "--n", "1", "--alpha", "0.3", "--s", "0.5",
+                    flag, value, "--output", tmp_path / "cover.json"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "cover.json").exists()
+
+    def test_dimension_above_the_sobol_table_exits_3(self, tmp_path, capsys):
+        code = run(["cover", "--d", "22", "--n", "1", "--alpha", "0.3", "--s", "1",
+                    "--output", tmp_path / "cover.json"])
+        assert code == 3
+        assert "d <= 21" in capsys.readouterr().err
+
 
 class TestRefineCommand:
     def test_refine_flat_cloud_trivial(self, tmp_path, capsys):
@@ -289,6 +307,19 @@ class TestPipelineCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert named in err and f"{cfg}:2:" in err
+
+    @pytest.mark.parametrize("line, named", [
+        ("cover_net_samples = 0", "net_samples"),
+        ("cover_check_samples = -5", "check_samples"),
+    ])
+    def test_config_sample_count_below_one_exits_2(self, cloud_file, tmp_path, line,
+                                                   named, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{line}\n")
+        code = run(["pipeline", "--input", cloud_file, "--config", cfg,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_stage_collapse_exits_3(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
+from scipy.stats import qmc
 
 from graphcarve import (
     CoverInvalidError,
@@ -17,9 +18,11 @@ from graphcarve import cover as cover_module
 from graphcarve.cover import (
     _BLOCK,
     _NET_MARGIN,
+    _SOBOL_MAX_D,
     _covered,
     _greedy_net,
     _region_samples,
+    _sobol,
 )
 from graphcarve.grassmannian import alpha0_max
 from tests.cones import ConeSpec, cone_mask
@@ -114,6 +117,20 @@ class TestBuildCover:
             build_cover(vertical_axis(2), 1.2, 0.5)
         with pytest.raises(InputError):
             build_cover(vertical_axis(2), 0.3, 0.0)
+        for kwargs in ({"check_samples": 0}, {"net_samples": 0}, {"net_samples": -5}):
+            with pytest.raises(InputError, match=next(iter(kwargs))):
+                build_cover(vertical_axis(2), 0.3, 0.5, **kwargs)
+
+    @pytest.mark.parametrize("d", [22, 40])
+    def test_dimension_above_the_sobol_table_fails_at_once(self, d, monkeypatch):
+        def no_samples(*args, **kwargs):
+            raise AssertionError("no sample may be drawn")
+
+        monkeypatch.setattr(cover_module, "_region_samples", no_samples)
+        with pytest.raises(CoverInvalidError, match="d <= 21"):
+            build_cover(vertical_axis(d), 0.1, 1.0)
+        with pytest.raises(CoverInvalidError, match="d <= 21"):
+            build_cover_for_theta(vertical_axis(d), 0.3, 1.0)
 
     def test_json_round_trip(self):
         cover = build_cover(vertical_axis(2), 0.25, 0.5, check_samples=5_000,
@@ -189,6 +206,35 @@ class TestCoverForTheta:
         got = _region_samples(axis, alpha, 3000, rng=np.random.default_rng(5))
         want = region_samples_reference(axis, alpha, 3000, rng=np.random.default_rng(5))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, n, alpha", [(4, 3, 0.05), (5, 4, 0.3)])
+    def test_region_sampler_matches_reference_across_batches(self, d, n, alpha,
+                                                             monkeypatch):
+        # A one-dimensional axis keeps few proposals, so the sampler draws
+        # several batches of falling size, each continuing the sequence.
+        starts = []
+
+        def spy(dim, start, size):
+            starts.append(start)
+            return _sobol(dim, start, size)
+
+        monkeypatch.setattr(cover_module, "_sobol", spy)
+        axis = Subspace.vertical_axis(d, n)
+        assert np.array_equal(_region_samples(axis, alpha, 30_000),
+                              region_samples_reference(axis, alpha, 30_000))
+        assert len(starts) >= 3
+
+    @pytest.mark.parametrize("d", range(1, _SOBOL_MAX_D + 1))
+    def test_sobol_matches_scipy(self, d):
+        # Successive blocks of falling power-of-two size continue the sequence
+        # from their start index alone.
+        reference = qmc.Sobol(d=d, scramble=False)
+        start = 0
+        for n in (2**12, 2**10, 2**10, 2**7):
+            got = _sobol(d, start, n)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, reference.random(n))
+            start += n
 
     def test_region_sampler_memory(self):
         # 200,000 samples draw one batch of 2^19 proposals, 12.6 MB per

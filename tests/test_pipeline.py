@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphcarve
 from graphcarve import (
     InputError,
     PipelineConfig,
@@ -343,3 +347,21 @@ class TestPlots:
         assert (tmp_path / "out" / "cloud_e1.json").exists()
         assert (tmp_path / "out" / "cover.json").exists()
         assert files
+
+
+class TestImportFootprint:
+    def test_no_run_loads_scipy_stats(self):
+        # A fresh interpreter, so modules the test session loaded do not count;
+        # the full run also catches an import made lazily inside a stage.
+        script = (
+            "import sys, graphcarve, graphcarve.cli\n"
+            "report = graphcarve.run_pipeline(graphcarve.lipschitz_graph(120, 0.2, seed=1))\n"
+            "assert report.cover_summary['m'] > 0\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        )
+        src = str(Path(graphcarve.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
