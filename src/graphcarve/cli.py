@@ -192,8 +192,7 @@ def cmd_pipeline(args) -> int:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.oracle:
-        cfg.oracle = True
+    cfg.oracle |= args.oracle
     report = run_pipeline(cloud, cfg)
     outdir = _outdir(args)
     report.save(outdir)
@@ -279,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if oracle:
             p.add_argument("--oracle", action="store_true",
-                           help="brute-force (no kd-tree) visit counts, for the "
-                                "refinement certificates too")
+                           help="every visit table takes all pairs as candidates "
+                                "in place of the kd-tree search, the refinement "
+                                "loop's tables included")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("generate", help="emit a synthetic cloud")

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from .cloud import WeightedCloud, _reach
 from .errors import InputError
 
-SCHEMA = "graphcarve/1"
+SCHEMA = "graphcarve/1"  # every JSON file the package writes
 
 
 def estimate_delta_res(coords: np.ndarray) -> float:
@@ -46,12 +46,18 @@ def load_cloud_csv(path, n: int, delta_res: float | None = None) -> WeightedClou
         if not header or header[-1] != "weight" or not header[0].startswith("x"):
             raise InputError(f"{path}: expected header x1,...,xd,weight")
         d = len(header) - 1
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != d + 1:
+                raise InputError(f"{path}: row {reader.line_num} has {len(row)} cells, "
+                                 f"the header {d + 1}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     data = np.asarray(rows)
-    if data.shape[1] != d + 1:
-        raise InputError(f"{path}: row width does not match header")
     coords, weights = data[:, :d], data[:, d]
     if delta_res is None:
         delta_res = estimate_delta_res(coords)
@@ -72,15 +78,28 @@ def save_cloud_json(cloud: WeightedCloud, path) -> None:
 
 def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Coordinates, weights, n and delta_res of a JSON cloud file."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
     for key in ("d", "n", "delta_res", "points"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise InputError(f"{path}: missing field {key!r}")
-    coords = np.asarray([p["x"] for p in data["points"]], dtype=float)
-    weights = np.asarray([p["w"] for p in data["points"]], dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != data["d"]:
-        raise InputError(f"{path}: point dimensions do not match d")
-    return coords, weights, int(data["n"]), float(data["delta_res"])
+    if not isinstance(data["points"], list) or not data["points"]:
+        raise InputError(f"{path}: 'points' must be a non-empty list")
+    coords, weights = [], []
+    for i, point in enumerate(data["points"]):
+        if not isinstance(point, dict) or not {"x", "w"} <= point.keys():
+            raise InputError(f"{path}: point {i} needs the fields 'x' and 'w'")
+        try:
+            coords.append(np.asarray(point["x"], dtype=float))
+            weights.append(float(point["w"]))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: point {i}: {exc}") from None
+        if coords[-1].shape != (data["d"],):
+            raise InputError(f"{path}: point {i} has shape {coords[-1].shape}, "
+                             f"not d = {data['d']} coordinates")
+    return np.array(coords), np.array(weights), int(data["n"]), float(data["delta_res"])
 
 
 def load_cloud_json(path) -> WeightedCloud:

@@ -35,6 +35,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from .cloud import _EPS, _reach
+from .cloud_io import SCHEMA
 from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
 
@@ -134,7 +135,7 @@ class DirectionCover:
 
     def to_json(self) -> str:
         payload = {
-            "schema": "graphcarve/1",
+            "schema": SCHEMA,
             "axis_frame": self.axis.frame.tolist(),
             "alpha": self.alpha,
             "s": self.s,

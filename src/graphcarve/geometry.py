@@ -24,8 +24,6 @@ def _orthonormalize(vectors: np.ndarray) -> np.ndarray:
     frame stable under small perturbations of the input ordering.
     """
     work = np.array(vectors, dtype=float)
-    if work.ndim != 2:
-        raise InputError("expected a d x k array of column vectors")
     d, k = work.shape
     scale = float(np.max(np.linalg.norm(work, axis=0), initial=0.0))
     if scale == 0.0:
@@ -65,10 +63,13 @@ class Subspace:
     __slots__ = ("frame",)
 
     def __init__(self, vectors: np.ndarray):
-        frame = _orthonormalize(np.asarray(vectors, dtype=float))
-        d, k = frame.shape
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2:
+            raise InputError("expected a d x k array of column vectors")
+        d, k = vectors.shape
         if not 1 <= k < d:
             raise InputError(f"subspace dimension must satisfy 1 <= k < d, got k={k}, d={d}")
+        frame = _orthonormalize(vectors)
         gram = frame.T @ frame
         if np.max(np.abs(gram - np.eye(k))) > FRAME_TOL:
             raise DegenerateFrameError("orthonormalization did not converge")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cloud import ScaleRange, WeightedCloud, _reach
 from .errors import InputError
-from .geometry import Subspace
+from .geometry import Subspace, grassmann_distance
 from .grassmannian import GrassmannSampler
 
 _CHUNK = 512
@@ -355,8 +355,7 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
     for i, frame in enumerate(frames):
         v_sub = Subspace(frame)
         values[i] = pushforward_density(cloud, v_sub, bin_width).l2_sq
-        diff = v_sub.projector() - center.projector()
-        dists[i] = float(np.linalg.svd(diff, compute_uv=False)[0])
+        dists[i] = grassmann_distance(v_sub, center)
     with np.errstate(over="ignore"):
         mean = float(values.mean()) if len(values) else 0.0
     return EnergyReport(mean_l2_sq=_within_float_range(mean, "the mean projection energy"),

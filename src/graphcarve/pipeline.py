@@ -14,13 +14,12 @@ import json
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .audit import visitation_counts
 from .cloud import ScaleRange, WeightedCloud
-from .cloud_io import save_cloud_json
+from .cloud_io import SCHEMA, save_cloud_json
 from .cover import DirectionCover, build_cover_for_theta
 from .errors import InputError, RefinementCollapsedError
 from .extract import certify_graph, containment_report, extend_mcshane
@@ -29,9 +28,8 @@ from .geometry import Subspace
 from .grassmannian import alpha0_max, child_seed
 from .measure import _within_float_range, projection_energy, prune_low_density
 from .refine import RefineConfig, refine_schedule
-from .shells import ShellTable, VisitationReport, cone_shells
+from .shells import ShellTable, cone_shells
 
-SCHEMA = "graphcarve/1"
 _STAGES = ("e1", "e_prime", "e", "e2", "e3")  # mass ledger rows, in run order
 
 
@@ -75,7 +73,11 @@ class PipelineConfig:
         a comment.  A field whose default is None also takes ``none`` or ``auto``."""
         types = get_type_hints(cls)
         kwargs = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InputError(f"config file {path}: {exc.strerror}") from None
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -222,25 +224,6 @@ def _resolution_dedup(cloud: WeightedCloud, subset: np.ndarray, theta: float,
     return np.nonzero(alive)[0].astype(np.intp), removed
 
 
-def _visit_reader(cloud: WeightedCloud, theta: float, scale_range: ScaleRange,
-                  oracle: bool) -> Callable[[np.ndarray], VisitationReport]:
-    """Two-sided visit reports of subsets of the cloud at aperture theta.
-
-    One shell table over the whole cloud answers every subset: its alive
-    mask restricts both the rows and the visitors.  The oracle counts each
-    subset from scratch.
-    """
-    if oracle:
-        return lambda idx: visitation_counts(cloud, idx, theta, scale_range, oracle=True)
-    table = ShellTable(cloud, cloud.all_indices(), theta, scale_range)
-
-    def visits(idx):
-        alive = np.zeros(len(cloud), dtype=bool)
-        alive[idx] = True
-        return table.visits(alive)
-    return visits
-
-
 def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> PipelineReport:
     """Execute every stage and assemble the report.
 
@@ -289,8 +272,11 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
 
     t = time.perf_counter()
     scale_range = ScaleRange.default_for(e_cloud)
-    visits = _visit_reader(e_cloud, theta0, scale_range, cfg.oracle)
-    before = visits(e_cloud.all_indices())
+    # One table over e answers the before, e2 and after reports: an alive
+    # mask restricts both the rows and the visitors.
+    table = ShellTable(e_cloud, e_cloud.all_indices(), theta0, scale_range,
+                       oracle=cfg.oracle)
+    before = table.visits()
     mass_e = e_cloud.mass()
     max_count = before.max_count
     m_removal = max_count + 1
@@ -300,10 +286,11 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
             m_removal = m
             break
     m_removal = min(m_removal, cfg.m0_cap + 1)
-    e2_idx = before.subset[before.counts < m_removal]
+    e2_alive = before.counts < m_removal
+    e2_idx = before.subset[e2_alive]
     # An empty survivor set is a legitimate negative outcome: nothing in the
     # cloud fits the certified visit budget, and the report shows zeros.
-    e2_report = visits(e2_idx)
+    e2_report = table.visits(e2_alive)
     m0 = e2_report.max_count
     times["visit_removal"] = time.perf_counter() - t
 
@@ -339,7 +326,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
             "contained_mass_e1": cont_e1.contained_mass,
             "tolerance": tol,
         }
-    after = visits(e3_idx)
+    after = table.visits(np.isin(e_cloud.all_indices(), e3_idx))
     times["extract"] = time.perf_counter() - t
 
     masses = {

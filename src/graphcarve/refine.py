@@ -6,9 +6,10 @@ F whose counts at aperture alpha/2 are at most M - 1, never wasting much more
 mass than it keeps.  Its outcome carries K's counts at alpha/2, which is the
 report the next pass refines.  ``refine_schedule`` drives it over every
 direction of a cone cover, down to zero visits per direction, and certifies
-the resulting two-sided property with a fresh visit count.  Both
-certificates count with the shell engine (``shells.ShellTable``), or with the
-brute-force oracle when ``RefineConfig.oracle`` is set; the two make the same
+the resulting two-sided property with a fresh visit count.  Every visit
+count here, both certificates included, reads a shell table
+(``shells.ShellTable``), whose candidate pairs come from the kd-tree search,
+or from every pair when ``RefineConfig.oracle`` is set; the two make the same
 comparisons.  A pass lives inside the set F it refines: it runs on F's
 subcloud, in its positions, and maps them back to cloud indices only in its
 outcome and ledger.
@@ -35,6 +36,7 @@ import numpy as np
 
 from .audit import VisitationReport, visitation_counts
 from .cloud import ScaleRange, WeightedCloud
+from .cloud_io import SCHEMA
 from .cover import DirectionCover
 from .errors import (
     AlgorithmInvariantViolation,
@@ -111,7 +113,7 @@ class RefinementOutcome:
 
     def ledger(self) -> dict:
         return {
-            "schema": "graphcarve/1",
+            "schema": SCHEMA,
             "direction": self.entry.direction.tolist(),
             "alpha": self.entry.aperture,
             "M": self.entry.max_count,
@@ -278,7 +280,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     sub = cloud.subcloud(subset)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    shells = ShellTable(sub, sub.all_indices(), alpha / 2.0, scale_range, w)
+    shells = ShellTable(sub, sub.all_indices(), alpha / 2.0, scale_range, w, cfg.oracle)
     delta_n = sub.delta_res ** sub.n
     dense_rows = _DenseRows(sub, np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]])), epsilon)
@@ -396,12 +398,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             mass_remaining=sub.mass(np.flatnonzero(alive)), bad_points=len(bad)))
 
     kept = subset[keep_mask]
-    if cfg.oracle:
-        certificate = visitation_counts(cloud, kept, alpha / 2.0, scale_range,
-                                        direction=w, oracle=True)
-    else:
-        certificate = shells.visits(keep_mask)
-        certificate = replace(certificate, subset=subset[certificate.subset])
+    certificate = replace(shells.visits(keep_mask), subset=kept)
     if certificate.max_count > big_m - 1:
         raise AlgorithmInvariantViolation(
             f"output certificate failed: {certificate.max_count} visited scales "
@@ -432,7 +429,7 @@ class ScheduleResult:
 
     def ledger(self) -> dict:
         return {
-            "schema": "graphcarve/1",
+            "schema": SCHEMA,
             "theta_certified": self.theta_certified,
             "directions": [
                 {

@@ -1,14 +1,17 @@
-"""The cone-shell predicate and a kd-tree table of cone-shell visits.
+"""The cone-shell predicate and a table of cone-shell visits.
 
-``cone_shells`` is the one membership test: the visit oracle, the shell table
-and the refinement shadows all call it, so they make the same floating-point
+``cone_shells`` is the one membership test: the shell table and the
+refinement shadows call it, so they make the same floating-point
 comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
 once: a ``cKDTree`` range search (Bentley, CACM 18(9), 1975) in a sheared
 frame returns a superset of the in-cone pairs, the exact predicate filters
 them, and the survivors are kept as CSR rows with a shell bitmask per pair.
-One table answers the visit counts of any alive subset of its rows as a
-``VisitationReport``, and the visited scales and lowest witnesses of one row
-at a time, which is what refinement reads.
+With ``oracle`` set the candidates are every pair instead, a block of rows
+at a time, which is the brute-force reference for the kd-tree search: the
+two tables make the same comparisons on the pairs they share, so they are
+equal.  One table answers the visit counts of any alive subset of its rows
+as a ``VisitationReport``, and the visited scales and lowest witnesses of one
+row at a time, which is what refinement reads.
 """
 
 from __future__ import annotations
@@ -121,6 +124,15 @@ def _candidate_pairs(points: np.ndarray, aperture: float, n: int, direction,
     return found["i"][keep], found["j"][keep]
 
 
+def _all_pairs(size: int, symmetric: bool):
+    """Every (row, col) position pair, i < j when ``symmetric`` and i != j
+    otherwise, in blocks of consecutive rows of at most ``_CHUNK`` pairs."""
+    for lo in range(0, size * size, _CHUNK):
+        rows, cols = np.divmod(np.arange(lo, min(lo + _CHUNK, size * size)), size)
+        keep = rows < cols if symmetric else rows != cols
+        yield rows[keep], cols[keep]
+
+
 class ShellTable:
     """Closed cone-shell visits of a subset as CSR rows with shell bitmasks.
 
@@ -128,10 +140,11 @@ class ShellTable:
     the points in its cone shells, ascending (so ascending cloud index), and
     bit s of a column's mask marks the shell of scale ``js[s]``.  ``alive``
     masks are over subset positions and restrict the visitors, not the rows.
+    ``oracle`` takes every pair as a candidate in place of the kd-tree search.
     """
 
     def __init__(self, cloud: WeightedCloud, subset: np.ndarray, aperture: float,
-                 scale_range: ScaleRange, direction=None):
+                 scale_range: ScaleRange, direction=None, oracle: bool = False):
         self.subset = np.sort(np.asarray(subset, dtype=np.intp))
         self.aperture, self.direction, self.scale_range = aperture, direction, scale_range
         self.js = scale_range.js
@@ -140,18 +153,21 @@ class ShellTable:
         outer = 2.0 ** (-self.js.astype(float))
         points = cloud.coords[self.subset]
         rows = cols = np.empty(0, dtype=np.intp)
-        if len(points) > 1:
+        if len(points) > 1 and not oracle:
             rows, cols = _candidate_pairs(points, aperture, cloud.n, direction,
                                           float(outer.max()))
+        blocks = (_all_pairs(len(points), direction is None) if oracle else
+                  ((rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK])
+                   for lo in range(0, len(rows), _CHUNK)))
         shell_bit = np.uint64(1) << np.arange(len(self.js), dtype=np.uint64)
-        bits = np.empty(len(rows), dtype=np.uint64)
-        for lo in range(0, len(rows), _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            hits = cone_shells(points[cols[part]] - points[rows[part]], aperture,
-                               cloud.n, direction, outer / 2.0, outer)
-            bits[part] = np.bitwise_or.reduce(hits * shell_bit, axis=1)
-        seen = bits != 0
-        rows, cols, bits = rows[seen], cols[seen], bits[seen]
+        kept = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=np.uint64),)]
+        for first, second in blocks:
+            hits = cone_shells(points[second] - points[first], aperture, cloud.n,
+                               direction, outer / 2.0, outer)
+            bits = np.bitwise_or.reduce(hits * shell_bit, axis=1)
+            seen = bits != 0
+            kept.append((first[seen], second[seen], bits[seen]))
+        rows, cols, bits = (np.concatenate(part) for part in zip(*kept))
         if direction is None:
             # delta -> -delta leaves the two-sided test bit-identical.
             rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])

@@ -12,7 +12,7 @@ from graphcarve import (
     save_cloud_json,
     union_of_graphs,
 )
-from graphcarve import audit
+from graphcarve import audit, shells
 from graphcarve.cli import build_parser, main
 
 
@@ -102,6 +102,25 @@ class TestDiagnostics:
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["adr-check", "--input", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize("name, text, named", [
+        ("short.csv", "x1,x2,weight\n0,0,1\n1,2\n", "row 3"),
+        ("word.csv", "x1,x2,weight\n0,zero,1\n", "row 2"),
+        ("broken.json", '{"d": 2,', "not valid JSON"),
+        ("no_w.json", '{"d": 2, "n": 1, "delta_res": 0.1, '
+                      '"points": [{"x": [0, 0], "w": 1}, {"x": [0, 1]}]}', "point 1"),
+        ("no_x.json", '{"d": 2, "n": 1, "delta_res": 0.1, "points": [{"w": 1}]}',
+         "point 0"),
+        ("ragged.json", '{"d": 2, "n": 1, "delta_res": 0.1, '
+                        '"points": [{"x": [0, 0], "w": 1}, {"x": [1], "w": 1}]}',
+         "point 1"),
+    ], ids=["short_row", "non_number", "unparsable", "no_w", "no_x", "ragged_x"])
+    def test_malformed_input_exits_2(self, tmp_path, name, text, named, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["adr-check", "--input", path, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+
     @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3"])
     def test_malformed_band_exits_2(self, cloud_file, band, capsys):
         assert run(["adr-check", "--input", cloud_file, "--band", band]) == 2
@@ -131,21 +150,22 @@ class TestDiagnostics:
     def test_visitation_threshold_counts_once(self, tmp_path, monkeypatch, oracle,
                                               capsys):
         # The bad set is read off the report printed above it: one shell
-        # table (or one all-pairs oracle pass) per invocation.
+        # table per invocation, whose candidates are all pairs under --oracle
+        # and the kd-tree search's otherwise.
         builds = []
-        oracle_visits = audit._oracle_visits
+        kd_pairs = shells._candidate_pairs
 
         class Counted(audit.ShellTable):
             def __init__(self, *args, **kwargs):
                 builds.append("table")
                 super().__init__(*args, **kwargs)
 
-        def counted_oracle(*args):
-            builds.append("oracle")
-            return oracle_visits(*args)
+        def counted_kd_pairs(*args):
+            builds.append("kd")
+            return kd_pairs(*args)
 
         monkeypatch.setattr(audit, "ShellTable", Counted)
-        monkeypatch.setattr(audit, "_oracle_visits", counted_oracle)
+        monkeypatch.setattr(shells, "_candidate_pairs", counted_kd_pairs)
         cloud = WeightedCloud(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.5, 0.0]]),
                               np.ones(4), n=1, delta_res=0.1)
         path = tmp_path / "stack.json"
@@ -154,7 +174,7 @@ class TestDiagnostics:
                     "--threshold", "1", "--json"] + ["--oracle"] * oracle) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected"] == 3
-        assert builds == ["oracle" if oracle else "table"]
+        assert builds == ["table"] if oracle else ["table", "kd"]
 
     def test_grassmann_verify(self, capsys):
         assert run(["grassmann-verify", "--samples", "20000", "--trials", "5",
@@ -184,6 +204,13 @@ class TestCoverCommand:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "cover.json").exists()
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 2), (2, 0)])
+    def test_axis_outside_the_ambient_space_exits_2(self, tmp_path, d, n, capsys):
+        code = run(["cover", "--d", d, "--n", n, "--alpha", "0.3",
+                    "--output", tmp_path / "cover.json"])
+        assert code == 2
+        assert f"k={d - n}, d={d}" in capsys.readouterr().err
 
     def test_dimension_above_the_sobol_table_exits_3(self, tmp_path, capsys):
         code = run(["cover", "--d", "22", "--n", "1", "--alpha", "0.3", "--s", "1",
@@ -320,6 +347,13 @@ class TestPipelineCommand:
                     "--output-dir", tmp_path / "run"])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_missing_config_exits_2(self, cloud_file, tmp_path, capsys):
+        cfg = tmp_path / "missing.txt"
+        code = run(["pipeline", "--input", cloud_file, "--config", cfg,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_stage_collapse_exits_3(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.json"

@@ -23,6 +23,7 @@ from graphcarve import (
     run_pipeline,
     union_of_graphs,
 )
+from graphcarve import shells
 from graphcarve.errors import STAGE_COLLAPSE_ERRORS
 from graphcarve.pipeline import _resolution_dedup
 from tests.dedup_reference import resolution_dedup_loop
@@ -123,11 +124,17 @@ class TestOracleMode:
         lambda: outlier_stacks(n_base=300, lip=0.3, n_stacks=4, points_per_stack=8,
                                max_height=0.6, mass_fraction=0.1, seed=5),
     ], ids=["union_of_graphs", "outlier_stacks"])
-    def test_report_bytes_match_the_default_mode(self, make_cloud):
-        # The oracle counts every visit report and certificate by brute force;
-        # only the recorded switch may differ from the shell-table run.
+    def test_report_bytes_match_the_default_mode(self, make_cloud, monkeypatch):
+        # Under the oracle every visit table, the refinement loop's included,
+        # takes all pairs as candidates and never runs the kd-tree search;
+        # only the recorded switch may differ from the default run.
         cloud = make_cloud()
         default = run_pipeline(cloud, PipelineConfig(seed=4))
+
+        def no_kd_search(*args):
+            raise AssertionError("an oracle table ran the kd-tree candidate search")
+
+        monkeypatch.setattr(shells, "_candidate_pairs", no_kd_search)
         oracle = run_pipeline(cloud, PipelineConfig(seed=4, oracle=True))
         assert oracle.params["oracle"] and not default.params["oracle"]
         oracle.params["oracle"] = False

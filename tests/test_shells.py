@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcarve import InputError, ScaleRange, WeightedCloud, visitation_counts
+from graphcarve import shells
 from graphcarve.shells import ShellTable
 from tests.visit_rows import assert_rows_match_oracle
 
@@ -67,10 +68,12 @@ def assert_reports_equal(a, b):
 def test_table_equals_oracle_on_alive_subsets(case):
     cloud, subset, aperture, direction, sr, alive, inner = case
     table = ShellTable(cloud, subset, aperture, sr, direction)
+    all_pairs = ShellTable(cloud, subset, aperture, sr, direction, oracle=True)
     # One table answers nested subsets, as the pipeline's before, e2 and
     # after reports do, equal to separate counts on each subset.
     for mask in (np.ones(len(subset), dtype=bool), alive, inner):
         assert_rows_match_oracle(cloud, table, mask)
+        assert_rows_match_oracle(cloud, all_pairs, mask)
         assert_rows_match_oracle(cloud, ShellTable(cloud, subset[mask], aperture, sr,
                                                    direction))
         ref = visitation_counts(cloud, subset[mask], aperture, sr, direction=direction,
@@ -117,3 +120,30 @@ def test_pad_keeps_pairs_the_rounded_predicate_accepts():
         assert_rows_match_oracle(cloud, ShellTable(cloud, np.array([0, 1]), 1e-9,
                                                    ScaleRange(0, 5), w))
     assert accepted > 0
+
+
+@pytest.mark.parametrize("direction", [None, np.array([0.6, 0.8])],
+                         ids=["two_sided", "tilted"])
+def test_all_pairs_blocks_stay_within_the_chunk(monkeypatch, direction):
+    # With a 7-pair chunk each row of 40 points spans several blocks and some
+    # blocks span two rows; the table equals the kd-tree one all the same.
+    sizes = []
+    exact = shells.cone_shells
+
+    def recorded(delta, *args, **kwargs):
+        sizes.append(len(delta))
+        return exact(delta, *args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    cloud = WeightedCloud(rng.uniform(0.0, 1.0, (40, 2)), np.ones(40), n=1,
+                          delta_res=1e-3)
+    sr = ScaleRange(0, 6)
+    kd = ShellTable(cloud, cloud.all_indices(), 0.4, sr, direction)
+    monkeypatch.setattr(shells, "cone_shells", recorded)
+    monkeypatch.setattr(shells, "_CHUNK", 7)
+    table = ShellTable(cloud, cloud.all_indices(), 0.4, sr, direction, oracle=True)
+    assert len(sizes) == -(-40 * 40 // 7) and max(sizes) <= 7
+    assert sum(sizes) == (40 * 39 // 2 if direction is None else 40 * 39)
+    for name in ("cols", "bits", "indptr"):
+        assert np.array_equal(getattr(table, name), getattr(kd, name))
+    assert kd.indptr[-1] > 0
