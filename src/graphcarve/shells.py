@@ -125,12 +125,15 @@ def _candidate_pairs(points: np.ndarray, aperture: float, n: int, direction,
 
 
 def _all_pairs(size: int, symmetric: bool):
-    """Every (row, col) position pair, i < j when ``symmetric`` and i != j
-    otherwise, in blocks of consecutive rows of at most ``_CHUNK`` pairs."""
-    for lo in range(0, size * size, _CHUNK):
-        rows, cols = np.divmod(np.arange(lo, min(lo + _CHUNK, size * size)), size)
-        keep = rows < cols if symmetric else rows != cols
-        yield rows[keep], cols[keep]
+    """Every position pair (i, j) of ``size`` points, i < j if ``symmetric`` and
+    i != j otherwise, in row-major blocks of at most ``_CHUNK`` pairs."""
+    widths = np.arange(size - 1, -1, -1) if symmetric else np.full(size, size - 1)
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    for lo in range(0, int(starts[-1]), _CHUNK):
+        flat = np.arange(lo, min(lo + _CHUNK, int(starts[-1])))
+        rows = np.searchsorted(starts, flat, side="right") - 1
+        k = flat - starts[rows]
+        yield rows, (rows + 1 + k if symmetric else k + (k >= rows))
 
 
 class ShellTable:
@@ -152,13 +155,15 @@ class ShellTable:
             raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
         outer = 2.0 ** (-self.js.astype(float))
         points = cloud.coords[self.subset]
-        rows = cols = np.empty(0, dtype=np.intp)
-        if len(points) > 1 and not oracle:
-            rows, cols = _candidate_pairs(points, aperture, cloud.n, direction,
-                                          float(outer.max()))
-        blocks = (_all_pairs(len(points), direction is None) if oracle else
-                  ((rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK])
-                   for lo in range(0, len(rows), _CHUNK)))
+        if oracle:
+            blocks = _all_pairs(len(points), direction is None)
+        else:
+            rows = cols = np.empty(0, dtype=np.intp)
+            if len(points) > 1:
+                rows, cols = _candidate_pairs(points, aperture, cloud.n, direction,
+                                              float(outer.max()))
+            blocks = ((rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK])
+                      for lo in range(0, len(rows), _CHUNK))
         shell_bit = np.uint64(1) << np.arange(len(self.js), dtype=np.uint64)
         kept = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=np.uint64),)]
         for first, second in blocks:

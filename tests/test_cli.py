@@ -174,7 +174,7 @@ class TestDiagnostics:
                     "--threshold", "1", "--json"] + ["--oracle"] * oracle) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected"] == 3
-        assert builds == ["table"] if oracle else ["table", "kd"]
+        assert builds == (["table"] if oracle else ["table", "kd"])
 
     def test_grassmann_verify(self, capsys):
         assert run(["grassmann-verify", "--samples", "20000", "--trials", "5",
@@ -205,7 +205,7 @@ class TestCoverCommand:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "cover.json").exists()
 
-    @pytest.mark.parametrize("d, n", [(1, 1), (2, 2), (2, 0)])
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 2)])
     def test_axis_outside_the_ambient_space_exits_2(self, tmp_path, d, n, capsys):
         code = run(["cover", "--d", d, "--n", n, "--alpha", "0.3",
                     "--output", tmp_path / "cover.json"])
