@@ -16,12 +16,15 @@ make the net a cover:
 The net and the check of (a) both ask a kd-tree (Bentley 1975) for the
 candidate pairs within a padded radius and settle them with the exact test,
 so their work grows with the net size instead of with net size x samples,
-and their output equals the dense scan's.
+and their output equals the dense scan's.  The net keeps one tree over its
+centres from block to block and rebuilds it only when the net has grown.
 
 The net's candidates are Gaussian images of the unscrambled Sobol' sequence,
 generated here in Gray-code order (Antonov & Saleev, USSR Comput. Math. Math.
 Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
+The sampler transforms them a sub-block at a time and stops once it holds
+the samples asked for; the check's random proposals are drawn whole.
 """
 
 from __future__ import annotations
@@ -40,8 +43,13 @@ from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
 
 _NET_MARGIN = 0.15
-# Greedy-net candidates per block.
+# Greedy-net candidates per block, and in the first block, whose points all
+# meet each other (see _greedy_net).
 _BLOCK = 4096
+_FIRST_BLOCK = 512
+# Sobol' proposals transformed at a time; a power of two, so a sub-block of a
+# batch at least this large starts at a multiple of its size.
+_SUB_BLOCK = 2 ** 15
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
 _B_USED = 2.5
@@ -152,7 +160,11 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
     Proposes Gaussian directions with the perpendicular part damped to the
     aperture width, then keeps exact region members.  With ``rng`` given the
     proposals are random instead of low-discrepancy (used for checks so the
-    check is independent of the net construction).
+    check is independent of the net construction) and each batch is drawn
+    whole, leaving the generator where the caller's next draws expect it.
+    A Sobol' batch is transformed in aligned sub-blocks of
+    ``_SUB_BLOCK`` points, and the sampler stops once it holds ``count``
+    samples: the same first ``count`` region members, minus the rest's work.
     """
     d = axis.d
     proj = axis.projector()
@@ -164,68 +176,94 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
     while kept < count:
         batch = 2 ** max(12, math.ceil(math.log2(2 * (count - kept))))
         if rng is not None:
-            g = rng.standard_normal((batch, d))
+            blocks = [rng.standard_normal((batch, d))]
         else:
-            g = _sobol(d, drawn, batch)
+            step = min(batch, _SUB_BLOCK)
+            blocks = (ndtri(np.clip(_sobol(d, start, step), 1e-12, 1.0 - 1e-12))
+                      for start in range(drawn, drawn + batch, step))
             drawn += batch
-            np.clip(g, 1e-12, 1.0 - 1e-12, out=g)
-            ndtri(g, out=g)
-        # The batch is large, so every step writes into an array it already
-        # holds, in the operation order of y = axial + alpha * (g - axial) and
-        # of np.linalg.norm (sqrt of the row sums of squares): the samples stay
-        # bit for bit those of the plain expressions.
-        y = g @ proj.T
-        g -= y
-        g *= alpha
-        y += g
-        del g
-        norms = np.sqrt(np.add.reduce(y * y, axis=1))
-        good = norms > 1e-12
-        if not good.all():
-            y, norms = y[good], norms[good]
-        y /= norms[:, None]
-        perp_sq = y @ proj.T
-        np.subtract(y, perp_sq, out=perp_sq)
-        perp_sq *= perp_sq
-        y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha]
-        del perp_sq
-        if len(y):
-            out.append(y)
-            kept += len(y)
+        for g in blocks:
+            # Every step writes into an array it already holds, in the
+            # operation order of y = axial + alpha * (g - axial) and of
+            # np.linalg.norm (sqrt of the row sums of squares): the samples
+            # stay bit for bit those of the plain expressions.
+            y = g @ proj.T
+            g -= y
+            g *= alpha
+            y += g
+            del g
+            norms = np.sqrt(np.add.reduce(y * y, axis=1))
+            good = norms > 1e-12
+            if not good.all():
+                y, norms = y[good], norms[good]
+            y /= norms[:, None]
+            perp_sq = y @ proj.T
+            np.subtract(y, perp_sq, out=perp_sq)
+            perp_sq *= perp_sq
+            y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha]
+            del perp_sq
+            if len(y):
+                out.append(y)
+                kept += len(y)
+            if kept >= count:
+                break
     return np.concatenate(out, axis=0)[:count]
+
+
+def _tree(points: np.ndarray) -> cKDTree:
+    """kd-tree for range searches that an exact test settles: the pairs within
+    a radius do not depend on the tree's shape, so the cheaper build serves."""
+    return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
 def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
     """Greedy maximal net in scan order; pairwise distances > spacing.
 
     A point joins the net when no earlier net point lies within ``spacing``
-    (squared distance <= spacing^2).  The points are scanned in blocks: a
-    kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975; they
-    are few and more than ``spacing`` apart) proposes the block's near pairs
-    within a padded radius, the exact squared-distance test settles them, and
-    only the block's survivors go through the dense scan-order filter.  The
-    work grows with the net size instead of with net size x point count, and
-    the output equals the plain dense scan bit for bit.
+    (squared distance <= spacing^2).  The points are scanned in blocks.  A
+    kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975), kept
+    across blocks and rebuilt only after the net has grown, proposes each
+    block's near pairs within a padded radius, and the exact squared-distance
+    test settles them.  The block's survivors then meet each other: one
+    ``query_pairs`` over them, settled by the same test, lists each survivor's
+    later neighbours, and a scan in order keeps every survivor that no kept
+    one reaches.  The first block meets no centres, so all its points survive
+    and their pairs grow with its square: it is the short ``_FIRST_BLOCK``.
+    The work grows with the net size instead of with net size x point count,
+    and the output equals the plain dense scan bit for bit.
     """
     sq = spacing * spacing
     reach = _reach(spacing, float(np.abs(points).max(initial=0.0)))
     chosen: list[int] = []
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
-        far = np.ones(len(block), dtype=bool)
+    centres = points[:0]
+    starts = [0, *range(_FIRST_BLOCK, len(points), _BLOCK)]
+    for start, stop in zip(starts, starts[1:] + [len(points)]):
+        block = points[start:stop]
+        ids = np.arange(len(block))
         if chosen:
-            centres = points[chosen]
-            pairs = cKDTree(block).sparse_distance_matrix(
-                cKDTree(centres), reach, output_type="ndarray")
+            if len(centres) < len(chosen):
+                centres = points[chosen]
+                tree = _tree(centres)
+            pairs = _tree(block).sparse_distance_matrix(tree, reach, output_type="ndarray")
             diff = block[pairs["i"]] - centres[pairs["j"]]
+            far = np.ones(len(block), dtype=bool)
             far[pairs["i"][np.einsum("ij,ij->i", diff, diff) <= sq]] = False
-        rest = block[far]
-        ids = np.flatnonzero(far) + start
-        while len(rest):
-            chosen.append(int(ids[0]))
-            diff = rest - rest[0]
-            keep = np.einsum("ij,ij->i", diff, diff) > sq
-            rest, ids = rest[keep], ids[keep]
+            ids = ids[far]
+            if not len(ids):
+                continue
+        rest = block[ids]
+        first, later = _tree(rest).query_pairs(reach, output_type="ndarray").T
+        diff = rest[later] - rest[first]
+        near = np.einsum("ij,ij->i", diff, diff) <= sq
+        first, later = first[near], later[near]
+        order = np.argsort(first)
+        bounds = np.searchsorted(first[order], np.arange(len(rest) + 1))
+        later = later[order]
+        open_ = np.ones(len(rest), dtype=bool)
+        for k in range(len(rest)):
+            if open_[k]:
+                chosen.append(start + int(ids[k]))
+                open_[later[bounds[k]:bounds[k + 1]]] = False
     return points[chosen]
 
 
@@ -253,8 +291,8 @@ def _covered(check: np.ndarray, directions: np.ndarray,
     within the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps)
     past that subtraction's rounding, and the exact dot settles them."""
     reach = _reach(math.sqrt(2.0 - 2.0 * cos_small + 64.0 * _EPS), 1.0)
-    pairs = cKDTree(check).sparse_distance_matrix(cKDTree(directions), reach,
-                                                  output_type="ndarray")
+    pairs = _tree(check).sparse_distance_matrix(_tree(directions), reach,
+                                                output_type="ndarray")
     dots = np.einsum("ij,ij->i", check[pairs["i"]], directions[pairs["j"]])
     covered = np.zeros(len(check), dtype=bool)
     covered[pairs["i"][dots >= cos_small]] = True

@@ -17,8 +17,10 @@ from graphcarve import (
 from graphcarve import cover as cover_module
 from graphcarve.cover import (
     _BLOCK,
+    _FIRST_BLOCK,
     _NET_MARGIN,
     _SOBOL_MAX_D,
+    _SUB_BLOCK,
     _covered,
     _greedy_net,
     _region_samples,
@@ -203,26 +205,66 @@ class TestCoverForTheta:
         axis = vertical_axis(d)
         assert np.array_equal(_region_samples(axis, alpha, 30_000),
                               region_samples_reference(axis, alpha, 30_000))
-        got = _region_samples(axis, alpha, 3000, rng=np.random.default_rng(5))
-        want = region_samples_reference(axis, alpha, 3000, rng=np.random.default_rng(5))
+        # The check samples continue one generator into the cone caps, so the
+        # sampler must leave it where the reference does: whole batches drawn.
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _region_samples(axis, alpha, 3000, rng=rng)
+        want = region_samples_reference(axis, alpha, 3000, rng=ref_rng)
         assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_region_sampler_stops_at_count(self, monkeypatch):
+        # The codim2_cover net: 200,000 samples ask for one batch of 2^19
+        # proposals, but about 283k of them already hold 200,000 region
+        # points, so nine sub-blocks (294,912 proposals) are drawn.
+        drawn = []
+
+        def spy(dim, start, size):
+            drawn.append(size)
+            return _sobol(dim, start, size)
+
+        monkeypatch.setattr(cover_module, "_sobol", spy)
+        axis = vertical_axis(3)
+        alpha = alpha0_max(1, 0.2) / 5.0
+        got = _region_samples(axis, alpha, 200_000)
+        assert sum(drawn) < 2**19
+        assert np.array_equal(got, region_samples_reference(axis, alpha, 200_000))
+
+    @pytest.mark.parametrize("d, alpha, s", [(3, 0.3, 0.5), (3, 0.05, 0.25), (4, 0.2, 0.5)])
+    def test_cover_matches_the_reference_sampler(self, monkeypatch, d, alpha, s):
+        # The whole cover over the plain-expression sampler: the same net and
+        # widening, or the same escape count and witness, which also needs the
+        # check generator left in the same state for the cone caps.
+        def outcome():
+            try:
+                cover = build_cover(vertical_axis(d), alpha, s, check_samples=20_000,
+                                    net_samples=100_000, seed=0)
+                return cover.directions.tobytes(), cover.b_measured
+            except CoverInvalidError as exc:
+                return str(exc), exc.witness.tobytes()
+
+        got = outcome()
+        monkeypatch.setattr(cover_module, "_region_samples", region_samples_reference)
+        assert got == outcome()
 
     @pytest.mark.parametrize("d, n, alpha", [(4, 3, 0.05), (5, 4, 0.3)])
     def test_region_sampler_matches_reference_across_batches(self, d, n, alpha,
                                                              monkeypatch):
         # A one-dimensional axis keeps few proposals, so the sampler draws
-        # several batches of falling size, each continuing the sequence.
-        starts = []
+        # several batches of falling size, each continuing the sequence; a
+        # batch under _SUB_BLOCK is drawn whole, so three sizes mean at least
+        # three batches.
+        sizes = []
 
         def spy(dim, start, size):
-            starts.append(start)
+            sizes.append(size)
             return _sobol(dim, start, size)
 
         monkeypatch.setattr(cover_module, "_sobol", spy)
         axis = Subspace.vertical_axis(d, n)
         assert np.array_equal(_region_samples(axis, alpha, 30_000),
                               region_samples_reference(axis, alpha, 30_000))
-        assert len(starts) >= 3
+        assert len(set(sizes)) >= 3
 
     @pytest.mark.parametrize("d", range(1, _SOBOL_MAX_D + 1))
     def test_sobol_matches_scipy(self, d):
@@ -237,24 +279,26 @@ class TestCoverForTheta:
             start += n
 
     def test_region_sampler_memory(self):
-        # 200,000 samples draw one batch of 2^19 proposals, 12.6 MB per
-        # (batch, 3) array; the samples are formed in place, so at most about
-        # three such arrays are alive at once.
-        batch_bytes = 2**19 * 3 * 8
+        # 200,000 samples ask for a batch of 2^19 proposals, but it is
+        # transformed one sub-block of _SUB_BLOCK proposals at a time, in
+        # place.  The peak is the kept samples twice (the pieces and their
+        # concatenation) and a few (_SUB_BLOCK, 3) arrays, 0.8 MB each.
+        out_bytes = 200_000 * 3 * 8
+        sub_bytes = _SUB_BLOCK * 3 * 8
         tracemalloc.start()
         try:
             _region_samples(vertical_axis(3), 0.2, 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * batch_bytes
+        assert peak < 2.2 * out_bytes + 4 * sub_bytes
 
 
 class TestGreedyNet:
     def test_net_points_do_not_pin_filtered_copies(self):
-        # Each block's survivors are filtered into new arrays round by round;
-        # the net is gathered from the input by index, so it holds none of
-        # them alive.  The input spans several blocks.
+        # Each block's survivors are copied out of it; the net is gathered
+        # from the input by index, so it holds none of those copies alive.
+        # The input spans several blocks.
         pts = np.random.default_rng(0).random((3 * _BLOCK + 100, 2))
         tracemalloc.start()
         try:
@@ -286,6 +330,38 @@ class TestGreedyNet:
                 pts = pts[rng.integers(0, max(count // 4, 1), count)]
         net = _greedy_net(pts, spacing)
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
+
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_later_blocks_open_new_ground(self, d, kind):
+        # Sorted by their first coordinate, the points of each block reach
+        # past every centre chosen before it, so a later block's survivors
+        # conflict with each other and the scan through their neighbour lists
+        # decides the net.  Lattice points repeat and sit at exactly the
+        # spacing from their neighbours, so ties and duplicates meet there.
+        rng = np.random.default_rng(d)
+        count = 2 * _BLOCK + _FIRST_BLOCK
+        if kind == "lattice":
+            spacing = 0.125
+            pts = 0.125 * rng.integers(0, 16, (count, d)).astype(float)
+        else:
+            spacing = 0.08
+            pts = rng.random((count, d))
+        pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        assert (_greedy_net(pts, spacing).tobytes()
+                == greedy_net_loop(pts, spacing).tobytes())
+        # The premise: every later block holds two survivors within the
+        # spacing of each other.  A greedy net's points in a prefix are the
+        # prefix's own greedy net.
+        sq = spacing * spacing
+        for start in range(_FIRST_BLOCK, count, _BLOCK):
+            before = greedy_net_loop(pts[:start], spacing)
+            block = pts[start:start + _BLOCK]
+            diff = block[:, None, :] - before[None, :, :]
+            rest = block[(np.einsum("ijk,ijk->ij", diff, diff) > sq).all(axis=1)]
+            diff = rest[:, None, :] - rest[None, :, :]
+            near = np.einsum("ijk,ijk->ij", diff, diff) <= sq
+            assert np.triu(near, 1).any()
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_pairs_on_the_spacing_across_blocks(self, offset):
