@@ -17,21 +17,27 @@ The net and the check of (a) both ask a kd-tree (Bentley 1975) for the
 candidate pairs within a padded radius and settle them with the exact test,
 so their work grows with the net size instead of with net size x samples,
 and their output equals the dense scan's.  The net keeps one tree over its
-centres from block to block and rebuilds it only when the net has grown.
+centres from block to block and rebuilds it only when the net has grown.  In
+the plane it stops once a sorted sweep, with 1e-9 margins past the rounding,
+proves that its caps cover the region's two arcs (``_arcs_covered``); a band
+on a higher sphere has no such sweep, so there every candidate is scanned.
 
 The net's candidates are Gaussian images of the unscrambled Sobol' sequence,
 generated here in Gray-code order (Antonov & Saleev, USSR Comput. Math. Math.
 Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
-The sampler transforms them a sub-block at a time and stops once it holds
-the samples asked for; the check's random proposals are drawn whole.
+The sampler transforms them a sub-block at a time, as the net reads them,
+and stops once it holds the samples asked for; the check's random proposals
+are drawn whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -50,6 +56,7 @@ _FIRST_BLOCK = 512
 # Sobol' proposals transformed at a time; a power of two, so a sub-block of a
 # batch at least this large starts at a multiple of its size.
 _SUB_BLOCK = 2 ** 15
+_ARC_FLOOR = 1e-4  # the least spacing at which _arcs_covered may end the net
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
 _B_USED = 2.5
@@ -153,26 +160,25 @@ class DirectionCover:
         return json.dumps(payload, sort_keys=True)
 
 
-def _region_samples(axis: Subspace, alpha: float, count: int,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Unit vectors quasi-covering {y on the sphere : |pi_perp y| <= alpha |y|}.
+def _region_pieces(axis: Subspace, alpha: float, count: int,
+                   rng: np.random.Generator | None = None) -> Iterator[np.ndarray]:
+    """``count`` unit vectors quasi-covering {y on the sphere : |pi_perp y| <=
+    alpha |y|}, yielded as the region members of one block of proposals.
 
     Proposes Gaussian directions with the perpendicular part damped to the
     aperture width, then keeps exact region members.  With ``rng`` given the
     proposals are random instead of low-discrepancy (used for checks so the
     check is independent of the net construction) and each batch is drawn
     whole, leaving the generator where the caller's next draws expect it.
-    A Sobol' batch is transformed in aligned sub-blocks of
-    ``_SUB_BLOCK`` points, and the sampler stops once it holds ``count``
-    samples: the same first ``count`` region members, minus the rest's work.
+    A Sobol' batch is transformed in aligned sub-blocks of ``_SUB_BLOCK``
+    points, each when the consumer asks for it, and the sampler stops once it
+    holds ``count`` samples: the same first ``count`` region members.
     """
     d = axis.d
     proj = axis.projector()
     # Batch sizes never grow, so each Sobol' batch starts at a multiple of its
     # size and continues the sequence from ``drawn`` alone.
-    drawn = 0
-    out = []
-    kept = 0
+    drawn = kept = 0
     while kept < count:
         batch = 2 ** max(12, math.ceil(math.log2(2 * (count - kept))))
         if rng is not None:
@@ -200,14 +206,19 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
             perp_sq = y @ proj.T
             np.subtract(y, perp_sq, out=perp_sq)
             perp_sq *= perp_sq
-            y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha]
+            y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha][:count - kept]
             del perp_sq
             if len(y):
-                out.append(y)
                 kept += len(y)
+                yield y
             if kept >= count:
                 break
-    return np.concatenate(out, axis=0)[:count]
+
+
+def _region_samples(axis: Subspace, alpha: float, count: int,
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """The pieces of ``_region_pieces``, in one array."""
+    return np.concatenate([*_region_pieces(axis, alpha, count, rng)], axis=0)
 
 
 def _tree(points: np.ndarray) -> cKDTree:
@@ -216,8 +227,20 @@ def _tree(points: np.ndarray) -> cKDTree:
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
-def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
-    """Greedy maximal net in scan order; pairwise distances > spacing.
+def _blocks(pending: np.ndarray, more: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Rows of ``pending``, then of ``more``, ``_FIRST_BLOCK`` then ``_BLOCK`` at a time."""
+    size = _FIRST_BLOCK
+    for piece in chain(more, [None]):
+        pending = pending if piece is None else np.concatenate([pending, piece])
+        while len(pending) >= size or piece is None and len(pending):
+            yield pending[:size]
+            pending, size = pending[size:], _BLOCK
+
+
+def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] = (),
+                done: Callable[[np.ndarray], bool] | None = None) -> np.ndarray:
+    """Greedy maximal net in scan order over ``points`` (at least one), then
+    the rows of the pieces ``more``; pairwise distances > spacing.
 
     A point joins the net when no earlier net point lies within ``spacing``
     (squared distance <= spacing^2).  The points are scanned in blocks.  A
@@ -230,19 +253,18 @@ def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
     one reaches.  The first block meets no centres, so all its points survive
     and their pairs grow with its square: it is the short ``_FIRST_BLOCK``.
     The work grows with the net size instead of with net size x point count,
-    and the output equals the plain dense scan bit for bit.
+    and the output equals the plain dense scan bit for bit.  ``done(centres)``,
+    asked after each block that added centres, ends the scan (no later piece
+    is read) once it proves every later point within the test of a centre.
     """
     sq = spacing * spacing
-    reach = _reach(spacing, float(np.abs(points).max(initial=0.0)))
-    chosen: list[int] = []
-    centres = points[:0]
-    starts = [0, *range(_FIRST_BLOCK, len(points), _BLOCK)]
-    for start, stop in zip(starts, starts[1:] + [len(points)]):
-        block = points[start:stop]
+    scale, centres, tree = 0.0, None, None
+    for block in _blocks(points, more):
+        scale = max(scale, float(np.abs(block).max()))
+        reach = _reach(spacing, scale)
         ids = np.arange(len(block))
-        if chosen:
-            if len(centres) < len(chosen):
-                centres = points[chosen]
+        if centres is not None:
+            if tree is None or tree.n < len(centres):
                 tree = _tree(centres)
             pairs = _tree(block).sparse_distance_matrix(tree, reach, output_type="ndarray")
             diff = block[pairs["i"]] - centres[pairs["j"]]
@@ -259,12 +281,41 @@ def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
         order = np.argsort(first)
         bounds = np.searchsorted(first[order], np.arange(len(rest) + 1))
         later = later[order]
+        # The survivors that no kept one reaches stay open: they are kept.
         open_ = np.ones(len(rest), dtype=bool)
         for k in range(len(rest)):
             if open_[k]:
-                chosen.append(start + int(ids[k]))
                 open_[later[bounds[k]:bounds[k + 1]]] = False
-    return points[chosen]
+        centres = rest[open_] if centres is None else np.concatenate([centres, rest[open_]])
+        if done is not None and done(centres):
+            break
+    return centres
+
+
+def _arcs_covered(centres: np.ndarray, axis: Subspace, alpha: float, spacing: float) -> bool:
+    """In the plane: whether every region sample passes the net's exact test
+    (squared distance <= spacing^2) against some centre.
+
+    The region is two arcs, |sin psi| <= alpha around +-axis; a sorted sweep
+    asks whether the centres' intervals of 2 asin(rho / 2), rho = spacing
+    (1 - 1e-9), cover them widened to asin(alpha (1 + 1e-9)).  The samples'
+    norms and region test, the angles and the einsum test round by under
+    1e-14 in all, and for rho, alpha >= ``_ARC_FLOOR`` both margins exceed
+    1e-13.  Unwrapped intervals can only hide coverage.  False when
+    alpha (1 + 1e-9) >= 1 or rho or alpha < ``_ARC_FLOOR``; d = 3 has no sweep.
+    """
+    rho, wide = spacing * (1.0 - 1e-9), alpha * (1.0 + 1e-9)
+    if wide >= 1.0 or min(rho, alpha) < _ARC_FLOOR:
+        return False
+    u = axis.frame[:, 0]
+    angle = np.arctan2(centres @ np.array([-u[1], u[0]]), centres @ u)
+    angle[angle < -0.5 * math.pi] += 2.0 * math.pi  # -u's arc lies around pi
+    angle.sort()
+    half, width = 2.0 * math.asin(0.5 * rho), math.asin(wide)
+    # The equal intervals meeting an arc cover it if they overlap in turn.
+    near = [(mid, angle[np.abs(angle - mid) <= width + half]) for mid in (0.0, math.pi)]
+    return all(len(a) and a[0] - half <= mid - width and a[-1] + half >= mid + width
+               and np.all(np.diff(a) <= 2.0 * half) for mid, a in near)
 
 
 def _one_sided_caps(directions: np.ndarray, aperture: float, per_dir: int,
@@ -320,12 +371,11 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     # points still land inside some small cone; the membership test itself
     # uses the exact aperture.
     spacing = alpha * s * (1.0 - _NET_MARGIN)
-    region = _region_samples(axis, alpha, net_samples)
     # Axis directions are exact cone members; seeding them keeps the net honest
     # near the cone core.
     seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
-    candidates = np.concatenate([seeds, region], axis=0)
-    directions = _greedy_net(candidates, spacing)
+    done = (lambda net: _arcs_covered(net, axis, alpha, spacing)) if axis.d == 2 else None
+    directions = _greedy_net(seeds, spacing, _region_pieces(axis, alpha, net_samples), done)
 
     rng = np.random.default_rng(seed)
     check = _region_samples(axis, alpha, check_samples, rng=rng)

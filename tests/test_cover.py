@@ -1,9 +1,10 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
@@ -16,11 +17,13 @@ from graphcarve import (
 )
 from graphcarve import cover as cover_module
 from graphcarve.cover import (
+    _ARC_FLOOR,
     _BLOCK,
     _FIRST_BLOCK,
     _NET_MARGIN,
     _SOBOL_MAX_D,
     _SUB_BLOCK,
+    _arcs_covered,
     _covered,
     _greedy_net,
     _region_samples,
@@ -128,7 +131,7 @@ class TestBuildCover:
         def no_samples(*args, **kwargs):
             raise AssertionError("no sample may be drawn")
 
-        monkeypatch.setattr(cover_module, "_region_samples", no_samples)
+        monkeypatch.setattr(cover_module, "_region_pieces", no_samples)
         with pytest.raises(CoverInvalidError, match="d <= 21"):
             build_cover(vertical_axis(d), 0.1, 1.0)
         with pytest.raises(CoverInvalidError, match="d <= 21"):
@@ -243,8 +246,13 @@ class TestCoverForTheta:
             except CoverInvalidError as exc:
                 return str(exc), exc.witness.tobytes()
 
+        def reference_pieces(axis, alpha, count, rng=None):
+            yield region_samples_reference(axis, alpha, count, rng)
+
+        # The net reads the streamed pieces and the check their concatenation,
+        # so one patch replaces both samplers.
         got = outcome()
-        monkeypatch.setattr(cover_module, "_region_samples", region_samples_reference)
+        monkeypatch.setattr(cover_module, "_region_pieces", reference_pieces)
         assert got == outcome()
 
     @pytest.mark.parametrize("d, n, alpha", [(4, 3, 0.05), (5, 4, 0.3)])
@@ -296,9 +304,9 @@ class TestCoverForTheta:
 
 class TestGreedyNet:
     def test_net_points_do_not_pin_filtered_copies(self):
-        # Each block's survivors are copied out of it; the net is gathered
-        # from the input by index, so it holds none of those copies alive.
-        # The input spans several blocks.
+        # Each block's survivors are copied out of it, and the net keeps only
+        # the kept rows, so it holds none of those copies alive.  The input
+        # spans several blocks.
         pts = np.random.default_rng(0).random((3 * _BLOCK + 100, 2))
         tracemalloc.start()
         try:
@@ -469,8 +477,8 @@ class TestCertificateChunks:
         # call returns a cover or raises.
         sizes = []
 
-        def net(points, spacing):
-            out = _greedy_net(points, spacing)
+        def net(points, spacing, more=(), done=None):
+            out = _greedy_net(points, spacing, more, done)
             sizes.append(len(out))
             return out
 
@@ -487,3 +495,164 @@ class TestCertificateChunks:
             tracemalloc.stop()
         assert len(sizes) == 1 and sizes[0] * 20_000 * 8 > 256 * 2**20
         assert peak < 128 * 2**20
+
+
+# The planar workloads' cover aperture: theta0 at the default kappa over b_used.
+PLANAR_ALPHA = alpha0_max(1, 0.2) / 5.0
+
+
+def planar_axis(angle):
+    return Subspace(np.array([[math.cos(angle)], [math.sin(angle)]]))
+
+
+def arc_centres(axis, angles, radius=1.0):
+    u = axis.frame[:, 0]
+    v = np.array([-u[1], u[0]])
+    angles = np.asarray(angles, dtype=float)
+    return radius * (np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v)
+
+
+def evenly_covering(axis, alpha, spacing, step, end_gap=None):
+    """Centres ``step`` half-widths apart along both arcs: their
+    2 asin(spacing / 2) caps overlap for step < 2.  The outer caps end
+    ``end_gap`` inside each arc's ends (outside if negative); by default the
+    outer centres sit on the ends."""
+    half = 2.0 * math.asin(0.5 * spacing)
+    width = math.asin(alpha)
+    first = -width if end_gap is None else half - width + end_gap
+    count = max(math.ceil((-2.0 * first) / (step * half)), 1)
+    offsets = np.append(first + step * half * np.arange(count), -first)
+    return arc_centres(axis, np.concatenate([offsets, math.pi + offsets]))
+
+
+def passes_the_net_test(points, centres, spacing):
+    """Per point, whether some centre lies within the net's exact test."""
+    sq = spacing * spacing
+    hit = np.zeros(len(points), dtype=bool)
+    for start in range(0, len(points), 2048):
+        diff = points[start:start + 2048, None, :] - centres[None, :, :]
+        hit[start:start + 2048] = (np.einsum("ijk,ijk->ij", diff, diff) <= sq).any(axis=1)
+    return hit
+
+
+class TestPlanarStop:
+    @pytest.mark.parametrize("angle, alpha, s", [
+        (0.5 * math.pi, PLANAR_ALPHA, 1.0),
+        (0.5 * math.pi, PLANAR_ALPHA, 0.5),
+        (0.5 * math.pi, 0.3, 0.25),
+        (2.2146, 0.2, 0.5),
+    ], ids=["graph_large", "union_refine", "many_blocks", "random_axis"])
+    def test_cover_equals_the_full_scan(self, monkeypatch, angle, alpha, s):
+        # The net stops once its caps cover both arcs, and equals the dense
+        # greedy scan over the seeds and every one of the 200,000 samples.
+        drawn = []
+
+        def spy(dim, start, size):
+            drawn.append(size)
+            return _sobol(dim, start, size)
+
+        monkeypatch.setattr(cover_module, "_sobol", spy)
+        axis = planar_axis(angle)
+        cover = build_cover(axis, alpha, s, net_samples=200_000)
+        assert sum(drawn) < 2**19
+        seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
+        region = region_samples_reference(axis, alpha, 200_000)
+        want = greedy_net_loop(np.concatenate([seeds, region], axis=0),
+                               alpha * s * (1.0 - _NET_MARGIN))
+        assert cover.directions.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, s, proposals", [
+        (2, 1.0, _SUB_BLOCK), (2, 0.5, _SUB_BLOCK), (3, 1.0, 9 * _SUB_BLOCK),
+    ], ids=["graph_large", "union_refine", "codim2_cover"])
+    def test_proposals_drawn_on_workload_inputs(self, monkeypatch, d, s, proposals):
+        # The planar nets stop in their first block, so the sampler transforms
+        # one sub-block; at d = 3 the net reads all 200,000 samples, which
+        # take nine sub-blocks (294,912 proposals).
+        drawn = []
+
+        def spy(dim, start, size):
+            drawn.append(size)
+            return _sobol(dim, start, size)
+
+        monkeypatch.setattr(cover_module, "_sobol", spy)
+        cover = build_cover(vertical_axis(d), PLANAR_ALPHA, s, net_samples=200_000)
+        assert sum(drawn) == proposals
+        assert cover.m == {(2, 1.0): 6, (2, 0.5): 10, (3, 1.0): 1471}[d, s]
+
+    @settings(max_examples=100)
+    @given(angle=st.floats(0.0, 2.0 * math.pi),
+           alpha=st.one_of(st.just(PLANAR_ALPHA), st.floats(1e-4, 0.95)),
+           s=st.one_of(st.sampled_from([1.0, 0.5, 0.25]), st.floats(0.02, 1.0)),
+           step=st.one_of(st.sampled_from([2.0 * (1.0 - 2e-9), 2.0 * (1.0 - 1e-9),
+                                           2.0 * (1.0 - 1e-12), 2.0, 2.0 * (1.0 + 1e-7)]),
+                          st.floats(0.5, 2.2)),
+           end=st.one_of(st.none(), st.sampled_from([-100.0, -10.0, -1.0, 0.0, 10.0, 1e3])),
+           jitter=st.sampled_from([0.0, 1e-15, 1e-12, 1e-3]),
+           radius=st.sampled_from([1.0, 1.0 - 2e-16, 1.0 + 4e-16]),
+           drop=st.one_of(st.just(-1), st.integers(0, 400)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_true_only_when_every_arc_point_passes(self, angle, alpha, s, step, end,
+                                                   jitter, radius, drop, seed):
+        # Whenever the sweep says the arcs are covered, every point of a dense
+        # angular grid over both arcs passes the exact test against some
+        # centre: the arc ends and their 1-ulp neighbours, each centre's cap
+        # ends at 2 asin(spacing / 2) and theirs, at radii 1 and 1 +- 2 eps.
+        # The outer caps end on, or a few multiples of alpha * 1e-9 (the arcs'
+        # margin) inside or outside, the arc ends.
+        axis = planar_axis(angle)
+        spacing = alpha * s * (1.0 - _NET_MARGIN)
+        rng = np.random.default_rng(seed)
+        centres = evenly_covering(axis, alpha, spacing, step,
+                                  None if end is None else end * alpha * 1e-9)
+        u = axis.frame[:, 0]
+        theta = np.arctan2(centres @ np.array([-u[1], u[0]]), centres @ u)
+        theta += jitter * rng.uniform(-1.0, 1.0, len(theta))
+        if 0 <= drop < len(theta):
+            theta = np.delete(theta, drop)
+        centres = arc_centres(axis, rng.permutation(theta), radius)
+        covered = _arcs_covered(centres, axis, alpha, spacing)
+        event(f"covered: {covered}")
+        if not covered:
+            return
+        width = math.asin(alpha)
+        half = 2.0 * math.asin(0.5 * spacing)
+        angles = [np.linspace(mid - width, mid + width, 4001) for mid in (0.0, math.pi)]
+        edges = np.concatenate([[-width, width, math.pi - width, math.pi + width],
+                                theta - half, theta + half])
+        angles += [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+        angles = np.concatenate(angles)
+        angles = angles[np.abs(np.sin(angles)) <= alpha]
+        grid = arc_centres(axis, angles)
+        grid = np.concatenate([grid * (1.0 - 2.0 * np.finfo(float).eps), grid,
+                               grid * (1.0 + 2.0 * np.finfo(float).eps)])
+        assert passes_the_net_test(grid, centres, spacing).all()
+
+    def test_false_cases(self):
+        axis = vertical_axis(2)
+        spacing = PLANAR_ALPHA * 0.5 * (1.0 - _NET_MARGIN)
+        centres = evenly_covering(axis, PLANAR_ALPHA, spacing, 1.5)
+        assert _arcs_covered(centres, axis, PLANAR_ALPHA, spacing)
+        # A missing centre leaves a gap in one arc.
+        assert not _arcs_covered(np.delete(centres, 2, axis=0), axis, PLANAR_ALPHA,
+                                 spacing)
+        assert not _arcs_covered(centres[:len(centres) // 2], axis, PLANAR_ALPHA, spacing)
+        # The margins: caps that overlap by 2e-9 of their width and pass the
+        # arc ends by 1e-8 alpha cover, while caps 1e-9 of their width apart,
+        # or ending 1e-7 alpha inside the ends, leave points out.
+        def covered(step, end_gap):
+            centres = evenly_covering(axis, PLANAR_ALPHA, spacing, step, end_gap)
+            return _arcs_covered(centres, axis, PLANAR_ALPHA, spacing)
+
+        assert covered(2.0 * (1.0 - 2e-9), -1e-8 * PLANAR_ALPHA)
+        assert not covered(2.0 * (1.0 + 1e-9), -1e-8 * PLANAR_ALPHA)
+        assert not covered(1.5, 1e-7 * PLANAR_ALPHA)
+        # The region is the whole circle (or within 1e-9 of it): full scan.
+        dense = evenly_covering(axis, 0.999, 0.1, 1.0)
+        assert _arcs_covered(dense, axis, 0.99, 0.1)
+        for alpha in (1.0, 1.0 - 1e-12, 1.5):
+            assert not _arcs_covered(dense, axis, alpha, 0.1)
+        # Spacing under the floor, where the rounding margins are too thin.
+        small = 0.5 * _ARC_FLOOR
+        dense = evenly_covering(axis, 0.01, small, 1.0)
+        assert _arcs_covered(dense, axis, 0.01, 4.0 * _ARC_FLOOR)
+        assert not _arcs_covered(dense, axis, 0.01, small)
