@@ -3,12 +3,12 @@
 For each vertex x of a subset, counts the scales j at which the closed cone
 shell of aperture theta (two-sided around the vertical axis) or alpha
 (one-sided along a direction w) meets some other subset point.  The counts
-come from a ``ShellTable``: kd-tree candidates plus the exact predicate
-``cone_shells``, or every pair as a candidate when ``oracle`` is set
-(``PipelineConfig.oracle``, the CLI's ``--oracle``).  Both make identical
-floating-point comparisons, so their outputs match exactly.  Reports carry
-counts only: the visited scales and witnesses of a vertex come from
-``ShellTable.scales`` and ``ShellTable.witness``.
+come from a ``ShellTable``: the exact predicate ``cone_shells`` on the kept
+pairs of an enclosing ``parent`` table, or standalone on kd-tree candidates,
+or on every pair when ``oracle`` is set (the CLI's ``--oracle``).  All make
+identical floating-point comparisons, so their outputs match exactly.
+Reports carry counts only: the visited scales and witnesses of a vertex come
+from ``ShellTable.scales`` and ``ShellTable.witness``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from .shells import ShellTable, VisitationReport
 
 def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
                       scale_range: ScaleRange | None = None,
-                      direction=None, oracle: bool = False) -> VisitationReport:
+                      direction=None, oracle: bool = False,
+                      parent: ShellTable | None = None) -> VisitationReport:
     """Count dyadic cone-shell visits for every vertex of the subset.
 
     A vertex never witnesses itself.  Shells are closed on both radii and the
     aperture, matching the closed-cone convention of the property checks.
+    With ``parent`` the counting table filters that table's kept pairs.
     """
     if not 0.0 < aperture < 1.0:
         raise InputError("aperture must lie in (0, 1)")
@@ -42,7 +44,9 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
         nrm = np.linalg.norm(w)
         if abs(nrm - 1.0) > 1e-9:
             raise InputError("direction must be a unit vector")
-    return ShellTable(cloud, subset, aperture, scale_range, w, oracle).visits()
+        if abs(nrm - 1.0) > 4.0 * np.finfo(float).eps:  # a table needs |w| = 1 to a few eps
+            w = w / nrm
+    return ShellTable(cloud, subset, aperture, scale_range, w, oracle, parent).visits()
 
 
 def bad_set(report: VisitationReport, threshold: int,

@@ -278,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         if oracle:
             p.add_argument("--oracle", action="store_true",
-                           help="every visit table takes all pairs as candidates "
-                                "in place of the kd-tree search, the refinement "
-                                "loop's tables included")
+                           help="the root visit table takes all pairs as candidates "
+                                "in place of the kd-tree search; every other table, "
+                                "the refinement loop's included, filters its pairs")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("generate", help="emit a synthetic cloud")

@@ -272,8 +272,8 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
 
     t = time.perf_counter()
     scale_range = ScaleRange.default_for(e_cloud)
-    # One table over e answers the before, e2 and after reports: an alive
-    # mask restricts both the rows and the visitors.
+    # One table over e answers the before, e2 and after reports (alive masks
+    # restrict rows and visitors); its cone holds every later table's cone.
     table = ShellTable(e_cloud, e_cloud.all_indices(), theta0, scale_range,
                        oracle=cfg.oracle)
     before = table.visits()
@@ -303,7 +303,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
     times["cover"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    schedule = refine_schedule(e_cloud, e2_idx, cover, cfg.refine_config())
+    schedule = refine_schedule(e_cloud, e2_idx, cover, cfg.refine_config(), table)
     times["refine"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -6,13 +6,14 @@ F whose counts at aperture alpha/2 are at most M - 1, never wasting much more
 mass than it keeps.  Its outcome carries K's counts at alpha/2, which is the
 report the next pass refines.  ``refine_schedule`` drives it over every
 direction of a cone cover, down to zero visits per direction, and certifies
-the resulting two-sided property with a fresh visit count.  Every visit
+the resulting two-sided property with a final visit count.  Every visit
 count here, both certificates included, reads a shell table
-(``shells.ShellTable``), whose candidate pairs come from the kd-tree search,
-or from every pair when ``RefineConfig.oracle`` is set; the two make the same
-comparisons.  A pass lives inside the set F it refines: it runs on F's
-subcloud, in its positions, and maps them back to cloud indices only in its
-outcome and ledger.
+(``shells.ShellTable``) that filters the pairs of a parent table: in a
+pipeline run, the theta0 table, whose cone holds every cone counted here.
+A standalone call builds its tables' candidates itself, from every pair
+when ``RefineConfig.oracle`` is set.  A pass lives inside the set F it
+refines: it runs on F's subcloud, in its positions, which are also the rows
+of its table over F; cloud indices appear only in its outcome and ledger.
 
 The bad-point test reads one dense ball-mass table per pass (``_DenseRows``):
 the exactly-M set only loses points between iterations, so the table is
@@ -30,7 +31,7 @@ recoverable condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,7 +257,8 @@ def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray,
 
 
 def refine_once(cloud: WeightedCloud, entry: VisitationReport,
-                cfg: RefineConfig | None = None) -> RefinementOutcome:
+                cfg: RefineConfig | None = None,
+                parent: ShellTable | None = None) -> RefinementOutcome:
     """One refinement pass: (alpha, M) visit bound in, (alpha/2, M-1) out.
 
     ``entry`` is the one-sided visit report of the input set F along w at
@@ -264,23 +266,24 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     saved ball around the bad point with the smallest coordinate along w and
     deleting the open cone shadows of its enlarged neighborhood, until either
     half the mass is accounted for or no dense bad points remain.  The pass
-    runs on the subcloud of F, in its positions; the outcome maps them back
-    to cloud indices.
+    runs on the subcloud of F, in its positions, and its alpha/2 table filters
+    ``parent`` if given; the outcome maps positions back to cloud indices.
     """
     cfg = cfg or RefineConfig()
     if entry.direction is None:
         raise InputError("refine_once needs a one-sided visit report")
-    subset, w, alpha = entry.subset, entry.direction, entry.aperture
+    w, alpha = entry.direction, entry.aperture
     scale_range, big_m = entry.scale_range, entry.max_count
     if not 0.0 < alpha <= _ALPHA_MAX:
         raise InputError(f"aperture {alpha} outside (0, {_ALPHA_MAX}]")
     if big_m == 0:
         raise InputError("nothing to refine: the report has no visits")
 
+    shells = ShellTable(cloud, entry.subset, alpha / 2.0, scale_range, w, cfg.oracle, parent)
+    subset = shells.subset  # sorted: the subcloud's positions are the table's rows
     sub = cloud.subcloud(subset)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    shells = ShellTable(sub, sub.all_indices(), alpha / 2.0, scale_range, w, cfg.oracle)
     delta_n = sub.delta_res ** sub.n
     dense_rows = _DenseRows(sub, np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]])), epsilon)
@@ -339,7 +342,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
 
         committed = False
         for j_k in candidate_js:
-            z_k = sub.coords[shells.witness(x_k, int(j_k), alive)]
+            z_k = cloud.coords[shells.witness(x_k, int(j_k), alive)]
             c_try = cfg.c_factor * alpha
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
@@ -398,7 +401,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             mass_remaining=sub.mass(np.flatnonzero(alive)), bad_points=len(bad)))
 
     kept = subset[keep_mask]
-    certificate = replace(shells.visits(keep_mask), subset=kept)
+    certificate = shells.visits(keep_mask)
     if certificate.max_count > big_m - 1:
         raise AlgorithmInvariantViolation(
             f"output certificate failed: {certificate.max_count} visited scales "
@@ -446,15 +449,16 @@ class ScheduleResult:
 
 
 def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
-                    cfg: RefineConfig | None = None) -> ScheduleResult:
+                    cfg: RefineConfig | None = None,
+                    parent: ShellTable | None = None) -> ScheduleResult:
     """Refine along every cover direction until each has zero visits.
 
     The cover is built with aperture theta / b_used and shrink factor 2^-m0,
     where m0 is the largest two-sided visit count of e2 at theta: each
     direction then needs at most m0 passes (the aperture halves per pass),
     and the surviving set's two-sided visits at aperture theta / b_used
-    vanish, which a fresh two-sided visit count verifies.  With m0 = 0
-    (``cover.s == 1``) no direction is refined.
+    vanish, which a final two-sided count verifies; every table filters
+    ``parent`` if given.  With m0 = 0 (``cover.s == 1``) no direction is refined.
     """
     cfg = cfg or RefineConfig()
     e2 = np.sort(np.asarray(e2, dtype=np.intp))
@@ -466,14 +470,14 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
     directions = cover.directions if cover.s < 1.0 else []  # m0 = 0: nothing to refine
     for row, w in enumerate(directions):
         report = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                   direction=w, oracle=cfg.oracle)
+                                   direction=w, oracle=cfg.oracle, parent=parent)
         initial = report.max_count
         outcomes = []
         while report.max_count:
             if len(outcomes) > initial + 2:
                 raise AlgorithmInvariantViolation(
                     "per-direction refinement failed to drain the visit counts")
-            outcome = refine_once(cloud, report, cfg)
+            outcome = refine_once(cloud, report, cfg, parent)
             outcomes.append(outcome)
             current, report = outcome.kept, outcome.certificate  # kept at half the aperture
             if cloud.mass(current) < floor_mass:
@@ -487,7 +491,7 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
             outcomes=outcomes))
 
     certificate = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                    direction=None, oracle=cfg.oracle)
+                                    direction=None, oracle=cfg.oracle, parent=parent)
     if certificate.max_count > 0:
         raise AlgorithmInvariantViolation(
             "final two-sided certificate failed after the direction schedule")

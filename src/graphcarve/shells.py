@@ -3,15 +3,15 @@
 ``cone_shells`` is the one membership test: the shell table and the
 refinement shadows call it, so they make the same floating-point
 comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
-once: a ``cKDTree`` range search (Bentley, CACM 18(9), 1975) in a sheared
-frame returns a superset of the in-cone pairs, the exact predicate filters
-them, and the survivors are kept as CSR rows with a shell bitmask per pair.
-With ``oracle`` set the candidates are every pair instead, a block of rows
-at a time, which is the brute-force reference for the kd-tree search: the
-two tables make the same comparisons on the pairs they share, so they are
-equal.  One table answers the visit counts of any alive subset of its rows
-as a ``VisitationReport``, and the visited scales and lowest witnesses of one
-row at a time, which is what refinement reads.
+once: the exact predicate filters the kept pairs of a two-sided parent
+table whose cone holds its own, or a ``cKDTree`` range search (Bentley, CACM
+18(9), 1975), or under ``oracle`` every pair, the brute-force reference, and
+keeps the survivors as CSR rows with a shell bitmask per pair.  A pipeline
+run searches once, for its theta0 table (every pair under ``--oracle``), and
+every later table filters that table's pairs.  One table answers the visit
+counts of any alive subset of its rows as a ``VisitationReport``, and the
+visited scales and lowest witnesses of one row at a time, which is what
+refinement reads.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
     cone = perp_sq < bound if strict else perp_sq <= bound
     if direction is not None:
         cone &= along > 0.0 if strict else along >= 0.0
-    dist = np.sqrt(dist_sq)[:, None]
+    hits = np.zeros((len(delta), len(outer)), dtype=bool)
+    dist = np.sqrt(dist_sq[cone])[:, None]
     if strict:
-        return cone[:, None] & (dist > inner) & (dist < outer)
-    return cone[:, None] & (dist >= inner) & (dist <= outer)
+        hits[cone] = (dist > inner) & (dist < outer)
+    else:
+        hits[cone] = (dist >= inner) & (dist <= outer)
+    return hits
 
 
 @dataclass(frozen=True)
@@ -87,53 +90,31 @@ class VisitationReport:
         return dict(sorted(out.items()))
 
 
-def _candidate_pairs(points: np.ndarray, aperture: float, n: int, direction,
+def _candidate_pairs(points: np.ndarray, aperture: float, n: int,
                      r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) position pairs: a superset of the in-cone pairs within r_max.
+    """Position pairs (i < j): a superset of the two-sided in-cone pairs within r_max.
 
-    Two-sided: with the horizontal coordinates divided by the aperture, the
-    cut cone lies in the Chebyshev ball of radius r_max (query_pairs returns
-    each unordered pair once).  One-sided: in an orthonormal frame with w
-    first and the other coordinates divided by 2 * aperture, it lies in the
-    Chebyshev ball of radius r_max / 2 around x + (r_max / 2) w.  The radius
-    is padded far past the rounding of the frame change and of the predicate,
-    whose one-sided form subtracts squares and so can pass a pair whose exact
-    perpendicular part is up to sqrt(1 + O(eps) / aperture^2) times too long.
+    With the horizontal coordinates divided by the aperture, the cut cone lies
+    in the Chebyshev ball of radius r_max, padded far past the rounding of the
+    frame change and of the predicate; sqrt(a^2 + 64 eps) / a also covers the
+    predicate's fl(a * a) where it loses precision below the normal range.
     """
     scaled = points - points.min(axis=0)
-    radius = r_max
-    if direction is None:
-        scaled[:, :n] /= aperture
-    else:
-        frame = np.linalg.qr(direction[:, None], mode="complete")[0]
-        frame[:, 0] = direction
-        scaled = scaled @ frame
-        scaled[:, 1:] /= 2.0 * aperture
-        radius = r_max / 2.0
-    radius = (radius * (1e-9 + np.sqrt(1.0 + 64.0 * _EPS / aperture ** 2))
+    scaled[:, :n] /= aperture
+    radius = (r_max * (1e-9 + np.sqrt(aperture * aperture + 64.0 * _EPS) / aperture)
               + 64.0 * _EPS * float(np.abs(scaled).max()))
-    tree = cKDTree(scaled)
-    if direction is None:
-        pairs = tree.query_pairs(radius, p=np.inf, output_type="ndarray")
-        return pairs[:, 0], pairs[:, 1]
-    centres = scaled.copy()  # the tree keeps a reference to ``scaled``
-    centres[:, 0] += r_max / 2.0
-    found = cKDTree(centres).sparse_distance_matrix(tree, radius, p=np.inf,
-                                                    output_type="ndarray")
-    keep = found["i"] != found["j"]
-    return found["i"][keep], found["j"][keep]
+    pairs = cKDTree(scaled).query_pairs(radius, p=np.inf, output_type="ndarray")
+    return pairs[:, 0], pairs[:, 1]
 
 
-def _all_pairs(size: int, symmetric: bool):
-    """Every position pair (i, j) of ``size`` points, i < j if ``symmetric`` and
-    i != j otherwise, in row-major blocks of at most ``_CHUNK`` pairs."""
-    widths = np.arange(size - 1, -1, -1) if symmetric else np.full(size, size - 1)
-    starts = np.concatenate([[0], np.cumsum(widths)])
+def _all_pairs(size: int):
+    """Every position pair i < j of ``size`` points, in row-major blocks of at
+    most ``_CHUNK`` pairs."""
+    starts = np.concatenate([[0], np.cumsum(np.arange(size - 1, -1, -1))])
     for lo in range(0, int(starts[-1]), _CHUNK):
         flat = np.arange(lo, min(lo + _CHUNK, int(starts[-1])))
         rows = np.searchsorted(starts, flat, side="right") - 1
-        k = flat - starts[rows]
-        yield rows, (rows + 1 + k if symmetric else k + (k >= rows))
+        yield rows, rows + 1 + flat - starts[rows]
 
 
 class ShellTable:
@@ -143,37 +124,59 @@ class ShellTable:
     the points in its cone shells, ascending (so ascending cloud index), and
     bit s of a column's mask marks the shell of scale ``js[s]``.  ``alive``
     masks are over subset positions and restrict the visitors, not the rows.
-    ``oracle`` takes every pair as a candidate in place of the kd-tree search.
+    ``direction`` must have unit length to within a few eps.  ``parent``
+    must be a two-sided table of the same cloud and scale range over a
+    superset, at an aperture of at least ``reach``.  Without one, a one-sided
+    table builds its own at that aperture, or takes every pair if it reaches
+    1, as ``oracle`` does in place of a two-sided table's kd-tree search.
     """
 
-    def __init__(self, cloud: WeightedCloud, subset: np.ndarray, aperture: float,
-                 scale_range: ScaleRange, direction=None, oracle: bool = False):
+    def __init__(self, cloud: WeightedCloud, subset, aperture: float,
+                 scale_range: ScaleRange, direction=None, oracle: bool = False,
+                 parent: "ShellTable | None" = None):
         self.subset = np.sort(np.asarray(subset, dtype=np.intp))
-        self.aperture, self.direction, self.scale_range = aperture, direction, scale_range
+        if len(self.subset) and (self.subset[0] < 0 or self.subset[-1] >= len(cloud)
+                                 or (np.diff(self.subset) == 0).any()):
+            raise InputError("a subset must hold distinct indices of cloud points")
+        self.cloud, self.aperture = cloud, aperture
+        self.direction, self.scale_range = direction, scale_range
         self.js = scale_range.js
         if len(self.js) > 64:
             raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
         outer = 2.0 ** (-self.js.astype(float))
         points = cloud.coords[self.subset]
-        if oracle:
-            blocks = _all_pairs(len(points), direction is None)
+        # The rounded one-sided test subtracts squares, so the pairs it passes have
+        # an exact part orthogonal to w up to sqrt(a^2 + 64 eps) |delta| long, and
+        # for w of unit length to within a few eps a horizontal part up to
+        # |pi_H w| |delta| longer; 1 + 1e-9 covers the rounding of the two-sided test.
+        self.reach = aperture if direction is None else (1.0 + 1e-9) * float(
+            np.linalg.norm(direction[:cloud.n]) + np.sqrt(aperture * aperture + 64.0 * _EPS))
+        if parent is None and direction is not None and not oracle and self.reach < 1.0:
+            parent = ShellTable(cloud, self.subset, self.reach, scale_range)
+        if parent is not None:
+            pairs = self._inherited(parent)
+        elif oracle or direction is not None or len(points) < 2:
+            pairs = None
         else:
-            rows = cols = np.empty(0, dtype=np.intp)
-            if len(points) > 1:
-                rows, cols = _candidate_pairs(points, aperture, cloud.n, direction,
-                                              float(outer.max()))
-            blocks = ((rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK])
-                      for lo in range(0, len(rows), _CHUNK))
+            pairs = _candidate_pairs(points, aperture, cloud.n, float(outer.max()))
+        blocks = _all_pairs(len(points)) if pairs is None else (
+            (pairs[0][lo:lo + _CHUNK], pairs[1][lo:lo + _CHUNK])
+            for lo in range(0, len(pairs[0]), _CHUNK))
         shell_bit = np.uint64(1) << np.arange(len(self.js), dtype=np.uint64)
         kept = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=np.uint64),)]
-        for first, second in blocks:
-            hits = cone_shells(points[second] - points[first], aperture, cloud.n,
-                               direction, outer / 2.0, outer)
-            bits = np.bitwise_or.reduce(hits * shell_bit, axis=1)
-            seen = bits != 0
-            kept.append((first[seen], second[seen], bits[seen]))
+        # A one-sided table tests both orders of a pair: fl(a - b) = -fl(b - a).
+        orders = (0,) if direction is None else (0, 1)
+        for ends in blocks:
+            delta = points.take(ends[1], axis=0) - points.take(ends[0], axis=0)
+            for flip in orders:
+                hits = cone_shells(-delta if flip else delta, aperture, cloud.n,
+                                   direction, outer / 2.0, outer)
+                seen = np.unique(np.flatnonzero(hits) // len(outer))  # rows with a hit
+                bits = np.bitwise_or.reduce(hits[seen] * shell_bit, axis=1)
+                kept.append((ends[flip][seen], ends[1 - flip][seen], bits))
         rows, cols, bits = (np.concatenate(part) for part in zip(*kept))
         if direction is None:
+            self.pairs = rows, cols  # each kept pair once, i < j: what children filter
             # delta -> -delta leaves the two-sided test bit-identical.
             rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
             bits = np.concatenate([bits, bits])
@@ -182,6 +185,21 @@ class ShellTable:
         self.bits = bits[order]
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows, minlength=len(self.subset)))])
+
+    def _inherited(self, parent: "ShellTable") -> tuple[np.ndarray, np.ndarray]:
+        """The parent's kept pairs inside the subset, as positions i < j."""
+        pos = np.searchsorted(parent.subset, self.subset)
+        if (parent.direction is not None or parent.cloud is not self.cloud
+                or parent.scale_range != self.scale_range or parent.aperture < self.reach
+                or not (pos < len(parent.subset)).all()
+                or not np.array_equal(parent.subset[pos], self.subset)):
+            raise InputError(f"the parent table must be two-sided, over the same cloud and "
+                             f"scale range and a superset, at an aperture >= {self.reach}")
+        local = np.full(len(parent.subset), -1, dtype=np.intp)
+        local[pos] = np.arange(len(self.subset))
+        first, second = local[parent.pairs[0]], local[parent.pairs[1]]
+        both = (first >= 0) & (second >= 0)
+        return first[both], second[both]
 
     def counts(self, alive) -> np.ndarray:
         """Visited-scale count of every row."""

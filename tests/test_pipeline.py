@@ -125,8 +125,9 @@ class TestOracleMode:
                                max_height=0.6, mass_fraction=0.1, seed=5),
     ], ids=["union_of_graphs", "outlier_stacks"])
     def test_report_bytes_match_the_default_mode(self, make_cloud, monkeypatch):
-        # Under the oracle every visit table, the refinement loop's included,
-        # takes all pairs as candidates and never runs the kd-tree search;
+        # Under the oracle the theta0 table takes all pairs as candidates and
+        # every later table, the refinement loop's included, filters its pairs,
+        # so no kd-tree search runs;
         # only the recorded switch may differ from the default run.
         cloud = make_cloud()
         default = run_pipeline(cloud, PipelineConfig(seed=4))
@@ -139,6 +140,23 @@ class TestOracleMode:
         assert oracle.params["oracle"] and not default.params["oracle"]
         oracle.params["oracle"] = False
         assert oracle.to_json().encode() == default.to_json().encode()
+
+
+def test_a_run_makes_one_candidate_search(monkeypatch):
+    # The theta0 table is the run's only kd-tree search: the refinement
+    # loop's one-sided tables, its passes' tables and the final two-sided
+    # check all filter its pairs.
+    searches = []
+    search = shells._candidate_pairs
+
+    def counted(*args):
+        searches.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(shells, "_candidate_pairs", counted)
+    report = run_pipeline(union_of_graphs(300, seed=2), PipelineConfig(seed=4))
+    assert report.thresholds["m0"] == 1 and report.refinement["total_applications"] > 0
+    assert searches == [report.thresholds["theta0"]]
 
 
 class TestResolutionDedup:

@@ -24,6 +24,7 @@ from graphcarve import (
 )
 from graphcarve import audit
 from graphcarve import refine as refine_module
+from graphcarve import shells
 from graphcarve.measure import ball_masses
 from graphcarve.pipeline import normalize_to_unit_ball
 from graphcarve.refine import (
@@ -377,6 +378,26 @@ class TestRefineOnceOnASubset:
         verify_outcome_invariants(cloud, out)
 
 
+def test_an_unsorted_entry_report_refines_its_sorted_set():
+    # A pass's positions are the rows of its table, which sorts the subset: a
+    # report that lists its vertices out of order must give the same pass.
+    cloud = two_stacks_cloud()
+    entry = entry_report(cloud)
+    order = np.random.default_rng(1).permutation(len(entry.subset))
+    shuffled = replace(entry, subset=entry.subset[order], counts=entry.counts[order])
+    cfg = RefineConfig(epsilon=1.0)
+    out, ref = refine_once(cloud, shuffled, cfg), refine_once(cloud, entry, cfg)
+    assert ref.iterations >= 1
+    for name in ("kept", "remaining"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    for mine, theirs in ((out.saved, ref.saved), (out.deleted, ref.deleted)):
+        assert len(mine) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    assert out.records == ref.records
+    assert np.array_equal(out.certificate.subset, ref.certificate.subset)
+    assert np.array_equal(out.certificate.counts, ref.certificate.counts)
+
+
 class TestRefineSchedule:
     def _cover(self, theta, m0, seed=0):
         return build_cover_for_theta(Subspace.vertical_axis(2, 1), theta,
@@ -434,29 +455,49 @@ class TestRefineSchedule:
                 assert second.entry is first.certificate
 
     def test_one_table_per_direction_and_per_pass(self, monkeypatch):
-        # The schedule counts each direction once at cover.alpha; every pass
-        # then builds only its alpha/2 table and hands its certificate on as
-        # the next pass's entry report, with no recount of the entry set.
+        # Given a root table, the schedule counts each direction once at
+        # cover.alpha; every pass then builds only its alpha/2 table and hands
+        # its certificate on as the next pass's entry report, with no recount
+        # of the entry set.  Every table, the final two-sided check included,
+        # filters the root's pairs: none runs a candidate search of its own.
         built = []
 
         class Counted(ShellTable):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if self.direction is not None:
-                    built.append(self.aperture)
+            def __init__(self, cloud, subset, aperture, scale_range, direction=None,
+                         oracle=False, parent=None):
+                super().__init__(cloud, subset, aperture, scale_range, direction, oracle,
+                                 parent)
+                built.append((direction is None, aperture, parent))
 
-        monkeypatch.setattr(audit, "ShellTable", Counted)
-        monkeypatch.setattr(refine_module, "ShellTable", Counted)
+        def no_search(*args):
+            raise AssertionError("a table filtering the root searched for candidates")
+
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(kwargs["direction"] is None)
+            return visitation_counts(*args, **kwargs)
+
         cloud = self._embedded_stack()
         theta = 0.04
-        cover = self._cover(theta, visitation_counts(cloud, cloud.all_indices(),
-                                                     theta).max_count)
-        built.clear()
+        root = ShellTable(cloud, cloud.all_indices(), theta, ScaleRange.default_for(cloud))
+        cover = self._cover(theta, root.visits().max_count)
+        alone = refine_schedule(cloud, cloud.all_indices(), cover, RefineConfig(epsilon=0.5))
+        for module in (refine_module, audit):
+            monkeypatch.setattr(module, "ShellTable", Counted)
+        monkeypatch.setattr(refine_module, "visitation_counts", counting)
+        monkeypatch.setattr(shells, "_candidate_pairs", no_search)
         result = refine_schedule(cloud, cloud.all_indices(), cover,
-                                 RefineConfig(epsilon=0.5))
+                                 RefineConfig(epsilon=0.5), root)
         passes = sum(run.applications for run in result.runs)
         assert passes >= 1
-        assert len(built) == cover.m + passes
+        assert [(two_sided, parent) for two_sided, _, parent in built] == (
+            [(False, root)] * (cover.m + passes) + [(True, root)])
+        assert built[-1][1] == cover.alpha
+        # The direction counts and the final check go through visitation_counts.
+        assert counted == [False] * cover.m + [True]
+        assert json.dumps(result.ledger()) == json.dumps(alone.ledger())
+        assert np.array_equal(result.e3, alone.e3)
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_final_certificate_catches_a_planted_visit(self, oracle):

@@ -147,3 +147,155 @@ def test_all_pairs_blocks_stay_within_the_chunk(monkeypatch, direction):
     for name in ("cols", "bits", "indptr"):
         assert np.array_equal(getattr(table, name), getattr(kd, name))
     assert kd.indptr[-1] > 0
+
+
+def test_near_unit_directions_count_as_their_unit_vector():
+    # ``visitation_counts`` accepts |w| within 1e-9 of 1 and divides w by its
+    # norm.  Unnormalized, w = (0, 1 + 5e-10) makes the one-sided test at
+    # aperture 1e-9 pass a pair 1e-5 off the axis: along^2 outgrows |delta|^2.
+    cloud = WeightedCloud(np.array([[0.0, 0.0], [1e-5, 0.9]]), np.ones(2), n=1,
+                          delta_res=1e-6)
+    for oracle in (False, True):
+        report = visitation_counts(cloud, [0, 1], 1e-9, ScaleRange(0, 5),
+                                   direction=np.array([0.0, 1.0 + 5e-10]), oracle=oracle)
+        assert list(report.counts) == [0, 0]
+    # Pairs near a random or near-vertical unit vector u, counted along
+    # u * (1 + 9e-10) at aperture 1e-6, both ways and against the unit vector.
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for near_vertical in (False, True):
+        for _ in range(200):
+            angle = rng.uniform(-1e-3, 1e-3) if near_vertical else rng.uniform(-np.pi, np.pi)
+            u = np.array([np.sin(angle), np.cos(angle)])
+            off = 10 ** rng.uniform(-7, -4)
+            coords = np.array([[0.0, 0.0], 0.9 * (u + off * np.array([-u[1], u[0]]))])
+            cloud = WeightedCloud(coords, np.ones(2), n=1, delta_res=0.01)
+            args = (cloud, [0, 1], 1e-6, ScaleRange(0, 5))
+            ref = visitation_counts(*args, direction=u, oracle=True)
+            accepted += int(ref.counts[0])
+            for oracle in (False, True):
+                assert_reports_equal(visitation_counts(*args, direction=u * (1 + 9e-10),
+                                                       oracle=oracle), ref)
+    assert 0 < accepted < 400
+
+
+@pytest.mark.parametrize("subset", [[0, 0, 1], [-1, 0], [0, 5]],
+                         ids=["repeated", "negative", "out_of_range"])
+@pytest.mark.parametrize("direction", [None, np.array([0.0, 1.0])],
+                         ids=["two_sided", "one_sided"])
+def test_subsets_must_hold_distinct_cloud_indices(subset, direction):
+    cloud = WeightedCloud(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]), np.ones(3),
+                          n=1, delta_res=0.5)
+    for oracle in (False, True):
+        with pytest.raises(InputError, match="distinct indices"):
+            visitation_counts(cloud, subset, 0.5, direction=direction, oracle=oracle)
+    with pytest.raises(InputError, match="distinct indices"):
+        ShellTable(cloud, subset, 0.5, ScaleRange(-1, 1), direction)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def enclosed_cases(draw):
+    """A child table's setting and a parent aperture that encloses it.
+
+    One-sided children get directions w with |pi_H w| <= alpha, as the cover
+    directions have, at alpha or alpha / 2 (a refinement pass), for alpha
+    down to 1e-6; the parent sits at the child's ``reach`` (the smallest it
+    may), at 2.5 alpha (the pipeline's theta0) or in between.  Two-sided
+    children sit at or under the parent's aperture.  Around the first point
+    of a lattice cloud, points are planted on both sides of the child's cone
+    and, for horizontal tilt, of the parent's, at relative offsets of 1e-9
+    and 1e-6, where the rounded tests decide.
+    """
+    cloud, subset, _, _, sr, alive, inner = draw(shell_cases())
+    d, n = cloud.d, cloud.n
+    alpha = draw(st.one_of(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]),
+                           st.floats(1e-6, 0.3)))
+    horiz = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    vert = np.array(draw(st.lists(st.floats(-1, 1), min_size=d - n, max_size=d - n)))
+    vert = _unit(vert) if np.linalg.norm(vert) > 0.1 else np.eye(d - n)[-1]
+    tilt = alpha * draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    lean = np.concatenate([_unit(horiz) if np.linalg.norm(horiz) > 0.1 else np.eye(n)[0],
+                           np.zeros(d - n)])
+    horiz = tilt * lean[:n]
+    w = _unit(np.concatenate([horiz, np.sqrt(1.0 - tilt * tilt) * vert]))
+    kind = draw(st.sampled_from(["alpha", "half", "two_sided"]))
+    if kind == "two_sided":
+        parent_aperture = draw(st.sampled_from([alpha, 2.5 * alpha, 0.6]))
+        aperture = parent_aperture * draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+        direction, axis, reach = None, np.eye(d)[-1], aperture
+    else:
+        aperture = alpha if kind == "alpha" else alpha / 2.0
+        direction, axis = w, w
+        reach = ShellTable(cloud, [0], aperture, sr, w).reach
+        parent_aperture = draw(st.sampled_from([reach, 2.5 * alpha, (reach + 2.5 * alpha) / 2]))
+    # Off the axis towards w's horizontal part: the widest one for the parent.
+    side = _unit(lean - (lean @ axis) * axis)
+    base = cloud.coords[0]
+    step = min(4.0 * cloud.delta_res, 1.0)
+    planted = []
+    for k, rel in enumerate((-1e-6, -1e-9, 0.0, 1e-9, 1e-6)):
+        for ap in dict.fromkeys((aperture, parent_aperture)):
+            s = min(ap * (1.0 + rel), 1.0)
+            radius = step * (0.5 + 0.03 * len(planted))
+            planted.append(base + radius * (np.sqrt(1.0 - s * s) * axis + s * side))
+    coords = np.vstack([cloud.coords, planted])
+    cloud = WeightedCloud(coords, np.ones(len(coords)), n=n, delta_res=cloud.delta_res,
+                          check_separation=False)
+    extra = np.arange(len(coords) - len(planted), len(coords))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra))))
+    outer_set = np.concatenate([subset, extra])
+    inner_set = np.concatenate([subset[alive], extra[keep]])
+    mask = np.array(draw(st.lists(st.booleans(), min_size=len(inner_set),
+                                  max_size=len(inner_set))))
+    return cloud, outer_set, inner_set, mask, sr, aperture, direction, parent_aperture
+
+
+@settings(max_examples=300, deadline=None)
+@given(enclosed_cases())
+def test_parent_tables_equal_the_standalone_ones(case):
+    cloud, outer_set, inner_set, mask, sr, aperture, direction, parent_aperture = case
+    kd_parent = ShellTable(cloud, outer_set, parent_aperture, sr)
+    every_parent = ShellTable(cloud, outer_set, parent_aperture, sr, oracle=True)
+    alone = ShellTable(cloud, inner_set, aperture, sr, direction)
+    every = ShellTable(cloud, inner_set, aperture, sr, direction, oracle=True)
+    for parent in (kd_parent, every_parent):
+        child = ShellTable(cloud, inner_set, aperture, sr, direction, parent=parent)
+        for other in (alone, every):
+            for name in ("cols", "bits", "indptr"):
+                assert np.array_equal(getattr(child, name), getattr(other, name))
+    for alive in (np.ones(len(mask), dtype=bool), mask):
+        assert_rows_match_oracle(cloud, child, alive)
+
+
+@pytest.mark.parametrize("change", ["aperture", "scale_range", "subset", "subset_past_end",
+                                    "one_sided", "cloud", "two_sided_child"])
+def test_a_parent_that_does_not_enclose_is_refused(change):
+    cloud = WeightedCloud(np.array([[0.0, 0.0], [0.01, 0.5], [0.3, 1.0]]), np.ones(3),
+                          n=1, delta_res=0.01)
+    sr = ScaleRange.default_for(cloud)
+    w = _unit(np.array([0.05, 1.0]))
+    reach = ShellTable(cloud, [0, 1], 0.1, sr, w).reach
+    child = dict(subset=[0, 1], aperture=0.1, direction=w)
+    parent = dict(cloud=cloud, subset=[0, 1, 2], aperture=reach, scale_range=sr)
+    ShellTable(cloud, child["subset"], 0.1, sr, w, parent=ShellTable(**parent))
+    if change == "aperture":
+        parent["aperture"] = reach * (1.0 - 1e-12)
+    elif change == "scale_range":
+        parent["scale_range"] = ScaleRange(sr.j_min, sr.j_max + 1)
+    elif change == "subset":
+        parent["subset"] = [0, 2]
+    elif change == "subset_past_end":  # the child's 1 lies past the parent's last index
+        parent["subset"] = [0]
+    elif change == "one_sided":
+        parent["direction"] = w
+    elif change == "cloud":
+        parent["cloud"] = WeightedCloud(cloud.coords, cloud.weights, n=1, delta_res=0.01)
+    else:
+        child.update(direction=None, aperture=reach * (1.0 + 1e-12))
+    with pytest.raises(InputError, match="parent table"):
+        ShellTable(cloud, child["subset"], child["aperture"], sr, child["direction"],
+                   parent=ShellTable(**parent))
