@@ -28,7 +28,7 @@ from .generators import GENERATOR_KINDS, generate
 from .geometry import Subspace
 from .grassmannian import construct_v0, measure_lower_bound_mc
 from .measure import adr_check, projection_energy
-from .pipeline import PipelineConfig, PipelineReport, emit_plots, run_pipeline
+from .pipeline import PipelineConfig, PipelineReport, csv_lines, emit_plots, run_pipeline
 from .refine import RefineConfig, refine_once
 
 
@@ -123,7 +123,8 @@ def cmd_visitation(args) -> int:
     report = visitation_counts(cloud, cloud.all_indices(), args.aperture,
                                _parse_scales(args.scales), direction,
                                oracle=args.oracle)
-    payload = {"mode": report.mode, "max_count": report.max_count,
+    payload = {"mode": "two_sided_codim" if direction is None else "one_sided_dir",
+               "max_count": report.max_count,
                "histogram": report.histogram(cloud.weights)}
     if args.threshold is not None:
         selected = bad_set(report, args.threshold, args.flavor)
@@ -175,11 +176,9 @@ def cmd_extract(args) -> int:
         meshes = np.meshgrid(*[grid[:, i] for i in range(cloud.n)], indexing="ij")
         queries = np.stack(meshes, axis=-1).reshape(-1, cloud.n)
     values = extend_mcshane(model, queries)
-    rows = [",".join(str(v) for v in list(q) + list(vals))
-            for q, vals in zip(queries, values)]
-    header = ",".join([f"t{i + 1}" for i in range(cloud.n)]
-                      + [f"a{i + 1}" for i in range(cloud.d - cloud.n)])
-    (outdir / "graph.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+    (outdir / "graph.csv").write_text(csv_lines(
+        [f"t{i + 1}" for i in range(cloud.n)] + [f"a{i + 1}" for i in range(cloud.d - cloud.n)],
+        [list(q) + list(vals) for q, vals in zip(queries, values)]))
     summary = {"L": model.lipschitz, "inflated_L": model.inflated_lipschitz,
                "contained_mass": cont.contained_mass, "fraction": cont.fraction}
     (outdir / "extract_report.json").write_text(json.dumps(summary, sort_keys=True))

@@ -188,6 +188,16 @@ class WeightedCloud:
     def all_indices(self) -> np.ndarray:
         return np.arange(len(self), dtype=np.intp)
 
+    def subset_indices(self, subset=None) -> np.ndarray:
+        """``subset`` sorted (default: every point); ``InputError`` unless it holds
+        distinct indices of points of this cloud."""
+        if subset is None:
+            return self.all_indices()
+        idx = np.sort(np.asarray(subset, dtype=np.intp))
+        if len(idx) and (idx[0] < 0 or idx[-1] >= len(self) or (np.diff(idx) == 0).any()):
+            raise InputError("a subset must hold distinct indices of cloud points")
+        return idx
+
     def subcloud(self, indices) -> "WeightedCloud":
         idx = np.asarray(indices, dtype=np.intp)
         return WeightedCloud(self.coords[idx], self.weights[idx], self.n, self.delta_res,

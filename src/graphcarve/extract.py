@@ -2,10 +2,12 @@
 
 A set whose two-sided cone visits vanish at aperture theta projects
 bi-Lipschitzly onto the horizontal coordinates: every pair satisfies
-|horizontal difference| >= theta * |difference|.  ``certify_graph`` verifies
-the pairwise bound and records the exact slope constant; the coordinatewise
+|horizontal difference| >= theta * |difference|, so no pair lies in the open
+two-sided cone of ``cone_shells``.  ``certify_graph`` tests every pair
+with that predicate and records the exact slope constant; the coordinatewise
 midpoint extension then produces a globally Lipschitz map agreeing with the
-samples, at the cost of inflating the constant by sqrt(d - n).
+samples, at the cost of inflating the constant by sqrt(d - n).  Both dense
+passes run in blocks of ``block_rows`` rows, so their memory stays flat in N.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from .cloud import WeightedCloud
 from .errors import AlgorithmInvariantViolation, InputError, NotAGraphError
-
-_CHUNK = 256
+from .shells import block_rows, cone_shells
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,29 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
 
     Block rows meet only the columns from the block's start on, so each
     unordered pair is tested once (the test is symmetric); raises
-    NotAGraphError with the first pair, in row order, that has
-    |horizontal difference| < theta * |difference|.
+    NotAGraphError with the first pair, in row order, that lies in the open
+    two-sided cone: |horizontal difference| < theta * |difference|, the
+    ``cone_shells`` test at aperture theta.
     """
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie in (0, 1)")
-    idx = cloud.all_indices() if subset is None else np.sort(np.asarray(subset, dtype=np.intp))
+    idx = cloud.subset_indices(subset)
     n = cloud.n
     pts = cloud.coords[idx]
     lip = 0.0
-    for start in range(0, len(pts), _CHUNK):
-        block = pts[start:start + _CHUNK]
-        diff = block[:, None, :] - pts[None, start:, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        horiz = diff[:, :, :n]
-        horiz_sq = np.einsum("ijk,ijk->ij", horiz, horiz)
-        bad = horiz_sq < theta * theta * dist_sq
-        if bad.any():
-            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            i, j = int(idx[start + a]), int(idx[start + b])
-            ratio = math.sqrt(horiz_sq[a, b] / dist_sq[a, b]) if dist_sq[a, b] else 0.0
+    start = 0
+    while start < len(pts):
+        width = len(pts) - start
+        stop = start + block_rows(width)
+        diff = (pts[start:stop, None, :] - pts[None, start:, :]).reshape(-1, cloud.d)
+        dist_sq = np.einsum("ij,ij->i", diff, diff)
+        horiz_sq = np.einsum("ij,ij->i", diff[:, :n], diff[:, :n])
+        steep = cone_shells(diff, theta, n, None, np.zeros(1), np.full(1, np.inf),
+                            strict=True)[:, 0]
+        if steep.any():
+            k = int(np.argmax(steep))
+            i, j = int(idx[start + k // width]), int(idx[start + k % width])
+            ratio = math.sqrt(horiz_sq[k] / dist_sq[k]) if dist_sq[k] else 0.0
             raise NotAGraphError(
                 f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
                 witness=(i, j))
@@ -70,6 +74,7 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
         pos = horiz_sq > 0.0
         if pos.any():
             lip = max(lip, float(np.sqrt(np.max(vert_sq[pos] / horiz_sq[pos]))))
+        start = stop
     bound = math.sqrt(max(1.0 - theta * theta, 0.0)) / theta
     if lip > bound + 1e-9:
         raise AlgorithmInvariantViolation(
@@ -101,8 +106,9 @@ def extend_mcshane(model: GraphModel, queries: np.ndarray) -> np.ndarray:
     out = np.empty((len(q), vals.shape[1]))
     out[hit >= 0] = vals[hit[hit >= 0]]
     rest = np.flatnonzero(hit < 0)
-    for start in range(0, len(rest), _CHUNK):
-        rows = rest[start:start + _CHUNK]
+    step = block_rows(len(base))
+    for start in range(0, len(rest), step):
+        rows = rest[start:start + step]
         diff = q[rows][:, None, :] - base[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         upper = (vals[None, :, :] + lip * dist[:, :, None]).min(axis=1)
@@ -124,7 +130,7 @@ def containment_report(cloud: WeightedCloud, model: GraphModel,
     """Mass of points within vertical distance tol of the extended graph."""
     if tol is None:
         tol = 2.0 * cloud.delta_res
-    idx = cloud.all_indices() if subset is None else np.asarray(subset, dtype=np.intp)
+    idx = cloud.subset_indices(subset)
     total = cloud.mass(idx)
     if len(idx) == 0:
         return ContainmentReport(0.0, 0.0, 0.0, tol)

@@ -3,7 +3,8 @@
 ``ball_masses`` is the dense closed-ball mass table m(x, r).  Each entry is
 reduced over the carrier on its own row, so its value depends only on its
 query point, carrier and radius, never on which other rows share a block:
-any subset of rows reproduces the full table bit for bit.
+any subset of rows reproduces the full table bit for bit.  Blocks of
+``block_rows(|carrier|)`` rows keep its memory flat in the number of rows.
 
 ``prune_low_density`` needs only the answer to m(x, r) <= epsilon * r^n, and
 on graph-like clouds almost every entry sits far from that threshold.  Each
@@ -30,8 +31,8 @@ from .cloud import ScaleRange, WeightedCloud, _reach
 from .errors import InputError
 from .geometry import Subspace, grassmann_distance
 from .grassmannian import GrassmannSampler
+from .shells import block_rows
 
-_CHUNK = 512
 _EPS = np.finfo(float).eps
 # A summed-area grid may hold this many cells per point of the pruned cloud;
 # radii whose grid would be finer use kd-tree pairs.
@@ -41,12 +42,11 @@ _CELLS_PER_POINT = 4
 def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.ndarray:
     """Mass of carrier points within each radius of each query point.
 
-    Returns an array of shape (len(points), len(radii)).  Runs in chunked
-    dense passes; radii comparisons are inclusive (closed balls).  Each entry
-    is reduced on its own row (``einsum``, not a BLAS product whose blocking
-    depends on the rows around it), so a row's value does not depend on the
-    other query points: the exact fallback of ``prune_low_density`` relies on
-    that.
+    Returns an array of shape (len(points), len(radii)); radii comparisons
+    are inclusive (closed balls).  Each entry is reduced on its own row
+    (``einsum``, not a BLAS product whose blocking depends on the rows around
+    it), so a row's value does not depend on the other query points or on the
+    block size: the exact fallback of ``prune_low_density`` relies on that.
     """
     radii = np.asarray(radii, dtype=float)
     pts = cloud.all_indices() if points is None else np.asarray(points, dtype=np.intp)
@@ -57,8 +57,9 @@ def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.nd
     car_coords = cloud.coords[car]
     car_w = cloud.weights[car]
     r_sq = radii * radii
-    for start in range(0, len(pts), _CHUNK):
-        block = pts[start:start + _CHUNK]
+    rows = block_rows(len(car))
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows]
         diff = cloud.coords[block][:, None, :] - car_coords[None, :, :]
         dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
         for col, rr in enumerate(r_sq):

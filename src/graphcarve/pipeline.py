@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -60,12 +60,6 @@ class PipelineConfig:
                             seed=child_seed(self.seed, 3),
                             min_mass_fraction=self.min_mass_fraction,
                             oracle=self.oracle)
-
-    def as_dict(self) -> dict:
-        out = {}
-        for f in dc_fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -150,15 +144,10 @@ class PipelineReport:
     def save(self, outdir) -> list[str]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        def _write(name, text):
-            path = outdir / name
-            path.write_text(text)
-            written.append(str(path))
-
-        _write("report.json", self.to_json())
-        _write("timings.json", json.dumps(self.wall_times, sort_keys=True, indent=2))
+        written: list[str] = []
+        _write(written, outdir / "report.json", self.to_json())
+        _write(written, outdir / "timings.json",
+               json.dumps(self.wall_times, sort_keys=True, indent=2))
         if self.cloud_e1 is not None:
             save_cloud_json(self.cloud_e1, outdir / "cloud_e1.json")
             written.append(str(outdir / "cloud_e1.json"))
@@ -166,11 +155,17 @@ class PipelineReport:
             save_cloud_json(self.cloud_e.subcloud(self.e3_indices), outdir / "cloud_e3.json")
             written.append(str(outdir / "cloud_e3.json"))
         if self.cover is not None:
-            _write("cover.json", self.cover.to_json())
+            _write(written, outdir / "cover.json", self.cover.to_json())
         if self.schedule is not None:
-            _write("refine_ledger.json", json.dumps(self.schedule.ledger(),
-                                                    sort_keys=True, indent=2))
+            _write(written, outdir / "refine_ledger.json",
+                   json.dumps(self.schedule.ledger(), sort_keys=True, indent=2))
         return written
+
+
+def _write(written: list[str], path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` and record the path in ``written``."""
+    path.write_text(text)
+    written.append(str(path))
 
 
 def normalize_to_unit_ball(cloud: WeightedCloud) -> tuple[WeightedCloud, dict]:
@@ -337,7 +332,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
         "e3": e_cloud.mass(e3_idx),
     }
     report = PipelineReport(
-        params=cfg.as_dict(),
+        params=asdict(cfg),
         normalization=norm_info,
         masses=masses,
         point_counts={"e1": len(e1), "e_prime": len(e_prime), "e": len(e_cloud),
@@ -371,11 +366,9 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
     return report
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_lines(header: list[str], rows: list[list]) -> str:
+    """Comma-joined header and rows, each cell as ``str``, one line each."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def emit_plots(report: PipelineReport, outdir) -> list[str]:
@@ -386,28 +379,22 @@ def emit_plots(report: PipelineReport, outdir) -> list[str]:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(name: str, text: str):
-        path = outdir / name
-        path.write_text(text)
-        written.append(str(path))
-
+    written: list[str] = []
     # A loaded report.json has sorted keys: write stages and counts in run order.
-    _write("mass_ledger.csv", _csv_lines(
+    _write(written, outdir / "mass_ledger.csv", csv_lines(
         ["stage", "mass"], [[k, report.masses[k]] for k in _STAGES if k in report.masses]))
     for name in ("visitation_before", "visitation_after"):
         hist = getattr(report, name)
-        _write(f"{name}.csv", _csv_lines(
+        _write(written, outdir / f"{name}.csv", csv_lines(
             ["count", "mass"], [[k, hist[k]] for k in sorted(hist, key=int)]))
     if report.energy_detail is not None:
         det = report.energy_detail
-        _write("energy_scatter.csv", _csv_lines(
+        _write(written, outdir / "energy_scatter.csv", csv_lines(
             ["sample", "distance_to_center", "l2_sq"],
             [[i, float(det.distances[i]), float(det.per_sample[i])]
              for i in range(len(det.per_sample))]))
     if report.schedule is not None:
-        _write("refine_ledger.csv", _csv_lines(
+        _write(written, outdir / "refine_ledger.csv", csv_lines(
             ["direction", "k", "j_k", "r_k", "mass_S", "mass_D", "mass_F"],
             [[direction, rec.k, rec.j_k, rec.r_k, rec.mass_saved, rec.mass_deleted,
               rec.mass_remaining]
@@ -416,7 +403,7 @@ def emit_plots(report: PipelineReport, outdir) -> list[str]:
 
     if (report.cloud_e1 is not None and report.cloud_e1.d == 2
             and report.model is not None):
-        _write("cloud.svg", _render_svg(report))
+        _write(written, outdir / "cloud.svg", _render_svg(report))
     return written
 
 

@@ -25,7 +25,13 @@ from .cloud import ScaleRange, WeightedCloud
 from .errors import InputError
 
 _EPS = np.finfo(float).eps
-_CHUNK = 1 << 15  # candidate pairs per exact-test batch
+_CHUNK = 1 << 15  # the pair budget of every dense pairwise pass, per block
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a dense pass whose rows each meet ``width`` points:
+    at most ``_CHUNK`` pairs, read at call time, and one row at the least."""
+    return max(1, _CHUNK // width)
 
 
 def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
@@ -74,20 +80,13 @@ class VisitationReport:
     scale_range: ScaleRange
 
     @property
-    def mode(self) -> str:
-        return "two_sided_codim" if self.direction is None else "one_sided_dir"
-
-    @property
     def max_count(self) -> int:
         return int(self.counts.max()) if len(self.counts) else 0
 
-    def histogram(self, weights: np.ndarray | None = None) -> dict[int, float]:
-        """count value -> mass (or cardinality) of vertices with that count."""
-        out: dict[int, float] = {}
-        for i, c in enumerate(self.counts):
-            w = 1.0 if weights is None else float(weights[self.subset[i]])
-            out[int(c)] = out.get(int(c), 0.0) + w
-        return dict(sorted(out.items()))
+    def histogram(self, weights: np.ndarray) -> dict[int, float]:
+        """count value -> mass of the vertices with that count, summed in row order."""
+        mass = np.bincount(self.counts, weights=weights[self.subset])
+        return {int(c): float(mass[c]) for c in np.unique(self.counts)}
 
 
 def _candidate_pairs(points: np.ndarray, aperture: float, n: int,
@@ -134,10 +133,7 @@ class ShellTable:
     def __init__(self, cloud: WeightedCloud, subset, aperture: float,
                  scale_range: ScaleRange, direction=None, oracle: bool = False,
                  parent: "ShellTable | None" = None):
-        self.subset = np.sort(np.asarray(subset, dtype=np.intp))
-        if len(self.subset) and (self.subset[0] < 0 or self.subset[-1] >= len(cloud)
-                                 or (np.diff(self.subset) == 0).any()):
-            raise InputError("a subset must hold distinct indices of cloud points")
+        self.subset = cloud.subset_indices(subset)
         self.cloud, self.aperture = cloud, aperture
         self.direction, self.scale_range = direction, scale_range
         self.js = scale_range.js

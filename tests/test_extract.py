@@ -152,6 +152,20 @@ class TestContainment:
         assert report.tolerance == pytest.approx(2 * cloud.delta_res)
 
 
+@pytest.mark.parametrize("subset", [[0, 0], [-1], [0, 99]], ids=["repeat", "negative", "past_end"])
+@pytest.mark.parametrize("call", ["certify", "containment"])
+def test_bad_subsets_are_input_errors(call, subset):
+    # A repeated point would count twice, -1 would wrap to the last point and
+    # 99 would fall off a 50-point cloud: each names the subset instead.
+    cloud = lipschitz_graph(50, 0.3, seed=2)
+    model = certify_graph(cloud, theta=0.4)
+    with pytest.raises(InputError, match="distinct indices of cloud points"):
+        if call == "certify":
+            certify_graph(cloud, subset, theta=0.4)
+        else:
+            containment_report(cloud, model, subset=subset)
+
+
 class TestAgainstReference:
     @given(n=st.integers(1, 2), codim=st.integers(1, 2), sites=st.integers(1, 300),
            site_queries=st.integers(0, 400), other_queries=st.integers(0, 400),
