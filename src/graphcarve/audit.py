@@ -4,7 +4,7 @@ For each vertex x of a subset, counts the scales j at which the closed cone
 shell of aperture theta (two-sided around the vertical axis) or alpha
 (one-sided along a direction w) meets some other subset point.  The counts
 come from a ``ShellTable``: the exact predicate ``cone_shells`` on the kept
-pairs of an enclosing ``parent`` table, or standalone on kd-tree candidates,
+pairs of an enclosing ``parent`` table, on a kd-tree search of its own cone,
 or on every pair when ``oracle`` is set (the CLI's ``--oracle``).  All make
 identical floating-point comparisons, so their outputs match exactly.
 Reports carry counts only: the visited scales and witnesses of a vertex come
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloud import ScaleRange, WeightedCloud
+from .cloud import _EPS, ScaleRange, WeightedCloud
 from .errors import InputError
 from .shells import ShellTable, VisitationReport
 
@@ -28,7 +28,7 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
 
     A vertex never witnesses itself.  Shells are closed on both radii and the
     aperture, matching the closed-cone convention of the property checks.
-    With ``parent`` the counting table filters that table's kept pairs.
+    The counting table filters the kept pairs of ``parent``, or searches its own cone.
     """
     if not 0.0 < aperture < 1.0:
         raise InputError("aperture must lie in (0, 1)")
@@ -44,7 +44,7 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
         nrm = np.linalg.norm(w)
         if abs(nrm - 1.0) > 1e-9:
             raise InputError("direction must be a unit vector")
-        if abs(nrm - 1.0) > 4.0 * np.finfo(float).eps:  # a table needs |w| = 1 to a few eps
+        if abs(nrm - 1.0) > 4.0 * _EPS:  # a table needs |w| = 1 to a few eps
             w = w / nrm
     return ShellTable(cloud, subset, aperture, scale_range, w, oracle, parent).visits()
 

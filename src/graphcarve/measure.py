@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import ScaleRange, WeightedCloud, _reach
+from .cloud import _EPS, ScaleRange, WeightedCloud, _reach
 from .errors import InputError
 from .geometry import Subspace, grassmann_distance
 from .grassmannian import GrassmannSampler
 from .shells import block_rows
 
-_EPS = np.finfo(float).eps
 # A summed-area grid may hold this many cells per point of the pruned cloud;
 # radii whose grid would be finer use kd-tree pairs.
 _CELLS_PER_POINT = 4

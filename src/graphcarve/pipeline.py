@@ -112,8 +112,8 @@ class PipelineReport:
     schedule: object | None = None
     energy_detail: object | None = None
 
-    def payload(self, include_timings: bool = False) -> dict:
-        out = {
+    def payload(self) -> dict:
+        return {
             "schema": SCHEMA,
             "params": self.params,
             "normalization": self.normalization,
@@ -127,13 +127,9 @@ class PipelineReport:
             "refinement": self.refinement,
             "graph": self.graph,
         }
-        if include_timings:
-            out["wall_times"] = self.wall_times
-        return out
 
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.payload(include_timings), sort_keys=True, indent=2,
-                          allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2, allow_nan=False)
 
     @classmethod
     def empty(cls) -> "PipelineReport":

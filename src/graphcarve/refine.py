@@ -10,8 +10,8 @@ the resulting two-sided property with a final visit count.  Every visit
 count here, both certificates included, reads a shell table
 (``shells.ShellTable``) that filters the pairs of a parent table: in a
 pipeline run, the theta0 table, whose cone holds every cone counted here.
-A standalone call builds its tables' candidates itself, from every pair
-when ``RefineConfig.oracle`` is set.  A pass lives inside the set F it
+A standalone call's tables search their own cones (around the line of w
+for a one-sided one), or take every pair when ``RefineConfig.oracle`` is set.  A pass lives inside the set F it
 refines: it runs on F's subcloud, in its positions, which are also the rows
 of its table over F; cloud indices appear only in its outcome and ledger.
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import VisitationReport, visitation_counts
-from .cloud import ScaleRange, WeightedCloud
+from .cloud import _EPS, ScaleRange, WeightedCloud
 from .cloud_io import SCHEMA
 from .cover import DirectionCover
 from .errors import (
@@ -45,7 +45,7 @@ from .errors import (
     RefinementCollapsedError,
     ResolutionExhaustedError,
 )
-from .measure import _EPS, _prune, ball_masses, prune_low_density
+from .measure import _prune, ball_masses, prune_low_density
 from .shells import ShellTable, cone_shells
 
 _ALPHA_MAX = 0.1

@@ -3,15 +3,15 @@
 ``cone_shells`` is the one membership test: the shell table and the
 refinement shadows call it, so they make the same floating-point
 comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
-once: the exact predicate filters the kept pairs of a two-sided parent
-table whose cone holds its own, or a ``cKDTree`` range search (Bentley, CACM
-18(9), 1975), or under ``oracle`` every pair, the brute-force reference, and
-keeps the survivors as CSR rows with a shell bitmask per pair.  A pipeline
-run searches once, for its theta0 table (every pair under ``--oracle``), and
-every later table filters that table's pairs.  One table answers the visit
-counts of any alive subset of its rows as a ``VisitationReport``, and the
-visited scales and lowest witnesses of one row at a time, which is what
-refinement reads.
+once: the exact predicate filters the kept pairs of a two-sided parent table
+whose cone holds its own, or a ``cKDTree`` range search (Bentley, CACM
+18(9), 1975) of the table's own cone, or under ``oracle`` every pair, the
+brute-force reference, and keeps the survivors as CSR rows with a shell
+bitmask per pair.  A pipeline run searches once, for its theta0 table (every
+pair under ``--oracle``), and every later table filters that table's pairs.
+One table answers the visit counts of any alive subset of its rows as a
+``VisitationReport``, and the visited scales and lowest witnesses of one row
+at a time, which is what refinement reads.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import ScaleRange, WeightedCloud
+from .cloud import _EPS, ScaleRange, WeightedCloud
 from .errors import InputError
 
-_EPS = np.finfo(float).eps
 _CHUNK = 1 << 15  # the pair budget of every dense pairwise pass, per block
 
 
@@ -58,10 +57,8 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
         cone &= along > 0.0 if strict else along >= 0.0
     hits = np.zeros((len(delta), len(outer)), dtype=bool)
     dist = np.sqrt(dist_sq[cone])[:, None]
-    if strict:
-        hits[cone] = (dist > inner) & (dist < outer)
-    else:
-        hits[cone] = (dist >= inner) & (dist <= outer)
+    hits[cone] = ((dist > inner) & (dist < outer) if strict
+                  else (dist >= inner) & (dist <= outer))
     return hits
 
 
@@ -89,19 +86,29 @@ class VisitationReport:
         return {int(c): float(mass[c]) for c in np.unique(self.counts)}
 
 
-def _candidate_pairs(points: np.ndarray, aperture: float, n: int,
-                     r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position pairs (i < j): a superset of the two-sided in-cone pairs within r_max.
+def _candidate_pairs(points: np.ndarray, aperture: float, n: int, r_max: float,
+                     axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """Position pairs (i < j): a superset of the in-cone pairs within r_max.
 
     With the horizontal coordinates divided by the aperture, the cut cone lies
     in the Chebyshev ball of radius r_max, padded far past the rounding of the
     frame change and of the predicate; sqrt(a^2 + 64 eps) / a also covers the
     predicate's fl(a * a) where it loses precision below the normal range.
+    With ``axis`` (a unit vector) the one-sided test passes, in either order,
+    pairs whose exact part orthogonal to the axis is at most A |delta|, A =
+    sqrt(a^2 + 64 eps): a two-sided cone, searched in an orthonormal frame with
+    the axis last.  The frame moves a pair's coordinates by under 8 d^1.5 eps
+    max(s) for shifted points s, within slack = 64 d eps max(s) for d <= 64, so
+    r_max + slack / A keeps such pairs: A r_max + slack = A (r_max + slack / A).
     """
     scaled = points - points.min(axis=0)
+    spread = np.sqrt(aperture * aperture + 64.0 * _EPS)  # A
+    if axis is not None:
+        slack = 64.0 * len(axis) * _EPS * float(scaled.max())
+        scaled = scaled @ np.linalg.qr(axis[:, None], mode="complete")[0][:, ::-1]
+        n, r_max = len(axis) - 1, r_max + slack / spread
     scaled[:, :n] /= aperture
-    radius = (r_max * (1e-9 + np.sqrt(aperture * aperture + 64.0 * _EPS) / aperture)
-              + 64.0 * _EPS * float(np.abs(scaled).max()))
+    radius = r_max * (1e-9 + spread / aperture) + 64.0 * _EPS * float(np.abs(scaled).max())
     pairs = cKDTree(scaled).query_pairs(radius, p=np.inf, output_type="ndarray")
     return pairs[:, 0], pairs[:, 1]
 
@@ -123,11 +130,11 @@ class ShellTable:
     the points in its cone shells, ascending (so ascending cloud index), and
     bit s of a column's mask marks the shell of scale ``js[s]``.  ``alive``
     masks are over subset positions and restrict the visitors, not the rows.
-    ``direction`` must have unit length to within a few eps.  ``parent``
-    must be a two-sided table of the same cloud and scale range over a
-    superset, at an aperture of at least ``reach``.  Without one, a one-sided
-    table builds its own at that aperture, or takes every pair if it reaches
-    1, as ``oracle`` does in place of a two-sided table's kd-tree search.
+    ``direction`` must have unit length to within a few eps.  Candidates come
+    from the kept pairs of ``parent`` (a two-sided table of the same cloud and
+    scale range over a superset, at an aperture of at least ``reach``), from
+    every pair under ``oracle`` or below two points, or else from one kd-tree
+    search of the table's own cone, two-sided around the vertical or w's line.
     """
 
     def __init__(self, cloud: WeightedCloud, subset, aperture: float,
@@ -141,20 +148,17 @@ class ShellTable:
             raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
         outer = 2.0 ** (-self.js.astype(float))
         points = cloud.coords[self.subset]
-        # The rounded one-sided test subtracts squares, so the pairs it passes have
-        # an exact part orthogonal to w up to sqrt(a^2 + 64 eps) |delta| long, and
-        # for w of unit length to within a few eps a horizontal part up to
-        # |pi_H w| |delta| longer; 1 + 1e-9 covers the rounding of the two-sided test.
+        # ``reach`` only checks a parent: the one-sided test passes pairs whose exact part
+        # orthogonal to w is up to sqrt(a^2 + 64 eps) |delta| (``_candidate_pairs``), so a
+        # horizontal part up to |pi_H w| |delta| longer; 1 + 1e-9 covers the rounding.
         self.reach = aperture if direction is None else (1.0 + 1e-9) * float(
             np.linalg.norm(direction[:cloud.n]) + np.sqrt(aperture * aperture + 64.0 * _EPS))
-        if parent is None and direction is not None and not oracle and self.reach < 1.0:
-            parent = ShellTable(cloud, self.subset, self.reach, scale_range)
         if parent is not None:
             pairs = self._inherited(parent)
-        elif oracle or direction is not None or len(points) < 2:
+        elif oracle or len(points) < 2:
             pairs = None
         else:
-            pairs = _candidate_pairs(points, aperture, cloud.n, float(outer.max()))
+            pairs = _candidate_pairs(points, aperture, cloud.n, float(outer.max()), direction)
         blocks = _all_pairs(len(points)) if pairs is None else (
             (pairs[0][lo:lo + _CHUNK], pairs[1][lo:lo + _CHUNK])
             for lo in range(0, len(pairs[0]), _CHUNK))

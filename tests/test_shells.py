@@ -299,3 +299,93 @@ def test_a_parent_that_does_not_enclose_is_refused(change):
     with pytest.raises(InputError, match="parent table"):
         ShellTable(cloud, child["subset"], child["aperture"], sr, child["direction"],
                    parent=ShellTable(**parent))
+
+
+@st.composite
+def standalone_cases(draw):
+    """A table without a parent, along any direction, on a cloud far from the origin.
+
+    w is a unit vector anywhere on the sphere, or a signed axis tilted by 1e-9
+    or 1e-4, or absent (the two-sided cone around the vertical); d <= 4 and
+    n < d; the aperture runs from 1e-6 to 0.9 and the cloud sits up to 1e7 from
+    the origin.  Around its first point, points are planted on both sides of
+    the cone's boundary (on either side of the apex when one-sided) at
+    relative offsets of 1e-9 and 1e-6, where the rounded tests decide, some at
+    the top shell radius, the edge of the search box.  Points far out along
+    the cone's axis make the cloud up to 1e6 times wider than that radius,
+    where the rounding of the search's frame is largest.  The subset may hold
+    fewer than two points.
+    """
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = np.eye(d)[draw(st.integers(0, d - 1))] * draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["sphere", "axis", "two_sided"]))
+    if kind == "sphere":
+        direction = _unit(rng.standard_normal(d))
+    elif kind == "axis":
+        lean = rng.standard_normal(d)
+        lean = _unit(lean - (lean @ axis) * axis)
+        direction = _unit(axis + draw(st.sampled_from([0.0, 1e-9, 1e-4])) * lean)
+    else:
+        direction = None
+    cone_axis = np.eye(d)[-1] if direction is None else direction
+    side = rng.standard_normal(d)
+    if direction is None:
+        side[n:] = 0.0  # horizontal, the widest way off the vertical
+    side = _unit(side - (side @ cone_axis) * cone_axis)
+    aperture = draw(st.one_of(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 0.9]),
+                              st.floats(1e-6, 0.9)))
+    j_min = draw(st.integers(0, 6))
+    top = 2.0 ** -j_min
+    base = rng.uniform(0.0, top, d)
+    planted = []
+    for rel in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
+        s = min(aperture * (1.0 + rel), 1.0)
+        for sign, radius in ((1.0, top), (-1.0, top), (1.0, 0.7 * top), (-1.0, 0.4 * top)):
+            planted.append(base + radius * (sign * np.sqrt(1.0 - s * s) * cone_axis + s * side))
+    far = draw(st.sampled_from([0.0, 1e3, 1e6])) * top * cone_axis
+    coords = np.vstack([base, planted, base + far, base - far,
+                        rng.uniform(0.0, top, (draw(st.integers(0, 8)), d))])
+    offset = draw(st.one_of(st.sampled_from([0.0, 1.0, 1e3, 1e7]), st.floats(0.0, 1e7)))
+    coords = coords + offset * _unit(rng.standard_normal(d))
+    cloud = WeightedCloud(coords, np.ones(len(coords)), n=n, delta_res=top / 256.0,
+                          check_separation=False)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords))))
+    return cloud, np.flatnonzero(keep), aperture, direction, ScaleRange(j_min, j_min + 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(standalone_cases())
+def test_standalone_tables_equal_the_all_pairs_ones(case):
+    cloud, subset, aperture, direction, sr = case
+    alone = ShellTable(cloud, subset, aperture, sr, direction)
+    every = ShellTable(cloud, subset, aperture, sr, direction, oracle=True)
+    for name in ("cols", "bits", "indptr"):
+        assert np.array_equal(getattr(alone, name), getattr(every, name))
+
+
+def test_tilted_standalone_work_is_output_sensitive(monkeypatch):
+    # Along w = (1, 0) at aperture 0.01 a standalone table searches the thin
+    # cone around w's line, so the predicate sees a few percent of the ordered
+    # pairs of 2,000 points spread over the unit square, not all of them.
+    rows = []
+    exact = shells.cone_shells
+
+    def recorded(delta, *args, **kwargs):
+        rows.append(len(delta))
+        return exact(delta, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    cloud = WeightedCloud(rng.uniform(0.0, 1.0, (2000, 2)), np.ones(2000), n=1,
+                          delta_res=1e-4)
+    args = (cloud, cloud.all_indices(), 0.01, ScaleRange.default_for(cloud),
+            np.array([1.0, 0.0]))
+    monkeypatch.setattr(shells, "cone_shells", recorded)
+    table = ShellTable(*args)
+    assert sum(rows) < 0.1 * 2000 * 1999
+    monkeypatch.undo()
+    every = ShellTable(*args, oracle=True)
+    for name in ("cols", "bits", "indptr"):
+        assert np.array_equal(getattr(table, name), getattr(every, name))
+    assert table.indptr[-1] > 0
