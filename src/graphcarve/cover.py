@@ -53,8 +53,7 @@ _NET_MARGIN = 0.15
 # meet each other (see _greedy_net).
 _BLOCK = 4096
 _FIRST_BLOCK = 512
-# Sobol' proposals transformed at a time; a power of two, so a sub-block of a
-# batch at least this large starts at a multiple of its size.
+# Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this.
 _SUB_BLOCK = 2 ** 15
 _ARC_FLOOR = 1e-4  # the least spacing at which _arcs_covered may end the net
 # build_cover_for_theta's widening constant: above the bound 2 that every
@@ -160,6 +159,17 @@ class DirectionCover:
         return json.dumps(payload, sort_keys=True)
 
 
+def _sub_blocks(drawn: int, batch: int) -> Iterator[tuple[int, int]]:
+    """(start, size) of the sub-blocks of the Sobol' batch at ``drawn``, a
+    multiple of ``batch``: each start is a multiple of its size.  A net that
+    stops early transforms few proposals, one that reads on few sub-blocks."""
+    offset = 0
+    while offset < batch:
+        size = min(max(offset, 2 ** 10), _SUB_BLOCK, batch)
+        yield drawn + offset, size
+        offset += size
+
+
 def _region_pieces(axis: Subspace, alpha: float, count: int,
                    rng: np.random.Generator | None = None) -> Iterator[np.ndarray]:
     """``count`` unit vectors quasi-covering {y on the sphere : |pi_perp y| <=
@@ -170,9 +180,9 @@ def _region_pieces(axis: Subspace, alpha: float, count: int,
     proposals are random instead of low-discrepancy (used for checks so the
     check is independent of the net construction) and each batch is drawn
     whole, leaving the generator where the caller's next draws expect it.
-    A Sobol' batch is transformed in aligned sub-blocks of ``_SUB_BLOCK``
-    points, each when the consumer asks for it, and the sampler stops once it
-    holds ``count`` samples: the same first ``count`` region members.
+    A Sobol' batch is transformed in aligned sub-blocks (``_sub_blocks``),
+    each when the consumer asks for it, and the sampler stops once it holds
+    ``count`` samples: the same first ``count`` region members.
     """
     d = axis.d
     proj = axis.projector()
@@ -184,9 +194,8 @@ def _region_pieces(axis: Subspace, alpha: float, count: int,
         if rng is not None:
             blocks = [rng.standard_normal((batch, d))]
         else:
-            step = min(batch, _SUB_BLOCK)
-            blocks = (ndtri(np.clip(_sobol(d, start, step), 1e-12, 1.0 - 1e-12))
-                      for start in range(drawn, drawn + batch, step))
+            blocks = (ndtri(np.clip(_sobol(d, start, size), 1e-12, 1.0 - 1e-12))
+                      for start, size in _sub_blocks(drawn, batch))
             drawn += batch
         for g in blocks:
             # Every step writes into an array it already holds, in the

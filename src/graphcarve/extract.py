@@ -7,7 +7,9 @@ two-sided cone of ``cone_shells``.  ``certify_graph`` tests every pair
 with that predicate and records the exact slope constant; the coordinatewise
 midpoint extension then produces a globally Lipschitz map agreeing with the
 samples, at the cost of inflating the constant by sqrt(d - n).  Both dense
-passes run in blocks of ``block_rows`` rows, so their memory stays flat in N.
+passes run in blocks of ``block_rows`` rows built by ``pair_differences``, so
+their memory stays flat in N.  The certificate takes every block's slopes
+first and runs the cone test only on a block whose slopes cannot clear it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cloud import WeightedCloud
 from .errors import AlgorithmInvariantViolation, InputError, NotAGraphError
-from .shells import block_rows, cone_shells
+from .shells import block_rows, cone_shells, pair_differences
 
 
 @dataclass(frozen=True)
@@ -47,35 +49,51 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
     NotAGraphError with the first pair, in row order, that lies in the open
     two-sided cone: |horizontal difference| < theta * |difference|, the
     ``cone_shells`` test at aperture theta.
+
+    A block goes through that test only if its largest slope ratio
+    fl(max(D - h, 0) / h) over pairs with h > 0 reaches ``limit``, or if it
+    holds a pair with h = 0 < D (h, D: a pair's squared horizontal and full
+    lengths, t = fl(theta * theta), u = 2^-53).  Every steep pair, h <
+    fl(t D), meets one of the two.  If h > 0, then h < t D (1 + u): in the
+    subnormal range h and fl(t D) lie on one grid and fl(t D) within half a
+    step of t D.  So D - h > h (R (1 - u) - u), R = (1 - t) / t >= 2u as
+    t <= 1 - 2u, and the ratio after its two roundings is at least
+    R (1 - 3u) - u, or inf past the float range.  ``limit``, rounded three
+    times, is at most R (1 - 1e-9)(1 + 5.1u) - 1e-9 (1 - u)^2, which is
+    below it; the floor 1e-300 on t only lowers it and keeps it finite.
     """
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie in (0, 1)")
     idx = cloud.subset_indices(subset)
     n = cloud.n
     pts = cloud.coords[idx]
+    sq = theta * theta
+    limit = (1.0 - sq) * (1.0 - 1e-9) / max(sq, 1e-300) - 1e-9
     lip = 0.0
     start = 0
     while start < len(pts):
         width = len(pts) - start
         stop = start + block_rows(width)
-        diff = (pts[start:stop, None, :] - pts[None, start:, :]).reshape(-1, cloud.d)
+        diff = pair_differences(pts[start:stop], pts[start:]).reshape(-1, cloud.d)
         dist_sq = np.einsum("ij,ij->i", diff, diff)
         horiz_sq = np.einsum("ij,ij->i", diff[:, :n], diff[:, :n])
-        steep = cone_shells(diff, theta, n, None, np.zeros(1), np.full(1, np.inf),
-                            strict=True)[:, 0]
-        if steep.any():
-            k = int(np.argmax(steep))
-            i, j = int(idx[start + k // width]), int(idx[start + k % width])
-            ratio = math.sqrt(horiz_sq[k] / dist_sq[k]) if dist_sq[k] else 0.0
-            raise NotAGraphError(
-                f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
-                witness=(i, j))
         vert_sq = np.maximum(dist_sq - horiz_sq, 0.0)
-        pos = horiz_sq > 0.0
-        if pos.any():
-            lip = max(lip, float(np.sqrt(np.max(vert_sq[pos] / horiz_sq[pos]))))
+        slope_sq = np.divide(vert_sq, horiz_sq, out=np.zeros_like(vert_sq),
+                             where=horiz_sq > 0.0)
+        top = float(slope_sq.max())
+        if top >= limit or np.any((horiz_sq == 0.0) & (dist_sq > 0.0)):
+            steep = cone_shells(diff, theta, n, None, np.zeros(1), np.full(1, np.inf),
+                                strict=True)[:, 0]
+            if steep.any():
+                k = int(np.argmax(steep))
+                i, j = int(idx[start + k // width]), int(idx[start + k % width])
+                ratio = math.sqrt(horiz_sq[k] / dist_sq[k]) if dist_sq[k] else 0.0
+                raise NotAGraphError(
+                    f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
+                    witness=(i, j))
+        lip = max(lip, math.sqrt(top))
         start = stop
-    bound = math.sqrt(max(1.0 - theta * theta, 0.0)) / theta
+    bound = math.sqrt(max(1.0 - sq, 0.0)) / theta
     if lip > bound + 1e-9:
         raise AlgorithmInvariantViolation(
             f"slope {lip:.6f} exceeds the aperture bound {bound:.6f}")
@@ -109,7 +127,7 @@ def extend_mcshane(model: GraphModel, queries: np.ndarray) -> np.ndarray:
     step = block_rows(len(base))
     for start in range(0, len(rest), step):
         rows = rest[start:start + step]
-        diff = q[rows][:, None, :] - base[None, :, :]
+        diff = pair_differences(q[rows], base)
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         upper = (vals[None, :, :] + lip * dist[:, :, None]).min(axis=1)
         lower = (vals[None, :, :] - lip * dist[:, :, None]).max(axis=1)

@@ -4,7 +4,9 @@
 reduced over the carrier on its own row, so its value depends only on its
 query point, carrier and radius, never on which other rows share a block:
 any subset of rows reproduces the full table bit for bit.  Blocks of
-``block_rows(|carrier|)`` rows keep its memory flat in the number of rows.
+``block_rows(|carrier|)`` rows, their differences written coordinate by
+coordinate (``shells.pair_differences``) and every radius's indicator into
+one reused buffer, keep its memory flat in the number of rows.
 
 ``prune_low_density`` needs only the answer to m(x, r) <= epsilon * r^n, and
 on graph-like clouds almost every entry sits far from that threshold.  Each
@@ -31,7 +33,7 @@ from .cloud import _EPS, ScaleRange, WeightedCloud, _reach
 from .errors import InputError
 from .geometry import Subspace, grassmann_distance
 from .grassmannian import GrassmannSampler
-from .shells import block_rows
+from .shells import block_rows, pair_differences
 
 # A summed-area grid may hold this many cells per point of the pruned cloud;
 # radii whose grid would be finer use kd-tree pairs.
@@ -57,12 +59,14 @@ def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.nd
     car_w = cloud.weights[car]
     r_sq = radii * radii
     rows = block_rows(len(car))
+    buffer = np.empty((min(rows, len(pts)), len(car)))
     for start in range(0, len(pts), rows):
         block = pts[start:start + rows]
-        diff = cloud.coords[block][:, None, :] - car_coords[None, :, :]
+        diff = pair_differences(cloud.coords[block], car_coords)
         dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        inside = buffer[:len(block)]
         for col, rr in enumerate(r_sq):
-            inside = (dist_sq <= rr).astype(float)
+            np.less_equal(dist_sq, rr, out=inside, casting="unsafe")
             out[start:start + len(block), col] = np.einsum("ij,j->i", inside, car_w)
     return out
 

@@ -29,8 +29,23 @@ _CHUNK = 1 << 15  # the pair budget of every dense pairwise pass, per block
 
 def block_rows(width: int) -> int:
     """Rows per block of a dense pass whose rows each meet ``width`` points:
-    at most ``_CHUNK`` pairs, read at call time, and one row at the least."""
+    at most ``_CHUNK`` pairs, read at call time, and one row at the least.
+    The pass builds each block with ``pair_differences``."""
     return max(1, _CHUNK // width)
+
+
+def pair_differences(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows[:, None, :] - cols[None, :, :]``, shape (len(rows), len(cols), d).
+
+    Written one coordinate at a time, so each subtraction runs along a row of
+    ``cols`` instead of along d = 2 or 3 coordinates: the same elements, bit
+    for bit, in a fresh C-contiguous array, so a squared sum over it (an
+    ``einsum`` over its last axis) is the broadcast's too.
+    """
+    diff = np.empty((len(rows), len(cols), rows.shape[1]))
+    for k in range(rows.shape[1]):
+        np.subtract(rows[:, k, None], cols[None, :, k], out=diff[:, :, k])
+    return diff
 
 
 def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,

@@ -219,7 +219,7 @@ class TestCoverForTheta:
     def test_region_sampler_stops_at_count(self, monkeypatch):
         # The codim2_cover net: 200,000 samples ask for one batch of 2^19
         # proposals, but about 283k of them already hold 200,000 region
-        # points, so nine sub-blocks (294,912 proposals) are drawn.
+        # points, so fourteen sub-blocks (294,912 proposals) are drawn.
         drawn = []
 
         def spy(dim, start, size):
@@ -562,12 +562,13 @@ class TestPlanarStop:
         assert cover.directions.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d, s, proposals", [
-        (2, 1.0, _SUB_BLOCK), (2, 0.5, _SUB_BLOCK), (3, 1.0, 9 * _SUB_BLOCK),
+        (2, 1.0, 2 ** 10), (2, 0.5, 2 ** 10), (3, 1.0, 9 * _SUB_BLOCK),
     ], ids=["graph_large", "union_refine", "codim2_cover"])
     def test_proposals_drawn_on_workload_inputs(self, monkeypatch, d, s, proposals):
         # The planar nets stop in their first block, so the sampler transforms
-        # one sub-block; at d = 3 the net reads all 200,000 samples, which
-        # take nine sub-blocks (294,912 proposals).
+        # only its first sub-block of 2^10 proposals; at d = 3 the net reads
+        # all 200,000 samples, which take fourteen sub-blocks (294,912
+        # proposals): six up to 2^15 (2^10 twice, then doubling), then 2^15 each.
         drawn = []
 
         def spy(dim, start, size):
@@ -577,6 +578,8 @@ class TestPlanarStop:
         monkeypatch.setattr(cover_module, "_sobol", spy)
         cover = build_cover(vertical_axis(d), PLANAR_ALPHA, s, net_samples=200_000)
         assert sum(drawn) == proposals
+        assert drawn[:7] == [2 ** 10, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14,
+                             _SUB_BLOCK][:len(drawn)]
         assert cover.m == {(2, 1.0): 6, (2, 0.5): 10, (3, 1.0): 1471}[d, s]
 
     @settings(max_examples=100)

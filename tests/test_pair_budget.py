@@ -1,25 +1,31 @@
 """The pair budget ``shells._CHUNK`` sizes every dense pairwise pass.
 
 ``ball_masses``, ``certify_graph`` and ``extend_mcshane`` take
-max(1, budget // width) rows per block: their results do not depend on the
-budget, and their working memory does not grow with the number of rows.
+max(1, budget // width) rows per block, built by ``shells.pair_differences``:
+their results do not depend on the budget and equal the broadcast loops of
+the references bit for bit, and their working memory does not grow with the
+number of rows.  ``certify_graph`` runs the cone test only on blocks whose
+slopes cannot clear it.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphcarve import (
     NotAGraphError,
     WeightedCloud,
     certify_graph,
     extend_mcshane,
+    extract,
     lipschitz_graph,
     shells,
 )
 from graphcarve.measure import ball_masses
 from tests.extract_reference import certify_graph_loop, extend_mcshane_loop
+from tests.measure_reference import ball_masses_loop
 
 
 def _curve(size, planted=()):
@@ -34,12 +40,16 @@ def _curve(size, planted=()):
                          check_separation=False)
 
 
-def _certified(certify, cloud, subset):
+def _certified(certify, cloud, subset, theta=0.3):
     """The slope's bits, or the witness and message of the steep pair."""
     try:
-        return np.float64(certify(cloud, subset, 0.3)).tobytes()
+        return np.float64(certify(cloud, subset, theta)).tobytes()
     except NotAGraphError as exc:
         return exc.witness, str(exc)
+
+
+def _lipschitz(cloud, subset, theta):
+    return certify_graph(cloud, subset, theta).lipschitz
 
 
 @pytest.mark.parametrize("planted", [(), ((40, 1),), ((5, 250), (200, 7), (40, 1))],
@@ -59,7 +69,7 @@ def test_block_size_leaves_every_pass_unchanged(monkeypatch, planted, subset):
         monkeypatch.setattr(shells, "_CHUNK", budget)
         outcomes.append((
             ball_masses(cloud, [4.0, 0.3, 0.05], subset, np.arange(0, 300, 2)).tobytes(),
-            _certified(lambda *args: certify_graph(*args).lipschitz, cloud, subset),
+            _certified(_lipschitz, cloud, subset),
             extend_mcshane(model, queries).tobytes()))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][1] == _certified(certify_graph_loop, cloud, subset)
@@ -82,3 +92,126 @@ def test_dense_passes_stay_within_the_pair_budget():
         tracemalloc.stop()
     assert certify_peak < 8e6
     assert ball_peak < 4e6
+
+
+@given(st.data())
+def test_dense_passes_equal_the_broadcast_loops(data):
+    # Graphs over n of d <= 5 coordinates, shifted by up to 1e6 per
+    # coordinate, some with steep pairs planted; under every budget each pass
+    # equals its reference bit for bit.
+    d = data.draw(st.integers(2, 5), label="d")
+    n = data.draw(st.integers(1, d - 1), label="n")
+    size = data.draw(st.integers(1, 40), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shift = rng.uniform(-1.0, 1.0, d) * 10.0 ** data.draw(st.integers(0, 6), label="shift")
+    base = rng.uniform(0.0, 10.0, (size, n))
+    heights = 0.2 * np.sin(base @ rng.normal(size=(n, d - n)) / np.sqrt(n))
+    coords = np.concatenate([base, heights], axis=1)
+    for _ in range(data.draw(st.integers(0, 3), label="planted") if size > 1 else 0):
+        a, b = rng.choice(size, 2, replace=False)
+        coords[b] = coords[a] + rng.normal(size=d) * np.r_[np.full(n, 1e-3), np.ones(d - n)]
+    cloud = WeightedCloud(coords + shift, rng.uniform(0.5, 1.5, size), n=n,
+                          delta_res=1e-3, check_separation=False)
+    theta = data.draw(st.sampled_from([0.05, 0.3, 0.7]), label="theta")
+    subset = rng.permutation(size)[:rng.integers(1, size + 1)]
+    carrier = rng.permutation(size)[:rng.integers(0, size + 1)]
+    radii = [0.0, 0.5, 3.0, 50.0]
+    try:
+        model = certify_graph(cloud, theta=theta)
+    except NotAGraphError:
+        model = None
+    if model is not None:
+        queries = np.concatenate([model.sample_base[::3],
+                                  rng.uniform(-1.0, 11.0, (15, n)) + shift[:n]])
+    expected = (ball_masses_loop(cloud, radii, subset, carrier).tobytes(),
+                _certified(certify_graph_loop, cloud, subset, theta),
+                model and extend_mcshane_loop(model, queries).tobytes())
+    with pytest.MonkeyPatch.context() as patch:
+        for budget in (1, 7, shells._CHUNK):
+            patch.setattr(shells, "_CHUNK", budget)
+            assert (ball_masses(cloud, radii, subset, carrier).tobytes(),
+                    _certified(_lipschitz, cloud, subset, theta),
+                    model and extend_mcshane(model, queries).tobytes()) == expected
+
+
+def _planted_pair(delta):
+    """The pair (0, delta), then a horizontal row of points far off to its right."""
+    row = np.zeros((6, len(delta)))
+    row[:, 0] = 100.0 + np.arange(6.0)
+    coords = np.concatenate([np.zeros((1, len(delta))), [delta], row])
+    return WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6,
+                         check_separation=False)
+
+
+def _same_as_loop(cloud, theta):
+    got = _certified(_lipschitz, cloud, None, theta)
+    assert got == _certified(certify_graph_loop, cloud, None, theta)
+    return got
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.1, 0.3, 0.5, 1.0 - 1e-7])
+def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
+    # Pairs whose slope ratio lies within 1e-12 (relative) of (1 - theta^2) /
+    # theta^2, on both sides.  The hard ones are steep yet round to a ratio
+    # below fl((1 - t) / t), t = fl(theta^2): the prefilter's margin must
+    # send their block to the cone test anyway (nine of them at theta = 0.3).
+    rng = np.random.default_rng(11)
+    size, sq = 20000, theta * theta
+    bound = (1.0 - sq) / sq
+    along = rng.uniform(0.5, 2.0, size) * rng.choice([-1.0, 1.0], size)
+    up = rng.normal(size=(size, 2))
+    up /= np.linalg.norm(up, axis=1)[:, None]
+    scale = 1.0 + rng.uniform(-1e-12, 1e-12, size) * 10.0 ** -rng.integers(0, 5, size)
+    delta = np.column_stack([along, up * (np.sqrt(bound * scale) * np.abs(along))[:, None]])
+    steep = shells.cone_shells(delta, theta, 1, None, np.zeros(1), np.full(1, np.inf),
+                               strict=True)[:, 0]
+    horiz_sq = delta[:, 0] * delta[:, 0]
+    ratio = np.maximum(np.einsum("ij,ij->i", delta, delta) - horiz_sq, 0.0) / horiz_sq
+    hard = np.flatnonzero(steep & (ratio < bound))
+    picks = np.concatenate([hard, rng.choice(np.flatnonzero(steep), 20),
+                            rng.choice(np.flatnonzero(~steep), 20)])
+    outcomes = [_same_as_loop(_planted_pair(delta[k]), theta) for k in picks]
+    assert sum(isinstance(got, tuple) for got in outcomes) == len(picks) - 20
+    assert len(hard) or theta != 0.3
+
+
+@pytest.mark.parametrize("theta", [1e-170, 1e-6, 0.1, 0.3, 0.5, 1.0 - 1e-7])
+def test_vertical_and_duplicate_pairs_reach_the_cone_test(theta):
+    # A pair with horizontal difference exactly 0 has no slope ratio; it is
+    # steep whenever fl(theta^2 |delta|^2) > 0.  At theta = 1e-170 that square
+    # underflows to 0: nothing is steep, not even a pair of slope 1e100, and
+    # no limit divides by zero.
+    gentle = np.array([[0.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [2.0, 0.0, 0.0], [3.0, 1e-9, 0.0],
+                       [4.0, 2e-150, 1e-150], [5.0, 1e-4, 1e-4]])
+    duplicates = np.concatenate([gentle, gentle[[1, 3]]])
+    for extra, steep in (((), False), (([2.0, 0.0, 1e-3],), theta > 1e-170),
+                         (([1e-100, 1.0, 0.0],), theta > 1e-170)):
+        coords = np.concatenate([duplicates, np.reshape(extra, (-1, 3))])
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6,
+                              check_separation=False)
+        assert isinstance(_same_as_loop(cloud, theta), tuple) == steep
+
+
+def test_the_cone_test_runs_only_on_blocks_it_must_check(monkeypatch):
+    calls = []
+
+    def counted(delta, *args, **kwargs):
+        calls.append(delta)
+        return cone_shells(delta, *args, **kwargs)
+
+    cone_shells = extract.cone_shells
+    monkeypatch.setattr(extract, "cone_shells", counted)
+    cloud = lipschitz_graph(2000, seed=3)
+    certify_graph(cloud, theta=0.1)
+    assert calls == []
+    coords = cloud.coords.copy()
+    coords[1500] = coords[700] + [1e-4, 0.05]
+    steep = WeightedCloud(coords, cloud.weights, n=1, delta_res=cloud.delta_res,
+                          check_separation=False)
+    with pytest.raises(NotAGraphError) as caught:
+        certify_graph(steep, theta=0.1)
+    i, j = caught.value.witness
+    assert (caught.value.witness, str(caught.value)) == _certified(certify_graph_loop, steep,
+                                                                   None, 0.1)
+    assert len(calls) == 1
+    assert (calls[0] == coords[i] - coords[j]).all(axis=1).any()
