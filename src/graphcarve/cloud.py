@@ -18,6 +18,33 @@ from .errors import InputError
 _EPS = np.finfo(float).eps
 
 
+def row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sums of a * b over the last (coordinate) axis; ``b`` has a's shape or is
+    one (d,) vector, and defaults to ``a``: the squared norms.
+
+    The one pair reduction of the package, equal bit for bit to ``np.einsum``'s
+    sum of products over C-contiguous copies of a and b, on any strides.  That
+    sum keeps one rounded product per SIMD lane, folds the upper lanes onto
+    the lower ones, (l0 + l2) + (l1 + l3), and starts from +0.0; for d <= 4
+    the products of whole coordinate planes are folded so, and larger d calls
+    einsum.
+    """
+    d = a.shape[-1]
+    if not 1 <= d <= 4:
+        a = np.ascontiguousarray(a)
+        return np.einsum("...k,...k->...", a, a if b is None else np.ascontiguousarray(b))
+    other = a if b is None else b
+    lanes = [a[..., k] * other[..., k] for k in range(d)]
+    while len(lanes) > 1:
+        half = (len(lanes) + 1) // 2
+        for k in range(len(lanes) - half):
+            lanes[k] += lanes[k + half]
+        del lanes[half:]
+    if b is not None:
+        lanes[0] += 0.0  # -0.0 -> +0.0; squares are never -0.0
+    return lanes[0]
+
+
 def _reach(radius: float, scale: float) -> float:
     """Tree search radius, padded far past the rounding of the tree's distances
     and the exact test's for coordinates of magnitude up to ``scale``."""
@@ -96,8 +123,7 @@ class GridIndex:
         else:
             found = self._tree.query_ball_point(center, reach, return_sorted=True)
             cand = np.fromiter(found, dtype=np.intp, count=len(found))
-        delta = self.coords[cand] - center
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        dist_sq = row_dots(self.coords[cand] - center)
         r_sq = radius * radius
         keep = dist_sq < r_sq if strict else dist_sq <= r_sq
         return cand[keep]
@@ -108,8 +134,7 @@ class GridIndex:
         pairs = self._tree.query_pairs(_reach(radius, self._scale),
                                        output_type="ndarray").astype(np.intp)
         i, j = pairs[:, 0], pairs[:, 1]
-        delta = self.coords[j] - self.coords[i]
-        return i, j, np.einsum("ij,ij->i", delta, delta)
+        return i, j, row_dots(self.coords[j] - self.coords[i])
 
     def close_pairs(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j), i < j, with |x_i - x_j| < radius, sorted by (i, j)."""

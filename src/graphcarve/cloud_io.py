@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import WeightedCloud, _reach
+from .cloud import WeightedCloud, _reach, row_dots
 from .errors import InputError
 
 SCHEMA = "graphcarve/1"  # every JSON file the package writes
@@ -25,8 +25,7 @@ def estimate_delta_res(coords: np.ndarray) -> float:
     nearest = float(tree.query(coords, k=2)[0][:, 1].min())
     pairs = tree.query_pairs(_reach(nearest, float(np.abs(coords).max())),
                              output_type="ndarray")
-    delta = coords[pairs[:, 0]] - coords[pairs[:, 1]]
-    return float(np.sqrt(np.einsum("ij,ij->i", delta, delta).min()))
+    return float(np.sqrt(row_dots(coords[pairs[:, 0]] - coords[pairs[:, 1]]).min()))
 
 
 def save_cloud_csv(cloud: WeightedCloud, path) -> None:

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
-from .cloud import _EPS, _reach
+from .cloud import _EPS, _reach, row_dots
 from .cloud_io import SCHEMA
 from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
@@ -276,16 +276,14 @@ def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] =
             if tree is None or tree.n < len(centres):
                 tree = _tree(centres)
             pairs = _tree(block).sparse_distance_matrix(tree, reach, output_type="ndarray")
-            diff = block[pairs["i"]] - centres[pairs["j"]]
             far = np.ones(len(block), dtype=bool)
-            far[pairs["i"][np.einsum("ij,ij->i", diff, diff) <= sq]] = False
+            far[pairs["i"][row_dots(block[pairs["i"]] - centres[pairs["j"]]) <= sq]] = False
             ids = ids[far]
             if not len(ids):
                 continue
         rest = block[ids]
         first, later = _tree(rest).query_pairs(reach, output_type="ndarray").T
-        diff = rest[later] - rest[first]
-        near = np.einsum("ij,ij->i", diff, diff) <= sq
+        near = row_dots(rest[later] - rest[first]) <= sq
         first, later = first[near], later[near]
         order = np.argsort(first)
         bounds = np.searchsorted(first[order], np.arange(len(rest) + 1))
@@ -308,7 +306,7 @@ def _arcs_covered(centres: np.ndarray, axis: Subspace, alpha: float, spacing: fl
     The region is two arcs, |sin psi| <= alpha around +-axis; a sorted sweep
     asks whether the centres' intervals of 2 asin(rho / 2), rho = spacing
     (1 - 1e-9), cover them widened to asin(alpha (1 + 1e-9)).  The samples'
-    norms and region test, the angles and the einsum test round by under
+    norms and region test, the angles and the exact test round by under
     1e-14 in all, and for rho, alpha >= ``_ARC_FLOOR`` both margins exceed
     1e-13.  Unwrapped intervals can only hide coverage.  False when
     alpha (1 + 1e-9) >= 1 or rho or alpha < ``_ARC_FLOOR``; d = 3 has no sweep.
@@ -347,15 +345,22 @@ def _covered(check: np.ndarray, directions: np.ndarray,
              cos_small: float) -> np.ndarray:
     """Mask of the check samples y with y . u >= cos_small for some direction u.
 
-    As |y - u|^2 = 2 - 2 y . u for unit vectors, a kd-tree proposes the pairs
-    within the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps)
-    past that subtraction's rounding, and the exact dot settles them."""
+    As |y - u|^2 = 2 - 2 y . u for unit vectors, every such pair lies within
+    the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps) past that
+    subtraction's rounding, and the exact dot settles it.  A kd-tree over the
+    directions pairs each sample with its nearest direction within the padded
+    chord; only the samples whose nearest direction fails the dot meet all
+    their candidates there."""
     reach = _reach(math.sqrt(2.0 - 2.0 * cos_small + 64.0 * _EPS), 1.0)
-    pairs = _tree(check).sparse_distance_matrix(_tree(directions), reach,
-                                                output_type="ndarray")
-    dots = np.einsum("ij,ij->i", check[pairs["i"]], directions[pairs["j"]])
+    tree = _tree(directions)
+    nearest = tree.query(check, distance_upper_bound=reach)[1]
+    found = np.flatnonzero(nearest < len(directions))
     covered = np.zeros(len(check), dtype=bool)
-    covered[pairs["i"][dots >= cos_small]] = True
+    covered[found] = row_dots(check[found], directions[nearest[found]]) >= cos_small
+    rest = found[~covered[found]]
+    pairs = _tree(check[rest]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+    dots = row_dots(check[rest[pairs["i"]]], directions[pairs["j"]])
+    covered[rest[pairs["i"][dots >= cos_small]]] = True
     return covered
 
 

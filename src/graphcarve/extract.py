@@ -8,8 +8,10 @@ with that predicate and records the exact slope constant; the coordinatewise
 midpoint extension then produces a globally Lipschitz map agreeing with the
 samples, at the cost of inflating the constant by sqrt(d - n).  Both dense
 passes run in blocks of ``block_rows`` rows built by ``pair_differences``, so
-their memory stays flat in N.  The certificate takes every block's slopes
-first and runs the cone test only on a block whose slopes cannot clear it.
+their memory stays flat in N, and reduce each block's coordinate planes with
+``row_dots``.  The certificate takes every block's slopes first and runs the
+cone test, on the block's pairs as (K, d) rows, only on a block whose slopes
+cannot clear it.  The extension finds exact sample sites by their bits.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import WeightedCloud
+from .cloud import WeightedCloud, row_dots
 from .errors import AlgorithmInvariantViolation, InputError, NotAGraphError
+from .measure import _unique_rows
 from .shells import block_rows, cone_shells, pair_differences
 
 
@@ -74,16 +77,16 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
     while start < len(pts):
         width = len(pts) - start
         stop = start + block_rows(width)
-        diff = pair_differences(pts[start:stop], pts[start:]).reshape(-1, cloud.d)
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        horiz_sq = np.einsum("ij,ij->i", diff[:, :n], diff[:, :n])
+        diff = pair_differences(pts[start:stop], pts[start:])
+        dist_sq = row_dots(diff).ravel()
+        horiz_sq = row_dots(diff[..., :n]).ravel()
         vert_sq = np.maximum(dist_sq - horiz_sq, 0.0)
         slope_sq = np.divide(vert_sq, horiz_sq, out=np.zeros_like(vert_sq),
                              where=horiz_sq > 0.0)
         top = float(slope_sq.max())
         if top >= limit or np.any((horiz_sq == 0.0) & (dist_sq > 0.0)):
-            steep = cone_shells(diff, theta, n, None, np.zeros(1), np.full(1, np.inf),
-                                strict=True)[:, 0]
+            steep = cone_shells(diff.reshape(-1, cloud.d), theta, n, None, np.zeros(1),
+                                np.full(1, np.inf), strict=True)[:, 0]
             if steep.any():
                 k = int(np.argmax(steep))
                 i, j = int(idx[start + k // width]), int(idx[start + k % width])
@@ -119,20 +122,27 @@ def extend_mcshane(model: GraphModel, queries: np.ndarray) -> np.ndarray:
     lip = model.lipschitz
     base = model.sample_base
     vals = model.sample_values
-    sites = {row.tobytes(): i for i, row in enumerate(base)}
-    hit = np.array([sites.get(point.tobytes(), -1) for point in q], dtype=np.intp)
+    hit = _sample_rows(base, q)
     out = np.empty((len(q), vals.shape[1]))
     out[hit >= 0] = vals[hit[hit >= 0]]
     rest = np.flatnonzero(hit < 0)
     step = block_rows(len(base))
     for start in range(0, len(rest), step):
         rows = rest[start:start + step]
-        diff = pair_differences(q[rows], base)
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = np.sqrt(row_dots(pair_differences(q[rows], base)))
         upper = (vals[None, :, :] + lip * dist[:, :, None]).min(axis=1)
         lower = (vals[None, :, :] - lip * dist[:, :, None]).max(axis=1)
         out[rows] = 0.5 * (upper + lower)
     return out[0] if single else out
+
+
+def _sample_rows(base: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per query row, the last sample row with the same uint64 bit pattern (so
+    -0.0 is not 0.0), or -1: both sets' rows are numbered by one lexsort."""
+    inverse = _unique_rows(np.concatenate([base, q]).view(np.uint64))[1]
+    last = np.full(len(inverse), -1, dtype=np.intp)
+    np.maximum.at(last, inverse[:len(base)], np.arange(len(base)))
+    return last[inverse[len(base):]]
 
 
 @dataclass(frozen=True)

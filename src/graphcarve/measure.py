@@ -4,7 +4,7 @@
 reduced over the carrier on its own row, so its value depends only on its
 query point, carrier and radius, never on which other rows share a block:
 any subset of rows reproduces the full table bit for bit.  Blocks of
-``block_rows(|carrier|)`` rows, their differences written coordinate by
+``block_rows(|carrier|)`` rows, their differences written as one plane per
 coordinate (``shells.pair_differences``) and every radius's indicator into
 one reused buffer, keep its memory flat in the number of rows.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import _EPS, ScaleRange, WeightedCloud, _reach
+from .cloud import _EPS, ScaleRange, WeightedCloud, _reach, row_dots
 from .errors import InputError
 from .geometry import Subspace, grassmann_distance
 from .grassmannian import GrassmannSampler
@@ -44,10 +44,11 @@ def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.nd
     """Mass of carrier points within each radius of each query point.
 
     Returns an array of shape (len(points), len(radii)); radii comparisons
-    are inclusive (closed balls).  Each entry is reduced on its own row
-    (``einsum``, not a BLAS product whose blocking depends on the rows around
-    it), so a row's value does not depend on the other query points or on the
-    block size: the exact fallback of ``prune_low_density`` relies on that.
+    are inclusive (closed balls).  Each squared distance is reduced on its
+    own pair (``row_dots`` over coordinate planes, not a BLAS product whose
+    blocking depends on the rows around it) and each mass on its own row, so a
+    row's value does not depend on the other query points or on the block
+    size: the exact fallback of ``prune_low_density`` relies on that.
     """
     radii = np.asarray(radii, dtype=float)
     pts = cloud.all_indices() if points is None else np.asarray(points, dtype=np.intp)
@@ -62,8 +63,7 @@ def ball_masses(cloud: WeightedCloud, radii, points=None, carrier=None) -> np.nd
     buffer = np.empty((min(rows, len(pts)), len(car)))
     for start in range(0, len(pts), rows):
         block = pts[start:start + rows]
-        diff = pair_differences(cloud.coords[block], car_coords)
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        dist_sq = row_dots(pair_differences(cloud.coords[block], car_coords))
         inside = buffer[:len(block)]
         for col, rr in enumerate(r_sq):
             np.less_equal(dist_sq, rr, out=inside, casting="unsafe")

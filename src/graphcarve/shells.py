@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import _EPS, ScaleRange, WeightedCloud
+from .cloud import _EPS, ScaleRange, WeightedCloud, row_dots
 from .errors import InputError
 
 _CHUNK = 1 << 15  # the pair budget of every dense pairwise pass, per block
@@ -37,15 +37,15 @@ def block_rows(width: int) -> int:
 def pair_differences(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``rows[:, None, :] - cols[None, :, :]``, shape (len(rows), len(cols), d).
 
-    Written one coordinate at a time, so each subtraction runs along a row of
-    ``cols`` instead of along d = 2 or 3 coordinates: the same elements, bit
-    for bit, in a fresh C-contiguous array, so a squared sum over it (an
-    ``einsum`` over its last axis) is the broadcast's too.
+    The same elements bit for bit, written one coordinate at a time into a
+    contiguous len(rows) x len(cols) plane each, so every subtraction runs
+    along a row of ``cols``: the result is a view whose last axis steps across
+    the planes, and ``row_dots`` over it reads each coordinate contiguously.
     """
-    diff = np.empty((len(rows), len(cols), rows.shape[1]))
+    diff = np.empty((rows.shape[1], len(rows), len(cols)))
     for k in range(rows.shape[1]):
-        np.subtract(rows[:, k, None], cols[None, :, k], out=diff[:, :, k])
-    return diff
+        np.subtract(rows[:, k, None], cols[None, :, k], out=diff[k])
+    return diff.transpose(1, 2, 0)
 
 
 def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
@@ -59,12 +59,11 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
     interior of the closed set.  Rows never meet in a BLAS product, so a pair
     gets the same answer in any batch.
     """
-    dist_sq = np.einsum("ij,ij->i", delta, delta)
+    dist_sq = row_dots(delta)
     if direction is None:
-        horiz = delta[:, :n]
-        perp_sq = np.einsum("ij,ij->i", horiz, horiz)
+        perp_sq = row_dots(delta[:, :n])
     else:
-        along = np.einsum("ij,j->i", delta, direction)
+        along = row_dots(delta, direction)
         perp_sq = np.maximum(dist_sq - along * along, 0.0)
     bound = aperture * aperture * dist_sq
     cone = perp_sq < bound if strict else perp_sq <= bound

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcarve import InputError, ScaleRange, WeightedCloud
+from graphcarve.cloud import row_dots
 from graphcarve.cloud_io import estimate_delta_res
 from tests.conftest import line_cloud
 from tests.delta_res_reference import min_pair_distance
@@ -257,3 +258,68 @@ class TestEstimateDeltaRes:
     def test_needs_two_points(self):
         with pytest.raises(InputError):
             estimate_delta_res(np.zeros((1, 2)))
+
+
+def _coordinates(rng, shape, decades=300.0):
+    """Signed floats of magnitude 10^-decades to 10^decades, with subnormals and
+    signed zeros sprinkled in.  At 300 decades products overflow to inf and
+    underflow to 0; at 1 they are alike, so the order of the sum shows."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+    special = rng.choice([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.5e-320], shape)
+    return np.where(rng.random(shape) < 0.15, special, values)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except that every NaN (an inf - inf) equals every other."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+class TestRowDots:
+    @settings(max_examples=200)
+    @given(d=st.integers(1, 6), grid=st.booleans(),
+           layout=st.sampled_from(["contiguous", "columns", "planes"]),
+           other=st.sampled_from(["none", "array", "vector"]),
+           decades=st.sampled_from([1.0, 300.0]), data=st.data())
+    def test_equals_einsum_bit_for_bit(self, d, grid, layout, other, decades, data):
+        # (K, d) rows and (R, C, d) grids, laid out contiguously, as a column
+        # slice of a wider array, or as coordinate planes (pair_differences'
+        # layout); squares, dots of two arrays and dots with one vector.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lead = ((data.draw(st.integers(0, 6), label="R"), data.draw(st.integers(0, 9), label="C"))
+                if grid else (data.draw(st.integers(0, 40), label="K"),))
+
+        def laid_out():
+            if layout == "columns":
+                wide = _coordinates(rng, lead + (d + 3,), decades)
+                return wide[..., 2:2 + d]
+            values = _coordinates(rng, lead + (d,), decades)
+            if layout == "planes":
+                return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+            return values
+
+        a = laid_out()
+        b = {"none": None, "array": laid_out(), "vector": _coordinates(rng, (d,), decades)}[other]
+        rows = "ijk"[:len(lead)] + "z"
+        subscripts = f"{rows},{rows if other != 'vector' else 'z'}->{rows[:-1]}"
+        with np.errstate(all="ignore"):
+            got = row_dots(a, b)
+            want = np.einsum(subscripts, np.ascontiguousarray(a),
+                             np.ascontiguousarray(a if b is None else b))
+        assert _same_bits(got, want)
+        if layout == "columns":
+            with np.errstate(all="ignore"):
+                assert _same_bits(got, np.einsum(subscripts, a, a if b is None else b))
+
+    def test_lane_order_and_signed_zeros(self):
+        # Products for which the lane order and the plain left-to-right sum
+        # round apart: d = 3 adds (p0 + p2) + p1 and d = 4 (p0 + p2) + (p1 + p3).
+        # A sum of -0.0 products is +0.0.
+        a = np.array([[1.0, 2.0 ** -53, -1.0, 2.0 ** -53]])
+        ones = np.ones((1, 4))
+        assert row_dots(a[:, :3], ones[:, :3])[0] == 2.0 ** -53
+        assert row_dots(a, ones)[0] == 2.0 ** -52
+        for d in range(1, 7):
+            assert not np.signbit(row_dots(np.full((1, d), -0.0), np.ones(d))[0])

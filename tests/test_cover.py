@@ -440,6 +440,17 @@ class TestCovered:
         assert got[0]
         assert np.array_equal(got, covered_all_pairs(check, dirs, cos_small))
 
+    def test_a_nearest_direction_that_fails_the_dot_is_not_the_last_word(self):
+        # Off the sphere the nearest direction need not have the largest dot:
+        # 0.9 e1 is nearest to e1 and fails the dot, a unit direction 0.2 rad
+        # away passes it; 0.9 e2 alone leaves e2 uncovered.
+        check = np.eye(3)[:2]
+        dirs = np.array([[0.9, 0.0, 0.0], [math.cos(0.2), 0.0, math.sin(0.2)],
+                         [0.0, 0.9, 0.0]])
+        got = _covered(check, dirs, math.cos(0.3))
+        assert got.tolist() == [True, False]
+        assert np.array_equal(got, covered_all_pairs(check, dirs, math.cos(0.3)))
+
     def test_the_plain_chord_drops_rim_pairs(self, monkeypatch):
         # Without the sqrt(r^2 + 64 eps) pad the tree's radius is the chord r
         # itself, and at aperture 1e-7 it misses samples that the exact dot

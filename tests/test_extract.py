@@ -83,6 +83,24 @@ class TestMcShane:
         assert extend_mcshane(model, np.array([0.0]))[0] == 0.0
         assert extend_mcshane(model, np.array([1.0]))[0] == 1.0
 
+    @pytest.mark.parametrize("base, queries, expected", [
+        # Sites 1.0 twice and -0.0 beside 0.0; 0.5 is no site: with slope 0 its
+        # envelopes are the least and largest values, (10 + 60) / 2.
+        ([[0.0], [-0.0], [1.0], [2.0], [1.0]], [[-0.0], [0.0], [1.0], [0.5], [2.0]],
+         [20.0, 10.0, 60.0, 35.0, 40.0]),
+        ([[0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [5.0, 5.0]],
+         [[0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]], [40.0, 20.0, 30.0, 35.0]),
+    ], ids=["n1", "n2"])
+    def test_duplicate_and_signed_zero_sites(self, base, queries, expected):
+        # A query takes the value of the last sample row with its bits, so
+        # -0.0 and 0.0 are different sites.
+        values = [[10.0], [20.0], [30.0], [40.0], [60.0]][:len(base)]
+        model = GraphModel(n=len(base[0]), sample_base=np.array(base),
+                           sample_values=np.array(values), lipschitz=0.0, theta=0.5)
+        got = extend_mcshane(model, np.array(queries))
+        assert got[:, 0].tolist() == expected
+        assert got.tobytes() == extend_mcshane_loop(model, np.array(queries)).tobytes()
+
     def test_constant_samples_extend_constantly(self, rng):
         base = rng.uniform(-1, 1, (20, 2))
         model = GraphModel(n=2, sample_base=base,

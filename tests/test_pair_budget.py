@@ -77,6 +77,16 @@ def test_block_size_leaves_every_pass_unchanged(monkeypatch, planted, subset):
     assert isinstance(outcomes[0][1], tuple) == bool(planted)
 
 
+def test_pair_differences_are_the_broadcast_in_coordinate_planes():
+    rng = np.random.default_rng(2)
+    rows, cols = rng.normal(size=(5, 3)) * 1e3, rng.normal(size=(7, 3))
+    diff = shells.pair_differences(rows, cols)
+    assert diff.shape == (5, 7, 3)
+    assert (np.ascontiguousarray(diff).tobytes()
+            == (rows[:, None, :] - cols[None, :, :]).tobytes())
+    assert all(diff[..., k].flags.c_contiguous for k in range(3))
+
+
 def test_dense_passes_stay_within_the_pair_budget():
     # At 8,000 points certificate blocks of 256 rows trace 134 MB, and 64 query
     # rows in one block 21 MB; blocks of 2^15 pairs trace about 2 MB.
