@@ -13,14 +13,16 @@ make the net a cover:
       aperture b * alpha, with b measured empirically; it is at most 2, so
       ``build_cover_for_theta`` builds once and reports b_used = 2.5.
 
-The net and the check of (a) both ask a kd-tree (Bentley 1975) for the
-candidate pairs within a padded radius and settle them with the exact test,
-so their work grows with the net size instead of with net size x samples,
-and their output equals the dense scan's.  The net keeps one tree over its
-centres from block to block and rebuilds it only when the net has grown.  In
-the plane it stops once a sorted sweep, with 1e-9 margins past the rounding,
-proves that its caps cover the region's two arcs (``_arcs_covered``); a band
-on a higher sphere has no such sweep, so there every candidate is scanned.
+The net and the check of (a) both ask a kd-tree (Bentley 1975) over the
+centres for each point's nearest centre within a padded radius, settle it
+with the exact test, and search every centre in the radius only for the
+points whose nearest one fails (``_reached``); their work grows with the net
+size instead of with net size x samples, and their output equals the dense
+scan's.  The net keeps its centre tree from block to block and rebuilds it
+only when the net has grown.  In the plane it stops once a sorted sweep, with
+1e-9 margins past the rounding, proves that its caps cover the region's two
+arcs (``_arcs_covered``); a band on a higher sphere has no such sweep, so
+there every candidate is scanned.
 
 The net's candidates are Gaussian images of the unscrambled Sobol' sequence,
 generated here in Gray-code order (Antonov & Saleev, USSR Comput. Math. Math.
@@ -28,14 +30,24 @@ Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
 The sampler transforms them a sub-block at a time, as the net reads them,
 and stops once it holds the samples asked for; the check's random proposals
-are drawn whole.
+are drawn whole.  Where the net reads every candidate (d >= 3), one worker
+thread runs the sampler two pieces ahead of the net and then draws the
+check's samples, while the calling thread runs the net: the transforms,
+``ndtri`` and the tree queries release the GIL, so the two overlap.  The
+worker makes the same ``_sobol`` calls and random draws as the serial order,
+so the cover is the same bit for bit, and it is joined before
+``build_cover`` returns or raises.  The planar net stays serial: it stops
+after its first sub-block, and reading ahead would transform proposals that
+it never reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -55,6 +67,8 @@ _BLOCK = 4096
 _FIRST_BLOCK = 512
 # Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this.
 _SUB_BLOCK = 2 ** 15
+# Sampler pieces made ahead of the net that reads them (see _read_ahead).
+_AHEAD = 2
 _ARC_FLOOR = 1e-4  # the least spacing at which _arcs_covered may end the net
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
@@ -230,6 +244,18 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
     return np.concatenate([*_region_pieces(axis, alpha, count, rng)], axis=0)
 
 
+def _read_ahead(pool: ThreadPoolExecutor, items: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The items, each made on ``pool`` while the caller reads the ones before.
+
+    The pool works ``_AHEAD`` items ahead of the caller, so whatever the
+    items' producer does after its last item starts while the caller still
+    holds a whole item to read."""
+    steps = deque(pool.submit(next, items, None) for _ in range(_AHEAD))
+    while (item := steps.popleft().result()) is not None:
+        steps.append(pool.submit(next, items, None))
+        yield item
+
+
 def _tree(points: np.ndarray) -> cKDTree:
     """kd-tree for range searches that an exact test settles: the pairs within
     a radius do not depend on the tree's shape, so the cheaper build serves."""
@@ -246,6 +272,28 @@ def _blocks(pending: np.ndarray, more: Iterable[np.ndarray]) -> Iterator[np.ndar
             pending, size = pending[size:], _BLOCK
 
 
+def _reached(points: np.ndarray, centres: np.ndarray, tree: cKDTree, reach: float,
+             test: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Mask of the points that pass the exact ``test(point rows, centre rows)``
+    against some centre, given that every passing pair lies within ``reach``.
+
+    ``tree`` over the centres names each point's nearest centre within reach
+    and the test settles that pair; only the points whose nearest centre
+    fails meet all their candidates, in one range search of a tree over them.
+    The nearest centre need not be the one that passes, so the mask does not
+    depend on which centre the tree names."""
+    nearest = tree.query(points, distance_upper_bound=reach)[1]
+    found = np.flatnonzero(nearest < len(centres))
+    passed = np.zeros(len(points), dtype=bool)
+    passed[found] = test(points[found], centres[nearest[found]])
+    rest = found[~passed[found]]
+    if len(rest):
+        pairs = _tree(points[rest]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+        rows = rest[pairs["i"]]
+        passed[rows[test(points[rows], centres[pairs["j"]])]] = True
+    return passed
+
+
 def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] = (),
                 done: Callable[[np.ndarray], bool] | None = None) -> np.ndarray:
     """Greedy maximal net in scan order over ``points`` (at least one), then
@@ -254,36 +302,40 @@ def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] =
     A point joins the net when no earlier net point lies within ``spacing``
     (squared distance <= spacing^2).  The points are scanned in blocks.  A
     kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975), kept
-    across blocks and rebuilt only after the net has grown, proposes each
-    block's near pairs within a padded radius, and the exact squared-distance
-    test settles them.  The block's survivors then meet each other: one
-    ``query_pairs`` over them, settled by the same test, lists each survivor's
-    later neighbours, and a scan in order keeps every survivor that no kept
-    one reaches.  The first block meets no centres, so all its points survive
-    and their pairs grow with its square: it is the short ``_FIRST_BLOCK``.
-    The work grows with the net size instead of with net size x point count,
-    and the output equals the plain dense scan bit for bit.  ``done(centres)``,
-    asked after each block that added centres, ends the scan (no later piece
-    is read) once it proves every later point within the test of a centre.
+    across blocks and rebuilt only after the net has grown, names each block
+    point's nearest centre within a padded radius, and the exact
+    squared-distance test settles it (``_reached``); a point whose nearest
+    centre fails that test meets every centre in the radius.  The block's
+    survivors then meet each other: one ``query_pairs`` over them, settled by
+    the same test, lists each survivor's later neighbours, and a scan in
+    order keeps every survivor that no kept one reaches.  The first block
+    meets no centres, so all its points survive and their pairs grow with its
+    square: it is the short ``_FIRST_BLOCK``.  The work grows with the net
+    size instead of with net size x point count, and the output equals the
+    plain dense scan bit for bit.  ``done(centres)``, asked after each block
+    that added centres, ends the scan (no later piece is read) once it proves
+    every later point within the test of a centre.  ``more`` may be made on
+    another thread (``build_cover`` at d >= 3): the tree queries release the
+    GIL, so that thread's sampling runs while they do.
     """
     sq = spacing * spacing
+
+    def within(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+        return row_dots(rows - others) <= sq
+
     scale, centres, tree = 0.0, None, None
     for block in _blocks(points, more):
         scale = max(scale, float(np.abs(block).max()))
         reach = _reach(spacing, scale)
-        ids = np.arange(len(block))
+        rest = block
         if centres is not None:
             if tree is None or tree.n < len(centres):
                 tree = _tree(centres)
-            pairs = _tree(block).sparse_distance_matrix(tree, reach, output_type="ndarray")
-            far = np.ones(len(block), dtype=bool)
-            far[pairs["i"][row_dots(block[pairs["i"]] - centres[pairs["j"]]) <= sq]] = False
-            ids = ids[far]
-            if not len(ids):
+            rest = block[~_reached(block, centres, tree, reach, within)]
+            if not len(rest):
                 continue
-        rest = block[ids]
         first, later = _tree(rest).query_pairs(reach, output_type="ndarray").T
-        near = row_dots(rest[later] - rest[first]) <= sq
+        near = within(rest[later], rest[first])
         first, later = first[near], later[near]
         order = np.argsort(first)
         bounds = np.searchsorted(first[order], np.arange(len(rest) + 1))
@@ -347,21 +399,11 @@ def _covered(check: np.ndarray, directions: np.ndarray,
 
     As |y - u|^2 = 2 - 2 y . u for unit vectors, every such pair lies within
     the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps) past that
-    subtraction's rounding, and the exact dot settles it.  A kd-tree over the
-    directions pairs each sample with its nearest direction within the padded
-    chord; only the samples whose nearest direction fails the dot meet all
-    their candidates there."""
+    subtraction's rounding, and the exact dot settles it (``_reached``): off
+    the sphere the nearest direction need not have the largest dot."""
     reach = _reach(math.sqrt(2.0 - 2.0 * cos_small + 64.0 * _EPS), 1.0)
-    tree = _tree(directions)
-    nearest = tree.query(check, distance_upper_bound=reach)[1]
-    found = np.flatnonzero(nearest < len(directions))
-    covered = np.zeros(len(check), dtype=bool)
-    covered[found] = row_dots(check[found], directions[nearest[found]]) >= cos_small
-    rest = found[~covered[found]]
-    pairs = _tree(check[rest]).sparse_distance_matrix(tree, reach, output_type="ndarray")
-    dots = row_dots(check[rest[pairs["i"]]], directions[pairs["j"]])
-    covered[rest[pairs["i"][dots >= cos_small]]] = True
-    return covered
+    return _reached(check, directions, _tree(directions), reach,
+                    lambda rows, dirs: row_dots(rows, dirs) >= cos_small)
 
 
 def build_cover(axis: Subspace, alpha: float, s: float,
@@ -388,11 +430,21 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     # Axis directions are exact cone members; seeding them keeps the net honest
     # near the cone core.
     seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
-    done = (lambda net: _arcs_covered(net, axis, alpha, spacing)) if axis.d == 2 else None
-    directions = _greedy_net(seeds, spacing, _region_pieces(axis, alpha, net_samples), done)
-
     rng = np.random.default_rng(seed)
-    check = _region_samples(axis, alpha, check_samples, rng=rng)
+    if axis.d == 2:
+        directions = _greedy_net(seeds, spacing, _region_pieces(axis, alpha, net_samples),
+                                 lambda net: _arcs_covered(net, axis, alpha, spacing))
+        check = _region_samples(axis, alpha, check_samples, rng=rng)
+    else:
+        checks = []
+
+        def samples() -> Iterator[np.ndarray]:
+            yield from _region_pieces(axis, alpha, net_samples)
+            checks.append(_region_samples(axis, alpha, check_samples, rng=rng))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            directions = _greedy_net(seeds, spacing, _read_ahead(pool, samples()))
+        check, = checks
     small_ap = alpha * s
     covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)))
     if not covered.all():

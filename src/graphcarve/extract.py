@@ -53,10 +53,15 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
     two-sided cone: |horizontal difference| < theta * |difference|, the
     ``cone_shells`` test at aperture theta.
 
-    A block goes through that test only if its largest slope ratio
-    fl(max(D - h, 0) / h) over pairs with h > 0 reaches ``limit``, or if it
-    holds a pair with h = 0 < D (h, D: a pair's squared horizontal and full
-    lengths, t = fl(theta * theta), u = 2^-53).  Every steep pair, h <
+    A block goes through that test only if its largest slope ratio reaches
+    ``limit``, or if it holds a pair with h = 0 < D (h, D: a pair's squared
+    horizontal and full lengths, t = fl(theta * theta), u = 2^-53).  The
+    ratio is fl(max(D - h, 0) / h) where h > 0; where h = 0 the divisor is
+    inf, so the ratio is 0, under ``limit``, or NaN if D overflows.  The
+    largest skips NaN ratios, which only pairs with h = 0 or h = inf have:
+    the first are caught by the second condition, the second are never
+    steep.  A pair with D = inf lies past the cone test's last shell, so it
+    is added to the test's answer when h < inf.  Every steep pair, h <
     fl(t D), meets one of the two.  If h > 0, then h < t D (1 + u): in the
     subnormal range h and fl(t D) lie on one grid and fl(t D) within half a
     step of t D.  So D - h > h (R (1 - u) - u), R = (1 - t) / t >= 2u as
@@ -80,13 +85,14 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
         diff = pair_differences(pts[start:stop], pts[start:])
         dist_sq = row_dots(diff).ravel()
         horiz_sq = row_dots(diff[..., :n]).ravel()
-        vert_sq = np.maximum(dist_sq - horiz_sq, 0.0)
-        slope_sq = np.divide(vert_sq, horiz_sq, out=np.zeros_like(vert_sq),
-                             where=horiz_sq > 0.0)
-        top = float(slope_sq.max())
+        slope_sq = np.subtract(dist_sq, horiz_sq)
+        np.maximum(slope_sq, 0.0, out=slope_sq)
+        slope_sq /= np.where(horiz_sq > 0.0, horiz_sq, np.inf)
+        top = float(np.fmax.reduce(slope_sq))
         if top >= limit or np.any((horiz_sq == 0.0) & (dist_sq > 0.0)):
             steep = cone_shells(diff.reshape(-1, cloud.d), theta, n, None, np.zeros(1),
                                 np.full(1, np.inf), strict=True)[:, 0]
+            steep |= (dist_sq == np.inf) & (horiz_sq < np.inf)
             if steep.any():
                 k = int(np.argmax(steep))
                 i, j = int(idx[start + k // width]), int(idx[start + k % width])

@@ -1,6 +1,7 @@
 """Full-row extraction loops, the test-side references for ``extract``.
 
-``certify_graph_loop`` compares each block of 256 rows with every column;
+``certify_graph_loop`` compares each block of 256 rows with every column and
+takes the largest slope ratio over the pairs that have one;
 ``extend_mcshane_loop`` evaluates the envelope at every query and then
 overwrites each query that is a sample site with its stored value.
 """
@@ -38,7 +39,8 @@ def certify_graph_loop(cloud, subset=None, theta=0.1):
         vert_sq = np.maximum(dist_sq - horiz_sq, 0.0)
         pos = horiz_sq > 0.0
         if pos.any():
-            lip = max(lip, float(np.sqrt(np.max(vert_sq[pos] / horiz_sq[pos]))))
+            # fmax skips the NaN ratio of a pair whose squares overflow.
+            lip = max(lip, float(np.sqrt(np.fmax.reduce(vert_sq[pos] / horiz_sq[pos]))))
     return lip
 
 

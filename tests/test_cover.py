@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -28,7 +31,9 @@ from graphcarve.cover import (
     _greedy_net,
     _region_samples,
     _sobol,
+    _tree,
 )
+from graphcarve.cloud import row_dots
 from graphcarve.grassmannian import alpha0_max
 from tests.cones import ConeSpec, cone_mask
 from tests.cover_reference import covered_chunked
@@ -38,6 +43,28 @@ from tests.sampler_reference import region_samples_reference
 
 def vertical_axis(d):
     return Subspace.vertical_axis(d, 1)
+
+
+class InlineExecutor:
+    """A stand-in for the cover's worker pool that runs each call at once on
+    the calling thread: the serial order of the same work."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class TestBuildCover:
@@ -136,6 +163,60 @@ class TestBuildCover:
             build_cover(vertical_axis(d), 0.1, 1.0)
         with pytest.raises(CoverInvalidError, match="d <= 21"):
             build_cover_for_theta(vertical_axis(d), 0.3, 1.0)
+
+    @pytest.mark.parametrize("where", ["sampler", "net"])
+    def test_an_error_on_either_thread_reaches_the_caller(self, monkeypatch, where):
+        # At d = 3 the sampler runs on a worker thread and the net on the
+        # calling one: an error raised mid-stream on either is the one the
+        # caller sees, and the worker is joined before it does.
+        error = ArithmeticError(where)
+        pieces = cover_module._region_pieces
+
+        def failing_pieces(axis, alpha, count, rng=None):
+            stream = pieces(axis, alpha, count, rng)
+            if rng is None:
+                yield from (next(stream), next(stream))
+                raise error
+            yield from stream
+
+        def failing_net(points, spacing, more=(), done=None):
+            more = iter(more)
+            next(more), next(more)
+            raise error
+
+        if where == "sampler":
+            monkeypatch.setattr(cover_module, "_region_pieces", failing_pieces)
+        else:
+            monkeypatch.setattr(cover_module, "_greedy_net", failing_net)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError) as caught:
+            build_cover(vertical_axis(3), 0.3, 0.5, net_samples=100_000)
+        assert caught.value is error
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        build_cover(vertical_axis(3), 0.3, 0.5, net_samples=100_000)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n_axis, s", [(1, 1.0), (1, 0.5), (2, 1.0)],
+                             ids=["codim2_cover", "half_spacing", "plane_axis"])
+    def test_worker_cover_equals_the_serial_one(self, monkeypatch, n_axis, s):
+        # The d = 3 workload cover's inputs, also at half the spacing and
+        # about a plane: the cover built with the worker, which switches
+        # threads every 10 us here, equals the one built on the calling
+        # thread alone, bit for bit.
+        axis = Subspace.vertical_axis(3, n_axis)
+        alpha = alpha0_max(n_axis, 0.2) / 2.0 / 2.5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            overlapped = build_cover(axis, alpha, s)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(cover_module, "ThreadPoolExecutor", InlineExecutor)
+        serial = build_cover(axis, alpha, s)
+        assert overlapped.directions.tobytes() == serial.directions.tobytes()
+        assert overlapped.to_json() == serial.to_json()
+        assert overlapped.b_measured == serial.b_measured
 
     def test_json_round_trip(self):
         cover = build_cover(vertical_axis(2), 0.25, 0.5, check_samples=5_000,
@@ -391,6 +472,31 @@ class TestGreedyNet:
             assert (_greedy_net(pts, spacing).tobytes()
                     == greedy_net_loop(pts, spacing).tobytes())
 
+    def test_a_nearest_centre_that_fails_the_test_is_not_the_last_word(self):
+        # The centres c1, c2 lie at one distance from a later point p: the
+        # coordinates of c1 - p, permuted and one negated, make c2 - p.  That
+        # distance rounds differently for the two, and the tree's sum adds
+        # in another order than the exact test.  Here the tree names c1
+        # nearest, c1 fails the test at a spacing that c2 passes, and p stays
+        # out of the net.
+        rng = np.random.default_rng(4)
+        found = 0
+        for _ in range(1000):
+            p = rng.uniform(-1.0, 1.0, 3)
+            v = rng.uniform(-1.0, 1.0, 3)
+            centres = np.array([p + v, p + v[[1, 2, 0]] * [1.0, -1.0, 1.0]])
+            nearest = _tree(centres).query(p)[1]
+            sq = row_dots(p - centres)
+            spacing = math.sqrt(sq[1 - nearest])
+            if not (sq[nearest] > sq[1 - nearest] == spacing * spacing):
+                continue
+            found += 1
+            pts = np.vstack([np.resize(centres, (_FIRST_BLOCK, 3)), p])
+            net = _greedy_net(pts, spacing)
+            assert net.tobytes() == centres.tobytes()
+            assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
+        assert found > 10
+
     @pytest.mark.parametrize("n_axis, d, s", [(1, 2, 1.0), (1, 2, 0.5), (1, 3, 1.0)],
                              ids=["graph_large", "union_refine", "codim2_cover"])
     def test_matches_dense_reference_on_workload_inputs(self, n_axis, d, s):
@@ -580,18 +686,26 @@ class TestPlanarStop:
         # only its first sub-block of 2^10 proposals; at d = 3 the net reads
         # all 200,000 samples, which take fourteen sub-blocks (294,912
         # proposals): six up to 2^15 (2^10 twice, then doubling), then 2^15 each.
+        # The d = 3 sampler runs ahead of the net on a worker thread, and
+        # makes the calls of the serial sampler, none past its last sample.
         drawn = []
 
         def spy(dim, start, size):
-            drawn.append(size)
+            drawn.append((start, size))
             return _sobol(dim, start, size)
 
         monkeypatch.setattr(cover_module, "_sobol", spy)
         cover = build_cover(vertical_axis(d), PLANAR_ALPHA, s, net_samples=200_000)
-        assert sum(drawn) == proposals
-        assert drawn[:7] == [2 ** 10, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14,
-                             _SUB_BLOCK][:len(drawn)]
+        sizes = [size for _, size in drawn]
+        assert sum(sizes) == proposals
+        assert sizes[:7] == [2 ** 10, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14,
+                             _SUB_BLOCK][:len(sizes)]
         assert cover.m == {(2, 1.0): 6, (2, 0.5): 10, (3, 1.0): 1471}[d, s]
+        if d == 3:
+            overlapped = drawn[:]
+            drawn.clear()
+            _region_samples(vertical_axis(d), PLANAR_ALPHA, 200_000)
+            assert overlapped == drawn
 
     @settings(max_examples=100)
     @given(angle=st.floats(0.0, 2.0 * math.pi),

@@ -202,6 +202,41 @@ def test_vertical_and_duplicate_pairs_reach_the_cone_test(theta):
         assert isinstance(_same_as_loop(cloud, theta), tuple) == steep
 
 
+@pytest.mark.parametrize("theta", [0.1, 0.5])
+@pytest.mark.parametrize("extra, steep", [
+    ((), False),
+    (([2.0, 30.0],), True),
+    (([0.0, 1e200],), True),
+    (([0.0, 1e200], [0.0, -1e200]), True),
+    (([2.0, 1e200],), True),
+    (([-1e199, 1e199],), False),
+], ids=["far", "steep_beside_far", "vertical_overflow", "vertical_stack", "long_overflow",
+        "far_and_high"])
+def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, steep):
+    # A gentle graph and a point 1e200 to its right: the horizontal square of
+    # every pair with that point overflows, so its slope ratio is inf / inf.
+    # Such ratios are left out of the slope, in whichever block they fall;
+    # a pair whose full square overflows and whose horizontal one does not
+    # is steep, whether it is vertical or not.  The slope bits, or the
+    # witness and message, equal the loop's under every block size.
+    t = np.linspace(0.5, 10.0, 40)
+    coords = np.concatenate([np.column_stack([t, 0.05 * np.sin(t)]), [[1e200, 0.0]],
+                             np.reshape(extra, (-1, 2))])
+    cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6,
+                          check_separation=False)
+    outcomes = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for budget in (1, 7, shells._CHUNK):
+            monkeypatch.setattr(shells, "_CHUNK", budget)
+            outcomes.add(_same_as_loop(cloud, theta))
+    assert len(outcomes) == 1
+    got = outcomes.pop()
+    assert isinstance(got, tuple) == steep
+    if not steep:
+        slope = np.abs(np.diff(coords[:40, 1]) / np.diff(t)).max()
+        assert np.frombuffer(got)[0] == pytest.approx(slope, rel=0.1)
+
+
 def test_the_cone_test_runs_only_on_blocks_it_must_check(monkeypatch):
     calls = []
 
