@@ -109,7 +109,7 @@ def cmd_adr_check(args) -> int:
 def cmd_energy(args) -> int:
     cloud = _load_cloud(args)
     center = Subspace.horizontal(cloud.d, cloud.n)
-    bin_width = args.bin if args.bin else max(2 * cloud.delta_res, cloud.extent() / 32)
+    bin_width = args.bin if args.bin is not None else max(2 * cloud.delta_res, cloud.extent() / 32)
     report = projection_energy(cloud, center, args.kappa, args.samples,
                                bin_width, seed=args.seed)
     _emit(args, {"mean_l2_sq": report.mean_l2_sq, "samples": args.samples,
@@ -164,6 +164,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.grid_points < 0:
+        raise InputError(f"--grid-points must be at least 0, got {args.grid_points}")
     cloud = _load_cloud(args)
     model = certify_graph(cloud, theta=args.theta)
     cont = containment_report(cloud, model)

@@ -30,15 +30,15 @@ Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
 The sampler transforms them a sub-block at a time, as the net reads them,
 and stops once it holds the samples asked for; the check's random proposals
-are drawn whole.  Where the net reads every candidate (d >= 3), one worker
-thread runs the sampler two pieces ahead of the net and then draws the
-check's samples, while the calling thread runs the net: the transforms,
-``ndtri`` and the tree queries release the GIL, so the two overlap.  The
-worker makes the same ``_sobol`` calls and random draws as the serial order,
-so the cover is the same bit for bit, and it is joined before
-``build_cover`` returns or raises.  The planar net stays serial: it stops
-after its first sub-block, and reading ahead would transform proposals that
-it never reads.
+are drawn whole.  Each sub-block's region members are one piece, and the net
+scans each piece as one block.  One worker thread first draws the check's
+samples while the calling thread makes the first piece and runs the net on
+it; once the net asks for its second piece, the worker runs the sampler two
+pieces ahead of it.  The transforms, ``ndtri`` and the tree queries release
+the GIL, so the two overlap; the planar net stops inside its first piece.
+The worker makes the same ``_sobol`` calls and random draws as the serial
+order, so the cover is the same bit for bit, and it is joined before
+``build_cover`` returns or raises.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
 
 _NET_MARGIN = 0.15
-# Greedy-net candidates per block, and in the first block, whose points all
-# meet each other (see _greedy_net).
-_BLOCK = 4096
-_FIRST_BLOCK = 512
 # Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this.
 _SUB_BLOCK = 2 ** 15
 # Sampler pieces made ahead of the net that reads them (see _read_ahead).
@@ -247,9 +243,9 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
 def _read_ahead(pool: ThreadPoolExecutor, items: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
     """The items, each made on ``pool`` while the caller reads the ones before.
 
-    The pool works ``_AHEAD`` items ahead of the caller, so whatever the
-    items' producer does after its last item starts while the caller still
-    holds a whole item to read."""
+    Nothing is submitted before the caller asks for the first item; from
+    then on the pool works ``_AHEAD`` items ahead of the caller, behind
+    whatever was submitted to it before."""
     steps = deque(pool.submit(next, items, None) for _ in range(_AHEAD))
     while (item := steps.popleft().result()) is not None:
         steps.append(pool.submit(next, items, None))
@@ -260,16 +256,6 @@ def _tree(points: np.ndarray) -> cKDTree:
     """kd-tree for range searches that an exact test settles: the pairs within
     a radius do not depend on the tree's shape, so the cheaper build serves."""
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
-
-
-def _blocks(pending: np.ndarray, more: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Rows of ``pending``, then of ``more``, ``_FIRST_BLOCK`` then ``_BLOCK`` at a time."""
-    size = _FIRST_BLOCK
-    for piece in chain(more, [None]):
-        pending = pending if piece is None else np.concatenate([pending, piece])
-        while len(pending) >= size or piece is None and len(pending):
-            yield pending[:size]
-            pending, size = pending[size:], _BLOCK
 
 
 def _reached(points: np.ndarray, centres: np.ndarray, tree: cKDTree, reach: float,
@@ -294,13 +280,13 @@ def _reached(points: np.ndarray, centres: np.ndarray, tree: cKDTree, reach: floa
     return passed
 
 
-def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] = (),
+def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
                 done: Callable[[np.ndarray], bool] | None = None) -> np.ndarray:
-    """Greedy maximal net in scan order over ``points`` (at least one), then
-    the rows of the pieces ``more``; pairwise distances > spacing.
+    """Greedy maximal net in scan order over the rows of ``pieces``, each a
+    non-empty (rows, d) array; pairwise distances > spacing.
 
     A point joins the net when no earlier net point lies within ``spacing``
-    (squared distance <= spacing^2).  The points are scanned in blocks.  A
+    (squared distance <= spacing^2).  Each piece is scanned as one block.  A
     kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975), kept
     across blocks and rebuilt only after the net has grown, names each block
     point's nearest centre within a padded radius, and the exact
@@ -310,13 +296,13 @@ def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] =
     the same test, lists each survivor's later neighbours, and a scan in
     order keeps every survivor that no kept one reaches.  The first block
     meets no centres, so all its points survive and their pairs grow with its
-    square: it is the short ``_FIRST_BLOCK``.  The work grows with the net
-    size instead of with net size x point count, and the output equals the
-    plain dense scan bit for bit.  ``done(centres)``, asked after each block
-    that added centres, ends the scan (no later piece is read) once it proves
-    every later point within the test of a centre.  ``more`` may be made on
-    another thread (``build_cover`` at d >= 3): the tree queries release the
-    GIL, so that thread's sampling runs while they do.
+    square, so it should be short.  The work grows with the net size instead
+    of with net size x point count, and the output equals the plain dense
+    scan bit for bit wherever the pieces end.  ``done(centres)``, asked after
+    each block that added centres, ends the scan (no later piece is read)
+    once it proves every later point within the test of a centre.  The
+    pieces may be made on another thread (``build_cover``): the tree queries
+    release the GIL, so that thread's sampling runs while they do.
     """
     sq = spacing * spacing
 
@@ -324,7 +310,7 @@ def _greedy_net(points: np.ndarray, spacing: float, more: Iterable[np.ndarray] =
         return row_dots(rows - others) <= sq
 
     scale, centres, tree = 0.0, None, None
-    for block in _blocks(points, more):
+    for block in pieces:
         scale = max(scale, float(np.abs(block).max()))
         reach = _reach(spacing, scale)
         rest = block
@@ -431,38 +417,28 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     # near the cone core.
     seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
     rng = np.random.default_rng(seed)
-    if axis.d == 2:
-        directions = _greedy_net(seeds, spacing, _region_pieces(axis, alpha, net_samples),
-                                 lambda net: _arcs_covered(net, axis, alpha, spacing))
-        check = _region_samples(axis, alpha, check_samples, rng=rng)
-    else:
-        checks = []
-
-        def samples() -> Iterator[np.ndarray]:
-            yield from _region_pieces(axis, alpha, net_samples)
-            checks.append(_region_samples(axis, alpha, check_samples, rng=rng))
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            directions = _greedy_net(seeds, spacing, _read_ahead(pool, samples()))
-        check, = checks
+    pieces = _region_pieces(axis, alpha, net_samples)
+    done = (lambda net: _arcs_covered(net, axis, alpha, spacing)) if axis.d == 2 else None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        check = pool.submit(_region_samples, axis, alpha, check_samples, rng)
+        directions = _greedy_net(chain([seeds, next(pieces)], _read_ahead(pool, pieces)),
+                                 spacing, done)
+        check = check.result()
     small_ap = alpha * s
     covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)))
     if not covered.all():
-        witness = check[int(np.argmax(~covered))]
         raise CoverInvalidError(
             f"{int(np.count_nonzero(~covered))} of {check_samples} region samples "
-            "escape every small one-sided cone", witness=witness)
+            "escape every small one-sided cone", witness=check[int(np.argmax(~covered))])
 
-    per_dir = max(check_samples // max(len(directions), 1), 8)
+    per_dir = max(check_samples // len(directions), 8)
     cone_samples = _one_sided_caps(directions, alpha, per_dir, rng)
-    proj = axis.projector()
-    perp = cone_samples - cone_samples @ proj.T
-    b_measured = float(np.linalg.norm(perp, axis=1).max() / alpha)
+    widths = np.linalg.norm(cone_samples - cone_samples @ axis.projector().T, axis=1)
+    b_measured = float(widths.max() / alpha)
     if b_measured * alpha >= 1.0:
-        worst = cone_samples[int(np.argmax(np.linalg.norm(perp, axis=1)))]
         raise CoverInvalidError(
             f"measured widening constant {b_measured:.3f} makes the enclosing cone "
-            "aperture exceed 1", witness=worst)
+            "aperture exceed 1", witness=cone_samples[int(np.argmax(widths))])
 
     return DirectionCover(axis=axis, alpha=alpha, s=s, directions=directions,
                           b_used=b_measured, b_measured=b_measured)

@@ -26,7 +26,7 @@ def _piecewise_linear_map(rng: np.random.Generator, n: int, codim: int,
     Each output coordinate is a min of cone functions (slope-1 pieces), which
     keeps the per-coordinate constant exactly lip / sqrt(codim).
     """
-    per_coord = lip / math.sqrt(codim) if lip > 0 else 0.0
+    per_coord = lip / math.sqrt(codim)
     sites = rng.uniform(0.0, extent, size=(codim, n_sites, n))
     signs = rng.choice([-1.0, 1.0], size=(codim, n_sites))
 
@@ -62,6 +62,8 @@ def lipschitz_graph(n_points: int = 500, lip: float = 0.3, d: int = 2, n: int = 
     """
     if n_points < 2:
         raise InputError("need at least two points")
+    if not (1 <= n < d and lip >= 0):
+        raise InputError(f"need 1 <= n < d and lip >= 0, got n = {n}, d = {d}, lip = {lip}")
     rng = np.random.default_rng(seed)
     base, h = _base_grid(rng, n_points, n, extent, jitter)
     value_map = _piecewise_linear_map(rng, n, d - n, lip, extent)

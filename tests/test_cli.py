@@ -63,6 +63,21 @@ class TestGenerate:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, named", [
+        (["d=1"], "n = 1, d = 1"),
+        (["n=2", "d=2"], "n = 2, d = 2"),
+        (["n=0"], "n = 0, d = 2"),
+        (["lip=-1"], "lip = -1.0"),
+    ], ids=["d1", "n_equals_d", "n0", "negative_lip"])
+    def test_graph_dimensions_or_slope_out_of_range_exit_2(self, tmp_path, params,
+                                                           named, capsys):
+        args = ["generate", "--kind", "lipschitz_graph", "--output", tmp_path / "c.json"]
+        for param in params:
+            args += ["--param", param]
+        assert run(args) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_tuple_params_match_the_python_call(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         assert run(["generate", "--kind", "union_of_graphs", "--param", "n_points=120",
@@ -138,6 +153,12 @@ class TestDiagnostics:
                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_l2_sq"] > 0
+
+    def test_energy_bin_zero_exits_2(self, cloud_file, capsys):
+        # A given bin of 0 is not the default: it fails the resolution check.
+        assert run(["energy", "--input", cloud_file, "--samples", "20",
+                    "--bin", "0"]) == 2
+        assert "bin width 0" in capsys.readouterr().err
 
     def test_visitation_with_threshold(self, cloud_file, capsys):
         assert run(["visitation", "--input", cloud_file, "--aperture", "0.3",
@@ -252,6 +273,12 @@ class TestExtractCommand:
         lines = (tmp_path / "graph.csv").read_text().splitlines()
         assert lines[0] == "t1,a1"
         assert len(lines) > 10
+
+    def test_negative_grid_points_exits_2(self, cloud_file, tmp_path, capsys):
+        assert run(["extract", "--input", cloud_file, "--theta", "0.5",
+                    "--grid-points", "-1", "--output-dir", tmp_path]) == 2
+        assert "--grid-points" in capsys.readouterr().err
+        assert not (tmp_path / "graph.csv").exists()
 
 
 class TestPipelineCommand:

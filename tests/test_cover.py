@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -21,14 +22,13 @@ from graphcarve import (
 from graphcarve import cover as cover_module
 from graphcarve.cover import (
     _ARC_FLOOR,
-    _BLOCK,
-    _FIRST_BLOCK,
     _NET_MARGIN,
     _SOBOL_MAX_D,
     _SUB_BLOCK,
     _arcs_covered,
     _covered,
     _greedy_net,
+    _region_pieces,
     _region_samples,
     _sobol,
     _tree,
@@ -43,6 +43,17 @@ from tests.sampler_reference import region_samples_reference
 
 def vertical_axis(d):
     return Subspace.vertical_axis(d, 1)
+
+
+# Rows in the first piece, then in each later one, of the greedy-net tests'
+# inputs: a short first piece, as the cover's sampler yields, then longer ones.
+FIRST_PIECE, PIECE = 512, 4096
+
+
+def pieces(points):
+    """The rows of ``points`` as the greedy net's pieces: ``FIRST_PIECE``
+    rows, then ``PIECE`` rows at a time."""
+    return np.split(points, range(FIRST_PIECE, len(points), PIECE))
 
 
 class InlineExecutor:
@@ -164,47 +175,55 @@ class TestBuildCover:
         with pytest.raises(CoverInvalidError, match="d <= 21"):
             build_cover_for_theta(vertical_axis(d), 0.3, 1.0)
 
-    @pytest.mark.parametrize("where", ["sampler", "net"])
-    def test_an_error_on_either_thread_reaches_the_caller(self, monkeypatch, where):
-        # At d = 3 the sampler runs on a worker thread and the net on the
-        # calling one: an error raised mid-stream on either is the one the
-        # caller sees, and the worker is joined before it does.
+    @pytest.mark.parametrize("where, d", [
+        ("sampler", 3), ("net", 3), ("check", 3),
+        ("sampler", 2), ("net", 2), ("check", 2),
+    ], ids=["sampler", "net", "check", "planar_sampler", "planar_net", "planar_check"])
+    def test_an_error_on_either_thread_reaches_the_caller(self, monkeypatch, where, d):
+        # The worker thread draws the check samples and then runs the net's
+        # sampler ahead of it, while the calling thread runs the net: an
+        # error raised mid-stream by the sampler (on the worker from its
+        # second piece on; the planar net stops inside its first piece, so
+        # there the first piece fails), by the check or by the net is the one
+        # the caller sees, and the worker is joined before it does.
         error = ArithmeticError(where)
-        pieces = cover_module._region_pieces
+        region_pieces = cover_module._region_pieces
 
         def failing_pieces(axis, alpha, count, rng=None):
-            stream = pieces(axis, alpha, count, rng)
-            if rng is None:
-                yield from (next(stream), next(stream))
+            stream = region_pieces(axis, alpha, count, rng)
+            if rng is None and where == "sampler":
+                yield from islice(stream, d - 2)
+                raise error
+            if rng is not None and where == "check":
                 raise error
             yield from stream
 
-        def failing_net(points, spacing, more=(), done=None):
-            more = iter(more)
-            next(more), next(more)
+        def failing_net(stream, spacing, done=None):
+            stream = iter(stream)
+            next(stream), next(stream), next(stream)
             raise error
 
-        if where == "sampler":
-            monkeypatch.setattr(cover_module, "_region_pieces", failing_pieces)
-        else:
+        monkeypatch.setattr(cover_module, "_region_pieces", failing_pieces)
+        if where == "net":
             monkeypatch.setattr(cover_module, "_greedy_net", failing_net)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError) as caught:
-            build_cover(vertical_axis(3), 0.3, 0.5, net_samples=100_000)
+            build_cover(vertical_axis(d), 0.3, 0.5, net_samples=100_000)
         assert caught.value is error
         assert threading.active_count() == threads
         monkeypatch.undo()
-        build_cover(vertical_axis(3), 0.3, 0.5, net_samples=100_000)
+        build_cover(vertical_axis(d), 0.3, 0.5, net_samples=100_000)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("n_axis, s", [(1, 1.0), (1, 0.5), (2, 1.0)],
-                             ids=["codim2_cover", "half_spacing", "plane_axis"])
-    def test_worker_cover_equals_the_serial_one(self, monkeypatch, n_axis, s):
-        # The d = 3 workload cover's inputs, also at half the spacing and
-        # about a plane: the cover built with the worker, which switches
-        # threads every 10 us here, equals the one built on the calling
-        # thread alone, bit for bit.
-        axis = Subspace.vertical_axis(3, n_axis)
+    @pytest.mark.parametrize("d, n_axis, s", [
+        (3, 1, 1.0), (3, 1, 0.5), (3, 2, 1.0), (2, 1, 1.0), (2, 1, 0.5),
+    ], ids=["codim2_cover", "half_spacing", "plane_axis", "graph_large", "union_refine"])
+    def test_worker_cover_equals_the_serial_one(self, monkeypatch, d, n_axis, s):
+        # The three workload covers' inputs, the d = 3 one also at half the
+        # spacing and about a plane: the cover built with the worker, which
+        # switches threads every 10 us here, equals the one built on the
+        # calling thread alone, bit for bit.
+        axis = Subspace.vertical_axis(d, n_axis)
         alpha = alpha0_max(n_axis, 0.2) / 2.0 / 2.5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -328,10 +347,10 @@ class TestCoverForTheta:
                 return str(exc), exc.witness.tobytes()
 
         def reference_pieces(axis, alpha, count, rng=None):
-            yield region_samples_reference(axis, alpha, count, rng)
+            yield from pieces(region_samples_reference(axis, alpha, count, rng))
 
-        # The net reads the streamed pieces and the check their concatenation,
-        # so one patch replaces both samplers.
+        # The net reads the streamed pieces, each as one block, and the check
+        # their concatenation, so one patch replaces both samplers.
         got = outcome()
         monkeypatch.setattr(cover_module, "_region_pieces", reference_pieces)
         assert got == outcome()
@@ -387,11 +406,11 @@ class TestGreedyNet:
     def test_net_points_do_not_pin_filtered_copies(self):
         # Each block's survivors are copied out of it, and the net keeps only
         # the kept rows, so it holds none of those copies alive.  The input
-        # spans several blocks.
-        pts = np.random.default_rng(0).random((3 * _BLOCK + 100, 2))
+        # spans several pieces.
+        pts = np.random.default_rng(0).random((3 * PIECE + 100, 2))
         tracemalloc.start()
         try:
-            net = _greedy_net(pts, 0.03)
+            net = _greedy_net(pieces(pts), 0.03)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,7 +420,7 @@ class TestGreedyNet:
     @given(d=st.sampled_from([2, 3, 4]),
            kind=st.sampled_from(["random", "lattice", "duplicates"]),
            count=st.one_of(st.integers(1, 600),
-                           st.integers(2 * _BLOCK + 1, 3 * _BLOCK)),
+                           st.integers(2 * PIECE + 1, 3 * PIECE)),
            offset=st.sampled_from([0.0, 1e3]),
            steps=st.sampled_from([1, 2]),
            seed=st.integers(0, 2**32 - 1))
@@ -417,7 +436,7 @@ class TestGreedyNet:
             pts = offset + rng.random((count, d))
             if kind == "duplicates":
                 pts = pts[rng.integers(0, max(count // 4, 1), count)]
-        net = _greedy_net(pts, spacing)
+        net = _greedy_net(pieces(pts), spacing)
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
     @pytest.mark.parametrize("kind", ["random", "lattice"])
@@ -429,7 +448,7 @@ class TestGreedyNet:
         # decides the net.  Lattice points repeat and sit at exactly the
         # spacing from their neighbours, so ties and duplicates meet there.
         rng = np.random.default_rng(d)
-        count = 2 * _BLOCK + _FIRST_BLOCK
+        count = 2 * PIECE + FIRST_PIECE
         if kind == "lattice":
             spacing = 0.125
             pts = 0.125 * rng.integers(0, 16, (count, d)).astype(float)
@@ -437,15 +456,15 @@ class TestGreedyNet:
             spacing = 0.08
             pts = rng.random((count, d))
         pts = pts[np.argsort(pts[:, 0], kind="stable")]
-        assert (_greedy_net(pts, spacing).tobytes()
+        assert (_greedy_net(pieces(pts), spacing).tobytes()
                 == greedy_net_loop(pts, spacing).tobytes())
         # The premise: every later block holds two survivors within the
         # spacing of each other.  A greedy net's points in a prefix are the
         # prefix's own greedy net.
         sq = spacing * spacing
-        for start in range(_FIRST_BLOCK, count, _BLOCK):
+        for start in range(FIRST_PIECE, count, PIECE):
             before = greedy_net_loop(pts[:start], spacing)
-            block = pts[start:start + _BLOCK]
+            block = pts[start:start + PIECE]
             diff = block[:, None, :] - before[None, :, :]
             rest = block[(np.einsum("ijk,ijk->ij", diff, diff) > sq).all(axis=1)]
             diff = rest[:, None, :] - rest[None, :, :]
@@ -466,10 +485,10 @@ class TestGreedyNet:
             cs = (offset + np.arange(33.0)[:, None]
                   + rng.uniform(-1e-3, 1e-3, (33, d)))
             qs = cs + rng.uniform(-1e-3, 1e-3, d)
-            pts = np.vstack([np.resize(cs, (_BLOCK, d)), qs])
+            pts = np.vstack([np.resize(cs, (PIECE, d)), qs])
             diff = qs - cs
             spacing = float(np.sqrt(rng.choice(np.einsum("ij,ij->i", diff, diff))))
-            assert (_greedy_net(pts, spacing).tobytes()
+            assert (_greedy_net(pieces(pts), spacing).tobytes()
                     == greedy_net_loop(pts, spacing).tobytes())
 
     def test_a_nearest_centre_that_fails_the_test_is_not_the_last_word(self):
@@ -491,8 +510,8 @@ class TestGreedyNet:
             if not (sq[nearest] > sq[1 - nearest] == spacing * spacing):
                 continue
             found += 1
-            pts = np.vstack([np.resize(centres, (_FIRST_BLOCK, 3)), p])
-            net = _greedy_net(pts, spacing)
+            pts = np.vstack([np.resize(centres, (FIRST_PIECE, 3)), p])
+            net = _greedy_net(pieces(pts), spacing)
             assert net.tobytes() == centres.tobytes()
             assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
         assert found > 10
@@ -504,10 +523,10 @@ class TestGreedyNet:
         # tilt bound, alpha = theta0 / b_used, and s = 2^-m0.
         alpha = alpha0_max(n_axis, 0.2) / 2.0 / 2.5
         axis = Subspace.vertical_axis(d, n_axis)
-        region = _region_samples(axis, alpha, 200_000)
-        pts = np.concatenate([axis.frame.T, -axis.frame.T, region], axis=0)
+        seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
+        pts = np.concatenate([seeds, _region_samples(axis, alpha, 200_000)], axis=0)
         spacing = alpha * s * (1.0 - _NET_MARGIN)
-        net = _greedy_net(pts, spacing)
+        net = _greedy_net(chain([seeds], _region_pieces(axis, alpha, 200_000)), spacing)
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
 
@@ -594,8 +613,8 @@ class TestCertificateChunks:
         # call returns a cover or raises.
         sizes = []
 
-        def net(points, spacing, more=(), done=None):
-            out = _greedy_net(points, spacing, more, done)
+        def net(stream, spacing, done=None):
+            out = _greedy_net(stream, spacing, done)
             sizes.append(len(out))
             return out
 

@@ -32,6 +32,17 @@ class TestLipschitzGraph:
         model = certify_graph(surf, theta=0.3)
         assert model.lipschitz <= 0.4 + 1e-9
 
+    @pytest.mark.parametrize("kwargs", [{"d": 1}, {"n": 2, "d": 2}, {"n": 0},
+                                        {"lip": -1.0}, {"lip": float("nan")}],
+                             ids=["d1", "n_equals_d", "n0", "negative_lip", "nan_lip"])
+    def test_axis_and_slope_out_of_range_raise(self, kwargs):
+        # n must lie in 1 .. d - 1 and lip must be non-negative; the error
+        # names the values that were passed.
+        args = {"n": 1, "d": 2, "lip": 0.3, **kwargs}
+        named = f"n = {args['n']}, d = {args['d']}, lip = {args['lip']}"
+        with pytest.raises(InputError, match=named):
+            lipschitz_graph(50, **kwargs)
+
     def test_deterministic(self):
         a = lipschitz_graph(50, 0.2, seed=7)
         b = lipschitz_graph(50, 0.2, seed=7)
