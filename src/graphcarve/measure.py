@@ -16,7 +16,7 @@ at fine radii the exact closed-ball sums over kd-tree pairs.  Entries whose
 bounds clear the threshold by the rounding margin are decided there; only
 the rows left open go through ``ball_masses``, so the light set is the one
 the dense table gives.  A caller that already holds the dense table of the
-whole cloud hands it to the first sweep (``_prune``).  ``refine_once``
+whole cloud hands it to the first sweep as ``table``.  ``refine_once``
 decides its bad points the same way, from one dense table per pass that it
 updates as points leave (``refine._DenseRows``).
 """
@@ -183,7 +183,8 @@ def _mass_bounds(cloud: WeightedCloud, alive: np.ndarray, radii: np.ndarray,
 
 
 def prune_low_density(cloud: WeightedCloud, epsilon: float,
-                      scale_range: ScaleRange | None = None) -> PruneResult:
+                      scale_range: ScaleRange | None = None,
+                      table: np.ndarray | None = None) -> PruneResult:
     """Remove points that are epsilon-light at some scale, to a fixed point.
 
     A point is light when m(x, r) <= epsilon * r^n for some scanned radius r;
@@ -206,16 +207,11 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
     ``ball_masses`` at the undecided radii; its rows do not depend on which
     rows share the call, so the kept set and the sweep count equal those of
     the dense table.
+
+    ``table``, when given, is the first sweep's answer: the dense
+    ``ball_masses`` table of the whole cloud at the radii the prune scans
+    (those <= 1, or all when none is).  The sweep count is the same either way.
     """
-    return _prune(cloud, epsilon, scale_range)
-
-
-def _prune(cloud: WeightedCloud, epsilon: float, scale_range: ScaleRange | None,
-           table: np.ndarray | None = None) -> PruneResult:
-    """``prune_low_density``, whose first sweep reads ``table`` when given: the
-    dense ``ball_masses`` table of the whole cloud at the radii the prune
-    scans (those <= 1, or all when none is), which is the first sweep's
-    answer.  The sweep count is the same either way."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     if scale_range is None:
@@ -276,10 +272,6 @@ class Pushforward:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def as_dict(self) -> dict:
-        return {tuple(int(c) for c in cell): float(m)
-                for cell, m in zip(self.cells, self.masses)}
 
 
 def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

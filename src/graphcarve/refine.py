@@ -10,10 +10,11 @@ the resulting two-sided property with a final visit count.  Every visit
 count here, both certificates included, reads a shell table
 (``shells.ShellTable``) that filters the pairs of a parent table: in a
 pipeline run, the theta0 table, whose cone holds every cone counted here.
-A standalone call's tables search their own cones (around the line of w
-for a one-sided one), or take every pair when ``RefineConfig.oracle`` is set.  A pass lives inside the set F it
-refines: it runs on F's subcloud, in its positions, which are also the rows
-of its table over F; cloud indices appear only in its outcome and ledger.
+A standalone call's tables search their own cones (around w's line for a
+one-sided one), or take every pair when ``RefineConfig.oracle`` is set.
+A pass lives inside the set F it refines: it runs on F's subcloud, in its
+positions, the rows of its table over F; cloud indices appear only in its
+outcome and ledger.
 
 The bad-point test reads one dense ball-mass table per pass (``_DenseRows``):
 the exactly-M set only loses points between iterations, so the table is
@@ -21,11 +22,12 @@ updated by the mass of the points that leave, and only the rows that land
 within rounding of the threshold are recomputed exactly.
 
 The construction mirrors a transparent bookkeeping scheme: at every stage a
-"saved" ball around the lowest bad point is banked, the open cone shadows of
-its neighborhood are deleted, and two stopping rules bound how long this can
-go on.  All set-disjointness claims are re-checked on the finite data at each
-iteration; a failure that survives radius shrinking is a bug trap, not a
-recoverable condition.
+"saved" ball around the lowest bad point x is banked, the open cone shadows
+of its enlarged ball are deleted, and two stopping rules bound how long this
+can go on.  Each scale tried at x makes one neighbour query (``_near``), from
+which every shrink try reads its saved ball, enlarged ball and shadow.  All
+disjointness claims are re-checked on the data at each iteration; a failure
+that survives radius shrinking is a bug trap, not a recoverable condition.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import VisitationReport, visitation_counts
-from .cloud import _EPS, ScaleRange, WeightedCloud
+from .cloud import _EPS, ScaleRange, WeightedCloud, _reach, row_dots
 from .cloud_io import SCHEMA
 from .cover import DirectionCover
 from .errors import (
@@ -45,8 +47,8 @@ from .errors import (
     RefinementCollapsedError,
     ResolutionExhaustedError,
 )
-from .measure import _prune, ball_masses, prune_low_density
-from .shells import ShellTable, cone_shells
+from .measure import ball_masses, prune_low_density
+from .shells import ShellTable, block_rows, cone_shells, pair_differences
 
 _ALPHA_MAX = 0.1
 _MAX_C_RETRIES = 40  # saved-ball shrink steps tried per visited scale
@@ -150,10 +152,8 @@ def _auto_epsilon(cloud: WeightedCloud, scale_range: ScaleRange) -> float:
     else:
         eps_star = 0.5 * (float(sorted_ratios[k - 1]) + float(sorted_ratios[k]))
     eps_star = max(eps_star, 1e-12)
-    if len(unit):  # the probe prune scans the same radii: the table is its first sweep
-        probe = _prune(cloud, eps_star, scale_range, table)
-    else:
-        probe = prune_low_density(cloud, eps_star, scale_range)
+    # When the probe prune scans the same radii, the table is its first sweep.
+    probe = prune_low_density(cloud, eps_star, scale_range, table if len(unit) else None)
     k_prune = probe.removed_mass / eps_star
     if k_prune <= 0:
         return eps_star
@@ -221,9 +221,20 @@ def _shadow_annulus(j_k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([2.0 ** (-j_k - 2)]), np.array([2.0 ** (-j_k + 1)])
 
 
-def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
-                 alpha: float, j_k: int, alive_mask: np.ndarray) -> np.ndarray:
-    """Alive points in the interior of the closed shadow of any center.
+def _near(cloud: WeightedCloud, x: np.ndarray, j_k: int, c: float,
+          alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alive points that a shrink try at scale j_k with saved-ball factor at
+    most c can accept, and their squared distances to x: every such point lies
+    within 100 r_k + 2^(-j_k+1) of x, r_k = c 2^-j_k, padded past rounding."""
+    radius = 100.0 * c * 2.0 ** (-float(j_k)) + 2.0 ** (1 - float(j_k))
+    near = cloud.grid.ball(x, _reach(radius, float(np.abs(cloud.coords).max())))
+    near = near[alive[near]]
+    return near, row_dots(cloud.coords[near] - x)
+
+
+def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, near: np.ndarray,
+                 w: np.ndarray, alpha: float, j_k: int) -> np.ndarray:
+    """The points of ``near`` in the interior of the closed shadow of any center.
 
     The closed shadow of a center is its closed one-sided alpha-cone cut to
     the shells j_k - 1, j_k and j_k + 1, whose union is the single closed
@@ -231,25 +242,24 @@ def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
     open annulus: points on the radii 2^(-j_k-1) and 2^(-j_k) that adjacent
     shells share are deleted, the two rims are kept.  Every closed
     alpha/2-shell of scale j_k around a center lies in this interior, so the
-    deletion removes each visit the recount below has to clear.
+    deletion removes each visit the recount below has to clear.  The (point,
+    center) pairs meet the strict distance test and ``cone_shells`` in blocks.
     """
     inner, outer = _shadow_annulus(j_k)
-    hit = np.zeros(len(cloud), dtype=bool)
-    for c in centers:
-        x = cloud.coords[c]
-        nbrs = cloud.grid.ball(x, float(outer[0]), strict=True)
-        nbrs = nbrs[alive_mask[nbrs]]
-        if not len(nbrs):
-            continue
-        inside = cone_shells(cloud.coords[nbrs] - x, alpha, cloud.n, w, inner, outer,
+    hit = np.zeros(len(near), dtype=bool)
+    points, ends = cloud.coords[near], cloud.coords[centers]
+    step = block_rows(len(centers))
+    for lo in range(0, len(near), step):
+        delta = pair_differences(points[lo:lo + step], ends)
+        close = row_dots(delta) < outer[0] * outer[0]
+        inside = cone_shells(delta[close], alpha, cloud.n, w, inner, outer,
                              strict=True)[:, 0]
-        hit[nbrs[inside]] = True
-    return np.nonzero(hit)[0]
+        hit[lo + np.nonzero(close)[0][inside]] = True
+    return near[hit]
 
 
-def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray,
-                            w: np.ndarray, alpha: float, j_k: int,
-                            z: np.ndarray) -> bool:
+def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
+                            alpha: float, j_k: int, z: np.ndarray) -> bool:
     """True when z lies in the closed shadow of every center."""
     inner, outer = _shadow_annulus(j_k)
     return bool(cone_shells(z - cloud.coords[centers], alpha, cloud.n, w,
@@ -284,7 +294,6 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     sub = cloud.subcloud(subset)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    delta_n = sub.delta_res ** sub.n
     dense_rows = _DenseRows(sub, np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]])), epsilon)
 
@@ -292,18 +301,15 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     alive = np.ones(len(sub), dtype=bool)
     saved = np.zeros(len(sub), dtype=bool)
     saved_sets, deleted_sets, records = [], [], []
-    sum_saved = 0.0
-    sum_deleted = 0.0
-    saved_ratio = math.inf
-    last_w_coord = -math.inf
+    sum_saved = sum_deleted = 0.0
+    saved_ratio, last_w_coord = math.inf, -math.inf
 
     while True:
         if len(records) > len(sub):
             raise AlgorithmInvariantViolation(
                 "refinement failed to terminate within the saved-set bound")
         if sum_saved >= mass_total / 2.0 or sum_deleted >= mass_total / 2.0:
-            status = "stopped_1"
-            keep_mask = saved
+            status, keep_mask = "stopped_1", saved
             break
 
         counts = shells.counts(alive)
@@ -313,13 +319,10 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
         exactly_m = alive & (counts == big_m)
         bad = dense_rows.bad(exactly_m)
         if len(bad) == 0:
-            status = "stopped_2"
-            keep_mask = alive & ~exactly_m
+            status, keep_mask = "stopped_2", alive & ~exactly_m
             break
 
-        w_coords = sub.coords[bad] @ w
-        keys = [sub.coords[bad][:, col] for col in range(sub.d - 1, -1, -1)]
-        x_k = int(bad[np.lexsort(keys + [w_coords])[0]])
+        x_k = int(bad[np.lexsort(np.vstack([sub.coords[bad].T[::-1], sub.coords[bad] @ w]))[0]])
         x_coord = sub.coords[x_k]
         x_w = float(x_coord @ w)
         if x_w < last_w_coord - 1e-12:
@@ -333,35 +336,32 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
         if len(scales) != big_m:
             raise AlgorithmInvariantViolation(
                 f"bad point has {len(scales)} visited scales, expected exactly {big_m}")
-        if cfg.scale_choice == "largest":
-            candidate_js = np.sort(scales)
-        elif cfg.scale_choice == "smallest":
-            candidate_js = np.sort(scales)[::-1]
-        else:
+        if cfg.scale_choice == "random":
             candidate_js = rng.permutation(scales)
+        else:  # ``scales`` ascends in j: the largest scale 2^-j comes first
+            candidate_js = scales if cfg.scale_choice == "largest" else scales[::-1]
 
         committed = False
         for j_k in candidate_js:
             z_k = cloud.coords[shells.witness(x_k, int(j_k), alive)]
             c_try = cfg.c_factor * alpha
+            near, dist_sq = _near(sub, x_coord, int(j_k), c_try, alive)
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
             # automatic.  The retry budget bounds the loop regardless.
             for _ in range(_MAX_C_RETRIES):
                 r_k = c_try * 2.0 ** (-float(j_k))
-                ball = sub.grid.ball(x_coord, r_k)
-                s_k = ball[exactly_m[ball]]
+                s_k = near[exactly_m[near] & (dist_sq <= r_k * r_k)]
                 if saved[s_k].any():
                     # An old saved point re-entered the exactly-M set and sits
                     # inside the ball; shrink until the ball excludes it.
                     c_try /= 2.0
                     continue
-                big_ball = sub.grid.ball(x_coord, 100.0 * r_k)
-                b_k = big_ball[alive[big_ball]]
+                b_k = near[dist_sq <= (100.0 * r_k) * (100.0 * r_k)]
                 if not _closed_shadow_contains(sub, b_k, w, alpha, int(j_k), z_k):
                     c_try /= 2.0
                     continue
-                d_k = _open_shadow(sub, b_k, w, alpha, int(j_k), alive)
+                d_k = _open_shadow(sub, b_k, near, w, alpha, int(j_k))
                 if saved[d_k].any() or np.isin(d_k, s_k).any():
                     c_try /= 2.0
                     continue
@@ -379,9 +379,8 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
                 break
         if not committed:
             raise ResolutionExhaustedError(
-                f"no saved-ball radius passed the shadow checks within "
-                f"{_MAX_C_RETRIES} shrink steps at any of the {big_m} "
-                f"scales of the bad point {subset[x_k]}")
+                f"no saved-ball radius passed the shadow checks within {_MAX_C_RETRIES} shrink "
+                f"steps at any of the {big_m} scales of the bad point {subset[x_k]}")
 
         saved_sets.append(subset[s_k])
         deleted_sets.append(subset[d_k])
@@ -389,11 +388,10 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
         alive[d_k] = False
         if saved[~alive].any():
             raise AlgorithmInvariantViolation("a saved point was deleted")
-        mass_s = sub.mass(s_k)
-        mass_d = sub.mass(d_k)
+        mass_s, mass_d = sub.mass(s_k), sub.mass(d_k)
         sum_saved += mass_s
         sum_deleted += mass_d
-        saved_ratio = min(saved_ratio, mass_s / max(mass_d, delta_n))
+        saved_ratio = min(saved_ratio, mass_s / max(mass_d, sub.delta_res ** sub.n))
         last_w_coord = max(last_w_coord, x_w)
         records.append(IterationRecord(
             k=len(records), x_index=int(subset[x_k]), x_coord=tuple(x_coord),

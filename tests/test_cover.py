@@ -34,7 +34,7 @@ from graphcarve.cover import (
     _tree,
 )
 from graphcarve.cloud import row_dots
-from graphcarve.grassmannian import alpha0_max
+from graphcarve.grassmannian import alpha0_max, child_seed
 from tests.cones import ConeSpec, cone_mask
 from tests.cover_reference import covered_chunked
 from tests.net_reference import greedy_net_loop
@@ -255,6 +255,22 @@ class TestCoverForTheta:
                                       seed=0)
         assert cover.alpha * cover.b_used == pytest.approx(0.05, rel=1e-9)
         assert cover.b_measured <= cover.b_used
+
+    @pytest.mark.parametrize("s, m, b_measured", [
+        (0.5, 10, 1.9991361911888608),
+        (1.0, 6, 1.999517219157465),
+    ], ids=["union_refine", "graph_large"])
+    def test_planar_workload_covers_are_pinned(self, s, m, b_measured):
+        # The planar pipeline's cover at the default kappa and seed 4: theta0 =
+        # alpha0_max(1, 0.2) / 2 and the cover seed child_seed(4, 2).  The
+        # check samples and then the caps that measure b draw from one
+        # generator: one extra draw before either moves graph_large's b.
+        theta = 0.024375743162901312
+        assert theta == alpha0_max(1, 0.2) / 2.0
+        cover = build_cover_for_theta(Subspace.vertical_axis(2, 1), theta, s,
+                                      seed=child_seed(4, 2))
+        assert cover.m == m
+        assert cover.b_measured == b_measured
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(2, 4), data=st.data(),

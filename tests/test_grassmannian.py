@@ -45,6 +45,16 @@ class TestSampler:
             assert grassmann_distance(Subspace(frame), center) <= 0.4 + 1e-12
         assert 0 < sampler.acceptance_rate < 1
 
+    def test_planes_in_r4_are_orthonormal_and_in_the_ball(self):
+        # n = 2: the frames come from a batched QR factorisation and their
+        # distances from the singular values of the projector differences.
+        center = Subspace.horizontal(4, 2)
+        frames = GrassmannSampler(4, 2, seed=0, center=center, radius=0.5).sample_frames(200)
+        assert frames.shape == (200, 4, 2)
+        assert np.abs(np.swapaxes(frames, 1, 2) @ frames - np.eye(2)).max() <= 1e-12
+        for frame in frames:
+            assert grassmann_distance(Subspace(frame), center) <= 0.5 + 1e-12
+
     def test_degenerate_ball_raises(self):
         center = Subspace.spanning([1.0, 0.0])
         sampler = GrassmannSampler(2, 1, seed=0, center=center, radius=0.0)

@@ -19,7 +19,6 @@ from graphcarve import (
 from graphcarve.measure import (
     _CELLS_PER_POINT,
     _mass_bounds,
-    _prune,
     _unique_rows,
     ball_masses,
 )
@@ -213,7 +212,7 @@ class TestPruneBounds:
         # later sweeps bound the survivors as before.
         cloud = line_cloud(200, 0.005, extra=[[0.3, 0.7], [0.31, 0.7], [0.9, 0.05]])
         epsilon = factor * cloud.mass()
-        got = _prune(cloud, epsilon, None, ball_masses(cloud, prune_radii(cloud)))
+        got = prune_low_density(cloud, epsilon, None, ball_masses(cloud, prune_radii(cloud)))
         want = prune_low_density(cloud, epsilon)
         assert np.array_equal(got.kept_indices, want.kept_indices)
         assert np.array_equal(got.removed_indices, want.removed_indices)
@@ -345,6 +344,14 @@ class TestProjectionEnergy:
         e_cant = projection_energy(cant, Subspace.horizontal(2, 1), 0.2,
                                    50, 0.01, seed=2).mean_l2_sq
         assert e_cant / e_flat > 1.8
+
+    def test_finite_on_a_surface_in_r3(self):
+        # n = 2: the sampled planes and their distances take the QR and SVD
+        # paths of the Grassmannian sampler.
+        cloud = lipschitz_graph(200, 0.3, d=3, n=2)
+        report = projection_energy(cloud, Subspace.horizontal(3, 2), 0.2, 40, 0.1, seed=1)
+        assert np.isfinite(report.mean_l2_sq) and report.mean_l2_sq > 0.0
+        assert np.isfinite(report.per_sample).all() and (report.distances <= 0.2 + 1e-12).all()
 
     def test_empty_subset_zero(self):
         cloud = line_cloud(10, 0.05).subcloud(np.empty(0, dtype=int))

@@ -25,16 +25,19 @@ from graphcarve import (
 from graphcarve import audit
 from graphcarve import refine as refine_module
 from graphcarve import shells
+from graphcarve.cloud import GridIndex
 from graphcarve.measure import ball_masses
-from graphcarve.pipeline import normalize_to_unit_ball
+from graphcarve.pipeline import PipelineConfig, normalize_to_unit_ball, run_pipeline
 from graphcarve.refine import (
     RefineConfig,
     _closed_shadow_contains,
     _DenseRows,
+    _near,
     _open_shadow,
 )
 from graphcarve.shells import ShellTable
 from tests.bad_points_reference import dense_bad
+from tests.shadow_reference import balls_loop, open_shadow_loop
 from tests.visit_rows import assert_rows_match_oracle
 
 UP = np.array([0.0, 1.0])
@@ -175,8 +178,7 @@ class TestRefineOnce:
                            [0.0, 1.5], [0.0, 2.0], [0.0, -1.0], [0.5, 1.0]])
         cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=0.01)
         center = np.array([0])
-        alive = np.ones(len(cloud), dtype=bool)
-        assert list(_open_shadow(cloud, center, UP, 0.1, 0, alive)) == [2, 3, 4]
+        assert list(_open_shadow(cloud, center, cloud.all_indices(), UP, 0.1, 0)) == [2, 3, 4]
         for z in range(1, 6):
             assert _closed_shadow_contains(cloud, center, UP, 0.1, 0, coords[z])
         for z in (6, 7):
@@ -215,6 +217,81 @@ class TestRefineOnce:
         monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
             refine_once(cloud, entry, RefineConfig(oracle=oracle))
+
+
+class TestOneNeighbourhoodQuery:
+    """A step reads its saved ball, enlarged ball and open shadow at a scale
+    from one ball query around the bad point (``_near``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), offset=st.sampled_from([0.0, 1e3]))
+    def test_matches_the_per_center_ball_queries(self, data, d, offset):
+        # Points sit on the shell radii 2^(-j-2) .. 2^(-j+1), the saved radius
+        # r_k and the enlarged radius 100 r_k around the bad point and around
+        # centers on and inside the enlarged ball, along w, on the edge of the
+        # alpha-cone and at random; the offset makes their distances round.
+        j_k = data.draw(st.integers(-1, 4), label="j_k")
+        alpha = data.draw(st.sampled_from([0.1, 0.05, 0.0125]), label="alpha")
+        c = alpha * data.draw(st.sampled_from([1.0 / 64.0, 0.25]), label="c_factor")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        w = np.zeros(d)
+        w[-1] = 1.0
+        if data.draw(st.booleans(), label="tilted"):
+            w = w + rng.normal(size=d) * 0.3
+            w /= np.linalg.norm(w)
+
+        def units():
+            side = rng.normal(size=d)
+            side -= (side @ w) * w
+            side /= np.linalg.norm(side)
+            edge = np.sqrt(1.0 - alpha * alpha) * w + alpha * side
+            rand = rng.normal(size=d)
+            return [w, edge, -w, rand / np.linalg.norm(rand)]
+
+        scale, r_k = 2.0 ** -j_k, c * 2.0 ** -j_k
+        radii = [scale / 4, scale / 2, scale, 2 * scale, r_k, 100 * r_k]
+        bases = [np.zeros(d)] + [100 * r_k * f * u for f in (1.0, rng.uniform())
+                                 for u in units()[1:]]
+        coords = [b + r * u for b in bases for r in radii for u in units()]
+        coords += list(rng.uniform(-2 * scale, 2 * scale, (20, d)))
+        coords = offset + np.array(bases + coords)
+        cloud = WeightedCloud(coords, np.ones(len(coords)), n=d - 1, delta_res=1e-9,
+                              check_separation=False)
+        alive = rng.random(len(cloud)) < 0.8
+        alive[0] = True
+        exactly_m = alive & (rng.random(len(cloud)) < 0.6)
+        x = cloud.coords[0]
+        near, dist_sq = _near(cloud, x, j_k, c, alive)
+        c_try = c
+        for _ in range(4):
+            r_k = c_try * 2.0 ** (-float(j_k))
+            s_k = near[exactly_m[near] & (dist_sq <= r_k * r_k)]
+            b_k = near[dist_sq <= (100.0 * r_k) * (100.0 * r_k)]
+            want_s, want_b = balls_loop(cloud, x, r_k, exactly_m, alive)
+            assert np.array_equal(s_k, want_s) and np.array_equal(b_k, want_b)
+            want = open_shadow_loop(cloud, b_k, w, alpha, j_k, alive)
+            with pytest.MonkeyPatch.context() as patch:
+                for budget in (1, 7, shells._CHUNK):
+                    patch.setattr(shells, "_CHUNK", budget)
+                    assert np.array_equal(_open_shadow(cloud, b_k, near, w, alpha, j_k), want)
+            c_try /= 2.0
+
+    def test_one_ball_query_per_scale_tried(self, monkeypatch):
+        # union_refine's default input: 115 scales tried over the run's passes,
+        # each its witness lookup and its one ball query (810 queries when each
+        # shrink try and each center made its own).
+        calls = {"ball": 0, "witness": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GridIndex, "ball", counted("ball", GridIndex.ball))
+        monkeypatch.setattr(ShellTable, "witness", counted("witness", ShellTable.witness))
+        run_pipeline(union_of_graphs(n_points=800, seed=2), PipelineConfig(seed=4))
+        assert calls == {"ball": 115, "witness": 115}
 
 
 class TestDenseRows:
@@ -303,14 +380,12 @@ class TestAutoEpsilonProbe:
         cloud = make()
         scale_range = scale_range or ScaleRange.default_for(cloud)
         probes = []
-        real = refine_module._prune
 
         def spy(cloud, epsilon, scale_range, table=None):
-            got = real(cloud, epsilon, scale_range, table)
+            got = prune_low_density(cloud, epsilon, scale_range, table)
             probes.append((table, got, prune_low_density(cloud, epsilon, scale_range)))
             return got
 
-        monkeypatch.setattr(refine_module, "_prune", spy)
         monkeypatch.setattr(refine_module, "prune_low_density", spy)
         refine_module._auto_epsilon(cloud, scale_range)
         (table, got, want), = probes
