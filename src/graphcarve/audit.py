@@ -42,7 +42,7 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
         if w.shape != (cloud.d,):
             raise InputError("direction must be a d-vector")
         nrm = np.linalg.norm(w)
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
             raise InputError("direction must be a unit vector")
         if abs(nrm - 1.0) > 4.0 * _EPS:  # a table needs |w| = 1 to a few eps
             w = w / nrm

@@ -24,7 +24,7 @@ from .errors import (
     InputError,
 )
 from .extract import certify_graph, containment_report, extend_mcshane
-from .generators import GENERATOR_KINDS, generate
+from .generators import GENERATOR_KINDS, finite, generate
 from .geometry import Subspace
 from .grassmannian import construct_v0, measure_lower_bound_mc
 from .measure import adr_check, projection_energy
@@ -52,7 +52,7 @@ def _parse_pair(text, flag, cast):
     try:
         lo, hi = (cast(v) for v in text.split(":"))
     except ValueError as exc:
-        raise InputError(f"{flag} expects two values joined by ':', got {text!r}") from exc
+        raise InputError(f"{flag} expects two values joined by ':', got {text!r}: {exc}") from None
     return lo, hi
 
 
@@ -62,9 +62,9 @@ def _parse_scales(text):
 
 def _parse_vector(text):
     try:
-        vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
+        vec = np.asarray([finite(v) for v in text.split(",")])
     except ValueError as exc:
-        raise InputError(f"--direction expects comma-separated numbers, got {text!r}") from exc
+        raise InputError(f"--direction expects comma-separated numbers: {exc}") from None
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise InputError("direction vector must be nonzero")
@@ -99,7 +99,7 @@ def cmd_generate(args) -> int:
 
 def cmd_adr_check(args) -> int:
     cloud = _load_cloud(args)
-    band = _parse_pair(args.band, "--band", float) if args.band else None
+    band = _parse_pair(args.band, "--band", finite) if args.band else None
     report = adr_check(cloud, _parse_scales(args.scales), band)
     _emit(args, {"c1_hat": report.c1_hat, "c2_hat": report.c2_hat,
                  "violations": len(report.violations)})
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="cloud file (.json or .csv)")
             p.add_argument("--n", type=int, default=None,
                            help="intrinsic dimension (required for CSV input)")
-            p.add_argument("--delta-res", dest="delta_res", type=float, default=None)
+            p.add_argument("--delta-res", dest="delta_res", type=finite, default=None)
         p.add_argument("--output-dir", default=".")
         p.add_argument("--seed", type=int, default=0)
         if oracle:
@@ -298,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adr_check)
 
     p = sub.add_parser("energy", help="projection-energy statistic")
-    p.add_argument("--kappa", type=float, default=0.2)
+    p.add_argument("--kappa", type=finite, default=0.2)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--bin", type=float, default=None)
+    p.add_argument("--bin", type=finite, default=None)
     common(p)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("visitation", help="cone-shell visit counts")
-    p.add_argument("--aperture", type=float, required=True)
+    p.add_argument("--aperture", type=finite, required=True)
     p.add_argument("--direction", default=None,
                    help="comma-separated vector for one-sided mode")
     p.add_argument("--scales", default=None, metavar="JMIN:JMAX")
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="one-sided direction cover of a cone")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--alpha", type=finite, required=True)
+    p.add_argument("--s", type=finite, default=1.0)
     p.add_argument("--check-samples", dest="check_samples", type=int, default=20000)
     p.add_argument("--net-samples", dest="net_samples", type=int, default=200000)
     p.add_argument("--output", default=None)
@@ -327,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="one refinement pass along a direction")
     p.add_argument("--direction", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=finite, required=True)
     common(p, oracle=True)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("extract", help="certify and extend a graph set")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=finite, required=True)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=128)
     common(p)
     p.set_defaults(func=cmd_extract)
@@ -346,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grassmann-verify", help="measure scaling and frame checks")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--upsilon", type=float, default=0.5)
+    p.add_argument("--upsilon", type=finite, default=0.5)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--delta0", type=float, default=0.2,
+    p.add_argument("--delta0", type=finite, default=0.2,
                    help="small-ratio regime bound for the measure estimate")
     common(p, needs_input=False)
     p.set_defaults(func=cmd_grassmann_verify)

@@ -166,8 +166,8 @@ class WeightedCloud:
             raise InputError("coordinates must be finite")
         if not np.all(np.isfinite(weights)) or (len(weights) and weights.min() <= 0):
             raise InputError("weights must be positive and finite")
-        if delta_res <= 0:
-            raise InputError("delta_res must be positive")
+        if not 0.0 < delta_res < math.inf:
+            raise InputError(f"delta_res must be positive and finite, got {delta_res}")
         coords.setflags(write=False)
         weights.setflags(write=False)
         self.coords = coords

@@ -84,6 +84,12 @@ def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray, int, float]:
     for key in ("d", "n", "delta_res", "points"):
         if not isinstance(data, dict) or key not in data:
             raise InputError(f"{path}: missing field {key!r}")
+    for key in ("d", "n"):
+        if type(data[key]) is not int:
+            raise InputError(f"{path}: field {key!r} must be an integer, got {data[key]!r}")
+    if type(data["delta_res"]) not in (int, float) or not 0 < data["delta_res"] < np.inf:
+        raise InputError(f"{path}: field 'delta_res' must be positive and finite, "
+                         f"got {data['delta_res']!r}")
     if not isinstance(data["points"], list) or not data["points"]:
         raise InputError(f"{path}: 'points' must be a non-empty list")
     coords, weights = [], []
@@ -98,7 +104,7 @@ def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray, int, float]:
         if coords[-1].shape != (data["d"],):
             raise InputError(f"{path}: point {i} has shape {coords[-1].shape}, "
                              f"not d = {data['d']} coordinates")
-    return np.array(coords), np.array(weights), int(data["n"]), float(data["delta_res"])
+    return np.array(coords), np.array(weights), data["n"], float(data["delta_res"])
 
 
 def load_cloud_json(path) -> WeightedCloud:

@@ -3,15 +3,13 @@
 A set whose two-sided cone visits vanish at aperture theta projects
 bi-Lipschitzly onto the horizontal coordinates: every pair satisfies
 |horizontal difference| >= theta * |difference|, so no pair lies in the open
-two-sided cone of ``cone_shells``.  ``certify_graph`` tests every pair
-with that predicate and records the exact slope constant; the coordinatewise
-midpoint extension then produces a globally Lipschitz map agreeing with the
-samples, at the cost of inflating the constant by sqrt(d - n).  Both dense
-passes run in blocks of ``block_rows`` rows built by ``pair_differences``, so
-their memory stays flat in N, and reduce each block's coordinate planes with
-``row_dots``.  The certificate takes every block's slopes first and runs the
-cone test, on the block's pairs as (K, d) rows, only on a block whose slopes
-cannot clear it.  The extension finds exact sample sites by their bits.
+two-sided cone (``in_cone``).  ``certify_graph`` tests every pair and
+records the exact slope constant; the coordinatewise midpoint extension then
+produces a globally Lipschitz map agreeing with the samples, at the cost of
+inflating the constant by sqrt(d - n).  Both dense passes run in blocks of
+``block_rows`` rows built by ``pair_differences``, so their memory stays flat
+in N, and reduce each block's coordinate planes with ``row_dots``.  The
+extension finds exact sample sites by their bits.
 """
 
 from __future__ import annotations
@@ -22,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import WeightedCloud, row_dots
-from .errors import AlgorithmInvariantViolation, InputError, NotAGraphError
+from .errors import InputError, NotAGraphError
 from .measure import _unique_rows
-from .shells import block_rows, cone_shells, pair_differences
+from .shells import block_rows, in_cone, pair_differences
 
 
 @dataclass(frozen=True)
@@ -47,36 +45,22 @@ class GraphModel:
 def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> GraphModel:
     """Verify the pairwise projection bound and build the sample graph.
 
-    Block rows meet only the columns from the block's start on, so each
-    unordered pair is tested once (the test is symmetric); raises
-    NotAGraphError with the first pair, in row order, that lies in the open
-    two-sided cone: |horizontal difference| < theta * |difference|, the
-    ``cone_shells`` test at aperture theta.
-
-    A block goes through that test only if its largest slope ratio reaches
-    ``limit``, or if it holds a pair with h = 0 < D (h, D: a pair's squared
-    horizontal and full lengths, t = fl(theta * theta), u = 2^-53).  The
-    ratio is fl(max(D - h, 0) / h) where h > 0; where h = 0 the divisor is
-    inf, so the ratio is 0, under ``limit``, or NaN if D overflows.  The
-    largest skips NaN ratios, which only pairs with h = 0 or h = inf have:
-    the first are caught by the second condition, the second are never
-    steep.  A pair with D = inf lies past the cone test's last shell, so it
-    is added to the test's answer when h < inf.  Every steep pair, h <
-    fl(t D), meets one of the two.  If h > 0, then h < t D (1 + u): in the
-    subnormal range h and fl(t D) lie on one grid and fl(t D) within half a
-    step of t D.  So D - h > h (R (1 - u) - u), R = (1 - t) / t >= 2u as
-    t <= 1 - 2u, and the ratio after its two roundings is at least
-    R (1 - 3u) - u, or inf past the float range.  ``limit``, rounded three
-    times, is at most R (1 - 1e-9)(1 + 5.1u) - 1e-9 (1 - u)^2, which is
-    below it; the floor 1e-300 on t only lowers it and keeps it finite.
+    The steep pairs are the loop reference's: |horizontal difference|^2 <
+    fl(theta^2) |difference|^2, ``in_cone`` on the squares the slope is taken
+    from.  Block rows meet only the columns from the block's start on, so each
+    unordered pair is tested once (the test is symmetric); NotAGraphError names
+    the first steep pair in row order.  Where theta^2 or a pair's squares leave
+    the float range, a block may hold no steep pair yet a slope past the
+    aperture bound; its first pair of largest slope is named then.
     """
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie in (0, 1)")
-    idx = cloud.subset_indices(subset)
     n = cloud.n
+    if n == cloud.d:
+        raise InputError(f"a graph needs n < d, got n = {n}, d = {cloud.d}")
+    idx = cloud.subset_indices(subset)
     pts = cloud.coords[idx]
-    sq = theta * theta
-    limit = (1.0 - sq) * (1.0 - 1e-9) / max(sq, 1e-300) - 1e-9
+    bound = math.sqrt(1.0 - theta * theta) / theta
     lip = 0.0
     start = 0
     while start < len(pts):
@@ -85,27 +69,19 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
         diff = pair_differences(pts[start:stop], pts[start:])
         dist_sq = row_dots(diff).ravel()
         horiz_sq = row_dots(diff[..., :n]).ravel()
+        steep = in_cone(horiz_sq, dist_sq, theta, strict=True)
         slope_sq = np.subtract(dist_sq, horiz_sq)
         np.maximum(slope_sq, 0.0, out=slope_sq)
         slope_sq /= np.where(horiz_sq > 0.0, horiz_sq, np.inf)
-        top = float(np.fmax.reduce(slope_sq))
-        if top >= limit or np.any((horiz_sq == 0.0) & (dist_sq > 0.0)):
-            steep = cone_shells(diff.reshape(-1, cloud.d), theta, n, None, np.zeros(1),
-                                np.full(1, np.inf), strict=True)[:, 0]
-            steep |= (dist_sq == np.inf) & (horiz_sq < np.inf)
-            if steep.any():
-                k = int(np.argmax(steep))
-                i, j = int(idx[start + k // width]), int(idx[start + k % width])
-                ratio = math.sqrt(horiz_sq[k] / dist_sq[k]) if dist_sq[k] else 0.0
-                raise NotAGraphError(
-                    f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
-                    witness=(i, j))
-        lip = max(lip, math.sqrt(top))
+        lip = max(lip, math.sqrt(np.fmax.reduce(slope_sq)))  # fmax skips inf / inf
+        if steep.any() or lip > bound + 1e-9:
+            k = int(np.argmax(steep) if steep.any() else np.nanargmax(slope_sq))
+            i, j = int(idx[start + k // width]), int(idx[start + k % width])
+            ratio = math.sqrt(horiz_sq[k] / dist_sq[k]) if dist_sq[k] else 0.0
+            raise NotAGraphError(
+                f"pair ({i}, {j}) has horizontal share {ratio:.4f} < theta = {theta}",
+                witness=(i, j))
         start = stop
-    bound = math.sqrt(max(1.0 - sq, 0.0)) / theta
-    if lip > bound + 1e-9:
-        raise AlgorithmInvariantViolation(
-            f"slope {lip:.6f} exceeds the aperture bound {bound:.6f}")
     return GraphModel(n=n, sample_base=pts[:, :n].copy(),
                       sample_values=pts[:, n:].copy(), lipschitz=lip, theta=theta)
 

@@ -199,12 +199,20 @@ def hrycak_like(depth: int = 3, pieces: int = 4, angle: float = 0.35,
                          delta_res=seg_len / points_per_segment)
 
 
+def finite(text: str) -> float:
+    """A number from outside the program; ValueError for nan and inf too."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 # Option strings by the type they take: (expected, parse).
 _PARSERS = {
     int: ("an integer", int),
-    float: ("a number", float),
+    float: ("a finite number", finite),
     bool: ("true or false", lambda text: {"true": True, "false": False}[text.lower()]),
-    tuple: ("comma-separated numbers", lambda text: tuple(map(float, text.split(",")))),
+    tuple: ("comma-separated finite numbers",
+            lambda text: tuple(map(finite, text.split(",")))),
     str: ("text", str),
 }
 

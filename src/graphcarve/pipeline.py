@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .cloud import ScaleRange, WeightedCloud
+from .cloud import ScaleRange, WeightedCloud, row_dots
 from .cloud_io import SCHEMA, save_cloud_json
 from .cover import DirectionCover, build_cover_for_theta
 from .errors import InputError, RefinementCollapsedError
@@ -28,7 +28,7 @@ from .geometry import Subspace
 from .grassmannian import alpha0_max, child_seed
 from .measure import _within_float_range, projection_energy, prune_low_density
 from .refine import RefineConfig, refine_schedule
-from .shells import ShellTable, cone_shells
+from .shells import ShellTable, in_cone
 
 _STAGES = ("e1", "e_prime", "e", "e2", "e3")  # mass ledger rows, in run order
 
@@ -203,8 +203,8 @@ def _resolution_dedup(cloud: WeightedCloud, subset: np.ndarray, theta: float,
     first, second = cloud.grid.close_pairs(floor_radius)
     both = alive[first] & alive[second]
     first, second = first[both], second[both]
-    steep = cone_shells(cloud.coords[second] - cloud.coords[first], theta, cloud.n, None,
-                        np.zeros(1), np.full(1, np.inf), strict=True)[:, 0]
+    delta = cloud.coords[second] - cloud.coords[first]
+    steep = in_cone(row_dots(delta[:, :cloud.n]), row_dots(delta), theta, strict=True)
     removed = 0.0
     for i, j in zip(first[steep], second[steep]):
         if not (alive[i] and alive[j]):

@@ -2,16 +2,18 @@
 
 ``cone_shells`` is the one membership test: the shell table and the
 refinement shadows call it, so they make the same floating-point
-comparisons.  ``ShellTable`` finds the visits of every vertex of a subset at
-once: the exact predicate filters the kept pairs of a two-sided parent table
-whose cone holds its own, or a ``cKDTree`` range search (Bentley, CACM
-18(9), 1975) of the table's own cone, or under ``oracle`` every pair, the
-brute-force reference, and keeps the survivors as CSR rows with a shell
-bitmask per pair.  A pipeline run searches once, for its theta0 table (every
-pair under ``--oracle``), and every later table filters that table's pairs.
-One table answers the visit counts of any alive subset of its rows as a
-``VisitationReport``, and the visited scales and lowest witnesses of one row
-at a time, which is what refinement reads.
+comparisons.  Its cone test on squared lengths, ``in_cone``, is also the
+graph certificate's and the resolution dedup's.  ``ShellTable`` finds the
+visits of every vertex of a subset at once: the exact predicate filters the
+kept pairs of a two-sided parent table whose cone holds its own, or a
+``cKDTree`` range search (Bentley, CACM 18(9), 1975) of the table's own
+cone, or under ``oracle`` every pair, the brute-force reference, and keeps
+the survivors as CSR rows with a shell bitmask per pair.  A pipeline run
+searches once, for its theta0 table (every pair under ``--oracle``), and
+every later table filters that table's pairs.  One table answers the visit
+counts of any alive subset of its rows as a ``VisitationReport``, and the
+visited scales and lowest witnesses of one row at a time, which is what
+refinement reads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def pair_differences(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return diff.transpose(1, 2, 0)
 
 
+def in_cone(perp_sq, dist_sq, aperture: float, strict: bool = False) -> np.ndarray:
+    """perp_sq <= fl(aperture^2) dist_sq, or < under ``strict``: the cone test on
+    squared lengths, which ``cone_shells``, the graph certificate and the
+    resolution dedup make on the squares they hold."""
+    bound = aperture * aperture * dist_sq
+    return perp_sq < bound if strict else perp_sq <= bound
+
+
 def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
                 inner: np.ndarray, outer: np.ndarray, strict: bool = False) -> np.ndarray:
     """Membership of each displacement in each shell, shape (len(delta), len(outer)).
@@ -65,8 +75,7 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
     else:
         along = row_dots(delta, direction)
         perp_sq = np.maximum(dist_sq - along * along, 0.0)
-    bound = aperture * aperture * dist_sq
-    cone = perp_sq < bound if strict else perp_sq <= bound
+    cone = in_cone(perp_sq, dist_sq, aperture, strict)
     if direction is not None:
         cone &= along > 0.0 if strict else along >= 0.0
     hits = np.zeros((len(delta), len(outer)), dtype=bool)

@@ -117,6 +117,12 @@ class TestVisitationCounts:
         with pytest.raises(InputError):
             visitation_counts(cloud, cloud.all_indices(), 0.5, ScaleRange(4, 8))
 
+    @pytest.mark.parametrize("direction", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 2.0]])
+    def test_direction_must_be_a_unit_vector(self, direction):
+        cloud = stack3()
+        with np.errstate(invalid="ignore"), pytest.raises(InputError, match="unit vector"):
+            visitation_counts(cloud, cloud.all_indices(), 0.5, direction=np.array(direction))
+
 
 class TestBadSet:
     def test_at_least_selects_stack_base(self):

@@ -28,6 +28,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _json_cloud(n="1", delta_res="0.1"):
+    """A two-point JSON cloud file with the given field texts."""
+    return ('{"d": 2, "n": %s, "delta_res": %s, "points": [{"x": [0, 0], "w": 1}, '
+            '{"x": [1, 0], "w": 1}]}' % (n, delta_res))
+
+
 class TestGenerate:
     def test_writes_cloud(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -56,6 +62,8 @@ class TestGenerate:
         ("lipschitz_graph", "value_map=1", "'value_map'"),
         ("union_of_graphs", "lips=0.1,x", "'lips'"),
         ("outlier_stacks", "unit_weights=maybe", "'unit_weights'"),
+        ("lipschitz_graph", "lip=nan", "'lip'"),
+        ("union_of_graphs", "lips=0.1,inf", "'lips'"),
     ])
     def test_mistyped_param_exits_2(self, tmp_path, kind, param, named, capsys):
         code = run(["generate", "--kind", kind, "--param", param,
@@ -128,7 +136,14 @@ class TestDiagnostics:
         ("ragged.json", '{"d": 2, "n": 1, "delta_res": 0.1, '
                         '"points": [{"x": [0, 0], "w": 1}, {"x": [1], "w": 1}]}',
          "point 1"),
-    ], ids=["short_row", "non_number", "unparsable", "no_w", "no_x", "ragged_x"])
+        ("n_word.json", _json_cloud(n='"one"'), "'n'"),
+        ("n_null.json", _json_cloud(n="null"), "'n'"),
+        ("n_fraction.json", _json_cloud(n="1.5"), "'n'"),
+        ("delta_res_word.json", _json_cloud(delta_res='"abc"'), "'delta_res'"),
+        ("delta_res_null.json", _json_cloud(delta_res="null"), "'delta_res'"),
+        ("delta_res_nan.json", _json_cloud(delta_res="NaN"), "'delta_res'"),
+    ], ids=["short_row", "non_number", "unparsable", "no_w", "no_x", "ragged_x", "n_word",
+            "n_null", "n_fraction", "delta_res_word", "delta_res_null", "delta_res_nan"])
     def test_malformed_input_exits_2(self, tmp_path, name, text, named, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -136,7 +151,7 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
 
-    @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3"])
+    @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3", "nan:1", "0.5:inf"])
     def test_malformed_band_exits_2(self, cloud_file, band, capsys):
         assert run(["adr-check", "--input", cloud_file, "--band", band]) == 2
         assert "--band" in capsys.readouterr().err
@@ -144,9 +159,23 @@ class TestDiagnostics:
     @pytest.mark.parametrize("command", [["visitation", "--aperture", "0.3"],
                                          ["refine", "--alpha", "0.1"]])
     def test_malformed_direction_exits_2(self, cloud_file, tmp_path, command, capsys):
-        assert run(command + ["--input", cloud_file, "--direction", "a,b",
-                              "--output-dir", tmp_path]) == 2
-        assert "--direction" in capsys.readouterr().err
+        for direction in ("a,b", "nan,1", "inf,1"):
+            assert run(command + ["--input", cloud_file, "--direction", direction,
+                                  "--output-dir", tmp_path]) == 2
+            assert "--direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--kappa", "nan"],
+        ["adr-check", "--delta-res", "nan"],
+        ["visitation", "--aperture", "inf"],
+        ["extract", "--theta", "nan"],
+    ], ids=lambda argv: argv[1])
+    def test_non_finite_number_flag_exits_2(self, cloud_file, argv, capsys):
+        # argparse rejects the value before the command runs.
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--input", cloud_file])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: invalid finite value" in capsys.readouterr().err
 
     def test_energy(self, cloud_file, capsys):
         assert run(["energy", "--input", cloud_file, "--samples", "20",
@@ -274,6 +303,15 @@ class TestExtractCommand:
         assert lines[0] == "t1,a1"
         assert len(lines) > 10
 
+    def test_full_dimensional_cloud_exits_2(self, tmp_path, capsys):
+        # A planar cloud read with n = 2 has no vertical coordinate to graph.
+        path = tmp_path / "sq.csv"
+        save_cloud_csv(lipschitz_graph(60, 0.1, seed=2), path)
+        assert run(["extract", "--input", path, "--n", "2", "--theta", "0.3",
+                    "--output-dir", tmp_path]) == 2
+        assert "n = 2, d = 2" in capsys.readouterr().err
+        assert not (tmp_path / "graph.csv").exists()
+
     def test_negative_grid_points_exits_2(self, cloud_file, tmp_path, capsys):
         assert run(["extract", "--input", cloud_file, "--theta", "0.5",
                     "--grid-points", "-1", "--output-dir", tmp_path]) == 2
@@ -352,6 +390,10 @@ class TestPipelineCommand:
         ("theta0 = wide", "'theta0'"),
         ("m0_cap = none", "'m0_cap'"),   # only the fields whose default is None
         ("kappa = auto", "'kappa'"),     # take none or auto
+        ("energy_budget = nan", "'energy_budget'"),
+        ("energy_budget = inf", "'energy_budget'"),
+        ("prune_factor = nan", "'prune_factor'"),
+        ("refine_epsilon = nan", "'refine_epsilon'"),
     ])
     def test_mistyped_config_value_exits_2(self, cloud_file, tmp_path, line, named, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -35,6 +35,11 @@ class TestWeightedCloud:
         with pytest.raises(InputError):
             WeightedCloud(np.zeros((1, 2)), np.array([np.inf]), n=1, delta_res=0.1)
 
+    @pytest.mark.parametrize("delta_res", [0.0, -1.0, np.nan, np.inf])
+    def test_delta_res_validation(self, delta_res):
+        with pytest.raises(InputError, match="delta_res must be positive and finite"):
+            WeightedCloud(np.zeros((1, 2)), np.ones(1), n=1, delta_res=delta_res)
+
     def test_intrinsic_dimension_validation(self):
         with pytest.raises(InputError):
             WeightedCloud(np.zeros((1, 2)), np.ones(1), n=3, delta_res=0.1)

@@ -4,8 +4,7 @@
 max(1, budget // width) rows per block, built by ``shells.pair_differences``:
 their results do not depend on the budget and equal the broadcast loops of
 the references bit for bit, and their working memory does not grow with the
-number of rows.  ``certify_graph`` runs the cone test only on blocks whose
-slopes cannot clear it.
+number of rows.
 """
 
 import tracemalloc
@@ -19,7 +18,6 @@ from graphcarve import (
     WeightedCloud,
     certify_graph,
     extend_mcshane,
-    extract,
     lipschitz_graph,
     shells,
 )
@@ -163,8 +161,8 @@ def _same_as_loop(cloud, theta):
 def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
     # Pairs whose slope ratio lies within 1e-12 (relative) of (1 - theta^2) /
     # theta^2, on both sides.  The hard ones are steep yet round to a ratio
-    # below fl((1 - t) / t), t = fl(theta^2): the prefilter's margin must
-    # send their block to the cone test anyway (nine of them at theta = 0.3).
+    # below fl((1 - t) / t), t = fl(theta^2): a test of the slope would pass
+    # them, the cone test on the squares does not (nine of them at theta = 0.3).
     rng = np.random.default_rng(11)
     size, sq = 20000, theta * theta
     bound = (1.0 - sq) / sq
@@ -173,10 +171,9 @@ def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
     up /= np.linalg.norm(up, axis=1)[:, None]
     scale = 1.0 + rng.uniform(-1e-12, 1e-12, size) * 10.0 ** -rng.integers(0, 5, size)
     delta = np.column_stack([along, up * (np.sqrt(bound * scale) * np.abs(along))[:, None]])
-    steep = shells.cone_shells(delta, theta, 1, None, np.zeros(1), np.full(1, np.inf),
-                               strict=True)[:, 0]
-    horiz_sq = delta[:, 0] * delta[:, 0]
-    ratio = np.maximum(np.einsum("ij,ij->i", delta, delta) - horiz_sq, 0.0) / horiz_sq
+    horiz_sq, dist_sq = delta[:, 0] * delta[:, 0], np.einsum("ij,ij->i", delta, delta)
+    steep = shells.in_cone(horiz_sq, dist_sq, theta, strict=True)
+    ratio = np.maximum(dist_sq - horiz_sq, 0.0) / horiz_sq
     hard = np.flatnonzero(steep & (ratio < bound))
     picks = np.concatenate([hard, rng.choice(np.flatnonzero(steep), 20),
                             rng.choice(np.flatnonzero(~steep), 20)])
@@ -189,8 +186,8 @@ def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
 def test_vertical_and_duplicate_pairs_reach_the_cone_test(theta):
     # A pair with horizontal difference exactly 0 has no slope ratio; it is
     # steep whenever fl(theta^2 |delta|^2) > 0.  At theta = 1e-170 that square
-    # underflows to 0: nothing is steep, not even a pair of slope 1e100, and
-    # no limit divides by zero.
+    # underflows to 0: nothing is steep, not even a pair of slope 1e100, which
+    # stays under the aperture bound 1e170.
     gentle = np.array([[0.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [2.0, 0.0, 0.0], [3.0, 1e-9, 0.0],
                        [4.0, 2e-150, 1e-150], [5.0, 1e-4, 1e-4]])
     duplicates = np.concatenate([gentle, gentle[[1, 3]]])
@@ -202,7 +199,7 @@ def test_vertical_and_duplicate_pairs_reach_the_cone_test(theta):
         assert isinstance(_same_as_loop(cloud, theta), tuple) == steep
 
 
-@pytest.mark.parametrize("theta", [0.1, 0.5])
+@pytest.mark.parametrize("theta", [1e-170, 0.1, 0.5])
 @pytest.mark.parametrize("extra, steep", [
     ((), False),
     (([2.0, 30.0],), True),
@@ -218,7 +215,11 @@ def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, 
     # Such ratios are left out of the slope, in whichever block they fall;
     # a pair whose full square overflows and whose horizontal one does not
     # is steep, whether it is vertical or not.  The slope bits, or the
-    # witness and message, equal the loop's under every block size.
+    # witness and message, equal the loop's under every block size.  At
+    # theta = 1e-170, theta^2 underflows to 0 and no pair is steep; where the
+    # loop's slope is then inf, it passes the aperture bound, and the
+    # certificate names the first pair of that slope, (0, 41), a pair whose
+    # full square overflows.
     t = np.linspace(0.5, 10.0, 40)
     coords = np.concatenate([np.column_stack([t, 0.05 * np.sin(t)]), [[1e200, 0.0]],
                              np.reshape(extra, (-1, 2))])
@@ -228,35 +229,31 @@ def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, 
     with np.errstate(over="ignore", invalid="ignore"):
         for budget in (1, 7, shells._CHUNK):
             monkeypatch.setattr(shells, "_CHUNK", budget)
-            outcomes.add(_same_as_loop(cloud, theta))
+            outcomes.add(_certified(_lipschitz, cloud, None, theta))
+        loop = _certified(certify_graph_loop, cloud, None, theta)
     assert len(outcomes) == 1
     got = outcomes.pop()
-    assert isinstance(got, tuple) == steep
+    if loop == np.float64(np.inf).tobytes():
+        assert theta == 1e-170
+        assert got == ((0, 41), "pair (0, 41) has horizontal share 0.0000 < theta = 1e-170")
+        return
+    assert got == loop
+    assert isinstance(got, tuple) == (steep and theta > 1e-170)
     if not steep:
         slope = np.abs(np.diff(coords[:40, 1]) / np.diff(t)).max()
         assert np.frombuffer(got)[0] == pytest.approx(slope, rel=0.1)
 
 
-def test_the_cone_test_runs_only_on_blocks_it_must_check(monkeypatch):
-    calls = []
-
-    def counted(delta, *args, **kwargs):
-        calls.append(delta)
-        return cone_shells(delta, *args, **kwargs)
-
-    cone_shells = extract.cone_shells
-    monkeypatch.setattr(extract, "cone_shells", counted)
-    cloud = lipschitz_graph(2000, seed=3)
-    certify_graph(cloud, theta=0.1)
-    assert calls == []
-    coords = cloud.coords.copy()
-    coords[1500] = coords[700] + [1e-4, 0.05]
-    steep = WeightedCloud(coords, cloud.weights, n=1, delta_res=cloud.delta_res,
+@pytest.mark.parametrize("theta", [1e-155, 1e-160, 1e-170])
+@pytest.mark.parametrize("far", [[1e-150, 1e5], [1e-160, 1e-5]])
+def test_slopes_past_the_aperture_bound_are_not_a_graph(theta, far):
+    # Below theta ~ 1e-154 the cone test on the squares can pass a pair whose
+    # slope ratio overflows, as theta^2 leaves the normal range: here the
+    # horizontal square is 1e-300 or 1e-320.  Its slope inf passes the
+    # aperture bound, so the certificate names the pair rather than return
+    # L = inf (the overflow test above has the case of an infinite square).
+    cloud = WeightedCloud(np.array([[0.0, 0.0], far]), np.ones(2), n=1, delta_res=1e-6,
                           check_separation=False)
-    with pytest.raises(NotAGraphError) as caught:
-        certify_graph(steep, theta=0.1)
-    i, j = caught.value.witness
-    assert (caught.value.witness, str(caught.value)) == _certified(certify_graph_loop, steep,
-                                                                   None, 0.1)
-    assert len(calls) == 1
-    assert (calls[0] == coords[i] - coords[j]).all(axis=1).any()
+    with np.errstate(over="ignore"), pytest.raises(NotAGraphError) as caught:
+        certify_graph(cloud, theta=theta)
+    assert caught.value.witness == (0, 1)
