@@ -3,12 +3,12 @@
 For each vertex x of a subset, counts the scales j at which the closed cone
 shell of aperture theta (two-sided around the vertical axis) or alpha
 (one-sided along a direction w) meets some other subset point.  The counts
-come from a ``ShellTable``: the exact predicate ``cone_shells`` on the kept
-pairs of an enclosing ``parent`` table, on a kd-tree search of its own cone,
-or on every pair when ``oracle`` is set (the CLI's ``--oracle``).  All make
-identical floating-point comparisons, so their outputs match exactly.
-Reports carry counts only: the visited scales and witnesses of a vertex come
-from ``ShellTable.scales`` and ``ShellTable.witness``.
+come from a ``ShellTable``: the exact predicate ``cone_shells`` on the
+entries of an enclosing ``parent`` table, on a kd-tree search of its own
+cone, or on every pair when ``oracle`` is set (the CLI's ``--oracle``).  All
+make identical floating-point comparisons, so their outputs match exactly.
+Reports carry counts and their ``table``, whose ``scales`` and ``witness``
+give a vertex's visited scales and witnesses, and which a pass filters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def visitation_counts(cloud: WeightedCloud, subset, aperture: float,
 
     A vertex never witnesses itself.  Shells are closed on both radii and the
     aperture, matching the closed-cone convention of the property checks.
-    The counting table filters the kept pairs of ``parent``, or searches its own cone.
+    The counting table filters the entries of ``parent``, or searches its own cone.
     """
     if not 0.0 < aperture < 1.0:
         raise InputError("aperture must lie in (0, 1)")

@@ -65,10 +65,10 @@ def _parse_vector(text):
         vec = np.asarray([finite(v) for v in text.split(",")])
     except ValueError as exc:
         raise InputError(f"--direction expects comma-separated numbers: {exc}") from None
-    norm = np.linalg.norm(vec)
-    if norm == 0:
+    if not vec.any():
         raise InputError("direction vector must be nonzero")
-    return vec / norm
+    vec = np.ldexp(vec, -np.frexp(np.abs(vec).max())[1])  # exact; |vec|^2 stays finite
+    return vec / np.linalg.norm(vec)
 
 
 def _emit(args, payload: dict):
@@ -152,7 +152,7 @@ def cmd_refine(args) -> int:
     if entry.max_count == 0:
         _emit(args, {"status": "already_zero", "retained_mass": cloud.mass()})
         return 0
-    outcome = refine_once(cloud, entry, RefineConfig(seed=args.seed, oracle=args.oracle))
+    outcome = refine_once(cloud, entry, RefineConfig(seed=args.seed))
     ledger_path = _outdir(args) / "refine_ledger.json"
     ledger_path.write_text(json.dumps(outcome.ledger(), sort_keys=True))
     _emit(args, {"status": outcome.status, "iterations": outcome.iterations,
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle", action="store_true",
                            help="the root visit table takes all pairs as candidates "
                                 "in place of the kd-tree search; every other table, "
-                                "the refinement loop's included, filters its pairs")
+                                "each refinement pass's included, filters a parent's")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p = sub.add_parser("generate", help="emit a synthetic cloud")

@@ -53,13 +53,16 @@ class PipelineConfig:
     refine_epsilon: float | None = None
     refine_scale_choice: str = "largest"
 
+    def __post_init__(self):
+        if self.m0_cap < 0:
+            raise InputError(f"m0_cap must be at least 0, got {self.m0_cap}")
+
     def refine_config(self) -> RefineConfig:
         return RefineConfig(c_factor=self.refine_c_factor,
                             epsilon=self.refine_epsilon,
                             scale_choice=self.refine_scale_choice,
                             seed=child_seed(self.seed, 3),
-                            min_mass_fraction=self.min_mass_fraction,
-                            oracle=self.oracle)
+                            min_mass_fraction=self.min_mass_fraction)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

@@ -7,11 +7,10 @@ mass than it keeps.  Its outcome carries K's counts at alpha/2, which is the
 report the next pass refines.  ``refine_schedule`` drives it over every
 direction of a cone cover, down to zero visits per direction, and certifies
 the resulting two-sided property with a final visit count.  Every visit
-count here, both certificates included, reads a shell table
-(``shells.ShellTable``) that filters the pairs of a parent table: in a
-pipeline run, the theta0 table, whose cone holds every cone counted here.
-A standalone call's tables search their own cones (around w's line for a
-one-sided one), or take every pair when ``RefineConfig.oracle`` is set.
+count here reads a shell table (``shells.ShellTable``).  A pass's alpha/2
+table filters the alpha table that counted its entry report; the schedule's
+direction counts and final certificate filter its ``parent`` (in a pipeline
+run, the theta0 table) or search their own cones.
 A pass lives inside the set F it refines: it runs on F's subcloud, in its
 positions, the rows of its table over F; cloud indices appear only in its
 outcome and ledger.
@@ -63,7 +62,6 @@ class RefineConfig:
     scale_choice: str = "largest"      # largest | smallest | random
     seed: int = 0
     min_mass_fraction: float = 0.0
-    oracle: bool = False
 
     def __post_init__(self):
         if self.scale_choice not in ("largest", "smallest", "random"):
@@ -117,8 +115,8 @@ class RefinementOutcome:
     def ledger(self) -> dict:
         return {
             "schema": SCHEMA,
-            "direction": self.entry.direction.tolist(),
-            "alpha": self.entry.aperture,
+            "direction": self.entry.table.direction.tolist(),
+            "alpha": self.entry.table.aperture,
             "M": self.entry.max_count,
             "epsilon": self.epsilon,
             "status": self.status,
@@ -267,8 +265,7 @@ def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray, w: np.nda
 
 
 def refine_once(cloud: WeightedCloud, entry: VisitationReport,
-                cfg: RefineConfig | None = None,
-                parent: ShellTable | None = None) -> RefinementOutcome:
+                cfg: RefineConfig | None = None) -> RefinementOutcome:
     """One refinement pass: (alpha, M) visit bound in, (alpha/2, M-1) out.
 
     ``entry`` is the one-sided visit report of the input set F along w at
@@ -277,19 +274,19 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     deleting the open cone shadows of its enlarged neighborhood, until either
     half the mass is accounted for or no dense bad points remain.  The pass
     runs on the subcloud of F, in its positions, and its alpha/2 table filters
-    ``parent`` if given; the outcome maps positions back to cloud indices.
+    the entry's table; the outcome maps positions back to cloud indices.
     """
     cfg = cfg or RefineConfig()
-    if entry.direction is None:
+    if entry.table.direction is None:
         raise InputError("refine_once needs a one-sided visit report")
-    w, alpha = entry.direction, entry.aperture
-    scale_range, big_m = entry.scale_range, entry.max_count
+    w, alpha = entry.table.direction, entry.table.aperture
+    scale_range, big_m = entry.table.scale_range, entry.max_count
     if not 0.0 < alpha <= _ALPHA_MAX:
         raise InputError(f"aperture {alpha} outside (0, {_ALPHA_MAX}]")
     if big_m == 0:
         raise InputError("nothing to refine: the report has no visits")
 
-    shells = ShellTable(cloud, entry.subset, alpha / 2.0, scale_range, w, cfg.oracle, parent)
+    shells = ShellTable(cloud, entry.subset, alpha / 2.0, scale_range, w, parent=entry.table)
     subset = shells.subset  # sorted: the subcloud's positions are the table's rows
     sub = cloud.subcloud(subset)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
@@ -455,8 +452,8 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
     where m0 is the largest two-sided visit count of e2 at theta: each
     direction then needs at most m0 passes (the aperture halves per pass),
     and the surviving set's two-sided visits at aperture theta / b_used
-    vanish, which a final two-sided count verifies; every table filters
-    ``parent`` if given.  With m0 = 0 (``cover.s == 1``) no direction is refined.
+    vanish, which a final two-sided count verifies; it and the direction counts
+    filter ``parent`` if given.  With m0 = 0 (``cover.s == 1``) no direction is refined.
     """
     cfg = cfg or RefineConfig()
     e2 = np.sort(np.asarray(e2, dtype=np.intp))
@@ -468,14 +465,14 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
     directions = cover.directions if cover.s < 1.0 else []  # m0 = 0: nothing to refine
     for row, w in enumerate(directions):
         report = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                   direction=w, oracle=cfg.oracle, parent=parent)
+                                   direction=w, parent=parent)
         initial = report.max_count
         outcomes = []
         while report.max_count:
             if len(outcomes) > initial + 2:
                 raise AlgorithmInvariantViolation(
                     "per-direction refinement failed to drain the visit counts")
-            outcome = refine_once(cloud, report, cfg, parent)
+            outcome = refine_once(cloud, report, cfg)
             outcomes.append(outcome)
             current, report = outcome.kept, outcome.certificate  # kept at half the aperture
             if cloud.mass(current) < floor_mass:
@@ -484,12 +481,12 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
                     f"direction {row}", ledger=[o.ledger() for o in outcomes])
         runs.append(DirectionRun(
             direction=w, initial_count=initial, applications=len(outcomes),
-            final_aperture=report.aperture,
-            reached_target_aperture=bool(report.aperture >= cover.alpha * cover.s - 1e-15),
+            final_aperture=report.table.aperture,
+            reached_target_aperture=bool(report.table.aperture >= cover.alpha * cover.s - 1e-15),
             outcomes=outcomes))
 
     certificate = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                    direction=None, oracle=cfg.oracle, parent=parent)
+                                    direction=None, parent=parent)
     if certificate.max_count > 0:
         raise AlgorithmInvariantViolation(
             "final two-sided certificate failed after the direction schedule")

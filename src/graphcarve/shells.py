@@ -5,15 +5,14 @@ refinement shadows call it, so they make the same floating-point
 comparisons.  Its cone test on squared lengths, ``in_cone``, is also the
 graph certificate's and the resolution dedup's.  ``ShellTable`` finds the
 visits of every vertex of a subset at once: the exact predicate filters the
-kept pairs of a two-sided parent table whose cone holds its own, or a
-``cKDTree`` range search (Bentley, CACM 18(9), 1975) of the table's own
-cone, or under ``oracle`` every pair, the brute-force reference, and keeps
-the survivors as CSR rows with a shell bitmask per pair.  A pipeline run
-searches once, for its theta0 table (every pair under ``--oracle``), and
-every later table filters that table's pairs.  One table answers the visit
-counts of any alive subset of its rows as a ``VisitationReport``, and the
-visited scales and lowest witnesses of one row at a time, which is what
-refinement reads.
+entries of a parent table whose cone holds its own, or a ``cKDTree`` range
+search (Bentley, CACM 18(9), 1975) of the table's own cone, or under
+``oracle`` every pair, the brute-force reference, and keeps the survivors
+as CSR rows with a shell bitmask per pair.  A pipeline run searches once,
+for its theta0 table (every pair under ``--oracle``), and every later table
+filters a parent.  One table answers the visit counts of any alive subset
+of its rows as a ``VisitationReport``, and the visited scales and lowest
+witnesses of one row at a time, which is what refinement reads.
 """
 
 from __future__ import annotations
@@ -89,15 +88,13 @@ def cone_shells(delta: np.ndarray, aperture: float, n: int, direction,
 class VisitationReport:
     """Per-vertex visited-scale counts of a subset.
 
-    The visited scales and witnesses of one vertex come from the table that
-    counted it: ``ShellTable.scales`` and ``ShellTable.witness``.
+    ``table`` counted it: it holds the aperture, direction and scale range, and
+    the visited scales and witnesses of one vertex (``scales``, ``witness``).
     """
 
     subset: np.ndarray
     counts: np.ndarray           # visited-scale count per subset vertex
-    aperture: float
-    direction: np.ndarray | None
-    scale_range: ScaleRange
+    table: "ShellTable"
 
     @property
     def max_count(self) -> int:
@@ -154,9 +151,8 @@ class ShellTable:
     bit s of a column's mask marks the shell of scale ``js[s]``.  ``alive``
     masks are over subset positions and restrict the visitors, not the rows.
     ``direction`` must have unit length to within a few eps.  Candidates come
-    from the kept pairs of ``parent`` (a two-sided table of the same cloud and
-    scale range over a superset, at an aperture of at least ``reach``), from
-    every pair under ``oracle`` or below two points, or else from one kd-tree
+    from the entries of ``parent``, a table that encloses this one (``_inherited``),
+    from every pair under ``oracle`` or below two points, or else from one kd-tree
     search of the table's own cone, two-sided around the vertical or w's line.
     """
 
@@ -187,8 +183,8 @@ class ShellTable:
             for lo in range(0, len(pairs[0]), _CHUNK))
         shell_bit = np.uint64(1) << np.arange(len(self.js), dtype=np.uint64)
         kept = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=np.uint64),)]
-        # A one-sided table tests both orders of a pair: fl(a - b) = -fl(b - a).
-        orders = (0,) if direction is None else (0, 1)
+        # One-sided: both orders of a candidate pair i < j, fl(a - b) = -fl(b - a).
+        orders = (0, 1) if direction is not None and parent is None else (0,)
         for ends in blocks:
             delta = points.take(ends[1], axis=0) - points.take(ends[0], axis=0)
             for flip in orders:
@@ -199,7 +195,6 @@ class ShellTable:
                 kept.append((ends[flip][seen], ends[1 - flip][seen], bits))
         rows, cols, bits = (np.concatenate(part) for part in zip(*kept))
         if direction is None:
-            self.pairs = rows, cols  # each kept pair once, i < j: what children filter
             # delta -> -delta leaves the two-sided test bit-identical.
             rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
             bits = np.concatenate([bits, bits])
@@ -210,18 +205,24 @@ class ShellTable:
             [[0], np.cumsum(np.bincount(rows, minlength=len(self.subset)))])
 
     def _inherited(self, parent: "ShellTable") -> tuple[np.ndarray, np.ndarray]:
-        """The parent's kept pairs inside the subset, as positions i < j."""
+        """The parent's entries (row, column) inside the subset, as positions; i < j only
+        for a two-sided table.  A one-sided parent holds every hit: the same sign test and
+        shells, and a bound fl(a * a) |delta|^2 that grows with its aperture a."""
         pos = np.searchsorted(parent.subset, self.subset)
-        if (parent.direction is not None or parent.cloud is not self.cloud
-                or parent.scale_range != self.scale_range or parent.aperture < self.reach
+        along = np.array_equal(parent.direction, self.direction)  # also both two-sided
+        if (parent.aperture < (self.aperture if along else self.reach)
+                or not along and parent.direction is not None
+                or parent.cloud is not self.cloud or parent.scale_range != self.scale_range
                 or not (pos < len(parent.subset)).all()
                 or not np.array_equal(parent.subset[pos], self.subset)):
-            raise InputError(f"the parent table must be two-sided, over the same cloud and "
-                             f"scale range and a superset, at an aperture >= {self.reach}")
+            raise InputError(f"the parent table must share the cloud and scale range, hold the "
+                             f"subset, and be two-sided at an aperture >= {self.reach} or "
+                             f"one-sided along the same direction at >= {self.aperture}")
         local = np.full(len(parent.subset), -1, dtype=np.intp)
         local[pos] = np.arange(len(self.subset))
-        first, second = local[parent.pairs[0]], local[parent.pairs[1]]
-        both = (first >= 0) & (second >= 0)
+        first = local[np.repeat(np.arange(len(parent.subset)), np.diff(parent.indptr))]
+        second = local[parent.cols]
+        both = (first >= 0) & (second >= 0) & ((first < second) | (self.direction is not None))
         return first[both], second[both]
 
     def counts(self, alive) -> np.ndarray:
@@ -252,5 +253,4 @@ class ShellTable:
         alive = (np.ones(len(self.subset), dtype=bool) if alive is None
                  else np.array(alive, dtype=bool))
         return VisitationReport(subset=self.subset[alive], counts=self.counts(alive)[alive],
-                                aperture=self.aperture, direction=self.direction,
-                                scale_range=self.scale_range)
+                                table=self)

@@ -164,6 +164,23 @@ class TestDiagnostics:
                                   "--output-dir", tmp_path]) == 2
             assert "--direction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("direction, same_as", [
+        ("1e200,1e200", "1,1"), ("1e-200,1e-200", "1,1"), ("3e-170,4e-170", "3,4")])
+    def test_direction_scale_does_not_matter(self, tmp_path, direction, same_as, capsys):
+        # The norm of a huge or tiny vector neither overflows nor underflows.
+        coords = np.random.default_rng(5).random((150, 2))
+        path = tmp_path / "square.json"
+        save_cloud_json(WeightedCloud(coords, np.ones(150), n=1, delta_res=1e-3), path)
+        printed = []
+        for text in (direction, same_as):
+            assert run(["visitation", "--input", path, "--aperture", "0.3",
+                        "--direction", text, "--json"]) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        assert printed[0] == printed[1] and printed[0]["max_count"] > 0
+        assert run(["visitation", "--input", path, "--aperture", "0.3",
+                    "--direction", "0,0"]) == 2
+        assert "nonzero" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["energy", "--kappa", "nan"],
         ["adr-check", "--delta-res", "nan"],
@@ -292,6 +309,34 @@ class TestRefineCommand:
         assert payload["certificate_max_count"] == 0
         assert (tmp_path / "refine_ledger.json").exists()
 
+    def test_one_candidate_search(self, tmp_path, monkeypatch, capsys):
+        # The entry table searches for candidates (all pairs under --oracle) and
+        # the pass's alpha/2 table filters its entries: one kd-tree search at most,
+        # and the same ledger either way.
+        searches = []
+        kd_pairs = shells._candidate_pairs
+
+        def counted_kd_pairs(*args):
+            searches.append(args)
+            return kd_pairs(*args)
+
+        monkeypatch.setattr(shells, "_candidate_pairs", counted_kd_pairs)
+        tt = np.arange(200) * 0.005
+        coords = np.vstack([np.column_stack([tt, np.zeros_like(tt)]), [[0.5, 0.61]]])
+        path = tmp_path / "stack.json"
+        save_cloud_json(WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=0.005),
+                        path)
+        ledgers = []
+        for oracle in (False, True):
+            searches.clear()
+            out = tmp_path / f"run_{oracle}"
+            assert run(["refine", "--input", path, "--direction", "0,1", "--alpha", "0.1",
+                        "--output-dir", out, "--json"] + ["--oracle"] * oracle) == 0
+            assert json.loads(capsys.readouterr().out)["status"] != "already_zero"
+            assert len(searches) == (0 if oracle else 1)
+            ledgers.append((out / "refine_ledger.json").read_bytes())
+        assert ledgers[0] == ledgers[1]
+
 
 class TestExtractCommand:
     def test_extract_graph(self, cloud_file, tmp_path, capsys):
@@ -416,6 +461,14 @@ class TestPipelineCommand:
                     "--output-dir", tmp_path / "run"])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    def test_negative_m0_cap_exits_2(self, cloud_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("m0_cap = -1\n")
+        code = run(["pipeline", "--input", cloud_file, "--config", cfg,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert "m0_cap" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, cloud_file, tmp_path, capsys):
         cfg = tmp_path / "missing.txt"

@@ -23,7 +23,9 @@ from graphcarve import (
     run_pipeline,
     union_of_graphs,
 )
-from graphcarve import shells
+from graphcarve import audit, shells
+from graphcarve import pipeline as pipeline_module
+from graphcarve import refine as refine_module
 from graphcarve.errors import STAGE_COLLAPSE_ERRORS
 from graphcarve.pipeline import _resolution_dedup
 from tests.dedup_reference import resolution_dedup_loop
@@ -126,7 +128,7 @@ class TestOracleMode:
     ], ids=["union_of_graphs", "outlier_stacks"])
     def test_report_bytes_match_the_default_mode(self, make_cloud, monkeypatch):
         # Under the oracle the theta0 table takes all pairs as candidates and
-        # every later table, the refinement loop's included, filters its pairs,
+        # every later table, each refinement pass's included, filters a parent's,
         # so no kd-tree search runs;
         # only the recorded switch may differ from the default run.
         cloud = make_cloud()
@@ -143,20 +145,40 @@ class TestOracleMode:
 
 
 def test_a_run_makes_one_candidate_search(monkeypatch):
-    # The theta0 table is the run's only kd-tree search: the refinement
-    # loop's one-sided tables, its passes' tables and the final two-sided
-    # check all filter its pairs.
-    searches = []
+    # The theta0 table is the run's only kd-tree search: the schedule's
+    # per-direction counts and its final two-sided check filter its pairs, and
+    # each pass filters the table that counted the report it refines.
+    searches, built = [], []
     search = shells._candidate_pairs
 
     def counted(*args):
         searches.append(args[1])
         return search(*args)
 
+    class Recorded(shells.ShellTable):
+        def __init__(self, cloud, subset, aperture, scale_range, direction=None,
+                     oracle=False, parent=None):
+            super().__init__(cloud, subset, aperture, scale_range, direction, oracle, parent)
+            built.append((self, parent))
+
     monkeypatch.setattr(shells, "_candidate_pairs", counted)
+    for module in (pipeline_module, audit, refine_module):
+        monkeypatch.setattr(module, "ShellTable", Recorded)
     report = run_pipeline(union_of_graphs(300, seed=2), PipelineConfig(seed=4))
     assert report.thresholds["m0"] == 1 and report.refinement["total_applications"] > 0
     assert searches == [report.thresholds["theta0"]]
+    root, schedule = built[0][0], report.schedule
+    parent_of = {id(table): parent for table, parent in built}
+    passes = [o for run in schedule.runs for o in run.outcomes]
+    assert built[0][1] is None and root.aperture == report.thresholds["theta0"]
+    assert len(built) == 1 + report.cover.m + len(passes) + 1
+    assert sum(parent is root for _, parent in built) == report.cover.m + 1
+    assert parent_of[id(schedule.final_certificate.table)] is root
+    for run in schedule.runs:
+        if run.outcomes:
+            assert parent_of[id(run.outcomes[0].entry.table)] is root
+    for outcome in passes:
+        assert parent_of[id(outcome.certificate.table)] is outcome.entry.table
 
 
 class TestResolutionDedup:
@@ -324,6 +346,16 @@ class TestConfigFile:
         assert cfg.refine_epsilon is None
         assert cfg.energy_bin == 0.1
         assert cfg.refine_scale_choice == "random"
+
+    def test_negative_m0_cap_rejected(self, tmp_path):
+        # m0_cap = -1 would drop every point at visit removal.
+        with pytest.raises(InputError, match="m0_cap"):
+            PipelineConfig(m0_cap=-1)
+        PipelineConfig(m0_cap=0)
+        path = tmp_path / "cfg.txt"
+        path.write_text("m0_cap = -1\n")
+        with pytest.raises(InputError, match="m0_cap"):
+            PipelineConfig.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -50,10 +50,11 @@ def flat_base_with_stack(n_base=400, spacing=0.005, stack=((0.0, 0.611),)):
     return WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=spacing)
 
 
-def entry_report(cloud, alpha=0.1, w=UP, subset=None):
-    """One-sided counts of the subset (default: the whole cloud): refine_once's input."""
+def entry_report(cloud, alpha=0.1, w=UP, subset=None, oracle=False):
+    """One-sided counts of the subset (default: the whole cloud): refine_once's input.
+    Under ``oracle`` its table, which the pass filters, takes every pair."""
     subset = cloud.all_indices() if subset is None else subset
-    return visitation_counts(cloud, subset, alpha, direction=w)
+    return visitation_counts(cloud, subset, alpha, direction=w, oracle=oracle)
 
 
 def verify_outcome_invariants(cloud, outcome):
@@ -213,10 +214,10 @@ class TestRefineOnce:
                 return np.zeros_like(got) if BlindOnce.calls == 1 else got
 
         cloud = flat_base_with_stack()
-        entry = entry_report(cloud)
+        entry = entry_report(cloud, oracle=oracle)
         monkeypatch.setattr(refine_module, "ShellTable", BlindOnce)
         with pytest.raises(AlgorithmInvariantViolation, match="output certificate"):
-            refine_once(cloud, entry, RefineConfig(oracle=oracle))
+            refine_once(cloud, entry)
 
 
 class TestOneNeighbourhoodQuery:
@@ -428,12 +429,11 @@ class TestRefineOnceOnASubset:
         subset = np.array([i for i in range(len(cloud)) if i % 3 != 1 or i >= 400])
         sub = cloud.subcloud(subset)
         sr = ScaleRange.default_for(cloud)
-        cfg = RefineConfig(epsilon=epsilon, scale_choice=scale_choice, seed=3,
-                           oracle=oracle)
-        out = refine_once(cloud, visitation_counts(cloud, subset, 0.1, sr, direction=UP),
-                          cfg)
+        cfg = RefineConfig(epsilon=epsilon, scale_choice=scale_choice, seed=3)
+        out = refine_once(cloud, visitation_counts(cloud, subset, 0.1, sr, direction=UP,
+                                                   oracle=oracle), cfg)
         ref = refine_once(sub, visitation_counts(sub, sub.all_indices(), 0.1, sr,
-                                                 direction=UP), cfg)
+                                                 direction=UP, oracle=oracle), cfg)
         assert out.iterations >= 1 and out.status == status
         assert np.array_equal(out.kept, subset[ref.kept])
         assert np.array_equal(out.remaining, subset[ref.remaining])
@@ -533,8 +533,9 @@ class TestRefineSchedule:
         # Given a root table, the schedule counts each direction once at
         # cover.alpha; every pass then builds only its alpha/2 table and hands
         # its certificate on as the next pass's entry report, with no recount
-        # of the entry set.  Every table, the final two-sided check included,
-        # filters the root's pairs: none runs a candidate search of its own.
+        # of the entry set.  The direction counts and the final two-sided check
+        # filter the root's pairs, and each pass the table of its entry report:
+        # none runs a candidate search of its own.
         built = []
 
         class Counted(ShellTable):
@@ -542,7 +543,7 @@ class TestRefineSchedule:
                          oracle=False, parent=None):
                 super().__init__(cloud, subset, aperture, scale_range, direction, oracle,
                                  parent)
-                built.append((direction is None, aperture, parent))
+                built.append((direction is None, aperture, parent, self))
 
         def no_search(*args):
             raise AssertionError("a table filtering the root searched for candidates")
@@ -566,9 +567,16 @@ class TestRefineSchedule:
                                  RefineConfig(epsilon=0.5), root)
         passes = sum(run.applications for run in result.runs)
         assert passes >= 1
-        assert [(two_sided, parent) for two_sided, _, parent in built] == (
-            [(False, root)] * (cover.m + passes) + [(True, root)])
+        assert len(built) == cover.m + passes + 1
+        assert [two_sided for two_sided, *_ in built] == [False] * (cover.m + passes) + [True]
         assert built[-1][1] == cover.alpha
+        parent_of = {id(table): parent for *_, parent, table in built}
+        assert sum(parent is root for *_, parent, _ in built) == cover.m + 1
+        for run in result.runs:
+            if run.outcomes:
+                assert parent_of[id(run.outcomes[0].entry.table)] is root
+            for outcome in run.outcomes:
+                assert parent_of[id(outcome.certificate.table)] is outcome.entry.table
         # The direction counts and the final check go through visitation_counts.
         assert counted == [False] * cover.m + [True]
         assert json.dumps(result.ledger()) == json.dumps(alone.ledger())
@@ -578,12 +586,15 @@ class TestRefineSchedule:
     def test_final_certificate_catches_a_planted_visit(self, oracle):
         # m0 = 0 refines along no direction, so the vertical pair 0.6 apart
         # (in the closed shell [0.5, 1] of a cone at cover.alpha) reaches the
-        # final two-sided certificate unchanged.
+        # final two-sided certificate unchanged.  Under ``oracle`` that check
+        # filters an all-pairs root.
         cloud = flat_base_with_stack(n_base=100, spacing=0.01, stack=((0.0, 0.6),))
         cover = self._cover(0.3, 0)
-        assert visitation_counts(cloud, cloud.all_indices(), cover.alpha).max_count > 0
+        root = visitation_counts(cloud, cloud.all_indices(), cover.alpha, oracle=oracle)
+        assert root.max_count > 0
         with pytest.raises(AlgorithmInvariantViolation, match="final two-sided"):
-            refine_schedule(cloud, cloud.all_indices(), cover, RefineConfig(oracle=oracle))
+            refine_schedule(cloud, cloud.all_indices(), cover,
+                            parent=root.table if oracle else None)
 
     def test_mass_floor_collapse(self):
         cloud = flat_base_with_stack(stack=((1.0, 1.77),))

@@ -262,7 +262,16 @@ def test_parent_tables_equal_the_standalone_ones(case):
     every_parent = ShellTable(cloud, outer_set, parent_aperture, sr, oracle=True)
     alone = ShellTable(cloud, inner_set, aperture, sr, direction)
     every = ShellTable(cloud, inner_set, aperture, sr, direction, oracle=True)
-    for parent in (kd_parent, every_parent):
+    parents = [kd_parent, every_parent]
+    if direction is not None:
+        # One-sided parents along the child's direction: at its aperture (one of
+        # them filtered from the two-sided parent, as a run's direction counts
+        # are), at twice it (a refinement pass's entry table) and wider still.
+        parents += [ShellTable(cloud, outer_set, aperture, sr, direction),
+                    ShellTable(cloud, outer_set, aperture, sr, direction, parent=kd_parent)]
+        parents += [ShellTable(cloud, outer_set, ap, sr, direction, oracle=True)
+                    for ap in (2.0 * aperture, parent_aperture)]
+    for parent in parents:
         child = ShellTable(cloud, inner_set, aperture, sr, direction, parent=parent)
         for other in (alone, every):
             for name in ("cols", "bits", "indptr"):
@@ -272,7 +281,8 @@ def test_parent_tables_equal_the_standalone_ones(case):
 
 
 @pytest.mark.parametrize("change", ["aperture", "scale_range", "subset", "subset_past_end",
-                                    "one_sided", "cloud", "two_sided_child"])
+                                    "one_sided", "one_sided_aperture",
+                                    "one_sided_of_two_sided", "cloud", "two_sided_child"])
 def test_a_parent_that_does_not_enclose_is_refused(change):
     cloud = WeightedCloud(np.array([[0.0, 0.0], [0.01, 0.5], [0.3, 1.0]]), np.ones(3),
                           n=1, delta_res=0.01)
@@ -282,6 +292,9 @@ def test_a_parent_that_does_not_enclose_is_refused(change):
     child = dict(subset=[0, 1], aperture=0.1, direction=w)
     parent = dict(cloud=cloud, subset=[0, 1, 2], aperture=reach, scale_range=sr)
     ShellTable(cloud, child["subset"], 0.1, sr, w, parent=ShellTable(**parent))
+    # A one-sided parent along the same direction, at the child's aperture.
+    one_sided = dict(parent, aperture=0.1, direction=w)
+    ShellTable(cloud, child["subset"], 0.1, sr, w, parent=ShellTable(**one_sided))
     if change == "aperture":
         parent["aperture"] = reach * (1.0 - 1e-12)
     elif change == "scale_range":
@@ -290,8 +303,14 @@ def test_a_parent_that_does_not_enclose_is_refused(change):
         parent["subset"] = [0, 2]
     elif change == "subset_past_end":  # the child's 1 lies past the parent's last index
         parent["subset"] = [0]
-    elif change == "one_sided":
-        parent["direction"] = w
+    elif change == "one_sided":  # along another direction: w moved by one ulp
+        parent = dict(one_sided, direction=_unit(np.array([0.05 * (1.0 + 1e-15), 1.0])))
+        assert not np.array_equal(parent["direction"], w)
+    elif change == "one_sided_aperture":
+        parent = dict(one_sided, aperture=0.1 * (1.0 - 1e-12))
+    elif change == "one_sided_of_two_sided":
+        parent = one_sided
+        child.update(direction=None, aperture=0.05)
     elif change == "cloud":
         parent["cloud"] = WeightedCloud(cloud.coords, cloud.weights, n=1, delta_res=0.01)
     else:
