@@ -49,12 +49,12 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
     fl(theta^2) |difference|^2, ``in_cone`` on the squares the slope is taken
     from.  Block rows meet only the columns from the block's start on, so each
     unordered pair is tested once (the test is symmetric); NotAGraphError names
-    the first steep pair in row order.  Where theta^2 or a pair's squares leave
-    the float range, a block may hold no steep pair yet a slope past the
-    aperture bound; its first pair of largest slope is named then.
+    the first steep pair in row order.  theta^2 must be a normal float.  Where
+    a pair's squares leave the float range, a block may hold no steep pair yet a
+    slope past the aperture bound; its first pair of largest slope is named then.
     """
-    if not 0.0 < theta < 1.0:
-        raise InputError("theta must lie in (0, 1)")
+    if not (0.0 < theta < 1.0 and theta * theta >= np.finfo(float).tiny):
+        raise InputError(f"theta = {theta} must lie in (0, 1) and have a normal float square")
     n = cloud.n
     if n == cloud.d:
         raise InputError(f"a graph needs n < d, got n = {n}, d = {cloud.d}")

@@ -9,10 +9,12 @@ direction of a cone cover, down to zero visits per direction, and certifies
 the resulting two-sided property with a final visit count.  Every visit
 count here reads a shell table (``shells.ShellTable``).  A pass's alpha/2
 table filters the alpha table that counted its entry report; the schedule's
-direction counts and final certificate filter its ``parent`` (in a pipeline
-run, the theta0 table) or search their own cones.
-A pass lives inside the set F it refines: it runs on F's subcloud, in its
-positions, the rows of its table over F; cloud indices appear only in its
+direction counts and final certificate filter one two-sided root table (in
+a pipeline run, the theta0 table); one incidence pass over its entries names
+the directions that get a table.  By design a run fits its badness density
+epsilon once, to e2, not to each shrinking set; a standalone pass fits its
+own.  A pass lives inside the set F it refines: it runs on F's subcloud, in
+its positions, the rows of its table over F; cloud indices appear only in its
 outcome and ledger.
 
 The bad-point test reads one dense ball-mass table per pass (``_DenseRows``):
@@ -32,7 +34,7 @@ that survives radius shrinking is a bug trap, not a recoverable condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .errors import (
     ResolutionExhaustedError,
 )
 from .measure import ball_masses, prune_low_density
-from .shells import ShellTable, block_rows, cone_shells, pair_differences
+from .shells import ShellTable, block_rows, cone_shells, pair_differences, visited_directions
 
 _ALPHA_MAX = 0.1
 _MAX_C_RETRIES = 40  # saved-ball shrink steps tried per visited scale
@@ -58,7 +60,7 @@ class RefineConfig:
     """Tunables of the deletion loop; defaults follow the desk-scale setup."""
 
     c_factor: float = 1.0 / 64.0       # saved-ball radius = c_factor * alpha * scale
-    epsilon: float | None = None       # badness density threshold; None = data-driven
+    epsilon: float | None = None       # badness density; None: fit per run or lone pass
     scale_choice: str = "largest"      # largest | smallest | random
     seed: int = 0
     min_mass_fraction: float = 0.0
@@ -94,9 +96,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RefinementOutcome:
-    """One refine_once pass: the report it refined and one record per iteration."""
+    """One refine_once pass: the (w, alpha, M) it refined and one record per iteration."""
 
-    entry: VisitationReport         # counts of the input set at alpha; M = max
+    direction: np.ndarray
+    alpha: float
+    max_count: int                  # M: the largest count of the input set at alpha
     epsilon: float
     kept: np.ndarray
     remaining: np.ndarray           # alive when the loop stopped
@@ -104,7 +108,7 @@ class RefinementOutcome:
     saved: tuple                    # cloud-index arrays, one per iteration
     deleted: tuple
     records: tuple
-    certificate: VisitationReport   # counts of kept at alpha / 2
+    certificate: VisitationReport | None  # kept at alpha / 2; None in a schedule's outcomes
     mass_retained: float
     saved_ratio: float              # measured min mass(S)/max(mass(D), delta^n)
 
@@ -115,9 +119,9 @@ class RefinementOutcome:
     def ledger(self) -> dict:
         return {
             "schema": SCHEMA,
-            "direction": self.entry.table.direction.tolist(),
-            "alpha": self.entry.table.aperture,
-            "M": self.entry.max_count,
+            "direction": self.direction.tolist(),
+            "alpha": self.alpha,
+            "M": self.max_count,
             "epsilon": self.epsilon,
             "status": self.status,
             "iterations": [r.as_dict() for r in self.records],
@@ -402,10 +406,10 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             f"output certificate failed: {certificate.max_count} visited scales "
             f"remain at aperture {alpha / 2.0}")
     return RefinementOutcome(
-        entry=entry, epsilon=epsilon, kept=kept, remaining=subset[alive],
-        status=status, saved=tuple(saved_sets), deleted=tuple(deleted_sets),
-        records=tuple(records), certificate=certificate, mass_retained=cloud.mass(kept),
-        saved_ratio=0.0 if saved_ratio is math.inf else saved_ratio)
+        direction=w, alpha=alpha, max_count=big_m, epsilon=epsilon, kept=kept,
+        remaining=subset[alive], status=status, saved=tuple(saved_sets),
+        deleted=tuple(deleted_sets), records=tuple(records), certificate=certificate,
+        mass_retained=cloud.mass(kept), saved_ratio=0.0 if saved_ratio is math.inf else saved_ratio)
 
 
 @dataclass(frozen=True)
@@ -452,37 +456,43 @@ def refine_schedule(cloud: WeightedCloud, e2, cover: DirectionCover,
     where m0 is the largest two-sided visit count of e2 at theta: each
     direction then needs at most m0 passes (the aperture halves per pass),
     and the surviving set's two-sided visits at aperture theta / b_used
-    vanish, which a final two-sided count verifies; it and the direction counts
-    filter ``parent`` if given.  With m0 = 0 (``cover.s == 1``) no direction is refined.
+    vanish, which a final two-sided count verifies.  It and the counts of the
+    directions that ``visited_directions`` names filter ``parent``, by default
+    a two-sided table of e2 at theta.  With ``cfg.epsilon`` None every pass
+    takes ``_auto_epsilon`` of e2.  With m0 = 0 (``cover.s == 1``) no
+    direction is refined.
     """
     cfg = cfg or RefineConfig()
-    e2 = np.sort(np.asarray(e2, dtype=np.intp))
+    e2 = cloud.subset_indices(e2)
     scale_range = ScaleRange.default_for(cloud)
     floor_mass = cfg.min_mass_fraction * cloud.mass(e2)
+    if parent is None:
+        parent = ShellTable(cloud, e2, cover.alpha * cover.b_used, scale_range)
 
-    current = e2
-    runs = []
+    current, runs = e2, []
     directions = cover.directions if cover.s < 1.0 else []  # m0 = 0: nothing to refine
+    visited = visited_directions(parent, e2, directions, cover.alpha) if len(directions) else []
     for row, w in enumerate(directions):
-        report = visitation_counts(cloud, current, cover.alpha, scale_range,
-                                   direction=w, parent=parent)
-        initial = report.max_count
-        outcomes = []
-        while report.max_count:
+        report = visitation_counts(cloud, current, cover.alpha, scale_range, direction=w,
+                                   parent=parent) if visited[row] else None
+        initial, outcomes = 0 if report is None else report.max_count, []
+        while initial and report.max_count:
             if len(outcomes) > initial + 2:
                 raise AlgorithmInvariantViolation(
                     "per-direction refinement failed to drain the visit counts")
+            if cfg.epsilon is None:
+                cfg = replace(cfg, epsilon=_auto_epsilon(cloud.subcloud(e2), scale_range))
             outcome = refine_once(cloud, report, cfg)
-            outcomes.append(outcome)
             current, report = outcome.kept, outcome.certificate  # kept at half the aperture
+            outcomes.append(replace(outcome, certificate=None))
             if cloud.mass(current) < floor_mass:
                 raise RefinementCollapsedError(
                     f"mass fell below the configured floor while refining "
                     f"direction {row}", ledger=[o.ledger() for o in outcomes])
+        aperture = cover.alpha if report is None else report.table.aperture
         runs.append(DirectionRun(
-            direction=w, initial_count=initial, applications=len(outcomes),
-            final_aperture=report.table.aperture,
-            reached_target_aperture=bool(report.table.aperture >= cover.alpha * cover.s - 1e-15),
+            direction=w, initial_count=initial, applications=len(outcomes), final_aperture=aperture,
+            reached_target_aperture=bool(aperture >= cover.alpha * cover.s - 1e-15),
             outcomes=outcomes))
 
     certificate = visitation_counts(cloud, current, cover.alpha, scale_range,

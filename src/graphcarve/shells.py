@@ -9,10 +9,11 @@ entries of a parent table whose cone holds its own, or a ``cKDTree`` range
 search (Bentley, CACM 18(9), 1975) of the table's own cone, or under
 ``oracle`` every pair, the brute-force reference, and keeps the survivors
 as CSR rows with a shell bitmask per pair.  A pipeline run searches once,
-for its theta0 table (every pair under ``--oracle``), and every later table
-filters a parent.  One table answers the visit counts of any alive subset
-of its rows as a ``VisitationReport``, and the visited scales and lowest
-witnesses of one row at a time, which is what refinement reads.
+for its theta0 table (every pair under ``--oracle``); every later table
+filters a parent, and ``visited_directions`` skips the cover directions
+that its entries never reach.  A table answers the visit counts of any alive
+subset of its rows (a ``VisitationReport``), and one row's visited scales
+and lowest witnesses, which is what refinement reads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import _EPS, ScaleRange, WeightedCloud, row_dots
+from .cloud import _EPS, ScaleRange, WeightedCloud, _reach, row_dots
 from .errors import InputError
 
 _CHUNK = 1 << 15  # the pair budget of every dense pairwise pass, per block
@@ -143,6 +144,14 @@ def _all_pairs(size: int):
         yield rows, rows + 1 + flat - starts[rows]
 
 
+def _reach_of(direction, aperture: float, n: int) -> float:
+    """``ShellTable.reach`` along ``direction`` or its widest row: the one-sided test passes
+    pairs whose exact part orthogonal to w is up to sqrt(a^2 + 64 eps) |delta|, so a horizontal
+    part up to |pi_H w| |delta| longer (``_candidate_pairs``); 1 + 1e-9 covers the rounding."""
+    return aperture if direction is None else (1.0 + 1e-9) * float(np.sqrt(
+        aperture * aperture + 64.0 * _EPS) + np.linalg.norm(direction[..., :n], axis=-1).max())
+
+
 class ShellTable:
     """Closed cone-shell visits of a subset as CSR rows with shell bitmasks.
 
@@ -167,11 +176,7 @@ class ShellTable:
             raise InputError(f"{len(self.js)} scales exceed the 64-bit shell mask")
         outer = 2.0 ** (-self.js.astype(float))
         points = cloud.coords[self.subset]
-        # ``reach`` only checks a parent: the one-sided test passes pairs whose exact part
-        # orthogonal to w is up to sqrt(a^2 + 64 eps) |delta| (``_candidate_pairs``), so a
-        # horizontal part up to |pi_H w| |delta| longer; 1 + 1e-9 covers the rounding.
-        self.reach = aperture if direction is None else (1.0 + 1e-9) * float(
-            np.linalg.norm(direction[:cloud.n]) + np.sqrt(aperture * aperture + 64.0 * _EPS))
+        self.reach = _reach_of(direction, aperture, cloud.n)
         if parent is not None:
             pairs = self._inherited(parent)
         elif oracle or len(points) < 2:
@@ -254,3 +259,27 @@ class ShellTable:
                  else np.array(alive, dtype=bool))
         return VisitationReport(subset=self.subset[alive], counts=self.counts(alive)[alive],
                                 table=self)
+
+
+def visited_directions(table: ShellTable, subset, directions: np.ndarray,
+                       aperture: float) -> np.ndarray:
+    """Mask of the unit ``directions`` whose one-sided ``aperture`` tables over
+    ``subset`` (distinct indices in ``table``) may hold a visit; the others hold
+    none there or on any subset.  ``table``, two-sided at an aperture of at least
+    their ``reach``, holds every entry (row, column) they keep.  Along u the test
+    keeps one only at an angle of at most asin(A) to u (exact orthogonal part
+    at most A |delta|, rounded part along u not negative), so a kd-tree over the
+    entries' unit vectors finds one within the chord 2 sin(asin(A) / 2) of u,
+    written without cancellation and padded by ``cloud._reach``."""
+    reach = _reach_of(directions, aperture, table.cloud.n)
+    if table.direction is not None or table.aperture < reach:
+        raise InputError(f"the table must be two-sided at an aperture >= {reach}")
+    inside = np.isin(table.subset, subset)
+    both = np.repeat(inside, np.diff(table.indptr)) & inside[table.cols]
+    points = table.cloud.coords[table.subset]
+    delta = points[table.cols[both]] - np.repeat(points, np.diff(table.indptr), axis=0)[both]
+    unit = delta / np.sqrt(row_dots(delta))[:, None]
+    spread = aperture * aperture + 64.0 * _EPS  # A^2
+    chord = np.sqrt(2.0 * spread / (1.0 + np.sqrt(max(1.0 - spread, 0.0))))
+    return cKDTree(unit).query_ball_point(directions, _reach(float(chord), 1.0),
+                                          return_length=True) > 0

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from graphcarve import InputError, Subspace
+from tests.lane_sums import lane_dots
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def cone_mask(cone: ConeSpec, points: np.ndarray) -> np.ndarray:
     if pts.shape[1] != cone.vertex.shape[0]:
         raise InputError("query point dimension does not match cone vertex")
     delta = pts - cone.vertex
-    dist_sq = np.einsum("ij,ij->i", delta, delta)
+    dist_sq = lane_dots(delta)
     if cone.one_sided:
         along = delta @ cone.axis
         perp_sq = np.maximum(dist_sq - along * along, 0.0)
@@ -85,7 +86,7 @@ def cone_mask(cone: ConeSpec, points: np.ndarray) -> np.ndarray:
             ok = (perp_sq <= cone.aperture**2 * dist_sq) & (along >= 0.0)
     else:
         inside = delta @ cone.axis.frame
-        axial_sq = np.einsum("ij,ij->i", inside, inside)
+        axial_sq = lane_dots(inside)
         perp_sq = np.maximum(dist_sq - axial_sq, 0.0)
         if cone.interior:
             ok = perp_sq < cone.aperture**2 * dist_sq

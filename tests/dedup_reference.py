@@ -7,6 +7,8 @@ of every pair steeper than theta (ties drop the neighbour).
 
 import numpy as np
 
+from tests.lane_sums import lane_dots
+
 
 def resolution_dedup_loop(cloud, subset, theta, scale_range):
     floor_radius = 2.0 ** (-scale_range.j_max - 1)
@@ -21,9 +23,9 @@ def resolution_dedup_loop(cloud, subset, theta, scale_range):
         if not len(nbrs):
             continue
         delta = cloud.coords[nbrs] - cloud.coords[i]
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        dist_sq = lane_dots(delta)
         horiz = delta[:, :cloud.n]
-        horiz_sq = np.einsum("ij,ij->i", horiz, horiz)
+        horiz_sq = lane_dots(horiz)
         for j in nbrs[horiz_sq < theta * theta * dist_sq]:
             if not (alive[i] and alive[j]):
                 continue

@@ -3,13 +3,15 @@
 
 import numpy as np
 
+from tests.lane_sums import lane_dots
+
 
 def min_pair_distance(coords):
     best = np.inf
     for start in range(0, len(coords), 512):
         block = coords[start:start + 512]
         diff = block[:, None, :] - coords[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        dist_sq = lane_dots(diff)
         rows = np.arange(len(block))
         dist_sq[rows, start + rows] = np.inf
         best = min(best, float(dist_sq.min()))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from graphcarve import NotAGraphError
+from tests.lane_sums import lane_dots
 
 _CHUNK = 256
 
@@ -25,9 +26,9 @@ def certify_graph_loop(cloud, subset=None, theta=0.1):
     for start in range(0, len(pts), _CHUNK):
         block = pts[start:start + _CHUNK]
         diff = block[:, None, :] - pts[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        dist_sq = lane_dots(diff)
         horiz = diff[:, :, :n]
-        horiz_sq = np.einsum("ijk,ijk->ij", horiz, horiz)
+        horiz_sq = lane_dots(horiz)
         bad = horiz_sq < theta * theta * dist_sq
         if bad.any():
             a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -55,7 +56,7 @@ def extend_mcshane_loop(model, queries):
     for start in range(0, len(q), _CHUNK):
         block = q[start:start + _CHUNK]
         diff = block[:, None, :] - base[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = np.sqrt(lane_dots(diff))
         upper = (vals[None, :, :] + lip * dist[:, :, None]).min(axis=1)
         lower = (vals[None, :, :] - lip * dist[:, :, None]).max(axis=1)
         out[start:start + len(block)] = 0.5 * (upper + lower)

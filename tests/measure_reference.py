@@ -6,6 +6,8 @@ subtraction and each radius's indicator with ``astype(float)``.
 
 import numpy as np
 
+from tests.lane_sums import lane_dots
+
 _CHUNK = 256
 
 
@@ -21,7 +23,7 @@ def ball_masses_loop(cloud, radii, points=None, carrier=None):
     for start in range(0, len(pts), _CHUNK):
         block = pts[start:start + _CHUNK]
         diff = cloud.coords[block][:, None, :] - car_coords[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        dist_sq = lane_dots(diff)
         for col, r in enumerate(radii):
             inside = (dist_sq <= r * r).astype(float)
             out[start:start + len(block), col] = np.einsum("ij,j->i", inside, car_w)

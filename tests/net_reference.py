@@ -7,6 +7,8 @@ centre and filters out every remaining point within ``spacing`` of it
 
 import numpy as np
 
+from tests.lane_sums import lane_dots
+
 
 def greedy_net_loop(points, spacing):
     chosen = []
@@ -16,5 +18,5 @@ def greedy_net_loop(points, spacing):
         center = remaining[0].copy()
         chosen.append(center)
         diff = remaining - center
-        remaining = remaining[np.einsum("ij,ij->i", diff, diff) > sq]
+        remaining = remaining[lane_dots(diff) > sq]
     return np.asarray(chosen)

@@ -314,9 +314,9 @@ def test_criterion_9_refinement_end_to_end(tmp_path):
     for run in first.schedule.runs:
         for outcome in run.outcomes:
             recheck = visitation_counts(e_cloud, outcome.kept,
-                                        outcome.entry.table.aperture / 2.0,
+                                        outcome.alpha / 2.0,
                                         direction=run.direction, oracle=True)
-            assert recheck.max_count <= outcome.entry.max_count - 1
+            assert recheck.max_count <= outcome.max_count - 1
     assert len(e3) and first.graph["lipschitz"] <= first.graph["lipschitz_bound"]
     first.save(tmp_path / "a")
     second.save(tmp_path / "b")

@@ -357,6 +357,15 @@ class TestExtractCommand:
         assert "n = 2, d = 2" in capsys.readouterr().err
         assert not (tmp_path / "graph.csv").exists()
 
+    def test_aperture_with_a_subnormal_square_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        save_cloud_json(WeightedCloud(np.array([[0.0, 0.0], [1e-150, 1e5]]), np.ones(2),
+                                      n=1, delta_res=1e-151), path)
+        assert run(["extract", "--input", path, "--theta", "1e-160",
+                    "--output-dir", tmp_path]) == 2
+        assert "normal float square" in capsys.readouterr().err
+        assert not (tmp_path / "graph.csv").exists()
+
     def test_negative_grid_points_exits_2(self, cloud_file, tmp_path, capsys):
         assert run(["extract", "--input", cloud_file, "--theta", "0.5",
                     "--grid-points", "-1", "--output-dir", tmp_path]) == 2

@@ -9,6 +9,7 @@ from graphcarve.cloud import row_dots
 from graphcarve.cloud_io import estimate_delta_res
 from tests.conftest import line_cloud
 from tests.delta_res_reference import min_pair_distance
+from tests.lane_sums import lane_dots
 
 
 def brute_ball(coords, center, radius, strict=False):
@@ -136,7 +137,7 @@ class TestGridIndex:
             cloud = WeightedCloud(coords, np.ones(60), n=1, delta_res=1e-6)
             center = coords[0] + rng.uniform(-1e-4, 1e-4, d)
             delta = coords - center
-            dist_sq = np.einsum("ij,ij->i", delta, delta)
+            dist_sq = lane_dots(delta)
             for radius in np.sqrt(dist_sq):
                 r_sq = radius * radius
                 assert np.array_equal(cloud.grid.ball(center, radius),
@@ -177,7 +178,7 @@ class TestGridIndex:
         cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6)
         center = coords[int(rng.integers(len(coords)))]
         delta = coords - center
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        dist_sq = lane_dots(delta)
         far = np.maximum(center - coords.min(axis=0), coords.max(axis=0) - center)
         for radius in [*np.sqrt(rng.choice(dist_sq, 3)), float(np.sqrt(far @ far)),
                        float(np.sqrt(dist_sq.max())), 3.0 * d]:
@@ -196,7 +197,7 @@ class TestGridIndex:
         cloud = WeightedCloud(coords, np.ones(n_pts), n=1, delta_res=1e-6)
         first, second = np.triu_indices(n_pts, 1)
         delta = coords[second] - coords[first]
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
+        dist_sq = lane_dots(delta)
         # A pair's own distance puts it on the boundary of the strict test.
         for radius in [float(rng.uniform(0, 1.5)), *np.sqrt(rng.choice(dist_sq, 3))]:
             close = dist_sq < radius * radius
@@ -288,10 +289,11 @@ class TestRowDots:
            layout=st.sampled_from(["contiguous", "columns", "planes"]),
            other=st.sampled_from(["none", "array", "vector"]),
            decades=st.sampled_from([1.0, 300.0]), data=st.data())
-    def test_equals_einsum_bit_for_bit(self, d, grid, layout, other, decades, data):
+    def test_equals_the_lane_sums_bit_for_bit(self, d, grid, layout, other, decades, data):
         # (K, d) rows and (R, C, d) grids, laid out contiguously, as a column
         # slice of a wider array, or as coordinate planes (pair_differences'
-        # layout); squares, dots of two arrays and dots with one vector.
+        # layout); squares, dots of two arrays and dots with one vector, against
+        # the oracles' column sums in the lane order.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         lead = ((data.draw(st.integers(0, 6), label="R"), data.draw(st.integers(0, 9), label="C"))
                 if grid else (data.draw(st.integers(0, 40), label="K"),))
@@ -307,16 +309,10 @@ class TestRowDots:
 
         a = laid_out()
         b = {"none": None, "array": laid_out(), "vector": _coordinates(rng, (d,), decades)}[other]
-        rows = "ijk"[:len(lead)] + "z"
-        subscripts = f"{rows},{rows if other != 'vector' else 'z'}->{rows[:-1]}"
         with np.errstate(all="ignore"):
             got = row_dots(a, b)
-            want = np.einsum(subscripts, np.ascontiguousarray(a),
-                             np.ascontiguousarray(a if b is None else b))
+            want = lane_dots(a, b)
         assert _same_bits(got, want)
-        if layout == "columns":
-            with np.errstate(all="ignore"):
-                assert _same_bits(got, np.einsum(subscripts, a, a if b is None else b))
 
     def test_lane_order_and_signed_zeros(self):
         # Products for which the lane order and the plain left-to-right sum

@@ -37,6 +37,7 @@ from graphcarve.cloud import row_dots
 from graphcarve.grassmannian import alpha0_max, child_seed
 from tests.cones import ConeSpec, cone_mask
 from tests.cover_reference import covered_chunked
+from tests.lane_sums import lane_dots
 from tests.net_reference import greedy_net_loop
 from tests.sampler_reference import region_samples_reference
 
@@ -482,9 +483,9 @@ class TestGreedyNet:
             before = greedy_net_loop(pts[:start], spacing)
             block = pts[start:start + PIECE]
             diff = block[:, None, :] - before[None, :, :]
-            rest = block[(np.einsum("ijk,ijk->ij", diff, diff) > sq).all(axis=1)]
+            rest = block[(lane_dots(diff) > sq).all(axis=1)]
             diff = rest[:, None, :] - rest[None, :, :]
-            near = np.einsum("ijk,ijk->ij", diff, diff) <= sq
+            near = lane_dots(diff) <= sq
             assert np.triu(near, 1).any()
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
@@ -503,7 +504,7 @@ class TestGreedyNet:
             qs = cs + rng.uniform(-1e-3, 1e-3, d)
             pts = np.vstack([np.resize(cs, (PIECE, d)), qs])
             diff = qs - cs
-            spacing = float(np.sqrt(rng.choice(np.einsum("ij,ij->i", diff, diff))))
+            spacing = float(np.sqrt(rng.choice(lane_dots(diff))))
             assert (_greedy_net(pieces(pts), spacing).tobytes()
                     == greedy_net_loop(pts, spacing).tobytes())
 
@@ -555,19 +556,19 @@ def rim_samples(rng, d, aperture, count=600):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     owner = dirs[rng.integers(0, 8, count)]
     g = rng.standard_normal((count, d))
-    g -= np.einsum("ij,ij->i", g, owner)[:, None] * owner
+    g -= lane_dots(g, owner)[:, None] * owner
     g /= np.linalg.norm(g, axis=1)[:, None]
     angle = aperture * (1.0 + rng.choice([1e-6, 1e-2, 0.5], count)
                         * rng.uniform(-1.0, 1.0, count))
     check = np.cos(angle)[:, None] * owner + np.sin(angle)[:, None] * g
-    cos_small = float(np.einsum("ij,ij->i", check[:1], owner[:1])[0])
+    cos_small = float(lane_dots(check[:1], owner[:1])[0])
     return check, dirs, cos_small
 
 
 def covered_all_pairs(check, dirs, cos_small):
-    """The einsum dot of ``_covered`` on every (sample, direction) pair."""
+    """The dot of ``_covered`` on every (sample, direction) pair."""
     i, j = np.divmod(np.arange(len(check) * len(dirs)), len(dirs))
-    dots = np.einsum("ij,ij->i", check[i], dirs[j]).reshape(len(check), len(dirs))
+    dots = lane_dots(check[i], dirs[j]).reshape(len(check), len(dirs))
     return (dots >= cos_small).any(axis=1)
 
 
@@ -683,7 +684,7 @@ def passes_the_net_test(points, centres, spacing):
     hit = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), 2048):
         diff = points[start:start + 2048, None, :] - centres[None, :, :]
-        hit[start:start + 2048] = (np.einsum("ijk,ijk->ij", diff, diff) <= sq).any(axis=1)
+        hit[start:start + 2048] = (lane_dots(diff) <= sq).any(axis=1)
     return hit
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcarve import (
+    InputError,
     NotAGraphError,
     WeightedCloud,
     certify_graph,
@@ -23,6 +24,7 @@ from graphcarve import (
 )
 from graphcarve.measure import ball_masses
 from tests.extract_reference import certify_graph_loop, extend_mcshane_loop
+from tests.lane_sums import lane_dots
 from tests.measure_reference import ball_masses_loop
 
 
@@ -171,7 +173,7 @@ def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
     up /= np.linalg.norm(up, axis=1)[:, None]
     scale = 1.0 + rng.uniform(-1e-12, 1e-12, size) * 10.0 ** -rng.integers(0, 5, size)
     delta = np.column_stack([along, up * (np.sqrt(bound * scale) * np.abs(along))[:, None]])
-    horiz_sq, dist_sq = delta[:, 0] * delta[:, 0], np.einsum("ij,ij->i", delta, delta)
+    horiz_sq, dist_sq = delta[:, 0] * delta[:, 0], lane_dots(delta)
     steep = shells.in_cone(horiz_sq, dist_sq, theta, strict=True)
     ratio = np.maximum(dist_sq - horiz_sq, 0.0) / horiz_sq
     hard = np.flatnonzero(steep & (ratio < bound))
@@ -185,17 +187,21 @@ def test_pairs_at_the_cone_boundary_reach_the_cone_test(theta):
 @pytest.mark.parametrize("theta", [1e-170, 1e-6, 0.1, 0.3, 0.5, 1.0 - 1e-7])
 def test_vertical_and_duplicate_pairs_reach_the_cone_test(theta):
     # A pair with horizontal difference exactly 0 has no slope ratio; it is
-    # steep whenever fl(theta^2 |delta|^2) > 0.  At theta = 1e-170 that square
-    # underflows to 0: nothing is steep, not even a pair of slope 1e100, which
-    # stays under the aperture bound 1e170.
+    # steep whenever fl(theta^2 |delta|^2) > 0.  At theta = 1e-170 theta^2
+    # underflows to 0, which would pass the vertical pair, so the certificate
+    # refuses that aperture.
     gentle = np.array([[0.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [2.0, 0.0, 0.0], [3.0, 1e-9, 0.0],
                        [4.0, 2e-150, 1e-150], [5.0, 1e-4, 1e-4]])
     duplicates = np.concatenate([gentle, gentle[[1, 3]]])
-    for extra, steep in (((), False), (([2.0, 0.0, 1e-3],), theta > 1e-170),
-                         (([1e-100, 1.0, 0.0],), theta > 1e-170)):
+    for extra, steep in (((), False), (([2.0, 0.0, 1e-3],), True),
+                         (([1e-100, 1.0, 0.0],), True)):
         coords = np.concatenate([duplicates, np.reshape(extra, (-1, 3))])
         cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6,
                               check_separation=False)
+        if theta == 1e-170:
+            with pytest.raises(InputError, match="normal float square"):
+                certify_graph(cloud, theta=theta)
+            continue
         assert isinstance(_same_as_loop(cloud, theta), tuple) == steep
 
 
@@ -216,15 +222,17 @@ def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, 
     # a pair whose full square overflows and whose horizontal one does not
     # is steep, whether it is vertical or not.  The slope bits, or the
     # witness and message, equal the loop's under every block size.  At
-    # theta = 1e-170, theta^2 underflows to 0 and no pair is steep; where the
-    # loop's slope is then inf, it passes the aperture bound, and the
-    # certificate names the first pair of that slope, (0, 41), a pair whose
-    # full square overflows.
+    # theta = 1e-170, whose square underflows to 0, the certificate refuses the
+    # aperture.
     t = np.linspace(0.5, 10.0, 40)
     coords = np.concatenate([np.column_stack([t, 0.05 * np.sin(t)]), [[1e200, 0.0]],
                              np.reshape(extra, (-1, 2))])
     cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=1e-6,
                           check_separation=False)
+    if theta == 1e-170:
+        with pytest.raises(InputError, match="normal float square"):
+            certify_graph(cloud, theta=theta)
+        return
     outcomes = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for budget in (1, 7, shells._CHUNK):
@@ -233,12 +241,8 @@ def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, 
         loop = _certified(certify_graph_loop, cloud, None, theta)
     assert len(outcomes) == 1
     got = outcomes.pop()
-    if loop == np.float64(np.inf).tobytes():
-        assert theta == 1e-170
-        assert got == ((0, 41), "pair (0, 41) has horizontal share 0.0000 < theta = 1e-170")
-        return
     assert got == loop
-    assert isinstance(got, tuple) == (steep and theta > 1e-170)
+    assert isinstance(got, tuple) == steep
     if not steep:
         slope = np.abs(np.diff(coords[:40, 1]) / np.diff(t)).max()
         assert np.frombuffer(got)[0] == pytest.approx(slope, rel=0.1)
@@ -247,13 +251,16 @@ def test_pairs_whose_squares_overflow_match_the_loop(monkeypatch, theta, extra, 
 @pytest.mark.parametrize("theta", [1e-155, 1e-160, 1e-170])
 @pytest.mark.parametrize("far", [[1e-150, 1e5], [1e-160, 1e-5]])
 def test_slopes_past_the_aperture_bound_are_not_a_graph(theta, far):
-    # Below theta ~ 1e-154 the cone test on the squares can pass a pair whose
-    # slope ratio overflows, as theta^2 leaves the normal range: here the
-    # horizontal square is 1e-300 or 1e-320.  Its slope inf passes the
-    # aperture bound, so the certificate names the pair rather than return
-    # L = inf (the overflow test above has the case of an infinite square).
+    # The slope is 1e155, with a horizontal square of 1e-300 or 1e-320.  Below
+    # theta ~ 1e-154, theta^2 leaves the normal range and the slope's square
+    # overflows: the certificate named the pair even where the slope lay under
+    # the aperture bound 1 / theta, as at theta = 1e-160.  It refuses such an
+    # aperture; at the least one whose square is normal, the slope is past the
+    # bound, and the certificate names the pair.
     cloud = WeightedCloud(np.array([[0.0, 0.0], far]), np.ones(2), n=1, delta_res=1e-6,
                           check_separation=False)
-    with np.errstate(over="ignore"), pytest.raises(NotAGraphError) as caught:
+    with pytest.raises(InputError, match="normal float square"):
         certify_graph(cloud, theta=theta)
+    with np.errstate(over="ignore"), pytest.raises(NotAGraphError) as caught:
+        certify_graph(cloud, theta=2e-154)
     assert caught.value.witness == (0, 1)

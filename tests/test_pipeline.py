@@ -167,18 +167,17 @@ def test_a_run_makes_one_candidate_search(monkeypatch):
     report = run_pipeline(union_of_graphs(300, seed=2), PipelineConfig(seed=4))
     assert report.thresholds["m0"] == 1 and report.refinement["total_applications"] > 0
     assert searches == [report.thresholds["theta0"]]
-    root, schedule = built[0][0], report.schedule
+    root, schedule, cover = built[0][0], report.schedule, report.cover
     parent_of = {id(table): parent for table, parent in built}
     passes = [o for run in schedule.runs for o in run.outcomes]
+    visited = shells.visited_directions(root, report.e2_indices, cover.directions, cover.alpha)
     assert built[0][1] is None and root.aperture == report.thresholds["theta0"]
-    assert len(built) == 1 + report.cover.m + len(passes) + 1
-    assert sum(parent is root for _, parent in built) == report.cover.m + 1
+    assert len(built) == 1 + np.count_nonzero(visited) + len(passes) + 1
+    assert sum(parent is root for _, parent in built) == np.count_nonzero(visited) + 1
     assert parent_of[id(schedule.final_certificate.table)] is root
-    for run in schedule.runs:
-        if run.outcomes:
-            assert parent_of[id(run.outcomes[0].entry.table)] is root
-    for outcome in passes:
-        assert parent_of[id(outcome.certificate.table)] is outcome.entry.table
+    # A direction's table filters the root, each pass the table built just before it.
+    for (table, parent), (before, _) in zip(built[1:], built):
+        assert parent is root or parent is before
 
 
 class TestResolutionDedup:

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from graphcarve.refine import (
 )
 from graphcarve.shells import ShellTable
 from tests.bad_points_reference import dense_bad
+from tests.schedule_reference import schedule_ledger_loop
 from tests.shadow_reference import balls_loop, open_shadow_loop
 from tests.visit_rows import assert_rows_match_oracle
 
@@ -101,7 +104,7 @@ class TestRefineOnce:
         # the output drops the shadow, keeping >= 75% with zero visits left.
         cloud = flat_base_with_stack()
         out = refine_once(cloud, entry_report(cloud))
-        assert out.entry.max_count == 1
+        assert out.max_count == 1
         assert out.certificate.max_count == 0
         assert out.mass_retained >= 0.75 * cloud.mass()
         verify_outcome_invariants(cloud, out)
@@ -525,17 +528,19 @@ class TestRefineSchedule:
             assert run.reached_target_aperture
             assert run.applications == len(run.outcomes) <= run.initial_count
             assert run.final_aperture == cover.alpha / 2.0 ** run.applications
-            # each pass refines the report the previous one certified
+            # each pass refines, at half the aperture, the set the previous one kept
             for first, second in zip(run.outcomes, run.outcomes[1:]):
-                assert second.entry is first.certificate
+                assert second.alpha == first.alpha / 2.0
+                assert second.max_count <= first.max_count - 1
+                entered = np.concatenate([second.remaining, *second.deleted])
+                assert np.array_equal(np.sort(entered), first.kept)
 
-    def test_one_table_per_direction_and_per_pass(self, monkeypatch):
-        # Given a root table, the schedule counts each direction once at
-        # cover.alpha; every pass then builds only its alpha/2 table and hands
-        # its certificate on as the next pass's entry report, with no recount
-        # of the entry set.  The direction counts and the final two-sided check
-        # filter the root's pairs, and each pass the table of its entry report:
-        # none runs a candidate search of its own.
+    def test_one_table_per_visited_direction_and_per_pass(self, monkeypatch):
+        # Given a root table, the schedule counts at cover.alpha each direction
+        # that the incidence pass names; every pass then builds only its alpha/2
+        # table, filtering the table built just before it, with no recount of
+        # the entry set.  The direction counts and the final two-sided check
+        # filter the root's pairs: none runs a candidate search of its own.
         built = []
 
         class Counted(ShellTable):
@@ -558,6 +563,8 @@ class TestRefineSchedule:
         theta = 0.04
         root = ShellTable(cloud, cloud.all_indices(), theta, ScaleRange.default_for(cloud))
         cover = self._cover(theta, root.visits().max_count)
+        visited = shells.visited_directions(root, cloud.all_indices(), cover.directions,
+                                            cover.alpha)
         alone = refine_schedule(cloud, cloud.all_indices(), cover, RefineConfig(epsilon=0.5))
         for module in (refine_module, audit):
             monkeypatch.setattr(module, "ShellTable", Counted)
@@ -566,19 +573,17 @@ class TestRefineSchedule:
         result = refine_schedule(cloud, cloud.all_indices(), cover,
                                  RefineConfig(epsilon=0.5), root)
         passes = sum(run.applications for run in result.runs)
-        assert passes >= 1
-        assert len(built) == cover.m + passes + 1
-        assert [two_sided for two_sided, *_ in built] == [False] * (cover.m + passes) + [True]
+        named = int(np.count_nonzero(visited))
+        assert passes >= 1 and named >= 1
+        assert all(visited[k] for k, run in enumerate(result.runs) if run.initial_count)
+        assert len(built) == named + passes + 1
+        assert [two_sided for two_sided, *_ in built] == [False] * (named + passes) + [True]
         assert built[-1][1] == cover.alpha
-        parent_of = {id(table): parent for *_, parent, table in built}
-        assert sum(parent is root for *_, parent, _ in built) == cover.m + 1
-        for run in result.runs:
-            if run.outcomes:
-                assert parent_of[id(run.outcomes[0].entry.table)] is root
-            for outcome in run.outcomes:
-                assert parent_of[id(outcome.certificate.table)] is outcome.entry.table
+        assert sum(parent is root for *_, parent, _ in built) == named + 1
+        for (*_, parent, _), (*_, before) in zip(built[1:], built):
+            assert parent is root or parent is before
         # The direction counts and the final check go through visitation_counts.
-        assert counted == [False] * cover.m + [True]
+        assert counted == [False] * named + [True]
         assert json.dumps(result.ledger()) == json.dumps(alone.ledger())
         assert np.array_equal(result.e3, alone.e3)
 
@@ -614,3 +619,88 @@ class TestRefineSchedule:
         assert ledger["schema"] == "graphcarve/1"
         assert (ledger["alpha"], ledger["M"], ledger["direction"]) == (0.1, 1, [0.0, 1.0])
         assert len(ledger["iterations"]) == out.iterations >= 1
+
+
+def _union3(k):
+    """CI's d = 3 union at k points a graph: two Lipschitz graphs over a line in
+    R^3, the second lifted by 0.5, with half the mass each (m0 = 1)."""
+    parts, weights, h = [], [], 1.0
+    for g, (lip, offset) in enumerate(((0.1, 0.0), (0.25, 0.5))):
+        piece = lipschitz_graph(k, lip, d=3, n=1, seed=2 + 17 * g)
+        coords = piece.coords.copy()
+        coords[:, -1] += offset
+        parts.append(coords)
+        weights.append(piece.weights / 2.0)
+        h = min(h, piece.delta_res)
+    return WeightedCloud(np.concatenate(parts), np.concatenate(weights), n=1, delta_res=h)
+
+
+def _tables_held(obj, seen=None) -> int:
+    """ShellTables reachable from ``obj`` through containers and instance fields."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, ShellTable):
+        return 1
+    if id(obj) in seen or isinstance(obj, (type, types.ModuleType, np.ndarray, str)):
+        return 0
+    seen.add(id(obj))
+    return sum(_tables_held(ref, seen) for ref in gc.get_referents(obj))
+
+
+class TestOneCostPerRun:
+    """A schedule fits epsilon once, to e2, and builds tables only for the
+    directions the incidence pass names; its ledger is that of a loop with a
+    table for every direction and the same epsilon."""
+
+    @staticmethod
+    def _stack_schedule_input():
+        cloud = TestRefineSchedule._embedded_stack()
+        m0 = visitation_counts(cloud, cloud.all_indices(), 0.04).max_count
+        return cloud, TestRefineSchedule()._cover(0.04, m0)
+
+    def test_epsilon_is_fitted_once_per_schedule_and_per_pass(self, monkeypatch):
+        fitted = []
+        fit = refine_module._auto_epsilon
+
+        def counted(cloud, scale_range):
+            fitted.append(cloud.coords.copy())
+            return fit(cloud, scale_range)
+
+        monkeypatch.setattr(refine_module, "_auto_epsilon", counted)
+        cloud, cover = self._stack_schedule_input()
+        e2 = np.delete(cloud.all_indices(), np.arange(0, 40, 4))
+        result = refine_schedule(cloud, e2, cover)
+        passes = [o for run in result.runs for o in run.outcomes]
+        assert len(passes) >= 2
+        assert len(fitted) == 1 and np.array_equal(fitted[0], cloud.coords[e2])
+        assert {o.epsilon for o in passes} == {fit(cloud.subcloud(e2),
+                                                   ScaleRange.default_for(cloud))}
+        fitted.clear()
+        for stack in (two_stacks_cloud(), tight_cluster_cloud()):
+            refine_once(stack, entry_report(stack))
+        assert len(fitted) == 2
+
+    def test_no_finished_outcome_holds_a_table(self):
+        cloud, cover = self._stack_schedule_input()
+        result = refine_schedule(cloud, cloud.all_indices(), cover)
+        passes = [o for run in result.runs for o in run.outcomes]
+        assert passes and all(_tables_held(o) == 0 for o in passes)
+        # A standalone pass keeps its certificate and the table that counted it.
+        alone = refine_once(cloud, visitation_counts(cloud, cloud.all_indices(), cover.alpha,
+                                                     direction=result.runs[0].direction))
+        assert _tables_held(alone) == 1
+
+    @pytest.mark.parametrize("source", ["stack", "union", "union3"])
+    def test_ledger_equals_the_per_direction_loop(self, source):
+        if source == "stack":
+            cloud, cover = self._stack_schedule_input()
+            e2, result = cloud.all_indices(), None
+        else:
+            report = run_pipeline(union_of_graphs(300, seed=2) if source == "union"
+                                  else _union3(60), PipelineConfig(seed=4))
+            cloud, cover, e2 = report.cloud_e, report.cover, report.e2_indices
+            result = report.schedule
+        result = result or refine_schedule(cloud, e2, cover)
+        assert sum(run.applications for run in result.runs) >= 1
+        epsilon = refine_module._auto_epsilon(cloud.subcloud(e2), ScaleRange.default_for(cloud))
+        want = schedule_ledger_loop(cloud, e2, cover, RefineConfig(epsilon=epsilon))
+        assert json.dumps(result.ledger()) == json.dumps(want)

@@ -408,3 +408,72 @@ def test_tilted_standalone_work_is_output_sensitive(monkeypatch):
     for name in ("cols", "bits", "indptr"):
         assert np.array_equal(getattr(table, name), getattr(every, name))
     assert table.indptr[-1] > 0
+
+
+@st.composite
+def incidence_cases(draw):
+    """Cover-like directions in the alpha-cone and a cloud planted on their rims.
+
+    d <= 4 and n < d; alpha runs down to 1e-6, and each direction u leans
+    towards the horizontal by up to alpha.  Around the first point, points sit
+    along each u at angles whose sines are alpha (1 + rel), rel from -1e-6 to
+    1e-6 and at 1/2 and 2, where the rounded one-sided test decides.  The root
+    is two-sided at the directions' least parent aperture (their ``reach``) or
+    at 2.5 alpha, over a superset of the subset that the pass reads.
+    """
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, d - 1))
+    alpha = draw(st.one_of(st.sampled_from([1e-6, 1e-3, 0.05, 0.1]), st.floats(1e-6, 0.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions, planted = [], []
+    base = rng.uniform(-1.0, 1.0, d)
+    for _ in range(draw(st.integers(1, 5))):
+        vert = _unit(rng.normal(size=d - n))
+        horiz = _unit(rng.normal(size=n))
+        tilt = alpha * draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        u = _unit(np.concatenate([tilt * horiz, np.sqrt(1.0 - tilt * tilt) * vert]))
+        directions.append(u)
+        side = rng.normal(size=d)
+        side = _unit(side - (side @ u) * u)
+        for rel in draw(st.lists(st.sampled_from([-0.5, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1.0]),
+                                 min_size=1, max_size=3)):
+            s = alpha * (1.0 + rel)
+            radius = 2.0 ** -rng.uniform(0.5, 5.0)
+            planted.append(base + radius * (np.sqrt(1.0 - s * s) * u + s * side))
+    coords = np.vstack([base, planted, rng.uniform(-1.0, 1.0, (draw(st.integers(0, 8)), d))])
+    cloud = WeightedCloud(coords, np.ones(len(coords)), n=n, delta_res=2.0 ** -7,
+                          check_separation=False)
+    directions = np.array(directions)
+    outer = np.flatnonzero(rng.random(len(coords)) < 0.9)
+    inner = outer[rng.random(len(outer)) < 0.8]
+    reach = shells._reach_of(directions, alpha, n)
+    assert reach == max(ShellTable(cloud, [0], alpha, ScaleRange.default_for(cloud), u).reach
+                        for u in directions)
+    root_aperture = draw(st.sampled_from([reach, 2.5 * alpha]))
+    return cloud, outer, inner, directions, alpha, root_aperture
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_cases())
+def test_directions_the_incidence_pass_skips_have_no_visits(case):
+    cloud, outer, inner, directions, alpha, root_aperture = case
+    sr = ScaleRange.default_for(cloud)
+    root = ShellTable(cloud, outer, root_aperture, sr)
+    reached = shells.visited_directions(root, inner, directions, alpha)
+    for u, hit in zip(directions, reached):
+        counts = ShellTable(cloud, inner, alpha, sr, u, oracle=True).visits().counts
+        assert hit or not counts.any()
+
+
+def test_the_incidence_pass_refuses_a_root_that_does_not_enclose():
+    cloud = WeightedCloud(np.array([[0.0, 0.0], [0.01, 0.5], [0.3, 1.0]]), np.ones(3),
+                          n=1, delta_res=0.01)
+    sr = ScaleRange.default_for(cloud)
+    w = np.array([[0.0, 1.0], _unit(np.array([0.05, 1.0]))])
+    reach = shells._reach_of(w, 0.1, 1)
+    root = ShellTable(cloud, [0, 1, 2], reach, sr)
+    assert shells.visited_directions(root, [0, 1], w, 0.1).tolist() == [True, True]
+    for table, subset in ((ShellTable(cloud, [0, 1, 2], reach * (1.0 - 1e-12), sr), [0, 1]),
+                          (ShellTable(cloud, [0, 1, 2], reach, sr, w[0]), [0, 1])):
+        with pytest.raises(InputError, match="the table must"):
+            shells.visited_directions(table, subset, w, 0.1)
