@@ -28,17 +28,17 @@ The net's candidates are Gaussian images of the unscrambled Sobol' sequence,
 generated here in Gray-code order (Antonov & Saleev, USSR Comput. Math. Math.
 Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 30(5), 2008); the table holds 21 dimensions, so covers exist for d <= 21.
-The sampler transforms them a sub-block at a time, as the net reads them,
-and stops once it holds the samples asked for; the check's random proposals
-are drawn whole.  Each sub-block's region members are one piece, and the net
-scans each piece as one block.  One worker thread first draws the check's
-samples while the calling thread makes the first piece and runs the net on
-it; once the net asks for its second piece, the worker runs the sampler two
-pieces ahead of it.  The transforms, ``ndtri`` and the tree queries release
-the GIL, so the two overlap; the planar net stops inside its first piece.
-The worker makes the same ``_sobol`` calls and random draws as the serial
-order, so the cover is the same bit for bit, and it is joined before
-``build_cover`` returns or raises.
+The sampler reads them as one stream of aligned blocks, each transformed as
+the net asks for it, and stops once it holds the samples asked for; the
+check's random proposals are drawn in whole batches.  Each block's region
+members are one piece, and the net scans each piece as one block.  One
+worker thread first draws the check's samples while the calling thread makes
+the first piece and runs the net on it; once the net asks for its second
+piece, the worker runs the sampler two pieces ahead of it.  The transforms,
+``ndtri`` and the tree queries release the GIL, so the two overlap; the
+planar net stops inside its first piece.  The worker makes the same
+``_sobol`` calls and random draws as the serial order, so the cover is the
+same bit for bit, and it is joined before ``build_cover`` returns or raises.
 """
 
 from __future__ import annotations
@@ -169,17 +169,6 @@ class DirectionCover:
         return json.dumps(payload, sort_keys=True)
 
 
-def _sub_blocks(drawn: int, batch: int) -> Iterator[tuple[int, int]]:
-    """(start, size) of the sub-blocks of the Sobol' batch at ``drawn``, a
-    multiple of ``batch``: each start is a multiple of its size.  A net that
-    stops early transforms few proposals, one that reads on few sub-blocks."""
-    offset = 0
-    while offset < batch:
-        size = min(max(offset, 2 ** 10), _SUB_BLOCK, batch)
-        yield drawn + offset, size
-        offset += size
-
-
 def _region_pieces(axis: Subspace, alpha: float, count: int,
                    rng: np.random.Generator | None = None) -> Iterator[np.ndarray]:
     """``count`` unit vectors quasi-covering {y on the sphere : |pi_perp y| <=
@@ -190,48 +179,44 @@ def _region_pieces(axis: Subspace, alpha: float, count: int,
     proposals are random instead of low-discrepancy (used for checks so the
     check is independent of the net construction) and each batch is drawn
     whole, leaving the generator where the caller's next draws expect it.
-    A Sobol' batch is transformed in aligned sub-blocks (``_sub_blocks``),
-    each when the consumer asks for it, and the sampler stops once it holds
-    ``count`` samples: the same first ``count`` region members.
+    Otherwise the Sobol' sequence is read as one stream from index 0 in
+    aligned blocks of 2^10, 2^10, then doubling up to ``_SUB_BLOCK``, each
+    when the consumer asks for it, and the sampler stops once it holds
+    ``count`` samples.
     """
     d = axis.d
     proj = axis.projector()
-    # Batch sizes never grow, so each Sobol' batch starts at a multiple of its
-    # size and continues the sequence from ``drawn`` alone.
-    drawn = kept = 0
+    start = kept = 0
     while kept < count:
-        batch = 2 ** max(12, math.ceil(math.log2(2 * (count - kept))))
         if rng is not None:
-            blocks = [rng.standard_normal((batch, d))]
+            g = rng.standard_normal((2 ** max(12, math.ceil(math.log2(2 * (count - kept)))), d))
         else:
-            blocks = (ndtri(np.clip(_sobol(d, start, size), 1e-12, 1.0 - 1e-12))
-                      for start, size in _sub_blocks(drawn, batch))
-            drawn += batch
-        for g in blocks:
-            # Every step writes into an array it already holds, in the
-            # operation order of y = axial + alpha * (g - axial) and of
-            # np.linalg.norm (sqrt of the row sums of squares): the samples
-            # stay bit for bit those of the plain expressions.
-            y = g @ proj.T
-            g -= y
-            g *= alpha
-            y += g
-            del g
-            norms = np.sqrt(np.add.reduce(y * y, axis=1))
-            good = norms > 1e-12
-            if not good.all():
-                y, norms = y[good], norms[good]
-            y /= norms[:, None]
-            perp_sq = y @ proj.T
-            np.subtract(y, perp_sq, out=perp_sq)
-            perp_sq *= perp_sq
-            y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha][:count - kept]
-            del perp_sq
-            if len(y):
-                kept += len(y)
-                yield y
-            if kept >= count:
-                break
+            # Every start is a multiple of its block's size, as _sobol asks.
+            size = min(max(start, 2 ** 10), _SUB_BLOCK)
+            g = ndtri(np.clip(_sobol(d, start, size), 1e-12, 1.0 - 1e-12))
+            start += size
+        # Every step writes into an array it already holds, in the operation
+        # order of y = axial + alpha * (g - axial) and of np.linalg.norm (sqrt
+        # of the row sums of squares): the samples stay bit for bit those of
+        # the plain expressions.
+        y = g @ proj.T
+        g -= y
+        g *= alpha
+        y += g
+        del g
+        norms = np.sqrt(np.add.reduce(y * y, axis=1))
+        good = norms > 1e-12
+        if not good.all():
+            y, norms = y[good], norms[good]
+        y /= norms[:, None]
+        perp_sq = y @ proj.T
+        np.subtract(y, perp_sq, out=perp_sq)
+        perp_sq *= perp_sq
+        y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha][:count - kept]
+        del perp_sq
+        if len(y):
+            kept += len(y)
+            yield y
 
 
 def _region_samples(axis: Subspace, alpha: float, count: int,

@@ -67,13 +67,16 @@ def certify_graph(cloud: WeightedCloud, subset=None, theta: float = 0.1) -> Grap
         width = len(pts) - start
         stop = start + block_rows(width)
         diff = pair_differences(pts[start:stop], pts[start:])
-        dist_sq = row_dots(diff).ravel()
-        horiz_sq = row_dots(diff[..., :n]).ravel()
-        steep = in_cone(horiz_sq, dist_sq, theta, strict=True)
-        slope_sq = np.subtract(dist_sq, horiz_sq)
-        np.maximum(slope_sq, 0.0, out=slope_sq)
-        slope_sq /= np.where(horiz_sq > 0.0, horiz_sq, np.inf)
-        lip = max(lip, math.sqrt(np.fmax.reduce(slope_sq)))  # fmax skips inf / inf
+        # Squares past the float range are inf and their ratios inf / inf:
+        # the cone test and fmax settle them, so they raise no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist_sq = row_dots(diff).ravel()
+            horiz_sq = row_dots(diff[..., :n]).ravel()
+            steep = in_cone(horiz_sq, dist_sq, theta, strict=True)
+            slope_sq = np.subtract(dist_sq, horiz_sq)
+            np.maximum(slope_sq, 0.0, out=slope_sq)
+            slope_sq /= np.where(horiz_sq > 0.0, horiz_sq, np.inf)
+            lip = max(lip, math.sqrt(np.fmax.reduce(slope_sq)))  # fmax skips inf / inf
         if steep.any() or lip > bound + 1e-9:
             k = int(np.argmax(steep) if steep.any() else np.nanargmax(slope_sq))
             i, j = int(idx[start + k // width]), int(idx[start + k % width])

@@ -56,6 +56,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.m0_cap < 0:
             raise InputError(f"m0_cap must be at least 0, got {self.m0_cap}")
+        self.refine_config()  # refuses bad refinement settings before any stage runs
 
     def refine_config(self) -> RefineConfig:
         return RefineConfig(c_factor=self.refine_c_factor,
@@ -348,13 +349,7 @@ def run_pipeline(cloud: WeightedCloud, cfg: PipelineConfig | None = None) -> Pip
                        "b_used": cover.b_used,
                        "b_measured": cover.b_measured},
         refinement={
-            "directions": [
-                {"initial_count": run.initial_count,
-                 "applications": run.applications,
-                 "final_aperture": run.final_aperture,
-                 "reached_target_aperture": run.reached_target_aperture}
-                for run in schedule.runs
-            ],
+            "directions": [run.summary() for run in schedule.runs],
             "total_applications": sum(run.applications for run in schedule.runs),
         },
         graph=graph_summary,

@@ -68,8 +68,8 @@ class RefineConfig:
     def __post_init__(self):
         if self.scale_choice not in ("largest", "smallest", "random"):
             raise InputError(f"unknown scale_choice {self.scale_choice!r}")
-        if self.c_factor <= 0:
-            raise InputError("c_factor must be positive")
+        if not 0.0 < self.c_factor < math.inf:
+            raise InputError(f"c_factor must be positive and finite, got {self.c_factor}")
 
 
 @dataclass(frozen=True)
@@ -353,11 +353,6 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             for _ in range(_MAX_C_RETRIES):
                 r_k = c_try * 2.0 ** (-float(j_k))
                 s_k = near[exactly_m[near] & (dist_sq <= r_k * r_k)]
-                if saved[s_k].any():
-                    # An old saved point re-entered the exactly-M set and sits
-                    # inside the ball; shrink until the ball excludes it.
-                    c_try /= 2.0
-                    continue
                 b_k = near[dist_sq <= (100.0 * r_k) * (100.0 * r_k)]
                 if not _closed_shadow_contains(sub, b_k, w, alpha, int(j_k), z_k):
                     c_try /= 2.0
@@ -421,6 +416,12 @@ class DirectionRun:
     reached_target_aperture: bool
     outcomes: list
 
+    def summary(self) -> dict:
+        """The run's counts and apertures, as the ledger and the report write them."""
+        return {"initial_count": self.initial_count, "applications": self.applications,
+                "final_aperture": self.final_aperture,
+                "reached_target_aperture": self.reached_target_aperture}
+
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -434,14 +435,8 @@ class ScheduleResult:
             "schema": SCHEMA,
             "theta_certified": self.theta_certified,
             "directions": [
-                {
-                    "direction": run.direction.tolist(),
-                    "initial_count": run.initial_count,
-                    "applications": run.applications,
-                    "final_aperture": run.final_aperture,
-                    "reached_target_aperture": run.reached_target_aperture,
-                    "iterations": [o.ledger() for o in run.outcomes],
-                }
+                {"direction": run.direction.tolist(), **run.summary(),
+                 "iterations": [o.ledger() for o in run.outcomes]}
                 for run in self.runs
             ],
         }

@@ -479,6 +479,24 @@ class TestPipelineCommand:
         assert code == 2
         assert "m0_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, named", [
+        ("refine_scale_choice = bogus", "scale_choice"),
+        ("refine_c_factor = 0", "c_factor"),
+        ("refine_c_factor = nan", "c_factor"),
+    ])
+    def test_bad_refinement_setting_exits_2_before_any_stage(self, cloud_file, tmp_path,
+                                                             monkeypatch, line, named, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("graphcarve.cli.run_pipeline", no_run)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{line}\n")
+        code = run(["pipeline", "--input", cloud_file, "--config", cfg,
+                    "--output-dir", tmp_path / "run"])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, cloud_file, tmp_path, capsys):
         cfg = tmp_path / "missing.txt"
         code = run(["pipeline", "--input", cloud_file, "--config", cfg,

@@ -334,9 +334,8 @@ class TestCoverForTheta:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_region_sampler_stops_at_count(self, monkeypatch):
-        # The codim2_cover net: 200,000 samples ask for one batch of 2^19
-        # proposals, but about 283k of them already hold 200,000 region
-        # points, so fourteen sub-blocks (294,912 proposals) are drawn.
+        # The codim2_cover net: about 283k proposals hold 200,000 region
+        # points, so fourteen blocks (294,912 proposals) are drawn.
         drawn = []
 
         def spy(dim, start, size):
@@ -375,10 +374,9 @@ class TestCoverForTheta:
     @pytest.mark.parametrize("d, n, alpha", [(4, 3, 0.05), (5, 4, 0.3)])
     def test_region_sampler_matches_reference_across_batches(self, d, n, alpha,
                                                              monkeypatch):
-        # A one-dimensional axis keeps few proposals, so the sampler draws
-        # several batches of falling size, each continuing the sequence; a
-        # batch under _SUB_BLOCK is drawn whole, so three sizes mean at least
-        # three batches.
+        # A one-dimensional axis keeps few proposals, so the sampler reads
+        # far along the stream, whose growing blocks each continue the
+        # sequence; three sizes mean it read past its first two blocks.
         sizes = []
 
         def spy(dim, start, size):
@@ -404,10 +402,10 @@ class TestCoverForTheta:
             start += n
 
     def test_region_sampler_memory(self):
-        # 200,000 samples ask for a batch of 2^19 proposals, but it is
-        # transformed one sub-block of _SUB_BLOCK proposals at a time, in
-        # place.  The peak is the kept samples twice (the pieces and their
-        # concatenation) and a few (_SUB_BLOCK, 3) arrays, 0.8 MB each.
+        # The stream is transformed one block of at most _SUB_BLOCK
+        # proposals at a time, in place.  The peak is the kept samples twice
+        # (the pieces and their concatenation) and a few (_SUB_BLOCK, 3)
+        # arrays, 0.8 MB each.
         out_bytes = 200_000 * 3 * 8
         sub_bytes = _SUB_BLOCK * 3 * 8
         tracemalloc.start()
@@ -714,16 +712,19 @@ class TestPlanarStop:
                                alpha * s * (1.0 - _NET_MARGIN))
         assert cover.directions.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("d, s, proposals", [
-        (2, 1.0, 2 ** 10), (2, 0.5, 2 ** 10), (3, 1.0, 9 * _SUB_BLOCK),
-    ], ids=["graph_large", "union_refine", "codim2_cover"])
-    def test_proposals_drawn_on_workload_inputs(self, monkeypatch, d, s, proposals):
+    @pytest.mark.parametrize("d, n, s, proposals", [
+        (2, 1, 1.0, 2 ** 10), (2, 1, 0.5, 2 ** 10), (3, 1, 1.0, 9 * _SUB_BLOCK),
+        (3, 2, 1.0, 21 * _SUB_BLOCK),
+    ], ids=["graph_large", "union_refine", "codim2_cover", "surface"])
+    def test_proposals_drawn_on_workload_inputs(self, monkeypatch, d, n, s, proposals):
         # The planar nets stop in their first block, so the sampler transforms
-        # only its first sub-block of 2^10 proposals; at d = 3 the net reads
-        # all 200,000 samples, which take fourteen sub-blocks (294,912
-        # proposals): six up to 2^15 (2^10 twice, then doubling), then 2^15 each.
-        # The d = 3 sampler runs ahead of the net on a worker thread, and
-        # makes the calls of the serial sampler, none past its last sample.
+        # only its first block of 2^10 proposals; at d = 3 the net reads all
+        # 200,000 samples, which take fourteen blocks (294,912 proposals) on
+        # the line axis and twenty-six (688,128) on the plane axis.  The
+        # stream's blocks are 2^10 twice, then doubling up to _SUB_BLOCK, then
+        # _SUB_BLOCK each, past 2^19 too.  The d = 3 sampler runs ahead of the
+        # net on a worker thread, and makes the calls of the serial sampler,
+        # none past its last sample.
         drawn = []
 
         def spy(dim, start, size):
@@ -731,16 +732,23 @@ class TestPlanarStop:
             return _sobol(dim, start, size)
 
         monkeypatch.setattr(cover_module, "_sobol", spy)
-        cover = build_cover(vertical_axis(d), PLANAR_ALPHA, s, net_samples=200_000)
-        sizes = [size for _, size in drawn]
-        assert sum(sizes) == proposals
-        assert sizes[:7] == [2 ** 10, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14,
-                             _SUB_BLOCK][:len(sizes)]
-        assert cover.m == {(2, 1.0): 6, (2, 0.5): 10, (3, 1.0): 1471}[d, s]
+        axis = Subspace.vertical_axis(d, n)
+        cover = build_cover(axis, PLANAR_ALPHA, s, net_samples=200_000)
+        stream, start = [], 0
+        while len(stream) < len(drawn):
+            stream.append((start, min(max(start, 2 ** 10), _SUB_BLOCK)))
+            start += stream[-1][1]
+        assert drawn == stream
+        assert [size for _, size in drawn[:7]] == [
+            2 ** 10, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, _SUB_BLOCK][:len(drawn)]
+        assert sum(size for _, size in drawn) == proposals
+        assert all(size == _SUB_BLOCK for start, size in drawn if start >= 2 ** 19)
+        assert cover.m == {(2, 1, 1.0): 6, (2, 1, 0.5): 10, (3, 1, 1.0): 1471,
+                           (3, 2, 1.0): 13}[d, n, s]
         if d == 3:
             overlapped = drawn[:]
             drawn.clear()
-            _region_samples(vertical_axis(d), PLANAR_ALPHA, 200_000)
+            _region_samples(axis, PLANAR_ALPHA, 200_000)
             assert overlapped == drawn
 
     @settings(max_examples=100)

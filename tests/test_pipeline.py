@@ -356,6 +356,16 @@ class TestConfigFile:
         with pytest.raises(InputError, match="m0_cap"):
             PipelineConfig.from_file(path)
 
+    @pytest.mark.parametrize("setting", [
+        {"refine_scale_choice": "bogus"}, {"refine_c_factor": 0.0},
+        {"refine_c_factor": float("nan")},
+    ], ids=["scale_choice", "zero_c_factor", "nan_c_factor"])
+    def test_bad_refinement_settings_rejected_at_construction(self, setting):
+        # Refused when the config is built, not at the refine stage after
+        # energy, both prunes, the theta0 table and the cover.
+        with pytest.raises(InputError, match="scale_choice|c_factor"):
+            PipelineConfig(**setting)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("warp_factor = 9\n")

@@ -366,6 +366,35 @@ class TestDenseRows:
         assert Planted.calls > 2
 
 
+    @pytest.mark.parametrize("scale_choice", ["largest", "smallest", "random"])
+    def test_no_saved_point_rejoins_the_exactly_m_set(self, monkeypatch, scale_choice):
+        # A try commits only once the recount puts every alive point of its
+        # enlarged ball, saved ball included, below M, and counts only fall:
+        # no exactly-M mask of a pass holds a point saved before it.
+        passes = []
+        bad = _DenseRows.bad
+
+        def spy(self, exactly_m):
+            if self.carrier is None:
+                passes.append([])
+            passes[-1].append(exactly_m.copy())
+            return bad(self, exactly_m)
+
+        monkeypatch.setattr(_DenseRows, "bad", spy)
+        report = run_pipeline(union_of_graphs(300, seed=2),
+                              PipelineConfig(seed=4, refine_scale_choice=scale_choice))
+        outcomes = [o for run in report.schedule.runs for o in run.outcomes]
+        assert len(passes) == len(outcomes)
+        assert max(o.iterations for o in outcomes) >= 100
+        for masks, outcome in zip(passes, outcomes):
+            # A pass's set is what stayed alive and what it deleted.
+            subset = np.sort(np.concatenate([outcome.remaining, *outcome.deleted]))
+            assert len(masks) >= outcome.iterations
+            for k, mask in enumerate(masks):
+                for saved in outcome.saved[:k]:
+                    assert not mask[np.searchsorted(subset, saved)].any()
+
+
 class TestAutoEpsilonProbe:
     """``_auto_epsilon`` hands its dense table to the probe prune's first sweep
     when both scan the same radii."""
