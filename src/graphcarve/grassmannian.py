@@ -19,7 +19,7 @@ from .errors import (
     InfeasibleBallError,
     InputError,
 )
-from .geometry import Subspace, grassmann_distance
+from .geometry import Subspace, _distances, grassmann_distance
 
 _PROBE_DRAWS = 200_000
 _MIN_ACCEPT = 1e-6
@@ -48,9 +48,7 @@ def _frame_distances(frames: np.ndarray, center: Subspace) -> np.ndarray:
         # For lines the distance is sin of the principal angle.
         cos = frames[:, :, 0] @ center.frame[:, 0]
         return np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
-    projs = frames @ np.swapaxes(frames, 1, 2)
-    diffs = projs - center.projector()
-    return np.linalg.svd(diffs, compute_uv=False)[:, 0]
+    return _distances(frames, center)
 
 
 class GrassmannSampler:

@@ -19,6 +19,13 @@ the dense table gives.  A caller that already holds the dense table of the
 whole cloud hands it to the first sweep as ``table``.  ``refine_once``
 decides its bad points the same way, from one dense table per pass that it
 updates as points leave (``refine._DenseRows``).
+
+``projection_energy`` evaluates its sampled frames together: one stacked
+``geometry._orthonormalize`` and one stacked SVD for all of them, then
+``_cell_masses`` bins blocks of ``block_rows(|cloud|)`` frames in whole-block
+array passes.  Each frame keeps its own projection product, since one
+product over a block rounds differently; so every value equals the
+frame-by-frame evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from .cloud import _EPS, ScaleRange, WeightedCloud, _reach, row_dots
 from .errors import InputError
-from .geometry import Subspace, grassmann_distance
+from .geometry import Subspace, _distances, _orthonormalize
 from .grassmannian import GrassmannSampler
 from .shells import block_rows, pair_differences
 
@@ -287,32 +294,123 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
+def _check_bin(cloud: WeightedCloud, bin_width: float) -> None:
+    """``InputError`` for a lattice finer than the cloud resolution."""
+    if bin_width < cloud.delta_res:
+        raise InputError(
+            f"bin width {bin_width:g} is below the cloud resolution {cloud.delta_res:g}"
+        )
+
+
+def _row_major(cells: np.ndarray, corner: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each cell's slot: its row-major offset in its frame's box (the first
+    coordinate most significant, so slot order is lexicographic order) plus
+    the frame's base, from (count, size, n) int64 cells, (count, n) box
+    corners with the base taken off the last coordinate, and box widths.
+    int64 arithmetic wraps modulo 2^64 and every slot is small, so each is
+    exact."""
+    flat = cells[:, :, 0] - corner[:, 0, None]
+    for k in range(1, cells.shape[2]):
+        flat = flat * widths[:, k, None] + (cells[:, :, k] - corner[:, k, None])
+    return flat
+
+
+def _cell_masses(cloud: WeightedCloud, frames: np.ndarray, bin_width: float,
+                 weights: np.ndarray):
+    """The lattice cells of a nonempty cloud under each frame of a (count, d, n)
+    block, and the mass of each occupied cell; ``weights`` repeats the cloud's
+    weights at least ``count`` times.
+
+    Returns (cells, slots, occupied, masses, starts).  Every frame gets a run
+    of slots in one counting table: point p of frame f lies in lattice cell
+    ``cells[f, p]`` (integral floats), at slot ``slots[f, p]``; ``occupied``
+    flags the slots that hold a point, and ``masses`` lists their masses, frame
+    after frame, frame f's in ``masses[starts[f]:starts[f + 1]]``.
+
+    Each frame is projected by its own ``coords @ frame``: one product over the
+    whole block rounds differently.  A frame whose cells fill a box of at most
+    ``block_rows(count)`` lattice points, so that the block's boxes hold at
+    most the pair budget, takes one slot per point of its box (``_row_major``);
+    any other frame one slot per cell, at the cell's rank from
+    ``_unique_rows``.  One ``bincount`` over the slots, laid out frame
+    by frame in point order, sums each cell's weights in the order a frame's
+    own ``bincount`` would; every weight is positive, so a slot is occupied
+    exactly when its mass is.  Raises ``InputError`` when a lattice index
+    leaves the int64 range; no slot comes near it.
+    """
+    count, size = len(frames), len(cloud)
+    cells = np.empty((count, size, cloud.n))
+    for f, frame in enumerate(frames):
+        np.matmul(cloud.coords, frame, out=cells[f])
+    with np.errstate(over="ignore"):
+        np.floor(np.divide(cells, bin_width, out=cells), out=cells)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    if not ((lo >= -2.0**63) & (hi < 2.0**63)).all():
+        raise InputError(f"bin width {bin_width:g} puts lattice cells past the int64 "
+                         "range; use a wider bin")
+    widths = hi - lo + 1.0
+    box = widths.prod(axis=1)
+    small = box <= block_rows(count)
+    sizes = np.where(small, box, 0.0).astype(np.intp)
+    ranks = {}
+    for f in np.flatnonzero(~small):
+        uniq, ranks[f] = _unique_rows(cells[f].astype(np.int64))
+        sizes[f] = len(uniq)
+    ends = np.cumsum(sizes)
+    base = ends - sizes
+    corner = lo.astype(np.int64)
+    corner[:, -1] -= base
+    widths = np.where(small[:, None], widths, 1.0).astype(np.int64)  # wide ones may not fit
+    if not ranks:
+        slots = _row_major(cells.astype(np.int64), corner, widths)
+    else:
+        slots = np.empty((count, size), dtype=np.intp)
+        slots[small] = _row_major(cells[small].astype(np.int64), corner[small], widths[small])
+        for f, rank in ranks.items():
+            slots[f] = rank + base[f]
+    table = np.bincount(slots.ravel(), weights=weights[:count * size], minlength=int(ends[-1]))
+    occupied = table > 0.0
+    masses = table[occupied]
+    starts = np.append(0, np.cumsum(occupied)[ends - 1])
+    return cells, slots, occupied, masses, starts
+
+
+def _l2_squares(masses: np.ndarray, starts: np.ndarray, cell_vol: float) -> np.ndarray:
+    """Each frame's squared L2 density norm: the sum (``np.add.reduce``, as
+    ``np.sum`` takes it) of its own contiguous run of squared cell masses,
+    over the cell volume.  A sum over a longer run would group differently."""
+    with np.errstate(over="ignore", divide="ignore"):
+        squares = masses * masses
+        sums = np.array([np.add.reduce(squares[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+        l2_sq = sums / cell_vol
+    _within_float_range(float(l2_sq.max(initial=0.0)), "the squared projected density")
+    return l2_sq
+
+
 def pushforward_density(cloud: WeightedCloud, v_sub: Subspace,
                         bin_width: float) -> Pushforward:
     """Project the cloud onto the subspace and bin mass on a uniform lattice.
 
     Densities are mass / bin_width^n; the lattice is anchored at the origin of
     the frame coordinates so repeated runs bin identically.  Raises
-    ``InputError`` when the squared density overflows the float range.
+    ``InputError`` when the squared density overflows the float range or a
+    lattice index the int64 range.  The one-frame case of the block kernel
+    ``projection_energy`` runs.
     """
-    if bin_width < cloud.delta_res:
-        raise InputError(
-            f"bin width {bin_width:g} is below the cloud resolution {cloud.delta_res:g}"
-        )
+    _check_bin(cloud, bin_width)
     if v_sub.d != cloud.d or v_sub.k != cloud.n:
         raise InputError("projection subspace must lie in G(d, n) for this cloud")
     if len(cloud) == 0:
         return Pushforward(bin_width=bin_width, n=cloud.n,
                            cells=np.empty((0, cloud.n), dtype=np.int64),
                            masses=np.empty(0), l2_sq=0.0, linf=0.0)
-    t = cloud.coords @ v_sub.frame
-    cells = np.floor(t / bin_width).astype(np.int64)
-    uniq, inverse = _unique_rows(cells)
-    masses = np.bincount(inverse, weights=cloud.weights, minlength=len(uniq))
+    cells, slots, occupied, masses, starts = _cell_masses(
+        cloud, v_sub.frame[None], bin_width, cloud.weights)
+    uniq = np.empty((len(masses), cloud.n), dtype=np.int64)
+    uniq[np.cumsum(occupied)[slots[0]] - 1] = cells[0]  # integral, within int64
     cell_vol = bin_width**cloud.n
+    l2_sq = float(_l2_squares(masses, starts, cell_vol)[0])
     with np.errstate(over="ignore", divide="ignore"):
-        l2_sq = _within_float_range(float(np.sum(masses * masses) / cell_vol),
-                                    "the squared projected density")
         linf = float(masses.max() / cell_vol)
     return Pushforward(bin_width=bin_width, n=cloud.n, cells=uniq,
                        masses=masses, l2_sq=l2_sq, linf=linf)
@@ -341,17 +439,30 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
 
     This is the projection-energy statistic tested against the budget C: small
     values mean the cloud spreads its mass under most nearby projections.
+
+    The frames are canonicalized (as ``Subspace`` would) and their distances
+    taken all at once, in arrays of samples x d^2 floats like the sampler's;
+    ``_cell_masses`` bins them in blocks of ``block_rows(len(cloud))`` frames,
+    so a block's lattice arrays stay within the pair budget.  Each frame keeps
+    its own projection product.  Every value equals the frame-by-frame
+    evaluation (a ``Subspace``, ``pushforward_density`` and
+    ``grassmann_distance`` per frame) bit for bit.
     """
     if kappa <= 0:
         raise InputError("kappa must be positive")
     sampler = GrassmannSampler(cloud.d, cloud.n, seed, center=center, radius=kappa)
     frames = sampler.sample_frames(samples)
-    values = np.empty(len(frames))
-    dists = np.empty(len(frames))
-    for i, frame in enumerate(frames):
-        v_sub = Subspace(frame)
-        values[i] = pushforward_density(cloud, v_sub, bin_width).l2_sq
-        dists[i] = grassmann_distance(v_sub, center)
+    _check_bin(cloud, bin_width)
+    frames = _orthonormalize(frames)
+    dists = _distances(frames, center)
+    values = np.zeros(len(frames))
+    if len(cloud):
+        step = block_rows(len(cloud))
+        weights = np.tile(cloud.weights, min(step, len(frames)))
+        for start in range(0, len(frames), step):
+            *_, masses, starts = _cell_masses(cloud, frames[start:start + step],
+                                              bin_width, weights)
+            values[start:start + step] = _l2_squares(masses, starts, bin_width**cloud.n)
     with np.errstate(over="ignore"):
         mean = float(values.mean()) if len(values) else 0.0
     return EnergyReport(mean_l2_sq=_within_float_range(mean, "the mean projection energy"),

@@ -200,6 +200,16 @@ class TestDiagnostics:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_l2_sq"] > 0
 
+    def test_energy_lattice_past_int64_exits_2(self, tmp_path, capsys):
+        # floor(1 / 1e-20) leaves int64: an unchecked cast put both nonzero
+        # points in cell INT64_MIN, exited 0 and printed 5e+20, not 3e+20.
+        path = tmp_path / "tiny.json"
+        save_cloud_json(WeightedCloud(np.array([[0.0, 0.0], [0.5, 0.1], [1.0, 0.0]]),
+                                      np.ones(3), n=1, delta_res=1e-30), path)
+        assert run(["energy", "--input", path, "--bin", "1e-20", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "int64" in captured.err and captured.out == ""
+
     def test_energy_bin_zero_exits_2(self, cloud_file, capsys):
         # A given bin of 0 is not the default: it fails the resolution check.
         assert run(["energy", "--input", cloud_file, "--samples", "20",

@@ -8,7 +8,9 @@ from graphcarve import (
     Subspace,
     grassmann_distance,
 )
+from graphcarve.geometry import _orthonormalize
 from tests.cones import ConeSpec, cone_contains, cone_mask
+from tests.energy_reference import orthonormalize_one
 
 
 def random_subspace(rng, d, k):
@@ -33,6 +35,12 @@ class TestSubspace:
         with pytest.raises(InputError):
             Subspace(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        # A NaN frame passed the orthonormality check (NaN compares false).
+        with pytest.raises(InputError, match="finite"):
+            Subspace(np.array([[bad], [1.0]]))
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateFrameError):
             Subspace(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
@@ -43,6 +51,63 @@ class TestSubspace:
         p1 = Subspace(base).projector()
         p2 = Subspace(mix).projector()
         assert np.max(np.abs(p1 - p2)) < 1e-9
+
+
+def _outcome(orthonormalize, vectors):
+    """The frame's bits, or the message of the frame error."""
+    try:
+        return orthonormalize(vectors).tobytes()
+    except DegenerateFrameError as exc:
+        return str(exc)
+
+
+def _deficient(rng, d, k, kind):
+    """A d x k spanning set of rank below k."""
+    v = rng.standard_normal((d, k)) * 2.0 ** rng.integers(-20, 21)
+    if kind == "zero_set":
+        return np.zeros((d, k))
+    if kind == "zero_column":
+        v[:, rng.integers(k)] = 0.0
+    elif kind == "repeated":
+        a, b = rng.choice(k, 2, replace=False)
+        v[:, b] = v[:, a]
+    else:  # the last column a combination of the others
+        v[:, -1] = v[:, :-1] @ rng.standard_normal(k - 1)
+    return v
+
+
+class TestStackedOrthonormalize:
+    @given(st.data())
+    def test_each_set_gets_the_single_set_bits(self, data):
+        # Stacks of spanning sets in R^d, d <= 5, each scaled by 2^k,
+        # |k| <= 20: every frame equals the one the single-set code makes of
+        # it alone, bit for bit.
+        d = data.draw(st.integers(2, 5), label="d")
+        k = data.draw(st.integers(1, d - 1), label="k")
+        count = data.draw(st.integers(1, 12), label="count")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sets = rng.standard_normal((count, d, k)) * 2.0 ** rng.integers(-20, 21, (count, 1, 1))
+        got = _orthonormalize(sets)
+        assert got.shape == (count, d, k)
+        for one, frame in zip(sets, got):
+            assert frame.tobytes() == orthonormalize_one(one).tobytes()
+        assert Subspace(sets[0]).frame.tobytes() == got[0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["zero_set", "zero_column", "repeated", "combination"])
+    def test_rank_deficient_sets_raise_the_single_set_error(self, kind):
+        # Alone, each deficient set raises the error the single-set code
+        # raises; in a stack with valid sets, the first failing set's.
+        rng = np.random.default_rng(7)
+        for d in range(2, 6):
+            for k in range(1 if kind in ("zero_set", "zero_column") else 2, d):
+                bad = _deficient(rng, d, k, kind)
+                want = _outcome(orthonormalize_one, bad)
+                assert isinstance(want, str)
+                assert _outcome(lambda v: _orthonormalize(v[None])[0], bad) == want
+                stack = rng.standard_normal((5, d, k))
+                stack[2] = bad
+                stack[4] = _deficient(rng, d, k, "zero_set")
+                assert _outcome(_orthonormalize, stack) == want
 
 
 class TestGrassmannDistance:

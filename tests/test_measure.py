@@ -16,6 +16,7 @@ from graphcarve import (
     prune_low_density,
     pushforward_density,
 )
+from graphcarve import measure, shells
 from graphcarve.measure import (
     _CELLS_PER_POINT,
     _mass_bounds,
@@ -23,6 +24,7 @@ from graphcarve.measure import (
     ball_masses,
 )
 from tests.conftest import line_cloud
+from tests.energy_reference import l2_sq_one, projection_energy_loop
 from tests.prune_reference import prune_dense, prune_radii
 
 
@@ -309,6 +311,38 @@ class TestPushforward:
         with pytest.raises(InputError):
             pushforward_density(cloud, Subspace.horizontal(2, 1), 0.05)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cells_and_masses_are_the_unique_rows(self, n, rng):
+        # Coarse bins rank by the counting table, fine ones by _unique_rows:
+        # both list the occupied cells in lexicographic order with their
+        # bincount masses, and the squared norm the frame-by-frame sum.
+        coords = rng.normal(size=(400, 4)) * 3.0
+        cloud = WeightedCloud(coords, rng.uniform(0.1, 2.0, 400), n=n, delta_res=1e-6,
+                              check_separation=False)
+        v_sub = Subspace(rng.normal(size=(4, n)))
+        for bin_width in (20.0, 1.0, 0.1, 1e-3):
+            pf = pushforward_density(cloud, v_sub, bin_width)
+            cells = np.floor(coords @ v_sub.frame / bin_width).astype(np.int64)
+            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+            assert np.array_equal(pf.cells, uniq)
+            assert pf.masses.tobytes() == np.bincount(
+                inverse.reshape(-1), weights=cloud.weights).tobytes()
+            assert pf.l2_sq == l2_sq_one(cloud, v_sub.frame, bin_width)
+
+    def test_lattice_index_past_int64_rejected(self):
+        # floor(1 / 1e-20) = 1e20 > 2^63: the cast wrapped both nonzero points
+        # to INT64_MIN, one cell, and reported 5e20 where 3e20 is right.
+        cloud = WeightedCloud(np.array([[0.0, 0.0], [0.5, 0.1], [1.0, 0.0]]), np.ones(3),
+                              n=1, delta_res=1e-30)
+        for call in (lambda: pushforward_density(cloud, Subspace.horizontal(2, 1), 1e-20),
+                     lambda: projection_energy(cloud, Subspace.horizontal(2, 1), 0.2, 20,
+                                               1e-20)):
+            with pytest.raises(InputError, match="int64"):
+                call()
+        # Just inside the range the value is the exact one.
+        pf = pushforward_density(cloud, Subspace.horizontal(2, 1), 1e-18)
+        assert pf.l2_sq == pytest.approx(3e18)
+
     @given(st.integers(0, 5_000))
     def test_mass_conservation_and_cauchy_schwarz(self, seed):
         rng = np.random.default_rng(seed)
@@ -354,7 +388,57 @@ class TestProjectionEnergy:
         assert np.isfinite(report.per_sample).all() and (report.distances <= 0.2 + 1e-12).all()
 
     def test_empty_subset_zero(self):
+        # No block is binned (the pair budget has no rows to divide by); the
+        # frames still get their distances.
         cloud = line_cloud(10, 0.05).subcloud(np.empty(0, dtype=int))
         report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3,
                                    20, 0.1, seed=3)
         assert report.mean_l2_sq == 0.0
+        assert report.per_sample.tobytes() == np.zeros(20).tobytes()
+        want = projection_energy_loop(cloud, Subspace.horizontal(2, 1), 0.3, 20, 0.1, seed=3)
+        assert report.distances.tobytes() == want[2].tobytes()
+
+    @given(st.data())
+    def test_blocks_equal_the_frame_by_frame_loop(self, data):
+        # Clouds of up to 300 points in R^d, d <= 5, scaled by 2^k (|k| <=
+        # 20), weights in [1e-6, 1e6], bins from the resolution up past the
+        # extent, under several pair budgets: the counting table and
+        # _unique_rows both rank, in blocks of one frame or many.  Every value
+        # equals the loop's bit for bit.
+        d = data.draw(st.integers(2, 5), label="d")
+        n = data.draw(st.integers(1, d - 1), label="n")
+        size = data.draw(st.integers(0, 300), label="size")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scale = 2.0 ** data.draw(st.integers(-20, 20), label="k")
+        coords = rng.normal(size=(size, d)) * scale
+        if size > 1 and data.draw(st.booleans(), label="repeats"):
+            coords[rng.integers(size, size=size // 2)] = coords[0]
+        cloud = WeightedCloud(coords, 10.0 ** rng.uniform(-6.0, 6.0, size), n=n,
+                              delta_res=scale * 2.0**-30, check_separation=False)
+        bin_width = cloud.delta_res * 2.0 ** data.draw(st.floats(0.0, 36.0), label="bin")
+        kappa = data.draw(st.sampled_from([0.5, 0.7, 1.0]), label="kappa")
+        samples = data.draw(st.integers(1, 40), label="samples")
+        center = Subspace.horizontal(d, n)
+        want = projection_energy_loop(cloud, center, kappa, samples, bin_width, seed=5)
+        with pytest.MonkeyPatch.context() as patch:
+            for budget in (1, 7, 64, shells._CHUNK):
+                patch.setattr(shells, "_CHUNK", budget)
+                got = projection_energy(cloud, center, kappa, samples, bin_width, seed=5)
+                assert (got.mean_l2_sq, got.per_sample.tobytes(), got.distances.tobytes(),
+                        got.acceptance_rate) == (want[0], want[1].tobytes(),
+                                                 want[2].tobytes(), want[3])
+
+    def test_one_block_mixes_both_rankers(self, monkeypatch):
+        # 200 frames in one block may each use a box of 32768 // 200 = 163
+        # cells; at 162.5 bins per unit the segment's frames fill 160 to 164,
+        # so some rank by the table and some by _unique_rows.
+        calls = []
+        monkeypatch.setattr(measure, "_unique_rows",
+                            lambda cells: calls.append(1) or _unique_rows(cells))
+        cloud = line_cloud(50, 1.0 / 49.0, delta_res=1e-3)
+        report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 162.5,
+                                   seed=3)
+        assert 0 < len(calls) < 200
+        want = projection_energy_loop(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 162.5,
+                                      seed=3)
+        assert report.per_sample.tobytes() == want[1].tobytes()

@@ -4,7 +4,9 @@
 max(1, budget // width) rows per block, built by ``shells.pair_differences``:
 their results do not depend on the budget and equal the broadcast loops of
 the references bit for bit, and their working memory does not grow with the
-number of rows.
+number of rows.  ``projection_energy`` bins max(1, budget // points) frames
+per block: its report does not depend on the budget either, and its memory
+does not grow with the number of frames.
 """
 
 import tracemalloc
@@ -19,10 +21,14 @@ from graphcarve import (
     WeightedCloud,
     certify_graph,
     extend_mcshane,
+    Subspace,
     lipschitz_graph,
+    outlier_stacks,
+    projection_energy,
     shells,
 )
 from graphcarve.measure import ball_masses
+from graphcarve.pipeline import normalize_to_unit_ball
 from tests.extract_reference import certify_graph_loop, extend_mcshane_loop
 from tests.lane_sums import lane_dots
 from tests.measure_reference import ball_masses_loop
@@ -102,6 +108,41 @@ def test_dense_passes_stay_within_the_pair_budget():
         tracemalloc.stop()
     assert certify_peak < 8e6
     assert ball_peak < 4e6
+
+
+def _energy_bits(cloud, samples):
+    report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.2, samples, 1 / 32, seed=1)
+    return (report.mean_l2_sq, report.per_sample.tobytes(), report.distances.tobytes(),
+            report.acceptance_rate)
+
+
+def test_projection_energy_is_the_same_under_every_budget(monkeypatch):
+    # A pipeline's e1 of 2,200 points: budget 1 bins one frame per block and
+    # ranks every frame by _unique_rows, 7 the same, the default 14 frames per
+    # block by the counting table.
+    cloud, _ = normalize_to_unit_ball(outlier_stacks(n_base=2000, seed=11))
+    outcomes = []
+    for budget in (1, 7, shells._CHUNK):
+        monkeypatch.setattr(shells, "_CHUNK", budget)
+        outcomes.append(_energy_bits(cloud, 200))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_projection_energy_memory_is_flat_in_the_sample_count():
+    # Blocks of 14 frames of 2,200 points trace about 1.6 MB at 200 frames
+    # and at 2,000; one block of all the frames would hold ten times more.
+    cloud, _ = normalize_to_unit_ball(outlier_stacks(n_base=2000, seed=11))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for samples in (200, 2000):
+            tracemalloc.reset_peak()
+            projection_energy(cloud, Subspace.horizontal(2, 1), 0.2, samples, 1 / 32, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 3e6
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @given(st.data())
