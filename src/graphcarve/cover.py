@@ -61,7 +61,8 @@ from .errors import CoverInvalidError, InputError
 from .geometry import Subspace
 
 _NET_MARGIN = 0.15
-# Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this.
+# Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this;
+# also the most rows the greedy net scans as one block.
 _SUB_BLOCK = 2 ** 15
 # Sampler pieces made ahead of the net that reads them (see _read_ahead).
 _AHEAD = 2
@@ -271,7 +272,8 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
     non-empty (rows, d) array; pairwise distances > spacing.
 
     A point joins the net when no earlier net point lies within ``spacing``
-    (squared distance <= spacing^2).  Each piece is scanned as one block.  A
+    (squared distance <= spacing^2).  Each piece is scanned in blocks of at
+    most ``_SUB_BLOCK`` rows, one block when it is no longer.  A
     kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975), kept
     across blocks and rebuilt only after the net has grown, names each block
     point's nearest centre within a padded radius, and the exact
@@ -281,7 +283,8 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
     the same test, lists each survivor's later neighbours, and a scan in
     order keeps every survivor that no kept one reaches.  The first block
     meets no centres, so all its points survive and their pairs grow with its
-    square, so it should be short.  The work grows with the net size instead
+    square, so it should be short; the block bound caps that square whatever
+    a caller passes.  The work grows with the net size instead
     of with net size x point count, and the output equals the plain dense
     scan bit for bit wherever the pieces end.  ``done(centres)``, asked after
     each block that added centres, ends the scan (no later piece is read)
@@ -295,7 +298,9 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
         return row_dots(rows - others) <= sq
 
     scale, centres, tree = 0.0, None, None
-    for block in pieces:
+    blocks = (piece[lo:lo + _SUB_BLOCK] for piece in pieces
+              for lo in range(0, len(piece), _SUB_BLOCK))
+    for block in blocks:
         scale = max(scale, float(np.abs(block).max()))
         reach = _reach(spacing, scale)
         rest = block

@@ -25,10 +25,15 @@ within rounding of the threshold are recomputed exactly.
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point x is banked, the open cone shadows
 of its enlarged ball are deleted, and two stopping rules bound how long this
-can go on.  Each scale tried at x makes one neighbour query (``_near``), from
-which every shrink try reads its saved ball, enlarged ball and shadow.  All
-disjointness claims are re-checked on the data at each iteration; a failure
-that survives radius shrinking is a bug trap, not a recoverable condition.
+can go on.  A step's work follows what it touches, not the size of F: each
+scale tried at x makes one neighbour query (``_near``) of the enlarged ball,
+from which every shrink try reads its saved and enlarged balls and which the
+witness's closed-shadow test meets once; a try reads its open shadow from
+the rows of the entry report's table, which already hold every candidate
+(``_open_shadow``), and the recount of its committed try is the next
+iteration's count.  All disjointness claims are re-checked on the data at
+each iteration; a failure that survives radius shrinking is a bug trap, not
+a recoverable condition.
 """
 
 from __future__ import annotations
@@ -170,31 +175,49 @@ class _DenseRows:
     The first call tables ``ball_masses`` of F over itself.  F only loses
     points during a pass (counts only fall as points are deleted), so each
     later call subtracts from the surviving rows the mass of the points that
-    left since the last call, read off one |F| x |departed| ``ball_masses``
-    block, which makes the same squared-distance test.  A point that joins F
-    raises ``AlgorithmInvariantViolation``: the table would miss its mass.
-    A row is dense when est - margin >= epsilon * r^n at every radius and
-    not dense when est + margin < epsilon * r^n at some radius; the rows in
-    between go through ``ball_masses`` against the current F, whose rows do
-    not depend on the block they share, so the bad set is the dense table's
-    bit for bit.
+    left since the last call (``_departed_mass``): each (row, departed) pair
+    gets the first radius whose closed ball holds it, by a ``searchsorted`` of
+    the squared distance in the squared radii, the same test as
+    ``ball_masses``, and one ``einsum`` sums every radius at once.  A point
+    that joins F raises ``AlgorithmInvariantViolation``: the table would miss
+    its mass.  A row is dense when est - margin >= epsilon * r^n at every
+    radius and not dense when est + margin < epsilon * r^n at some radius; the
+    rows in between go through ``ball_masses`` against the current F, whose
+    rows do not depend on the block they share, so the bad set is the dense
+    table's bit for bit.
 
     The margin is twice the largest gap between a running mass and the dense
     one.  With N the subcloud's size, M its mass and eps the float64 machine
-    epsilon, every sum here has nonnegative terms that add up to at most M:
-    the first table errs by at most N eps M, the update blocks (at most N
-    departed points in a pass) by N eps M together, the subtractions (at
-    most N calls after the first) by N eps M, and the dense reference by
+    epsilon, every sum here has nonnegative terms that add up to at most M,
+    and a sum of k such terms errs by at most k eps times their total in any
+    order: the first table errs by at most N eps M; the updates (at most N
+    departed points in a pass, each summed into one update) by N eps M
+    together, whatever order the ``einsum`` adds them in; the subtractions
+    (at most N calls after the first) by N eps M; and the dense reference by
     N eps M.  So margin = 2 * 4 N eps M.
     """
 
     def __init__(self, sub: WeightedCloud, radii: np.ndarray, epsilon: float):
         self.sub = sub
-        self.radii = radii
+        self.radii = radii  # ascending
         self.thresholds = epsilon * radii ** sub.n
         self.margin = 8.0 * len(sub) * _EPS * sub.mass()
         self.masses = np.zeros((len(sub), len(radii)))
         self.carrier: np.ndarray | None = None
+
+    def _departed_mass(self, rows: np.ndarray, departed: np.ndarray) -> np.ndarray:
+        """Mass of the departed points within each radius of each row."""
+        r_sq = self.radii * self.radii
+        weights = self.sub.weights[departed]
+        out = np.empty((len(rows), len(r_sq)))
+        step = block_rows(len(departed) * len(r_sq))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            dist_sq = row_dots(pair_differences(self.sub.coords[block], self.sub.coords[departed]))
+            first = np.searchsorted(r_sq, dist_sq)  # the first r with dist_sq <= r^2
+            inside = first[:, :, None] <= np.arange(len(r_sq))
+            out[lo:lo + len(block)] = np.einsum("ijk,j->ik", inside, weights)
+        return out
 
     def bad(self, exactly_m: np.ndarray) -> np.ndarray:
         """Positions of the dense points of the exactly-M mask, ascending."""
@@ -207,7 +230,7 @@ class _DenseRows:
                     "a point joined the exactly-M set during a pass")
             departed = np.flatnonzero(self.carrier & ~exactly_m)
             if len(departed):
-                self.masses[f_km] -= ball_masses(self.sub, self.radii, f_km, departed)
+                self.masses[f_km] -= self._departed_mass(f_km, departed)
         self.carrier = exactly_m.copy()
         est = self.masses[f_km]
         dense = (est - self.margin >= self.thresholds).all(axis=1)
@@ -223,20 +246,36 @@ def _shadow_annulus(j_k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([2.0 ** (-j_k - 2)]), np.array([2.0 ** (-j_k + 1)])
 
 
-def _near(cloud: WeightedCloud, x: np.ndarray, j_k: int, c: float,
-          alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _table_gap(j_k: int, js: np.ndarray) -> float:
+    """Radius around a center out to which its open shadow at scale j_k may
+    leave the shells ``js`` of a table: 0 when the shells j_k - 1, j_k and
+    j_k + 1 are all there, 2^(-j_k-1) when j_k is the finest, and the outer
+    radius 2^(-j_k+1) when j_k is the coarsest (the top shell holds every
+    pair only up to its computed distance 2^(-j_k))."""
+    if j_k == js[0]:
+        return 2.0 ** (1 - j_k)
+    return 2.0 ** (-j_k - 1) if j_k == js[-1] else 0.0
+
+
+def _near(cloud: WeightedCloud, x: np.ndarray, j_k: int, c: float, alive: np.ndarray,
+          js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alive points that a shrink try at scale j_k with saved-ball factor at
-    most c can accept, and their squared distances to x: every such point lies
-    within 100 r_k + 2^(-j_k+1) of x, r_k = c 2^-j_k, padded past rounding."""
-    radius = 100.0 * c * 2.0 ** (-float(j_k)) + 2.0 ** (1 - float(j_k))
+    most c can accept, and their squared distances to x, ascending: every
+    point of its saved and enlarged balls lies within 100 r_k of x, r_k =
+    c 2^-j_k.  At the ends of the scales ``js`` it also holds the points
+    within ``_table_gap`` of those, which ``_open_shadow`` meets with every
+    center.  The radius is padded past rounding."""
+    radius = 100.0 * c * 2.0 ** (-float(j_k)) + _table_gap(j_k, js)
     near = cloud.grid.ball(x, _reach(radius, float(np.abs(cloud.coords).max())))
     near = near[alive[near]]
     return near, row_dots(cloud.coords[near] - x)
 
 
-def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, near: np.ndarray,
-                 w: np.ndarray, alpha: float, j_k: int) -> np.ndarray:
-    """The points of ``near`` in the interior of the closed shadow of any center.
+def _open_shadow(cloud: WeightedCloud, table: ShellTable, rows: np.ndarray,
+                 centers: np.ndarray, near: np.ndarray, alive: np.ndarray,
+                 j_k: int) -> np.ndarray:
+    """The alive points in the interior of the closed shadow of any center,
+    ascending.
 
     The closed shadow of a center is its closed one-sided alpha-cone cut to
     the shells j_k - 1, j_k and j_k + 1, whose union is the single closed
@@ -244,28 +283,49 @@ def _open_shadow(cloud: WeightedCloud, centers: np.ndarray, near: np.ndarray,
     open annulus: points on the radii 2^(-j_k-1) and 2^(-j_k) that adjacent
     shells share are deleted, the two rims are kept.  Every closed
     alpha/2-shell of scale j_k around a center lies in this interior, so the
-    deletion removes each visit the recount below has to clear.  The (point,
-    center) pairs meet the strict distance test and ``cone_shells`` in blocks.
+    deletion removes each visit the recount below has to clear.
+
+    ``table`` is one-sided along w at aperture alpha over a superset of the
+    cloud's points, position p being its row ``rows[p]`` (``rows``
+    ascending), and holds every closed-shell hit between them: the same
+    displacement, distance and cone test, closed.  So every interior point
+    of a center's shadow is a column of its row with a shell among j_k - 1,
+    j_k and j_k + 1, where the table has them; at the ends of its scales
+    (``_table_gap``) the rest lies within ``near``, which every center meets
+    too.  The strict ``cone_shells`` settles each (center, candidate) pair,
+    the table's in blocks of at most ``shells._CHUNK`` pairs, ``near`` in
+    blocks of its points.
     """
     inner, outer = _shadow_annulus(j_k)
-    hit = np.zeros(len(near), dtype=bool)
-    points, ends = cloud.coords[near], cloud.coords[centers]
-    step = block_rows(len(centers))
-    for lo in range(0, len(near), step):
-        delta = pair_differences(points[lo:lo + step], ends)
-        close = row_dots(delta) < outer[0] * outer[0]
-        inside = cone_shells(delta[close], alpha, cloud.n, w, inner, outer,
-                             strict=True)[:, 0]
-        hit[lo + np.nonzero(close)[0][inside]] = True
-    return near[hit]
+    w, alpha = table.direction, table.aperture
+    coords, found = cloud.coords, [np.empty(0, dtype=np.intp)]
+    owner, cols = table.entries(rows[centers], np.arange(j_k - 1, j_k + 2))
+    pos = np.minimum(np.searchsorted(rows, cols), len(rows) - 1)
+    keep = (rows[pos] == cols) & alive[pos]  # the columns that are alive points of the pass
+    owner, pos = centers[owner[keep]], pos[keep]
+    step = block_rows(1)
+    for lo in range(0, len(pos), step):
+        points = pos[lo:lo + step]
+        inside = cone_shells(coords[points] - coords[owner[lo:lo + step]], alpha, cloud.n, w,
+                             inner, outer, strict=True)[:, 0]
+        found.append(points[inside])
+    if _table_gap(j_k, table.js):
+        step = block_rows(len(centers))
+        for lo in range(0, len(near), step):
+            delta = pair_differences(coords[near[lo:lo + step]], coords[centers])
+            close = row_dots(delta) < outer[0] * outer[0]
+            inside = cone_shells(delta[close], alpha, cloud.n, w, inner, outer,
+                                 strict=True)[:, 0]
+            found.append(near[lo + np.nonzero(close)[0][inside]])
+    return np.unique(np.concatenate(found))
 
 
-def _closed_shadow_contains(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
-                            alpha: float, j_k: int, z: np.ndarray) -> bool:
-    """True when z lies in the closed shadow of every center."""
+def _in_closed_shadow(cloud: WeightedCloud, centers: np.ndarray, w: np.ndarray,
+                      alpha: float, j_k: int, z: np.ndarray) -> np.ndarray:
+    """Mask of the centers whose closed shadow holds z.  Rows are tested on
+    their own, so a step tests every point of ``near`` once per scale."""
     inner, outer = _shadow_annulus(j_k)
-    return bool(cone_shells(z - cloud.coords[centers], alpha, cloud.n, w,
-                            inner, outer).all())
+    return cone_shells(z - cloud.coords[centers], alpha, cloud.n, w, inner, outer)[:, 0]
 
 
 def refine_once(cloud: WeightedCloud, entry: VisitationReport,
@@ -301,9 +361,12 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
     mass_total = sub.mass()
     alive = np.ones(len(sub), dtype=bool)
     saved = np.zeros(len(sub), dtype=bool)
+    held = np.zeros(len(sub), dtype=bool)  # a try's saved ball, cleared after the try
+    rows = np.searchsorted(entry.table.subset, subset)  # each position's entry-table row
     saved_sets, deleted_sets, records = [], [], []
     sum_saved = sum_deleted = 0.0
     saved_ratio, last_w_coord = math.inf, -math.inf
+    counts = shells.counts(alive)  # then the committed try's recount: alive is alive_after
 
     while True:
         if len(records) > len(sub):
@@ -313,7 +376,6 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             status, keep_mask = "stopped_1", saved
             break
 
-        counts = shells.counts(alive)
         if counts[alive].max(initial=0) > big_m:
             raise AlgorithmInvariantViolation(
                 "visit counts exceeded M on a surviving point")
@@ -343,22 +405,27 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
             candidate_js = scales if cfg.scale_choice == "largest" else scales[::-1]
 
         committed = False
-        for j_k in candidate_js:
-            z_k = cloud.coords[shells.witness(x_k, int(j_k), alive)]
+        for j_k in map(int, candidate_js):
+            z_k = cloud.coords[shells.witness(x_k, j_k, alive)]
             c_try = cfg.c_factor * alpha
-            near, dist_sq = _near(sub, x_coord, int(j_k), c_try, alive)
+            near, dist_sq = _near(sub, x_coord, j_k, c_try, alive, scale_range.js)
+            holds_z = _in_closed_shadow(sub, near, w, alpha, j_k, z_k)
             # Shrinking always succeeds eventually: once the enlarged ball
             # holds only the bad point itself, the witness inclusion is
             # automatic.  The retry budget bounds the loop regardless.
             for _ in range(_MAX_C_RETRIES):
                 r_k = c_try * 2.0 ** (-float(j_k))
                 s_k = near[exactly_m[near] & (dist_sq <= r_k * r_k)]
-                b_k = near[dist_sq <= (100.0 * r_k) * (100.0 * r_k)]
-                if not _closed_shadow_contains(sub, b_k, w, alpha, int(j_k), z_k):
+                enlarged = dist_sq <= (100.0 * r_k) * (100.0 * r_k)
+                if not holds_z[enlarged].all():
                     c_try /= 2.0
                     continue
-                d_k = _open_shadow(sub, b_k, near, w, alpha, int(j_k))
-                if saved[d_k].any() or np.isin(d_k, s_k).any():
+                b_k = near[enlarged]
+                d_k = _open_shadow(sub, entry.table, rows, b_k, near, alive, j_k)
+                held[s_k] = True
+                clash = (saved[d_k] | held[d_k]).any()
+                held[s_k] = False
+                if clash:
                     c_try /= 2.0
                     continue
                 # Deleting the shadow must knock every neighbor of the saved
@@ -366,7 +433,8 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
                 # pair is unusable.
                 alive_after = alive.copy()
                 alive_after[d_k] = False
-                if shells.counts(alive_after)[b_k].max(initial=0) > big_m - 1:
+                counts_after = shells.counts(alive_after)
+                if counts_after[b_k].max(initial=0) > big_m - 1:
                     c_try /= 2.0
                     continue
                 committed = True
@@ -382,6 +450,7 @@ def refine_once(cloud: WeightedCloud, entry: VisitationReport,
         deleted_sets.append(subset[d_k])
         saved[s_k] = True
         alive[d_k] = False
+        counts = counts_after
         if saved[~alive].any():
             raise AlgorithmInvariantViolation("a saved point was deleted")
         mass_s, mass_d = sub.mass(s_k), sub.mass(d_k)

@@ -12,8 +12,9 @@ as CSR rows with a shell bitmask per pair.  A pipeline run searches once,
 for its theta0 table (every pair under ``--oracle``); every later table
 filters a parent, and ``visited_directions`` skips the cover directions
 that its entries never reach.  A table answers the visit counts of any alive
-subset of its rows (a ``VisitationReport``), and one row's visited scales
-and lowest witnesses, which is what refinement reads.
+subset of its rows (a ``VisitationReport``), one row's visited scales and
+lowest witnesses, and the entries of some rows at some scales, which is what
+refinement reads.
 """
 
 from __future__ import annotations
@@ -245,6 +246,18 @@ class ShellTable:
         seg = slice(self.indptr[pos], self.indptr[pos + 1])
         word = np.bitwise_or.reduce(self.bits[seg][alive[self.cols[seg]]])
         return self.js[(word >> np.arange(len(self.js), dtype=np.uint64)) & 1 != 0]
+
+    def entries(self, rows: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of the given rows in a shell of a scale among ``js``
+        (scales outside the table's are ignored), row by row: each one's index
+        into ``rows`` and its column."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        at = np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        shifts = (js[(js >= self.js[0]) & (js <= self.js[-1])] - self.js[0]).astype(np.uint64)
+        hit = self.bits[at] & np.bitwise_or.reduce(np.uint64(1) << shifts) != 0
+        return owner[hit], self.cols[at[hit]]
 
     def witness(self, pos: int, j: int, alive) -> int:
         """Lowest alive cloud index in the shell of scale j around row ``pos``."""

@@ -432,6 +432,27 @@ class TestGreedyNet:
         assert len(net) > 500
         assert peak < 8 * pts.nbytes
 
+    def test_a_long_piece_is_scanned_in_sub_blocks(self, monkeypatch):
+        # One 100,000-row piece: its survivors meet each other at most
+        # _SUB_BLOCK rows at a time (the whole piece at once asked for about
+        # 1.4 GiB at d = 3), and the net is that of 2^10-row pieces and of the
+        # dense scan.
+        seen = []
+
+        class Counted(cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                seen.append(self.n)
+                return super().query_pairs(*args, **kwargs)
+
+        pts = np.random.default_rng(5).random((100_000, 2))
+        spacing = 0.03
+        with monkeypatch.context() as patch:
+            patch.setattr(cover_module, "cKDTree", Counted)
+            net = _greedy_net([pts], spacing)
+        assert seen[0] == max(seen) == _SUB_BLOCK and len(seen) > 1
+        short = _greedy_net(np.split(pts, range(2 ** 10, len(pts), 2 ** 10)), spacing)
+        assert net.tobytes() == short.tobytes() == greedy_net_loop(pts, spacing).tobytes()
+
     @given(d=st.sampled_from([2, 3, 4]),
            kind=st.sampled_from(["random", "lattice", "duplicates"]),
            count=st.one_of(st.integers(1, 600),

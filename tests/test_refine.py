@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from graphcarve import (
     AlgorithmInvariantViolation,
@@ -32,13 +32,14 @@ from graphcarve.measure import ball_masses
 from graphcarve.pipeline import PipelineConfig, normalize_to_unit_ball, run_pipeline
 from graphcarve.refine import (
     RefineConfig,
-    _closed_shadow_contains,
     _DenseRows,
+    _in_closed_shadow,
     _near,
     _open_shadow,
 )
 from graphcarve.shells import ShellTable
 from tests.bad_points_reference import dense_bad
+from tests.refine_reference import refine_once_loop
 from tests.schedule_reference import schedule_ledger_loop
 from tests.shadow_reference import balls_loop, open_shadow_loop
 from tests.visit_rows import assert_rows_match_oracle
@@ -177,16 +178,19 @@ class TestRefineOnce:
     def test_open_shadow_is_interior_of_closed_shadow(self):
         # At j_k = 0 the closed shadow is the cone cut to [1/4, 2].  Its
         # interior holds the radii 1/2 and 1 that adjacent shells share, but
-        # not the rims 1/4 and 2 or the points outside the cone.
+        # not the rims 1/4 and 2 or the points outside the cone, whether
+        # j_k = 0 is inside the entry table's scales, at either end or alone.
         coords = np.array([[0.0, 0.0], [0.0, 0.25], [0.0, 0.5], [0.0, 1.0],
                            [0.0, 1.5], [0.0, 2.0], [0.0, -1.0], [0.5, 1.0]])
         cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=0.01)
-        center = np.array([0])
-        assert list(_open_shadow(cloud, center, cloud.all_indices(), UP, 0.1, 0)) == [2, 3, 4]
-        for z in range(1, 6):
-            assert _closed_shadow_contains(cloud, center, UP, 0.1, 0, coords[z])
-        for z in (6, 7):
-            assert not _closed_shadow_contains(cloud, center, UP, 0.1, 0, coords[z])
+        center, alive = np.array([0]), np.ones(len(cloud), dtype=bool)
+        for j_min, j_max in ((-1, 1), (0, 3), (-3, 0), (0, 0)):
+            table = ShellTable(cloud, cloud.all_indices(), 0.1, ScaleRange(j_min, j_max), UP)
+            near, _ = _near(cloud, coords[0], 0, 0.1 / 64.0, alive, table.js)
+            shadow = _open_shadow(cloud, table, cloud.all_indices(), center, near, alive, 0)
+            assert list(shadow) == [2, 3, 4]
+        holds = [_in_closed_shadow(cloud, center, UP, 0.1, 0, coords[z])[0] for z in range(8)]
+        assert holds == [False] + [True] * 5 + [False, False]
 
     def test_shell_table_matches_visitation(self):
         cloud = flat_base_with_stack(n_base=120, stack=((0.3, 0.41), (0.31, 0.8)))
@@ -224,19 +228,27 @@ class TestRefineOnce:
 
 
 class TestOneNeighbourhoodQuery:
-    """A step reads its saved ball, enlarged ball and open shadow at a scale
-    from one ball query around the bad point (``_near``)."""
+    """A step reads its saved ball and enlarged ball at a scale from one ball
+    query around the bad point (``_near``), and its open shadow from the
+    entry table's rows, with the query's points at the ends of the scales."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), d=st.sampled_from([2, 3]), offset=st.sampled_from([0.0, 1e3]))
-    def test_matches_the_per_center_ball_queries(self, data, d, offset):
+    @given(data=st.data(), d=st.sampled_from([2, 3]), offset=st.sampled_from([0.0, 1e3]),
+           ends=st.sampled_from(["interior", "j_min", "j_max", "one_scale"]))
+    def test_matches_the_per_center_ball_queries(self, data, d, offset, ends):
         # Points sit on the shell radii 2^(-j-2) .. 2^(-j+1), the saved radius
         # r_k and the enlarged radius 100 r_k around the bad point and around
         # centers on and inside the enlarged ball, along w, on the edge of the
         # alpha-cone and at random; the offset makes their distances round.
+        # The entry table spans the whole cloud, the pass a subset of it.
         j_k = data.draw(st.integers(-1, 4), label="j_k")
         alpha = data.draw(st.sampled_from([0.1, 0.05, 0.0125]), label="alpha")
         c = alpha * data.draw(st.sampled_from([1.0 / 64.0, 0.25]), label="c_factor")
+        below, above = (data.draw(st.integers(1, 3), label=side) for side in ("below", "above"))
+        scale_range = {"interior": ScaleRange(j_k - below, j_k + above),
+                       "j_min": ScaleRange(j_k, j_k + above),
+                       "j_max": ScaleRange(j_k - below, j_k),
+                       "one_scale": ScaleRange(j_k, j_k)}[ends]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         w = np.zeros(d)
         w[-1] = 1.0
@@ -259,13 +271,16 @@ class TestOneNeighbourhoodQuery:
         coords = [b + r * u for b in bases for r in radii for u in units()]
         coords += list(rng.uniform(-2 * scale, 2 * scale, (20, d)))
         coords = offset + np.array(bases + coords)
-        cloud = WeightedCloud(coords, np.ones(len(coords)), n=d - 1, delta_res=1e-9,
+        whole = WeightedCloud(coords, np.ones(len(coords)), n=d - 1, delta_res=1e-9,
                               check_separation=False)
+        table = ShellTable(whole, whole.all_indices(), alpha, scale_range, w)
+        members = np.flatnonzero((rng.random(len(whole)) < 0.9) | (np.arange(len(whole)) == 0))
+        cloud = whole.subcloud(members)
         alive = rng.random(len(cloud)) < 0.8
         alive[0] = True
         exactly_m = alive & (rng.random(len(cloud)) < 0.6)
         x = cloud.coords[0]
-        near, dist_sq = _near(cloud, x, j_k, c, alive)
+        near, dist_sq = _near(cloud, x, j_k, c, alive, table.js)
         c_try = c
         for _ in range(4):
             r_k = c_try * 2.0 ** (-float(j_k))
@@ -277,7 +292,8 @@ class TestOneNeighbourhoodQuery:
             with pytest.MonkeyPatch.context() as patch:
                 for budget in (1, 7, shells._CHUNK):
                     patch.setattr(shells, "_CHUNK", budget)
-                    assert np.array_equal(_open_shadow(cloud, b_k, near, w, alpha, j_k), want)
+                    got = _open_shadow(cloud, table, members, b_k, near, alive, j_k)
+                    assert np.array_equal(got, want)
             c_try /= 2.0
 
     def test_one_ball_query_per_scale_tried(self, monkeypatch):
@@ -296,6 +312,29 @@ class TestOneNeighbourhoodQuery:
         monkeypatch.setattr(ShellTable, "witness", counted("witness", ShellTable.witness))
         run_pipeline(union_of_graphs(n_points=800, seed=2), PipelineConfig(seed=4))
         assert calls == {"ball": 115, "witness": 115}
+
+    def test_one_count_per_iteration(self, monkeypatch):
+        # union_refine's default input: its 115-iteration pass counts once
+        # before the loop, once per try that reaches the recount (whose
+        # committed count the next iteration reads) and once for its output
+        # certificate (232 when every iteration counted its set again).
+        calls, outcomes, count, once = [0], [], ShellTable.counts, refine_module.refine_once
+
+        def counted(self, alive):
+            calls[0] += 1
+            return count(self, alive)
+
+        def spy(*args, **kwargs):
+            before = calls[0]
+            outcome = once(*args, **kwargs)
+            outcomes.append((outcome.iterations, calls[0] - before))
+            return outcome
+
+        monkeypatch.setattr(ShellTable, "counts", counted)
+        monkeypatch.setattr(refine_module, "refine_once", spy)
+        run_pipeline(union_of_graphs(n_points=800, seed=2), PipelineConfig(seed=4))
+        (iterations, counted_calls), = [o for o in outcomes if o[0]]
+        assert iterations == 115 and counted_calls <= 117
 
 
 class TestDenseRows:
@@ -343,9 +382,11 @@ class TestDenseRows:
             rows.bad(first | (np.arange(len(cloud)) == 1))
 
     def test_a_planted_exactly_m_row_stops_the_pass(self, monkeypatch):
-        # From the second recount on, base point 0 (count 0, far from the
+        # From the second count on, base point 0 (count 0, far from the
         # stack over x = 1) reports M visits: it joins the exactly-M set after
-        # the set was first tabled, which the pass refuses.
+        # the set was first tabled, which the pass refuses.  The second count
+        # is the first committed try's recount, which the second iteration
+        # reads as its own.
         class Planted(ShellTable):
             calls = 0
 
@@ -363,7 +404,7 @@ class TestDenseRows:
         monkeypatch.setattr(refine_module, "ShellTable", Planted)
         with pytest.raises(AlgorithmInvariantViolation, match="joined the exactly-M"):
             refine_once(cloud, entry, RefineConfig(epsilon=1.0))
-        assert Planted.calls > 2
+        assert Planted.calls == 2
 
 
     @pytest.mark.parametrize("scale_choice", ["largest", "smallest", "random"])
@@ -483,6 +524,86 @@ class TestRefineOnceOnASubset:
         assert ({k: v for k, v in out.ledger().items() if k != "iterations"}
                 == {k: v for k, v in ref.ledger().items() if k != "iterations"})
         verify_outcome_invariants(cloud, out)
+
+
+def assert_same_pass(out, ref):
+    """Two outcomes of one pass: equal ledgers and equal kept, remaining, saved
+    and deleted arrays."""
+    assert json.dumps(out.ledger()) == json.dumps(ref.ledger())
+    for name in ("kept", "remaining"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    for mine, theirs in ((out.saved, ref.saved), (out.deleted, ref.deleted)):
+        assert len(mine) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    assert out.records == ref.records
+    assert np.array_equal(out.certificate.counts, ref.certificate.counts)
+
+
+def _visited_js(cloud, alpha):
+    """The scales of the default range that the upward alpha table visits, ascending."""
+    table = entry_report(cloud, alpha).table
+    word = np.bitwise_or.reduce(table.bits)
+    return table.js[(word >> np.arange(len(table.js), dtype=np.uint64)) & 1 != 0]
+
+
+class TestRefineOnceEqualsTheLoop:
+    """A pass that reads its shadows from the entry table and counts once per
+    iteration equals the step-by-step loop on dense neighbourhoods."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), source=st.sampled_from(["stack", "union"]),
+           scale_choice=st.sampled_from(["largest", "smallest", "random"]),
+           ends=st.sampled_from(["default", "j_min", "j_max", "one_scale"]))
+    def test_equals_the_dense_loop(self, data, source, scale_choice, ends):
+        # The scale range starts or ends at a visited scale, or holds only
+        # one, so steps run at j_k = j_min and at j_k = j_max.
+        if source == "stack":
+            heights = 0.005 * np.array(data.draw(st.lists(st.integers(40, 380), min_size=1,
+                                                          max_size=3, unique=True),
+                                                 label="heights"))
+            n_base = data.draw(st.integers(60, 300), label="n_base")
+            site = 0.005 * data.draw(st.integers(0, n_base - 1), label="site")
+            cloud = flat_base_with_stack(n_base, stack=tuple((site, h) for h in heights))
+        else:
+            cloud = union_of_graphs(n_points=data.draw(st.integers(60, 300), label="n_points"),
+                                    seed=data.draw(st.integers(0, 20), label="seed"))
+        alpha = data.draw(st.sampled_from([0.1, 0.05]), label="alpha")
+        visited = _visited_js(cloud, alpha)
+        assume(len(visited))
+        default = ScaleRange.default_for(cloud)
+        j = int(data.draw(st.sampled_from(visited), label="j"))
+        scale_range = {"default": default, "j_min": ScaleRange(j, default.j_max),
+                       "j_max": ScaleRange(default.j_min, j),
+                       "one_scale": ScaleRange(j, j)}[ends]
+        entry = visitation_counts(cloud, cloud.all_indices(), alpha, scale_range, direction=UP)
+        assume(entry.max_count > 0)
+        epsilon = data.draw(st.sampled_from([None, 1.0, 0.25]), label="epsilon")
+        cfg = RefineConfig(epsilon=epsilon, scale_choice=scale_choice,
+                           seed=data.draw(st.integers(0, 3), label="rng"))
+        try:
+            ref = refine_once_loop(cloud, entry, cfg)
+        except ResolutionExhaustedError:
+            with pytest.raises(ResolutionExhaustedError):
+                refine_once(cloud, entry, cfg)
+            return
+        assert_same_pass(refine_once(cloud, entry, cfg), ref)
+        steps = {r.j_k for r in ref.records}
+        event(f"steps: {bool(steps)}, at j_min: {scale_range.j_min in steps}, "
+              f"at j_max: {scale_range.j_max in steps}")
+
+    @pytest.mark.parametrize("scale_choice", ["largest", "smallest", "random"])
+    @pytest.mark.parametrize("j_min, j_max", [(0, 3), (-2, 0), (0, 0)],
+                             ids=["j_min", "j_max", "one_scale"])
+    def test_steps_at_the_ends_of_the_scales(self, j_min, j_max, scale_choice):
+        # Both stacked points lie within [1/2, 1] of the base and of each
+        # other's shells at scale 0 only: every step runs at j_k = 0.
+        cloud = flat_base_with_stack(stack=((1.0, 0.611), (1.0, 0.77)))
+        entry = visitation_counts(cloud, cloud.all_indices(), 0.1, ScaleRange(j_min, j_max),
+                                  direction=UP)
+        cfg = RefineConfig(epsilon=1.0, scale_choice=scale_choice, seed=1)
+        out = refine_once(cloud, entry, cfg)
+        assert out.iterations >= 1 and {r.j_k for r in out.records} == {0}
+        assert_same_pass(out, refine_once_loop(cloud, entry, cfg))
 
 
 def test_an_unsorted_entry_report_refines_its_sorted_set():
