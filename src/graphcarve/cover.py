@@ -13,13 +13,16 @@ make the net a cover:
       aperture b * alpha, with b measured empirically; it is at most 2, so
       ``build_cover_for_theta`` builds once and reports b_used = 2.5.
 
-The net and the check of (a) both ask a kd-tree (Bentley 1975) over the
-centres for each point's nearest centre within a padded radius, settle it
-with the exact test, and search every centre in the radius only for the
-points whose nearest one fails (``_reached``); their work grows with the net
-size instead of with net size x samples, and their output equals the dense
-scan's.  The net keeps its centre tree from block to block and rebuilds it
-only when the net has grown.  In the plane it stops once a sorted sweep, with
+The net and the check of (a) share one far test (``_reached``): a point
+first meets the centre that a direct-mapped cache names for its cell
+(``_Guesses``), and only the points whose guess fails ask a kd-tree (Bentley
+1975) over the centres for their nearest centre within a padded radius; only
+those whose nearest centre fails too search every centre in the radius.  The
+exact test settles every pair, so the net and the check equal the dense
+scan's whatever the cache holds; on the codim2 cover (m = 1,471), where the
+check reads the net's cache, about one point in nine asks the tree.  The net
+keeps its centre tree from block to block and rebuilds it only when the net
+has grown.  In the plane it stops once a sorted sweep, with
 1e-9 margins past the rounding, proves that its caps cover the region's two
 arcs (``_arcs_covered``); a band on a higher sphere has no such sweep, so
 there every candidate is scanned.
@@ -34,11 +37,12 @@ check's random proposals are drawn in whole batches.  Each block's region
 members are one piece, and the net scans each piece as one block.  One
 worker thread first draws the check's samples while the calling thread makes
 the first piece and runs the net on it; once the net asks for its second
-piece, the worker runs the sampler two pieces ahead of it.  The transforms,
-``ndtri`` and the tree queries release the GIL, so the two overlap; the
-planar net stops inside its first piece.  The worker makes the same
-``_sobol`` calls and random draws as the serial order, so the cover is the
-same bit for bit, and it is joined before ``build_cover`` returns or raises.
+piece, the worker runs the sampler two pieces ahead of it; the planar net
+stops inside its first piece.  Timed on two cores, the d = 3 covers took as
+long with the worker as with the same calls made in order on one thread:
+the two hardly overlap.  The worker makes the same ``_sobol`` calls and
+random draws as the serial order, so the cover is the same bit for bit, and
+it is joined before ``build_cover`` returns or raises.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ _NET_MARGIN = 0.15
 _SUB_BLOCK = 2 ** 15
 # Sampler pieces made ahead of the net that reads them (see _read_ahead).
 _AHEAD = 2
+# The guess cache (_Guesses): slots in its table, and its cell side over the
+# net spacing (of 0.3 to 1.5, 0.5 and 0.7 timed best on d = 3 and 4 nets).
+_SLOTS = 2 ** 17
+_CELL = 0.7
 _ARC_FLOOR = 1e-4  # the least spacing at which _arcs_covered may end the net
 # build_cover_for_theta's widening constant: above the bound 2 that every
 # one-sided cover of the aperture-alpha cone meets (see there).
@@ -244,21 +252,50 @@ def _tree(points: np.ndarray) -> cKDTree:
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
+class _Guesses:
+    """A direct-mapped guess cache for ``_reached``: ``_SLOTS`` slots, each
+    naming a centre by its index.  A point's slot is a hash of its integer
+    cell floor(point / side), side = ``_CELL`` x the net spacing; a fresh
+    cache names centre 0 in every slot."""
+
+    def __init__(self, spacing: float):
+        self.side = _CELL * spacing
+        self.table = np.zeros(_SLOTS, dtype=np.intp)
+
+    def slots(self, points: np.ndarray) -> np.ndarray:
+        # Only the slot depends on the cell: an overflowed cell just hashes
+        # to some slot, whose nominee the exact test still settles.
+        with np.errstate(all="ignore"):
+            cells = np.floor(points / self.side).astype(np.int64)
+        # Powers of an odd constant (2^64 / golden ratio), wrapping mod 2^64.
+        h = cells @ np.cumprod(np.full(points.shape[1], -0x61C8864680B583EB))
+        return (h ^ h >> 29) & (len(self.table) - 1)
+
+
 def _reached(points: np.ndarray, centres: np.ndarray, tree: cKDTree, reach: float,
-             test: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+             test: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             guesses: _Guesses) -> np.ndarray:
     """Mask of the points that pass the exact ``test(point rows, centre rows)``
     against some centre, given that every passing pair lies within ``reach``.
 
-    ``tree`` over the centres names each point's nearest centre within reach
-    and the test settles that pair; only the points whose nearest centre
-    fails meet all their candidates, in one range search of a tree over them.
-    The nearest centre need not be the one that passes, so the mask does not
-    depend on which centre the tree names."""
-    nearest = tree.query(points, distance_upper_bound=reach)[1]
-    found = np.flatnonzero(nearest < len(centres))
-    passed = np.zeros(len(points), dtype=bool)
-    passed[found] = test(points[found], centres[nearest[found]])
-    rest = found[~passed[found]]
+    Each point first meets the centre its slot in ``guesses`` names (every
+    slot must name one of ``centres``).  ``tree`` over the centres names the
+    nearest centre within reach of each point whose guess fails, and the
+    test settles that pair; a passing nearest centre is written to the
+    point's slot.  Only the points whose nearest centre fails too meet all
+    their candidates, in one range search of a tree over them.  A nominee,
+    guessed or nearest, only answers for itself, so the mask does not depend
+    on what the cache holds or on which centre the tree names."""
+    slots = guesses.slots(points)
+    passed = test(points, centres[guesses.table[slots]])
+    rest = np.flatnonzero(~passed)
+    nearest = tree.query(points[rest], distance_upper_bound=reach)[1]
+    found = nearest < len(centres)
+    rest, nearest = rest[found], nearest[found]
+    hit = test(points[rest], centres[nearest])
+    passed[rest[hit]] = True
+    guesses.table[slots[rest[hit]]] = nearest[hit]
+    rest = rest[~hit]
     if len(rest):
         pairs = _tree(points[rest]).sparse_distance_matrix(tree, reach, output_type="ndarray")
         rows = rest[pairs["i"]]
@@ -266,19 +303,22 @@ def _reached(points: np.ndarray, centres: np.ndarray, tree: cKDTree, reach: floa
     return passed
 
 
-def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
+def _greedy_net(pieces: Iterable[np.ndarray], spacing: float, guesses: _Guesses,
                 done: Callable[[np.ndarray], bool] | None = None) -> np.ndarray:
     """Greedy maximal net in scan order over the rows of ``pieces``, each a
     non-empty (rows, d) array; pairwise distances > spacing.
 
     A point joins the net when no earlier net point lies within ``spacing``
     (squared distance <= spacing^2).  Each piece is scanned in blocks of at
-    most ``_SUB_BLOCK`` rows, one block when it is no longer.  A
+    most ``_SUB_BLOCK`` rows, one block when it is no longer.  Each block
+    point first meets the centre that its slot in ``guesses`` names, and the
+    exact squared-distance test settles that pair (``_reached``); the net
+    writes each new centre to its own slot, and ``_reached`` each passing
+    nearest centre, so most points pass on their guess.  For the rest a
     kd-tree over the centres chosen so far (Bentley, CACM 18(9), 1975), kept
-    across blocks and rebuilt only after the net has grown, names each block
-    point's nearest centre within a padded radius, and the exact
-    squared-distance test settles it (``_reached``); a point whose nearest
-    centre fails that test meets every centre in the radius.  The block's
+    across blocks and rebuilt only after the net has grown, names the
+    nearest centre within a padded radius, and a point whose nearest centre
+    fails too meets every centre in the radius.  The block's
     survivors then meet each other: one ``query_pairs`` over them, settled by
     the same test, lists each survivor's later neighbours, and a scan in
     order keeps every survivor that no kept one reaches.  The first block
@@ -286,11 +326,12 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
     square, so it should be short; the block bound caps that square whatever
     a caller passes.  The work grows with the net size instead
     of with net size x point count, and the output equals the plain dense
-    scan bit for bit wherever the pieces end.  ``done(centres)``, asked after
-    each block that added centres, ends the scan (no later piece is read)
-    once it proves every later point within the test of a centre.  The
-    pieces may be made on another thread (``build_cover``): the tree queries
-    release the GIL, so that thread's sampling runs while they do.
+    scan bit for bit wherever the pieces end and whatever the cache holds
+    (its slots need only name centres of the first block's net).
+    ``done(centres)``, asked after each block that added centres, ends the
+    scan (no later piece is read) once it proves every later point within
+    the test of a centre.  The pieces may be made on another thread
+    (``build_cover``).
     """
     sq = spacing * spacing
 
@@ -307,7 +348,7 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
         if centres is not None:
             if tree is None or tree.n < len(centres):
                 tree = _tree(centres)
-            rest = block[~_reached(block, centres, tree, reach, within)]
+            rest = block[~_reached(block, centres, tree, reach, within, guesses)]
             if not len(rest):
                 continue
         first, later = _tree(rest).query_pairs(reach, output_type="ndarray").T
@@ -321,7 +362,9 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float,
         for k in range(len(rest)):
             if open_[k]:
                 open_[later[bounds[k]:bounds[k + 1]]] = False
-        centres = rest[open_] if centres is None else np.concatenate([centres, rest[open_]])
+        new = rest[open_]
+        centres = new if centres is None else np.concatenate([centres, new])
+        guesses.table[guesses.slots(new)] = np.arange(len(centres) - len(new), len(centres))
         if done is not None and done(centres):
             break
     return centres
@@ -369,17 +412,20 @@ def _one_sided_caps(directions: np.ndarray, aperture: float, per_dir: int,
     return y.reshape(-1, d)
 
 
-def _covered(check: np.ndarray, directions: np.ndarray,
-             cos_small: float) -> np.ndarray:
+def _covered(check: np.ndarray, directions: np.ndarray, cos_small: float,
+             guesses: _Guesses) -> np.ndarray:
     """Mask of the check samples y with y . u >= cos_small for some direction u.
 
     As |y - u|^2 = 2 - 2 y . u for unit vectors, every such pair lies within
     the chord r = sqrt(2 - 2 cos_small), padded to sqrt(r^2 + 64 eps) past that
     subtraction's rounding, and the exact dot settles it (``_reached``): off
-    the sphere the nearest direction need not have the largest dot."""
+    the sphere the nearest direction need not have the largest dot.  Each
+    sample first meets the direction its slot in ``guesses`` names; the
+    net's own cache, over the same directions, names one that passes for
+    most samples."""
     reach = _reach(math.sqrt(2.0 - 2.0 * cos_small + 64.0 * _EPS), 1.0)
     return _reached(check, directions, _tree(directions), reach,
-                    lambda rows, dirs: row_dots(rows, dirs) >= cos_small)
+                    lambda rows, dirs: row_dots(rows, dirs) >= cos_small, guesses)
 
 
 def build_cover(axis: Subspace, alpha: float, s: float,
@@ -409,13 +455,15 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     rng = np.random.default_rng(seed)
     pieces = _region_pieces(axis, alpha, net_samples)
     done = (lambda net: _arcs_covered(net, axis, alpha, spacing)) if axis.d == 2 else None
+    guesses = _Guesses(spacing)
     with ThreadPoolExecutor(max_workers=1) as pool:
         check = pool.submit(_region_samples, axis, alpha, check_samples, rng)
         directions = _greedy_net(chain([seeds, next(pieces)], _read_ahead(pool, pieces)),
-                                 spacing, done)
+                                 spacing, guesses, done)
         check = check.result()
     small_ap = alpha * s
-    covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)))
+    covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)),
+                       guesses)
     if not covered.all():
         raise CoverInvalidError(
             f"{int(np.count_nonzero(~covered))} of {check_samples} region samples "

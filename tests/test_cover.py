@@ -25,6 +25,7 @@ from graphcarve.cover import (
     _NET_MARGIN,
     _SOBOL_MAX_D,
     _SUB_BLOCK,
+    _Guesses,
     _arcs_covered,
     _covered,
     _greedy_net,
@@ -199,7 +200,7 @@ class TestBuildCover:
                 raise error
             yield from stream
 
-        def failing_net(stream, spacing, done=None):
+        def failing_net(stream, spacing, guesses, done=None):
             stream = iter(stream)
             next(stream), next(stream), next(stream)
             raise error
@@ -425,7 +426,7 @@ class TestGreedyNet:
         pts = np.random.default_rng(0).random((3 * PIECE + 100, 2))
         tracemalloc.start()
         try:
-            net = _greedy_net(pieces(pts), 0.03)
+            net = _greedy_net(pieces(pts), 0.03, _Guesses(0.03))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,9 +449,10 @@ class TestGreedyNet:
         spacing = 0.03
         with monkeypatch.context() as patch:
             patch.setattr(cover_module, "cKDTree", Counted)
-            net = _greedy_net([pts], spacing)
+            net = _greedy_net([pts], spacing, _Guesses(spacing))
         assert seen[0] == max(seen) == _SUB_BLOCK and len(seen) > 1
-        short = _greedy_net(np.split(pts, range(2 ** 10, len(pts), 2 ** 10)), spacing)
+        short = _greedy_net(np.split(pts, range(2 ** 10, len(pts), 2 ** 10)), spacing,
+                            _Guesses(spacing))
         assert net.tobytes() == short.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
     @given(d=st.sampled_from([2, 3, 4]),
@@ -472,7 +474,7 @@ class TestGreedyNet:
             pts = offset + rng.random((count, d))
             if kind == "duplicates":
                 pts = pts[rng.integers(0, max(count // 4, 1), count)]
-        net = _greedy_net(pieces(pts), spacing)
+        net = _greedy_net(pieces(pts), spacing, _Guesses(spacing))
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
     @pytest.mark.parametrize("kind", ["random", "lattice"])
@@ -492,7 +494,7 @@ class TestGreedyNet:
             spacing = 0.08
             pts = rng.random((count, d))
         pts = pts[np.argsort(pts[:, 0], kind="stable")]
-        assert (_greedy_net(pieces(pts), spacing).tobytes()
+        assert (_greedy_net(pieces(pts), spacing, _Guesses(spacing)).tobytes()
                 == greedy_net_loop(pts, spacing).tobytes())
         # The premise: every later block holds two survivors within the
         # spacing of each other.  A greedy net's points in a prefix are the
@@ -524,7 +526,7 @@ class TestGreedyNet:
             pts = np.vstack([np.resize(cs, (PIECE, d)), qs])
             diff = qs - cs
             spacing = float(np.sqrt(rng.choice(lane_dots(diff))))
-            assert (_greedy_net(pieces(pts), spacing).tobytes()
+            assert (_greedy_net(pieces(pts), spacing, _Guesses(spacing)).tobytes()
                     == greedy_net_loop(pts, spacing).tobytes())
 
     def test_a_nearest_centre_that_fails_the_test_is_not_the_last_word(self):
@@ -533,7 +535,7 @@ class TestGreedyNet:
         # distance rounds differently for the two, and the tree's sum adds
         # in another order than the exact test.  Here the tree names c1
         # nearest, c1 fails the test at a spacing that c2 passes, and p stays
-        # out of the net.
+        # out of the net.  Every slot names c1, so p asks the tree.
         rng = np.random.default_rng(4)
         found = 0
         for _ in range(1000):
@@ -547,7 +549,9 @@ class TestGreedyNet:
                 continue
             found += 1
             pts = np.vstack([np.resize(centres, (FIRST_PIECE, 3)), p])
-            net = _greedy_net(pieces(pts), spacing)
+            guesses = _Guesses(spacing)
+            guesses.table[:] = nearest
+            net = _greedy_net(pieces(pts), spacing, guesses)
             assert net.tobytes() == centres.tobytes()
             assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
         assert found > 10
@@ -562,7 +566,8 @@ class TestGreedyNet:
         seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
         pts = np.concatenate([seeds, _region_samples(axis, alpha, 200_000)], axis=0)
         spacing = alpha * s * (1.0 - _NET_MARGIN)
-        net = _greedy_net(chain([seeds], _region_pieces(axis, alpha, 200_000)), spacing)
+        net = _greedy_net(chain([seeds], _region_pieces(axis, alpha, 200_000)), spacing,
+                          _Guesses(spacing))
         assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
 
 
@@ -597,7 +602,7 @@ class TestCovered:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_all_pairs_reference(self, d, aperture, seed):
         check, dirs, cos_small = rim_samples(np.random.default_rng(seed), d, aperture)
-        got = _covered(check, dirs, cos_small)
+        got = _covered(check, dirs, cos_small, _Guesses(aperture))
         assert got[0]
         assert np.array_equal(got, covered_all_pairs(check, dirs, cos_small))
 
@@ -608,7 +613,7 @@ class TestCovered:
         check = np.eye(3)[:2]
         dirs = np.array([[0.9, 0.0, 0.0], [math.cos(0.2), 0.0, math.sin(0.2)],
                          [0.0, 0.9, 0.0]])
-        got = _covered(check, dirs, math.cos(0.3))
+        got = _covered(check, dirs, math.cos(0.3), _Guesses(0.3))
         assert got.tolist() == [True, False]
         assert np.array_equal(got, covered_all_pairs(check, dirs, math.cos(0.3)))
 
@@ -618,8 +623,92 @@ class TestCovered:
         # counts as covered.
         check, dirs, cos_small = rim_samples(np.random.default_rng(0), 4, 1e-7)
         monkeypatch.setattr(cover_module, "_EPS", 0.0)
-        assert not np.array_equal(_covered(check, dirs, cos_small),
+        assert not np.array_equal(_covered(check, dirs, cos_small, _Guesses(1e-7)),
                                   covered_all_pairs(check, dirs, cos_small))
+
+
+def cache(spacing, one_slot):
+    """A fresh guess cache for the net spacing; with ``one_slot`` built while
+    ``_SLOTS`` is 1, so that every cell shares its one slot."""
+    with pytest.MonkeyPatch.context() as patch:
+        if one_slot:
+            patch.setattr(cover_module, "_SLOTS", 1)
+        guesses = _Guesses(spacing)
+    assert len(guesses.table) == (1 if one_slot else cover_module._SLOTS)
+    return guesses
+
+
+def region_input(data, d, alpha, s):
+    """An axis of random dimension n < d, its seeds and the net spacing."""
+    axis = Subspace.vertical_axis(d, data.draw(st.integers(1, d - 1), label="n"))
+    seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
+    return axis, seeds, alpha * s * (1.0 - _NET_MARGIN)
+
+
+class TestGuessCache:
+    # The cache only nominates a centre and the exact test decides, so the
+    # net and the coverage mask are those of the dense references whatever
+    # its slots name: a fresh cache names centre 0 everywhere, a random one
+    # any valid centre, and a one-slot cache gives every cell the same slot.
+    @given(d=st.integers(2, 5), data=st.data(), alpha=st.floats(0.05, 0.45),
+           s=st.sampled_from([0.25, 0.5, 1.0]), count=st.integers(1, 10_000),
+           prime=st.sampled_from(["fresh", "random"]), one_slot=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_net_equals_the_dense_scan(self, d, data, alpha, s, count, prime,
+                                       one_slot, seed):
+        rng = np.random.default_rng(seed)
+        axis, seeds, spacing = region_input(data, d, alpha, s)
+        pts = np.concatenate([seeds, _region_samples(axis, alpha, count, rng)], axis=0)
+        guesses = cache(spacing, one_slot)
+        if prime == "random":
+            # The seeds are the first block and its whole net, so every
+            # index below their count names a centre from then on.
+            guesses.table[:] = rng.integers(0, len(seeds), len(guesses.table))
+        net = _greedy_net(chain([seeds], pieces(pts[len(seeds):])), spacing, guesses)
+        assert net.tobytes() == greedy_net_loop(pts, spacing).tobytes()
+
+    @given(d=st.integers(2, 5), data=st.data(), alpha=st.floats(0.05, 0.45),
+           s=st.sampled_from([0.25, 0.5, 1.0]), count=st.integers(1, 10_000),
+           widen=st.sampled_from([1.0, 1.5]),
+           prime=st.sampled_from(["net", "zero", "random"]), one_slot=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_covered_equals_the_chunked_product(self, d, data, alpha, s, count, widen,
+                                                prime, one_slot, seed):
+        # The net of ``count`` region samples, and check samples from the
+        # region or from one 1.5 times as wide: a sparse net or a wide
+        # region leaves escapes, whose first one is the cover's witness.
+        rng = np.random.default_rng(seed)
+        axis, seeds, spacing = region_input(data, d, alpha, s)
+        guesses = cache(spacing, one_slot)
+        net = _greedy_net(chain([seeds], pieces(_region_samples(axis, alpha, count, rng))),
+                          spacing, guesses)
+        if prime == "zero":
+            guesses.table[:] = 0
+        elif prime == "random":
+            guesses.table[:] = rng.integers(0, len(net), len(guesses.table))
+        check = _region_samples(axis, min(alpha * widen, 0.9), 2000, rng)
+        cos_small = math.sqrt(1.0 - (alpha * s) ** 2)
+        got = _covered(check, net, cos_small, guesses)
+        want = covered_chunked(check, net, cos_small)
+        assert np.array_equal(got, want)
+        event("escapes" if not got.all() else "covered")
+        assert np.argmax(~got) == np.argmax(~want)
+
+    def test_few_points_ask_the_tree(self, monkeypatch):
+        # The codim2_cover workload's cover: of the 200,000 net samples and
+        # 20,000 check samples, most pass on their guess, and at most 55,000
+        # ask the kd-tree for their nearest centre.
+        asked = []
+
+        class Counted(cKDTree):
+            def query(self, x, *args, **kwargs):
+                asked.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(cover_module, "cKDTree", Counted)
+        cover = build_cover(vertical_axis(3), 0.009750297265160525, 1.0)
+        assert cover.m == 1471
+        assert 0 < sum(asked) <= 55_000
 
 
 class TestCertificateChunks:
@@ -639,7 +728,9 @@ class TestCertificateChunks:
                 return str(exc), exc.witness.tobytes()
 
         got = outcome()
-        monkeypatch.setattr(cover_module, "_covered", covered_chunked)
+        monkeypatch.setattr(cover_module, "_covered",
+                            lambda check, dirs, cos_small, guesses:
+                            covered_chunked(check, dirs, cos_small))
         assert got == outcome()
 
     def test_products_are_chunked(self, monkeypatch):
@@ -649,8 +740,8 @@ class TestCertificateChunks:
         # call returns a cover or raises.
         sizes = []
 
-        def net(stream, spacing, done=None):
-            out = _greedy_net(stream, spacing, done)
+        def net(stream, spacing, guesses, done=None):
+            out = _greedy_net(stream, spacing, guesses, done)
             sizes.append(len(out))
             return out
 
