@@ -43,6 +43,13 @@ def _parse_params(pairs):
     return out
 
 
+def non_negative_int(text: str) -> int:
+    """A seed: numpy's generators take no negative integer."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def _load_cloud(args):
     return cloud_io.load_cloud(args.input, n=getattr(args, "n", None),
                                delta_res=getattr(args, "delta_res", None))
@@ -172,11 +179,8 @@ def cmd_extract(args) -> int:
     outdir = _outdir(args)
     grid = np.linspace(cloud.coords[:, :cloud.n].min(axis=0),
                        cloud.coords[:, :cloud.n].max(axis=0), args.grid_points)
-    if cloud.n == 1:
-        queries = grid.reshape(-1, 1)
-    else:
-        meshes = np.meshgrid(*[grid[:, i] for i in range(cloud.n)], indexing="ij")
-        queries = np.stack(meshes, axis=-1).reshape(-1, cloud.n)
+    meshes = np.meshgrid(*[grid[:, i] for i in range(cloud.n)], indexing="ij")
+    queries = np.stack(meshes, axis=-1).reshape(-1, cloud.n)
     values = extend_mcshane(model, queries)
     (outdir / "graph.csv").write_text(csv_lines(
         [f"t{i + 1}" for i in range(cloud.n)] + [f"a{i + 1}" for i in range(cloud.d - cloud.n)],
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="intrinsic dimension (required for CSV input)")
             p.add_argument("--delta-res", dest="delta_res", type=finite, default=None)
         p.add_argument("--output-dir", default=".")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         if oracle:
             p.add_argument("--oracle", action="store_true",
                            help="the root visit table takes all pairs as candidates "

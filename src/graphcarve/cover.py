@@ -34,25 +34,17 @@ Phys. 19(1), 1979) from Joe & Kuo's direction numbers (SIAM J. Sci. Comput.
 The sampler reads them as one stream of aligned blocks, each transformed as
 the net asks for it, and stops once it holds the samples asked for; the
 check's random proposals are drawn in whole batches.  Each block's region
-members are one piece, and the net scans each piece as one block.  One
-worker thread first draws the check's samples while the calling thread makes
-the first piece and runs the net on it; once the net asks for its second
-piece, the worker runs the sampler two pieces ahead of it; the planar net
-stops inside its first piece.  Timed on two cores, the d = 3 covers took as
-long with the worker as with the same calls made in order on one thread:
-the two hardly overlap.  The worker makes the same ``_sobol`` calls and
-random draws as the serial order, so the cover is the same bit for bit, and
-it is joined before ``build_cover`` returns or raises.
+members are one piece, and the net scans each piece as one block.  The cover
+runs on the calling thread; the check and the caps draw after the net.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -68,8 +60,6 @@ _NET_MARGIN = 0.15
 # Sobol' proposals transformed at a time: 2^10, 2^10, then doubling up to this;
 # also the most rows the greedy net scans as one block.
 _SUB_BLOCK = 2 ** 15
-# Sampler pieces made ahead of the net that reads them (see _read_ahead).
-_AHEAD = 2
 # The guess cache (_Guesses): slots in its table, and its cell side over the
 # net spacing (of 0.3 to 1.5, 0.5 and 0.7 timed best on d = 3 and 4 nets).
 _SLOTS = 2 ** 17
@@ -178,6 +168,12 @@ class DirectionCover:
         return json.dumps(payload, sort_keys=True)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=1)`` bit for bit: numpy adds fewer than 8
+    columns from the left, which a fold over the columns does faster."""
+    return np.add.reduce(a, axis=1) if a.shape[1] >= 8 else reduce(np.add, a.T)
+
+
 def _region_pieces(axis: Subspace, alpha: float, count: int,
                    rng: np.random.Generator | None = None) -> Iterator[np.ndarray]:
     """``count`` unit vectors quasi-covering {y on the sphere : |pi_perp y| <=
@@ -213,7 +209,7 @@ def _region_pieces(axis: Subspace, alpha: float, count: int,
         g *= alpha
         y += g
         del g
-        norms = np.sqrt(np.add.reduce(y * y, axis=1))
+        norms = np.sqrt(_row_sums(y * y))
         good = norms > 1e-12
         if not good.all():
             y, norms = y[good], norms[good]
@@ -221,7 +217,7 @@ def _region_pieces(axis: Subspace, alpha: float, count: int,
         perp_sq = y @ proj.T
         np.subtract(y, perp_sq, out=perp_sq)
         perp_sq *= perp_sq
-        y = y[np.sqrt(np.add.reduce(perp_sq, axis=1)) <= alpha][:count - kept]
+        y = y[np.sqrt(_row_sums(perp_sq)) <= alpha][:count - kept]
         del perp_sq
         if len(y):
             kept += len(y)
@@ -232,18 +228,6 @@ def _region_samples(axis: Subspace, alpha: float, count: int,
                     rng: np.random.Generator | None = None) -> np.ndarray:
     """The pieces of ``_region_pieces``, in one array."""
     return np.concatenate([*_region_pieces(axis, alpha, count, rng)], axis=0)
-
-
-def _read_ahead(pool: ThreadPoolExecutor, items: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The items, each made on ``pool`` while the caller reads the ones before.
-
-    Nothing is submitted before the caller asks for the first item; from
-    then on the pool works ``_AHEAD`` items ahead of the caller, behind
-    whatever was submitted to it before."""
-    steps = deque(pool.submit(next, items, None) for _ in range(_AHEAD))
-    while (item := steps.popleft().result()) is not None:
-        steps.append(pool.submit(next, items, None))
-        yield item
 
 
 def _tree(points: np.ndarray) -> cKDTree:
@@ -330,8 +314,7 @@ def _greedy_net(pieces: Iterable[np.ndarray], spacing: float, guesses: _Guesses,
     (its slots need only name centres of the first block's net).
     ``done(centres)``, asked after each block that added centres, ends the
     scan (no later piece is read) once it proves every later point within
-    the test of a centre.  The pieces may be made on another thread
-    (``build_cover``).
+    the test of a centre.  The pieces are made as the scan asks for them.
     """
     sq = spacing * spacing
 
@@ -449,21 +432,20 @@ def build_cover(axis: Subspace, alpha: float, s: float,
     # points still land inside some small cone; the membership test itself
     # uses the exact aperture.
     spacing = alpha * s * (1.0 - _NET_MARGIN)
+    if spacing * spacing < np.finfo(float).tiny:
+        raise InputError(f"net spacing {spacing} must have a normal float square")
     # Axis directions are exact cone members; seeding them keeps the net honest
     # near the cone core.
     seeds = np.concatenate([axis.frame.T, -axis.frame.T], axis=0)
-    rng = np.random.default_rng(seed)
-    pieces = _region_pieces(axis, alpha, net_samples)
     done = (lambda net: _arcs_covered(net, axis, alpha, spacing)) if axis.d == 2 else None
     guesses = _Guesses(spacing)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        check = pool.submit(_region_samples, axis, alpha, check_samples, rng)
-        directions = _greedy_net(chain([seeds, next(pieces)], _read_ahead(pool, pieces)),
-                                 spacing, guesses, done)
-        check = check.result()
+    directions = _greedy_net(chain([seeds], _region_pieces(axis, alpha, net_samples)),
+                             spacing, guesses, done)
+    # The net reads no random numbers: the check, then the caps, draw from rng.
+    rng = np.random.default_rng(seed)
+    check = _region_samples(axis, alpha, check_samples, rng)
     small_ap = alpha * s
-    covered = _covered(check, directions, math.sqrt(max(1.0 - small_ap * small_ap, 0.0)),
-                       guesses)
+    covered = _covered(check, directions, math.sqrt(1.0 - small_ap * small_ap), guesses)
     if not covered.all():
         raise CoverInvalidError(
             f"{int(np.count_nonzero(~covered))} of {check_samples} region samples "

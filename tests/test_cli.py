@@ -194,6 +194,22 @@ class TestDiagnostics:
         assert exc.value.code == 2
         assert f"argument {argv[1]}: invalid finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "lipschitz_graph"],
+        ["energy", "--input", None],
+        ["cover", "--d", "2", "--n", "1", "--alpha", "0.3"],
+        ["grassmann-verify"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, cloud_file, tmp_path, argv, capsys):
+        # numpy's generators take no negative seed: argparse refuses it
+        # before the command runs.
+        argv = [cloud_file if a is None else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "-1", "--output-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid non_negative_int value: '-1'" in \
+            capsys.readouterr().err
+
     def test_energy(self, cloud_file, capsys):
         assert run(["energy", "--input", cloud_file, "--samples", "20",
                     "--json"]) == 0

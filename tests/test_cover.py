@@ -1,9 +1,6 @@
 import json
 import math
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import Future
 from itertools import chain, islice
 
 import numpy as np
@@ -31,6 +28,7 @@ from graphcarve.cover import (
     _greedy_net,
     _region_pieces,
     _region_samples,
+    _row_sums,
     _sobol,
     _tree,
 )
@@ -56,28 +54,6 @@ def pieces(points):
     """The rows of ``points`` as the greedy net's pieces: ``FIRST_PIECE``
     rows, then ``PIECE`` rows at a time."""
     return np.split(points, range(FIRST_PIECE, len(points), PIECE))
-
-
-class InlineExecutor:
-    """A stand-in for the cover's worker pool that runs each call at once on
-    the calling thread: the serial order of the same work."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 class TestBuildCover:
@@ -166,6 +142,15 @@ class TestBuildCover:
             with pytest.raises(InputError, match=next(iter(kwargs))):
                 build_cover(vertical_axis(2), 0.3, 0.5, **kwargs)
 
+    def test_spacing_with_a_subnormal_square_is_refused(self):
+        # At alpha = 1e-200 the squared cap widths underflowed and b_measured
+        # read 0; the net spacing's square must be a normal float, the rule
+        # certify_graph applies to theta.
+        with pytest.raises(InputError, match="normal float square"):
+            build_cover(vertical_axis(2), 1e-200, 1.0)
+        cover = build_cover(vertical_axis(2), 1e-150, 1.0)
+        assert 1.9 < cover.b_measured <= 2.0
+
     @pytest.mark.parametrize("d", [22, 40])
     def test_dimension_above_the_sobol_table_fails_at_once(self, d, monkeypatch):
         def no_samples(*args, **kwargs):
@@ -182,12 +167,12 @@ class TestBuildCover:
         ("sampler", 2), ("net", 2), ("check", 2),
     ], ids=["sampler", "net", "check", "planar_sampler", "planar_net", "planar_check"])
     def test_an_error_on_either_thread_reaches_the_caller(self, monkeypatch, where, d):
-        # The worker thread draws the check samples and then runs the net's
-        # sampler ahead of it, while the calling thread runs the net: an
-        # error raised mid-stream by the sampler (on the worker from its
-        # second piece on; the planar net stops inside its first piece, so
-        # there the first piece fails), by the check or by the net is the one
-        # the caller sees, and the worker is joined before it does.
+        # The cover now runs on the calling thread alone; the name is kept
+        # from when the check and the sampler ran on a worker.  An error
+        # raised mid-stream by the net's sampler (from its second piece on;
+        # the planar net stops inside its first piece, so there the first
+        # piece fails), by the check or by the net is the one the caller
+        # sees, and a later build is unaffected.
         error = ArithmeticError(where)
         region_pieces = cover_module._region_pieces
 
@@ -208,36 +193,11 @@ class TestBuildCover:
         monkeypatch.setattr(cover_module, "_region_pieces", failing_pieces)
         if where == "net":
             monkeypatch.setattr(cover_module, "_greedy_net", failing_net)
-        threads = threading.active_count()
         with pytest.raises(ArithmeticError) as caught:
             build_cover(vertical_axis(d), 0.3, 0.5, net_samples=100_000)
         assert caught.value is error
-        assert threading.active_count() == threads
         monkeypatch.undo()
         build_cover(vertical_axis(d), 0.3, 0.5, net_samples=100_000)
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("d, n_axis, s", [
-        (3, 1, 1.0), (3, 1, 0.5), (3, 2, 1.0), (2, 1, 1.0), (2, 1, 0.5),
-    ], ids=["codim2_cover", "half_spacing", "plane_axis", "graph_large", "union_refine"])
-    def test_worker_cover_equals_the_serial_one(self, monkeypatch, d, n_axis, s):
-        # The three workload covers' inputs, the d = 3 one also at half the
-        # spacing and about a plane: the cover built with the worker, which
-        # switches threads every 10 us here, equals the one built on the
-        # calling thread alone, bit for bit.
-        axis = Subspace.vertical_axis(d, n_axis)
-        alpha = alpha0_max(n_axis, 0.2) / 2.0 / 2.5
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            overlapped = build_cover(axis, alpha, s)
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.setattr(cover_module, "ThreadPoolExecutor", InlineExecutor)
-        serial = build_cover(axis, alpha, s)
-        assert overlapped.directions.tobytes() == serial.directions.tobytes()
-        assert overlapped.to_json() == serial.to_json()
-        assert overlapped.b_measured == serial.b_measured
 
     def test_json_round_trip(self):
         cover = build_cover(vertical_axis(2), 0.25, 0.5, check_samples=5_000,
@@ -321,7 +281,16 @@ class TestCoverForTheta:
         dets = _region_samples(axis, 0.2, 5000)
         assert np.array_equal(dets, _region_samples(axis, 0.2, 5000))
 
-    @pytest.mark.parametrize("d, alpha", [(2, 0.3), (3, 0.2), (3, 0.05), (4, 0.5)])
+    @pytest.mark.parametrize("d", range(1, _SOBOL_MAX_D + 1))
+    def test_row_sums_equal_numpy_reduce(self, d):
+        # Magnitudes 16 decades apart make every order of the additions round
+        # differently; the fold must keep numpy's, pairwise from 8 columns on.
+        rng = np.random.default_rng(d)
+        a = rng.random((5000, d)) * 10.0 ** rng.integers(-8, 9, (5000, d))
+        assert np.array_equal(_row_sums(a), np.add.reduce(a, axis=1))
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.3), (3, 0.2), (3, 0.05), (4, 0.5),
+                                          (7, 0.3), (8, 0.3)])
     def test_region_sampler_matches_reference(self, d, alpha):
         axis = vertical_axis(d)
         assert np.array_equal(_region_samples(axis, alpha, 30_000),
@@ -834,9 +803,8 @@ class TestPlanarStop:
         # 200,000 samples, which take fourteen blocks (294,912 proposals) on
         # the line axis and twenty-six (688,128) on the plane axis.  The
         # stream's blocks are 2^10 twice, then doubling up to _SUB_BLOCK, then
-        # _SUB_BLOCK each, past 2^19 too.  The d = 3 sampler runs ahead of the
-        # net on a worker thread, and makes the calls of the serial sampler,
-        # none past its last sample.
+        # _SUB_BLOCK each, past 2^19 too.  The d = 3 net's sampler makes the
+        # calls of the plain _region_samples, none past its last sample.
         drawn = []
 
         def spy(dim, start, size):
@@ -858,10 +826,10 @@ class TestPlanarStop:
         assert cover.m == {(2, 1, 1.0): 6, (2, 1, 0.5): 10, (3, 1, 1.0): 1471,
                            (3, 2, 1.0): 13}[d, n, s]
         if d == 3:
-            overlapped = drawn[:]
+            by_net = drawn[:]
             drawn.clear()
             _region_samples(axis, PLANAR_ALPHA, 200_000)
-            assert overlapped == drawn
+            assert by_net == drawn
 
     @settings(max_examples=100)
     @given(angle=st.floats(0.0, 2.0 * math.pi),
