@@ -33,7 +33,6 @@ from .generators import (
 )
 from .geometry import Subspace, grassmann_distance
 from .grassmannian import (
-    GrassmannSampler,
     alpha0_max,
     construct_v0,
     measure_lower_bound_mc,
@@ -41,11 +40,9 @@ from .grassmannian import (
 from .measure import (
     AdrReport,
     PruneResult,
-    Pushforward,
     adr_check,
     projection_energy,
     prune_low_density,
-    pushforward_density,
 )
 from .pipeline import (
     PipelineConfig,

@@ -238,16 +238,34 @@ def cmd_grassmann_verify(args) -> int:
     return 0
 
 
+def _read_report(path: Path) -> dict:
+    """report.json's fields that ``plots`` reads; ``InputError`` names a malformed one."""
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key in ("masses", "visitation_before", "visitation_after", "thresholds"):
+        if not isinstance(data.setdefault(key, {}), dict):
+            raise InputError(f"{path}: field {key!r} must be an object")
+        if key.startswith("visitation") and not all(map(str.isdecimal, data[key])):
+            raise InputError(f"{path}: field {key!r} has a key that is not a visit count")
+    if not isinstance(data["thresholds"].get("theta_certified"), (int, float, type(None))):
+        raise InputError(f"{path}: field 'thresholds.theta_certified' must be a number")
+    return data
+
+
 def cmd_plots(args) -> int:
     indir = Path(args.input_dir)
     report_path = indir / "report.json"
     if not report_path.exists():
         raise InputError(f"{report_path} not found; run the pipeline first")
-    data = json.loads(report_path.read_text())
+    data = _read_report(report_path)
     report = PipelineReport.empty()
-    report.masses = data.get("masses", {})
-    report.visitation_before = data.get("visitation_before", {})
-    report.visitation_after = data.get("visitation_after", {})
+    report.masses = data["masses"]
+    report.visitation_before = data["visitation_before"]
+    report.visitation_after = data["visitation_after"]
     e1_path = indir / "cloud_e1.json"
     e3_path = indir / "cloud_e3.json"
     if e1_path.exists() and e3_path.exists():
@@ -258,7 +276,7 @@ def cmd_plots(args) -> int:
                                for path in (e1_path, e3_path))
         report.cloud_e = e3
         report.e3_indices = e3.all_indices()
-        theta = data.get("thresholds", {}).get("theta_certified")
+        theta = data["thresholds"].get("theta_certified")
         if theta and len(e3):
             report.model = certify_graph(e3, theta=theta)
     written = emit_plots(report, _outdir(args))

@@ -70,9 +70,6 @@ class ScaleRange:
     def radii(self) -> np.ndarray:
         return 2.0 ** (-self.js.astype(float))
 
-    def __len__(self):
-        return self.j_max - self.j_min + 1
-
     @classmethod
     def default_for(cls, cloud: "WeightedCloud") -> "ScaleRange":
         """Coarsest shell covering the cloud extent, finest one octave above resolution.
@@ -103,26 +100,15 @@ class GridIndex:
         self.cell = float(cell)
         self._tree = cKDTree(coords)
         self._scale = float(np.abs(coords).max()) if len(coords) else 0.0
-        if len(coords):
-            self._box = (coords.min(axis=0), coords.max(axis=0))
 
     def ball(self, center: np.ndarray, radius: float, strict: bool = False) -> np.ndarray:
-        """Sorted indices of points with |x - center| <= radius (< if strict).
-
-        When the padded radius reaches the far corner of the points' bounding
-        box, every point is a candidate and the tree is skipped: its list of
-        indices would cost more to build and convert than the scan."""
+        """Sorted indices of points with |x - center| <= radius (< if strict)."""
         if len(self.coords) == 0 or radius < 0:
             return np.empty(0, dtype=np.intp)
         center = np.asarray(center, dtype=float)
         reach = _reach(radius, max(self._scale, float(np.abs(center).max())))
-        lo, hi = self._box
-        far = np.maximum(center - lo, hi - center)
-        if far @ far <= reach * reach:
-            cand = np.arange(len(self.coords), dtype=np.intp)
-        else:
-            found = self._tree.query_ball_point(center, reach, return_sorted=True)
-            cand = np.fromiter(found, dtype=np.intp, count=len(found))
+        found = self._tree.query_ball_point(center, reach, return_sorted=True)
+        cand = np.fromiter(found, dtype=np.intp, count=len(found))
         dist_sq = row_dots(self.coords[cand] - center)
         r_sq = radius * radius
         keep = dist_sq < r_sq if strict else dist_sq <= r_sq

@@ -79,7 +79,7 @@ def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Coordinates, weights, n and delta_res of a JSON cloud file."""
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     for key in ("d", "n", "delta_res", "points"):
         if not isinstance(data, dict) or key not in data:

@@ -133,7 +133,6 @@ def _sample_rows(base: np.ndarray, q: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ContainmentReport:
     contained_mass: float
-    total_mass: float
     fraction: float
     tolerance: float
 
@@ -146,12 +145,11 @@ def containment_report(cloud: WeightedCloud, model: GraphModel,
     idx = cloud.subset_indices(subset)
     total = cloud.mass(idx)
     if len(idx) == 0:
-        return ContainmentReport(0.0, 0.0, 0.0, tol)
+        return ContainmentReport(0.0, 0.0, tol)
     pts = cloud.coords[idx]
     predicted = extend_mcshane(model, pts[:, :model.n])
     gap = np.linalg.norm(pts[:, model.n:] - predicted, axis=1)
     contained = gap <= tol
     mass = float(cloud.weights[idx[contained]].sum())
-    return ContainmentReport(contained_mass=mass, total_mass=total,
-                             fraction=mass / total if total > 0 else 0.0,
-                             tolerance=tol)
+    return ContainmentReport(contained_mass=mass, tolerance=tol,
+                             fraction=mass / total if total > 0 else 0.0)

@@ -17,6 +17,7 @@ from .errors import InputError
 
 GENERATOR_KINDS = ("lipschitz_graph", "four_corner_cantor", "outlier_stacks",
                    "union_of_graphs", "hrycak_like")
+_MAX_POINTS = 4**8  # the desk-scale point budget: four_corner_cantor(8)
 
 
 def _piecewise_linear_map(rng: np.random.Generator, n: int, codim: int,
@@ -169,8 +170,10 @@ def hrycak_like(depth: int = 3, pieces: int = 4, angle: float = 0.35,
     pieces and rotates them about their midpoints; small projections in most
     directions emerge while the length stays comparable to 1.
     """
-    if depth < 1 or pieces < 2:
-        raise InputError("need depth >= 1 and pieces >= 2")
+    if depth < 1 or pieces < 2 or points_per_segment < 1:
+        raise InputError("need depth >= 1, pieces >= 2 and points_per_segment >= 1")
+    if pieces ** min(depth, 64) * points_per_segment > _MAX_POINTS:  # pieces^64 >= 2^64
+        raise InputError(f"hrycak_like would make more than {_MAX_POINTS} points")
     rng = np.random.default_rng(seed)
     segments = [(np.array([0.0, 0.0]), np.array([1.0, 0.0]))]
     for level in range(depth):

@@ -108,10 +108,6 @@ class Subspace:
         return self.frame.shape[1]
 
     @classmethod
-    def spanning(cls, *vectors) -> "Subspace":
-        return cls(np.column_stack([np.asarray(v, dtype=float) for v in vectors]))
-
-    @classmethod
     def coordinate(cls, d: int, dims) -> "Subspace":
         """Span of the standard basis vectors e_i for i in ``dims``."""
         dims = list(dims)
@@ -136,9 +132,6 @@ class Subspace:
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Frame coordinates of the projection of x (shape (..., k))."""
         return np.asarray(x, dtype=float) @ self.frame
-
-    def __repr__(self):
-        return f"Subspace(d={self.d}, k={self.k})"
 
 
 def _distances(frames: np.ndarray, w: Subspace) -> np.ndarray:

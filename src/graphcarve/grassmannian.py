@@ -1,7 +1,8 @@
 """Sampling and measure estimation on the Grassmannian G(d, n).
 
-The rotation-invariant probability measure is realized by orthonormalizing a
-d x n matrix of independent standard normals.  Ball-restricted sampling uses
+The rotation-invariant probability measure gamma_{d,n} is realized by
+orthonormalizing d x n matrices of independent standard normals
+(``_batched_frames``).  ``sample_ball`` restricts it to a metric ball by
 rejection against the operator-norm distance, so accepted samples are exactly
 distributed as the conditional measure on the ball.
 """
@@ -51,60 +52,31 @@ def _frame_distances(frames: np.ndarray, center: Subspace) -> np.ndarray:
     return _distances(frames, center)
 
 
-class GrassmannSampler:
-    """Seeded sampler for gamma_{d,n}, optionally restricted to a metric ball.
+def sample_ball(center: Subspace, radius: float, count: int,
+                seed: int = 0) -> tuple[np.ndarray, float]:
+    """(count, d, n) orthonormal frames of spans drawn from gamma_{d,n}
+    conditioned on the ball of ``radius`` around ``center`` in G(d, n), and
+    the share of draws the ball accepted.
 
-    The sampler keeps a private generator, so repeated ``sample_frames`` calls
-    continue one deterministic stream.  ``acceptance_rate`` reflects the most
-    recent ball-restricted call (None in unrestricted mode).
+    One generator, ``default_rng(seed)``, makes every draw, in batches of
+    max(4096, 2 (count - kept)) frames.  Raises ``InfeasibleBallError`` once
+    ``_PROBE_DRAWS`` draws have accepted fewer than ``_MIN_ACCEPT`` of them.
     """
-
-    def __init__(self, d: int, n: int, seed: int = 0,
-                 center: Subspace | None = None, radius: float | None = None):
-        if not 1 <= n < d:
-            raise InputError(f"require 1 <= n < d, got n={n}, d={d}")
-        if (center is None) != (radius is None):
-            raise InputError("ball-restricted sampling needs both center and radius")
-        if center is not None:
-            if (center.d, center.k) != (d, n):
-                raise InputError("ball center lives on the wrong Grassmannian")
-            if radius < 0:
-                raise InputError("ball radius must be nonnegative")
-        self.d = int(d)
-        self.n = int(n)
-        self.seed = int(seed)
-        self.center = center
-        self.radius = radius
-        self.acceptance_rate: float | None = None
-        self._rng = np.random.default_rng(self.seed)
-
-    def sample_frames(self, count: int) -> np.ndarray:
-        """(count, d, n) orthonormal frames spanning the sampled subspaces."""
-        if count < 1:
-            raise InputError("sample count must be >= 1")
-        if self.center is None:
-            return _batched_frames(self._rng, count, self.d, self.n)
-        kept = []
-        n_kept = 0
-        tried = 0
-        accepted = 0
-        while n_kept < count:
-            batch = max(4096, 2 * (count - n_kept))
-            frames = _batched_frames(self._rng, batch, self.d, self.n)
-            dist = _frame_distances(frames, self.center)
-            good = frames[dist <= self.radius]
-            tried += batch
-            accepted += good.shape[0]
-            if good.shape[0]:
-                kept.append(good)
-                n_kept += good.shape[0]
-            if tried >= _PROBE_DRAWS and accepted / tried < _MIN_ACCEPT:
-                raise InfeasibleBallError(
-                    f"acceptance rate {accepted}/{tried} below {_MIN_ACCEPT:g}; "
-                    f"ball of radius {self.radius} is effectively empty"
-                )
-        self.acceptance_rate = accepted / tried
-        return np.concatenate(kept, axis=0)[:count]
+    if count < 1:
+        raise InputError("sample count must be >= 1")
+    rng = np.random.default_rng(seed)
+    kept = []
+    accepted = tried = 0
+    while accepted < count:
+        batch = max(4096, 2 * (count - accepted))
+        frames = _batched_frames(rng, batch, center.d, center.k)
+        kept.append(frames[_frame_distances(frames, center) <= radius])
+        tried += batch
+        accepted += len(kept[-1])
+        if tried >= _PROBE_DRAWS and accepted / tried < _MIN_ACCEPT:
+            raise InfeasibleBallError(f"acceptance rate {accepted}/{tried} below {_MIN_ACCEPT:g}; "
+                                      f"ball of radius {radius} is effectively empty")
+    return np.concatenate(kept)[:count], accepted / tried
 
 
 def _epsilon_series(alpha0: float, n: int) -> np.ndarray | None:
@@ -201,8 +173,6 @@ class MeasureEstimate:
     a_hat: float
     ratio: float
     std_error: float
-    samples: int
-    delta_over_z: float
 
 
 def measure_lower_bound_mc(w_sub: Subspace, z: np.ndarray, delta: float,
@@ -241,5 +211,4 @@ def measure_lower_bound_mc(w_sub: Subspace, z: np.ndarray, delta: float,
         done += batch
     a_hat = hits / samples
     std_error = math.sqrt(max(a_hat * (1.0 - a_hat), 1e-300) / samples)
-    return MeasureEstimate(a_hat=a_hat, ratio=a_hat / t**n, std_error=std_error,
-                           samples=samples, delta_over_z=t)
+    return MeasureEstimate(a_hat=a_hat, ratio=a_hat / t**n, std_error=std_error)

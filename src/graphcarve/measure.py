@@ -20,7 +20,8 @@ whole cloud hands it to the first sweep as ``table``.  ``refine_once``
 decides its bad points the same way, from one dense table per pass that it
 updates as points leave (``refine._DenseRows``).
 
-``projection_energy`` evaluates its sampled frames together: one stacked
+``projection_energy`` is the one entry point to the lattice histograms of
+projections.  It evaluates its sampled frames together: one stacked
 ``geometry._orthonormalize`` and one stacked SVD for all of them, then
 ``_cell_masses`` bins blocks of ``block_rows(|cloud|)`` frames in whole-block
 array passes.  Each frame keeps its own projection product, since one
@@ -39,7 +40,7 @@ import numpy as np
 from .cloud import _EPS, ScaleRange, WeightedCloud, _reach, row_dots
 from .errors import InputError
 from .geometry import Subspace, _distances, _orthonormalize
-from .grassmannian import GrassmannSampler
+from .grassmannian import sample_ball
 from .shells import block_rows, pair_differences
 
 # A summed-area grid may hold this many cells per point of the pruned cloud;
@@ -265,22 +266,6 @@ def prune_low_density(cloud: WeightedCloud, epsilon: float,
                        sweeps=sweeps)
 
 
-@dataclass(frozen=True)
-class Pushforward:
-    """Projected mass histogram on a subspace's frame-coordinate lattice."""
-
-    bin_width: float
-    n: int
-    cells: np.ndarray   # (K, n) integer lattice cells, lexicographically sorted
-    masses: np.ndarray  # (K,)
-    l2_sq: float
-    linf: float
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-
 def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(cells, axis=0, return_inverse=True)`` for a nonempty 2-d
     integer array, from one lexsort (first column most significant) and a scan
@@ -292,14 +277,6 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(cells), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return ordered[starts], inverse
-
-
-def _check_bin(cloud: WeightedCloud, bin_width: float) -> None:
-    """``InputError`` for a lattice finer than the cloud resolution."""
-    if bin_width < cloud.delta_res:
-        raise InputError(
-            f"bin width {bin_width:g} is below the cloud resolution {cloud.delta_res:g}"
-        )
 
 
 def _row_major(cells: np.ndarray, corner: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -317,15 +294,13 @@ def _row_major(cells: np.ndarray, corner: np.ndarray, widths: np.ndarray) -> np.
 
 def _cell_masses(cloud: WeightedCloud, frames: np.ndarray, bin_width: float,
                  weights: np.ndarray):
-    """The lattice cells of a nonempty cloud under each frame of a (count, d, n)
-    block, and the mass of each occupied cell; ``weights`` repeats the cloud's
-    weights at least ``count`` times.
+    """The mass of each occupied lattice cell of a nonempty cloud under each
+    frame of a (count, d, n) block; ``weights`` repeats the cloud's weights at
+    least ``count`` times.
 
-    Returns (cells, slots, occupied, masses, starts).  Every frame gets a run
-    of slots in one counting table: point p of frame f lies in lattice cell
-    ``cells[f, p]`` (integral floats), at slot ``slots[f, p]``; ``occupied``
-    flags the slots that hold a point, and ``masses`` lists their masses, frame
-    after frame, frame f's in ``masses[starts[f]:starts[f + 1]]``.
+    Returns (masses, starts): every frame gets a run of slots in one counting
+    table, and frame f's occupied cells, in lexicographic order, have the
+    masses ``masses[starts[f]:starts[f + 1]]``.
 
     Each frame is projected by its own ``coords @ frame``: one product over the
     whole block rounds differently.  A frame whose cells fill a box of at most
@@ -370,9 +345,7 @@ def _cell_masses(cloud: WeightedCloud, frames: np.ndarray, bin_width: float,
             slots[f] = rank + base[f]
     table = np.bincount(slots.ravel(), weights=weights[:count * size], minlength=int(ends[-1]))
     occupied = table > 0.0
-    masses = table[occupied]
-    starts = np.append(0, np.cumsum(occupied)[ends - 1])
-    return cells, slots, occupied, masses, starts
+    return table[occupied], np.append(0, np.cumsum(occupied)[ends - 1])
 
 
 def _l2_squares(masses: np.ndarray, starts: np.ndarray, cell_vol: float) -> np.ndarray:
@@ -385,35 +358,6 @@ def _l2_squares(masses: np.ndarray, starts: np.ndarray, cell_vol: float) -> np.n
         l2_sq = sums / cell_vol
     _within_float_range(float(l2_sq.max(initial=0.0)), "the squared projected density")
     return l2_sq
-
-
-def pushforward_density(cloud: WeightedCloud, v_sub: Subspace,
-                        bin_width: float) -> Pushforward:
-    """Project the cloud onto the subspace and bin mass on a uniform lattice.
-
-    Densities are mass / bin_width^n; the lattice is anchored at the origin of
-    the frame coordinates so repeated runs bin identically.  Raises
-    ``InputError`` when the squared density overflows the float range or a
-    lattice index the int64 range.  The one-frame case of the block kernel
-    ``projection_energy`` runs.
-    """
-    _check_bin(cloud, bin_width)
-    if v_sub.d != cloud.d or v_sub.k != cloud.n:
-        raise InputError("projection subspace must lie in G(d, n) for this cloud")
-    if len(cloud) == 0:
-        return Pushforward(bin_width=bin_width, n=cloud.n,
-                           cells=np.empty((0, cloud.n), dtype=np.int64),
-                           masses=np.empty(0), l2_sq=0.0, linf=0.0)
-    cells, slots, occupied, masses, starts = _cell_masses(
-        cloud, v_sub.frame[None], bin_width, cloud.weights)
-    uniq = np.empty((len(masses), cloud.n), dtype=np.int64)
-    uniq[np.cumsum(occupied)[slots[0]] - 1] = cells[0]  # integral, within int64
-    cell_vol = bin_width**cloud.n
-    l2_sq = float(_l2_squares(masses, starts, cell_vol)[0])
-    with np.errstate(over="ignore", divide="ignore"):
-        linf = float(masses.max() / cell_vol)
-    return Pushforward(bin_width=bin_width, n=cloud.n, cells=uniq,
-                       masses=masses, l2_sq=l2_sq, linf=linf)
 
 
 def _within_float_range(value: float, what: str) -> float:
@@ -430,7 +374,6 @@ class EnergyReport:
     per_sample: np.ndarray
     distances: np.ndarray
     acceptance_rate: float
-    bin_width: float
 
 
 def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
@@ -440,19 +383,22 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
     This is the projection-energy statistic tested against the budget C: small
     values mean the cloud spreads its mass under most nearby projections.
 
-    The frames are canonicalized (as ``Subspace`` would) and their distances
-    taken all at once, in arrays of samples x d^2 floats like the sampler's;
-    ``_cell_masses`` bins them in blocks of ``block_rows(len(cloud))`` frames,
-    so a block's lattice arrays stay within the pair budget.  Each frame keeps
-    its own projection product.  Every value equals the frame-by-frame
-    evaluation (a ``Subspace``, ``pushforward_density`` and
-    ``grassmann_distance`` per frame) bit for bit.
+    The frames, drawn by ``sample_ball``, are canonicalized (as ``Subspace``
+    would) and their distances taken all at once, in arrays of samples x d^2
+    floats like the sampler's; ``_cell_masses`` bins them in blocks of
+    ``block_rows(len(cloud))`` frames, so a block's lattice arrays stay within
+    the pair budget.  Each frame keeps its own projection product.  Every
+    value equals the frame-by-frame evaluation (a ``Subspace``, a lattice
+    histogram and ``grassmann_distance`` per frame) bit for bit.
     """
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    sampler = GrassmannSampler(cloud.d, cloud.n, seed, center=center, radius=kappa)
-    frames = sampler.sample_frames(samples)
-    _check_bin(cloud, bin_width)
+    if (center.d, center.k) != (cloud.d, cloud.n):
+        raise InputError("the ball center must lie in G(d, n) for this cloud")
+    if bin_width < cloud.delta_res:
+        raise InputError(
+            f"bin width {bin_width:g} is below the cloud resolution {cloud.delta_res:g}")
+    frames, acceptance_rate = sample_ball(center, kappa, samples, seed)
     frames = _orthonormalize(frames)
     dists = _distances(frames, center)
     values = np.zeros(len(frames))
@@ -460,12 +406,11 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
         step = block_rows(len(cloud))
         weights = np.tile(cloud.weights, min(step, len(frames)))
         for start in range(0, len(frames), step):
-            *_, masses, starts = _cell_masses(cloud, frames[start:start + step],
-                                              bin_width, weights)
+            masses, starts = _cell_masses(cloud, frames[start:start + step], bin_width,
+                                          weights)
             values[start:start + step] = _l2_squares(masses, starts, bin_width**cloud.n)
     with np.errstate(over="ignore"):
-        mean = float(values.mean()) if len(values) else 0.0
+        mean = float(values.mean())
     return EnergyReport(mean_l2_sq=_within_float_range(mean, "the mean projection energy"),
                         per_sample=values, distances=dists,
-                        acceptance_rate=sampler.acceptance_rate or 0.0,
-                        bin_width=bin_width)
+                        acceptance_rate=acceptance_rate)

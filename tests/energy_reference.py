@@ -11,7 +11,7 @@ import numpy as np
 
 from graphcarve.errors import DegenerateFrameError, InputError
 from graphcarve.geometry import FRAME_TOL
-from graphcarve.grassmannian import GrassmannSampler
+from graphcarve.grassmannian import sample_ball
 
 
 def orthonormalize_one(vectors):
@@ -63,8 +63,7 @@ def projection_energy_loop(cloud, center, kappa, samples, bin_width, seed=0):
     """(mean_l2_sq, per_sample, distances, acceptance_rate), one frame at a time."""
     if bin_width < cloud.delta_res:
         raise InputError("bin width below the cloud resolution")
-    sampler = GrassmannSampler(cloud.d, cloud.n, seed, center=center, radius=kappa)
-    frames = sampler.sample_frames(samples)
+    frames, acceptance_rate = sample_ball(center, kappa, samples, seed)
     values = np.empty(len(frames))
     dists = np.empty(len(frames))
     for i, sampled in enumerate(frames):
@@ -74,4 +73,4 @@ def projection_energy_loop(cloud, center, kappa, samples, bin_width, seed=0):
         dists[i] = np.linalg.svd(diff, compute_uv=False)[0]
     with np.errstate(over="ignore"):
         mean = float(values.mean())
-    return mean, values, dists, sampler.acceptance_rate or 0.0
+    return mean, values, dists, acceptance_rate

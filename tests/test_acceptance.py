@@ -214,7 +214,7 @@ def test_criterion_4_non_graph_contrast(graph_run):
 
 def test_criterion_5_grassmannian_measure():
     start = time.perf_counter()
-    w_sub = Subspace.spanning([1.0, 0.0, 0.0])
+    w_sub = Subspace(np.column_stack([[1.0, 0.0, 0.0]]))
     z = np.array([0.0, 0.0, 1.0])  # perpendicular to W
     upsilon = 0.5
     ts = (0.1, 0.05, 0.025)

@@ -142,7 +142,7 @@ class TestBadSet:
         cloud = stack3()
         sr = ScaleRange(-1, 2)
         report = visitation_counts(cloud, cloud.all_indices(), 0.5, sr)
-        got = bad_set(report, len(sr) + 1, flavor="exactly")
+        got = bad_set(report, len(sr.js) + 1, flavor="exactly")
         assert len(got) == 0
 
     def test_flavor_validation(self):

@@ -151,6 +151,13 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
 
+    def test_json_cloud_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cloud.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["adr-check", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid JSON" in err
+
     @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3", "nan:1", "0.5:inf"])
     def test_malformed_band_exits_2(self, cloud_file, band, capsys):
         assert run(["adr-check", "--input", cloud_file, "--band", band]) == 2
@@ -454,6 +461,20 @@ class TestPipelineCommand:
         assert run(["pipeline", "--input", cloud_path, "--output-dir", outdir]) == 0
         assert run(["plots", "--input-dir", outdir, "--output-dir", plotdir]) == 0
         assert (plotdir / "cloud.svg").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("{not json", "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"visitation_before": {"1": 0.5, "one": 0.5}}', "'visitation_before'"),
+        ('{"masses": [1]}', "'masses'"),
+        ('{"thresholds": {"theta_certified": "0.3"}}', "theta_certified"),
+    ], ids=["not_json", "not_utf8", "list", "count_word", "masses_list", "theta_word"])
+    def test_plots_on_a_malformed_report_exits_2(self, tmp_path, text, named, capsys):
+        (tmp_path / "report.json").write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert run(["plots", "--input-dir", tmp_path, "--output-dir", tmp_path / "plots"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "report.json") in err and named in err
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cloud_path = tmp_path / "c.json"

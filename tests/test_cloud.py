@@ -146,21 +146,14 @@ class TestGridIndex:
                                       np.nonzero(dist_sq < r_sq)[0])
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
-    def test_radius_that_spans_the_cloud_skips_the_tree(self, offset):
+    def test_radius_that_spans_the_cloud(self, offset):
         # Seen from point 0, the far corner (3, 4)h of the bounding box is
-        # point 1, at distance exactly 5h: at radius 5h the padded reach
-        # covers the box, so no tree query is made, and the closed ball holds
-        # the corner point while the strict one drops it.
+        # point 1, at distance exactly 5h: the closed ball of radius 5h holds
+        # every point, the corner included, while the strict one drops it.
         h = 2.0 ** -6
         coords = offset + h * np.array([[0, 0], [3, 4], [1, 1], [2, 3], [3, 0], [0, 4]],
                                        dtype=float)
         cloud = WeightedCloud(coords, np.ones(len(coords)), n=1, delta_res=h)
-
-        class NoTree:
-            def query_ball_point(self, *args, **kwargs):
-                raise AssertionError("the tree was queried")
-
-        cloud.grid._tree = NoTree()
         assert np.array_equal(cloud.grid.ball(coords[0], 5 * h), [0, 1, 2, 3, 4, 5])
         assert np.array_equal(cloud.grid.ball(coords[0], 5 * h, strict=True),
                               [0, 2, 3, 4, 5])
@@ -170,8 +163,7 @@ class TestGridIndex:
     @given(st.integers(0, 10_000), st.sampled_from([0.0, 1e3]))
     def test_radii_around_the_cloud_span(self, seed, offset):
         # Radii from a point's own distance to well past the far corner of
-        # the bounding box, so both the tree and the full candidate set are
-        # used, with boundary points in both.
+        # the bounding box, with boundary points among them.
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 4))
         coords = offset + rng.uniform(-1, 1, (int(rng.integers(2, 80)), d))
@@ -223,7 +215,7 @@ class TestScaleRange:
     def test_annulus(self):
         sr = ScaleRange(0, 3)
         assert (sr.radii[1], sr.radii[2]) == (0.5, 0.25)  # the shell of scale 1
-        assert len(sr) == 4
+        assert len(sr.js) == 4
         assert np.allclose(sr.radii, [1.0, 0.5, 0.25, 0.125])
 
     def test_default_covers_extent_and_respects_resolution(self):

@@ -100,6 +100,15 @@ class TestOtherKinds:
         # rotations preserve total length, so mass stays near 1
         assert 0.9 <= cloud.mass() <= 1.1
 
+    def test_hrycak_like_point_budget(self):
+        # depth 12 would ask for 4^12 * 8, about 134M points: refused before
+        # any segment is built.  Depth 6 (32,768 points) is the deepest taken.
+        with pytest.raises(InputError, match="65536 points"):
+            hrycak_like(depth=12)
+        with pytest.raises(InputError, match="65536 points"):
+            generate("hrycak_like", {"depth": "1000000000", "pieces": "3"})
+        assert len(hrycak_like(depth=6)) == 4**6 * 8
+
     def test_dispatch(self):
         cloud = generate("four_corner_cantor", {"depth": 2})
         assert len(cloud) == 16

@@ -123,8 +123,8 @@ class TestGrassmannDistance:
     def test_angle_pi_over_6_vs_sampled_oracle(self, rng):
         # Oracle: sup over unit vectors of |P_V u - P_W u|, approximated on
         # 1e5 samples; the exact value for lines at angle phi is sin(phi).
-        v = Subspace.spanning([1.0, 0.0])
-        w = Subspace.spanning([np.cos(np.pi / 6), np.sin(np.pi / 6)])
+        v = Subspace(np.column_stack([[1.0, 0.0]]))
+        w = Subspace(np.column_stack([[np.cos(np.pi / 6), np.sin(np.pi / 6)]]))
         u = rng.standard_normal((100_000, 2))
         u /= np.linalg.norm(u, axis=1)[:, None]
         diff = v.projector() - w.projector()

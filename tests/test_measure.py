@@ -14,17 +14,19 @@ from graphcarve import (
     lipschitz_graph,
     projection_energy,
     prune_low_density,
-    pushforward_density,
 )
 from graphcarve import measure, shells
+from graphcarve.grassmannian import sample_ball
 from graphcarve.measure import (
     _CELLS_PER_POINT,
+    _cell_masses,
+    _l2_squares,
     _mass_bounds,
     _unique_rows,
     ball_masses,
 )
 from tests.conftest import line_cloud
-from tests.energy_reference import l2_sq_one, projection_energy_loop
+from tests.energy_reference import l2_sq_one, orthonormalize_one, projection_energy_loop
 from tests.prune_reference import prune_dense, prune_radii
 
 
@@ -285,63 +287,99 @@ class TestUniqueRows:
             assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
+def pushforward(cloud, v_sub, bin_width):
+    """The masses of one frame's occupied lattice cells, in lexicographic cell
+    order, and the squared L2 norm of its projected density."""
+    masses, starts = _cell_masses(cloud, v_sub.frame[None], bin_width, cloud.weights)
+    return masses, float(_l2_squares(masses, starts, bin_width**cloud.n)[0])
+
+
 class TestPushforward:
     def test_uniform_segment_density(self):
         cloud = line_cloud(1000, 0.001)
-        pf = pushforward_density(cloud, Subspace.horizontal(2, 1), 0.1)
-        assert abs(pf.l2_sq - 1.0) <= 0.1
-        assert pf.total_mass == pytest.approx(1.0)
+        masses, l2_sq = pushforward(cloud, Subspace.horizontal(2, 1), 0.1)
+        assert abs(l2_sq - 1.0) <= 0.1
+        assert masses.sum() == pytest.approx(1.0)
 
     def test_point_mass_formula(self):
         cloud = WeightedCloud(np.array([[0.31, 0.5]]), np.array([0.6]), n=1,
                               delta_res=0.01)
-        pf = pushforward_density(cloud, Subspace.horizontal(2, 1), 0.2)
-        assert len(pf.masses) == 1
-        assert pf.l2_sq == pytest.approx(0.6**2 / 0.2)
-        assert pf.linf == pytest.approx(0.6 / 0.2)
+        masses, l2_sq = pushforward(cloud, Subspace.horizontal(2, 1), 0.2)
+        assert len(masses) == 1
+        assert l2_sq == pytest.approx(0.6**2 / 0.2)
+        assert masses.max() / 0.2 == pytest.approx(0.6 / 0.2)
 
     def test_perpendicular_collapse(self):
         cloud = line_cloud(100, 0.01)
-        onto_y = pushforward_density(cloud, Subspace.coordinate(2, [1]), 0.1)
-        assert len(onto_y.masses) == 1
-        assert onto_y.l2_sq == pytest.approx(cloud.mass() ** 2 / 0.1)
+        masses, l2_sq = pushforward(cloud, Subspace.coordinate(2, [1]), 0.1)
+        assert len(masses) == 1
+        assert l2_sq == pytest.approx(cloud.mass() ** 2 / 0.1)
 
     def test_bin_below_resolution_rejected(self):
         cloud = line_cloud(10, 0.1)
-        with pytest.raises(InputError):
-            pushforward_density(cloud, Subspace.horizontal(2, 1), 0.05)
+        with pytest.raises(InputError, match="resolution"):
+            projection_energy(cloud, Subspace.horizontal(2, 1), 0.2, 5, 0.05)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cells_and_masses_are_the_unique_rows(self, n, rng):
         # Coarse bins rank by the counting table, fine ones by _unique_rows:
-        # both list the occupied cells in lexicographic order with their
-        # bincount masses, and the squared norm the frame-by-frame sum.
+        # both list the occupied cells' bincount masses in lexicographic cell
+        # order, and the squared norm is the frame-by-frame sum.
         coords = rng.normal(size=(400, 4)) * 3.0
         cloud = WeightedCloud(coords, rng.uniform(0.1, 2.0, 400), n=n, delta_res=1e-6,
                               check_separation=False)
         v_sub = Subspace(rng.normal(size=(4, n)))
         for bin_width in (20.0, 1.0, 0.1, 1e-3):
-            pf = pushforward_density(cloud, v_sub, bin_width)
+            masses, l2_sq = pushforward(cloud, v_sub, bin_width)
             cells = np.floor(coords @ v_sub.frame / bin_width).astype(np.int64)
-            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-            assert np.array_equal(pf.cells, uniq)
-            assert pf.masses.tobytes() == np.bincount(
+            _, inverse = np.unique(cells, axis=0, return_inverse=True)
+            assert masses.tobytes() == np.bincount(
                 inverse.reshape(-1), weights=cloud.weights).tobytes()
-            assert pf.l2_sq == l2_sq_one(cloud, v_sub.frame, bin_width)
+            assert l2_sq == l2_sq_one(cloud, v_sub.frame, bin_width)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wide_boxes_equal_the_frame_by_frame_loop(self, n, monkeypatch):
+        # 20 frames in one block may each use a box of 32768 // 20 = 1638
+        # lattice points; a frame whose cells fill a wider box takes one slot
+        # per occupied cell from _unique_rows.  Tilting the frames mixes the
+        # wide vertical spread into their boxes, so over dyadic bins from 8
+        # down to 1/1024 each n meets a bin with frames on both sides of that
+        # threshold.  Each frame's energy equals its own np.unique
+        # histogram's bit for bit.
+        calls = []
+        monkeypatch.setattr(measure, "_unique_rows",
+                            lambda cells: calls.append(1) or _unique_rows(cells))
+        rng = np.random.default_rng(n)
+        coords = rng.normal(size=(400, 4)) * np.r_[np.ones(n), np.full(4 - n, 16.0)]
+        cloud = WeightedCloud(coords, rng.uniform(0.1, 2.0, 400), n=n, delta_res=1e-6,
+                              check_separation=False)
+        center = Subspace.horizontal(4, n)
+        frames = [orthonormalize_one(f) for f in sample_ball(center, 0.5, 20, seed=n)[0]]
+        wide, want_wide = [], []
+        for bin_width in 2.0 ** -np.arange(-3, 11):
+            calls.clear()
+            got = projection_energy(cloud, center, 0.5, 20, bin_width, seed=n)
+            want = projection_energy_loop(cloud, center, 0.5, 20, bin_width, seed=n)
+            assert got.per_sample.tobytes() == want[1].tobytes()
+            wide.append(len(calls))
+            boxes = [np.ptp(np.floor(coords @ frame / bin_width), axis=0) + 1.0
+                     for frame in frames]
+            want_wide.append(sum(box.prod() > 32768 // 20 for box in boxes))
+        assert wide == want_wide
+        assert wide[0] == 0 and wide[-1] == 20 and any(0 < count < 20 for count in wide)
 
     def test_lattice_index_past_int64_rejected(self):
         # floor(1 / 1e-20) = 1e20 > 2^63: the cast wrapped both nonzero points
         # to INT64_MIN, one cell, and reported 5e20 where 3e20 is right.
         cloud = WeightedCloud(np.array([[0.0, 0.0], [0.5, 0.1], [1.0, 0.0]]), np.ones(3),
                               n=1, delta_res=1e-30)
-        for call in (lambda: pushforward_density(cloud, Subspace.horizontal(2, 1), 1e-20),
+        for call in (lambda: pushforward(cloud, Subspace.horizontal(2, 1), 1e-20),
                      lambda: projection_energy(cloud, Subspace.horizontal(2, 1), 0.2, 20,
                                                1e-20)):
             with pytest.raises(InputError, match="int64"):
                 call()
         # Just inside the range the value is the exact one.
-        pf = pushforward_density(cloud, Subspace.horizontal(2, 1), 1e-18)
-        assert pf.l2_sq == pytest.approx(3e18)
+        assert pushforward(cloud, Subspace.horizontal(2, 1), 1e-18)[1] == pytest.approx(3e18)
 
     @given(st.integers(0, 5_000))
     def test_mass_conservation_and_cauchy_schwarz(self, seed):
@@ -352,12 +390,13 @@ class TestPushforward:
         weights = rng.uniform(0.1, 2.0, n_pts)
         cloud = WeightedCloud(coords, weights, n=1, delta_res=0.02)
         angle = rng.uniform(0, np.pi)
-        v_sub = Subspace.spanning([np.cos(angle), np.sin(angle)])
-        pf = pushforward_density(cloud, v_sub, float(rng.uniform(0.05, 0.4)))
-        assert pf.total_mass == pytest.approx(cloud.mass(), abs=1e-9)
+        v_sub = Subspace(np.column_stack([[np.cos(angle), np.sin(angle)]]))
+        bin_width = float(rng.uniform(0.05, 0.4))
+        masses, l2_sq = pushforward(cloud, v_sub, bin_width)
+        assert masses.sum() == pytest.approx(cloud.mass(), abs=1e-9)
         # mass^2 <= (occupied bins * bin^n) * l2_sq
-        occupied = len(pf.masses) * pf.bin_width**cloud.n
-        assert cloud.mass() ** 2 <= occupied * pf.l2_sq + 1e-9
+        occupied = len(masses) * bin_width**cloud.n
+        assert cloud.mass() ** 2 <= occupied * l2_sq + 1e-9
 
 
 class TestProjectionEnergy:
@@ -386,6 +425,14 @@ class TestProjectionEnergy:
         report = projection_energy(cloud, Subspace.horizontal(3, 2), 0.2, 40, 0.1, seed=1)
         assert np.isfinite(report.mean_l2_sq) and report.mean_l2_sq > 0.0
         assert np.isfinite(report.per_sample).all() and (report.distances <= 0.2 + 1e-12).all()
+
+    def test_center_off_the_clouds_grassmannian_rejected(self):
+        # The sampler takes d and n from the center: a plane in R^3 for a
+        # curve, or a line in R^2 for a cloud in R^3, is refused up front.
+        curve = lipschitz_graph(50, 0.2, d=3, n=1)
+        for center in (Subspace.horizontal(3, 2), Subspace.horizontal(2, 1)):
+            with pytest.raises(InputError, match="G\\(d, n\\)"):
+                projection_energy(curve, center, 0.2, 10, 0.1)
 
     def test_empty_subset_zero(self):
         # No block is binned (the pair budget has no rows to divide by); the
