@@ -45,6 +45,13 @@ def row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return lanes[0]
 
 
+def _floor_neg_log2(x: float) -> int:
+    """floor(-log2 x) for a positive finite x, exactly: one ulp above 2^k,
+    for k >= 4 and k <= -5, ``math.log2`` rounds to the integer k."""
+    mantissa, exp = math.frexp(x)  # x = mantissa * 2^exp, 0.5 <= mantissa < 1
+    return -exp + (mantissa == 0.5)
+
+
 def _reach(radius: float, scale: float) -> float:
     """Tree search radius, padded far past the rounding of the tree's distances
     and the exact test's for coordinates of magnitude up to ``scale``."""
@@ -80,8 +87,8 @@ class ScaleRange:
         resolution gets the one shell at the resolution.
         """
         extent = max(cloud.extent(), cloud.delta_res)
-        j_min = math.floor(-math.log2(extent))
-        j_max = math.floor(-math.log2(cloud.delta_res)) - 1
+        j_min = _floor_neg_log2(extent)
+        j_max = _floor_neg_log2(cloud.delta_res) - 1
         if j_max < j_min:
             j_max = j_min
         return cls(j_min, j_max)
@@ -166,7 +173,16 @@ class WeightedCloud:
             self._check_separation()
 
     def _check_separation(self):
-        """Duplicate guard: pairwise distances must be >= delta_res / 100."""
+        """Duplicate guard: pairwise distances must be >= delta_res / 100.
+
+        The kd-tree's squared distances reach the square of the bounding
+        box's diagonal, so a cloud whose square is past the float range is
+        refused before the tree is asked.
+        """
+        if not math.isfinite(self.extent() * self.extent()):
+            raise InputError("the squared diagonal of the coordinates' bounding box "
+                             f"exceeds the largest float, {np.finfo(float).max:.6g}; "
+                             "scale the coordinates down")
         guard = self.delta_res / 100.0
         i, j = self.grid.close_pairs(guard)
         if len(i):
@@ -192,8 +208,9 @@ class WeightedCloud:
             if len(self) == 0:
                 self._extent = 0.0
             else:
-                span = self.coords.max(axis=0) - self.coords.min(axis=0)
-                self._extent = float(np.linalg.norm(span))
+                with np.errstate(over="ignore"):  # inf when its square passes the float range
+                    span = self.coords.max(axis=0) - self.coords.min(axis=0)
+                    self._extent = float(np.linalg.norm(span))
         return self._extent
 
     def all_indices(self) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -39,21 +40,23 @@ def save_cloud_csv(cloud: WeightedCloud, path) -> None:
 
 def load_cloud_csv(path, n: int, delta_res: float | None = None) -> WeightedCloud:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "weight" or not header[0].startswith("x"):
-            raise InputError(f"{path}: expected header x1,...,xd,weight")
-        d = len(header) - 1
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != d + 1:
-                raise InputError(f"{path}: row {reader.line_num} has {len(row)} cells, "
-                                 f"the header {d + 1}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InputError(f"{path}: row {reader.line_num}: {exc}") from None
+    try:
+        reader = csv.reader(io.StringIO(path.read_text(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid text ({exc})") from None
+    header = next(reader, None)
+    if not header or header[-1] != "weight" or not header[0].startswith("x"):
+        raise InputError(f"{path}: expected header x1,...,xd,weight")
+    d = len(header) - 1
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != d + 1:
+            raise InputError(f"{path}: row {reader.line_num} has {len(row)} cells, "
+                             f"the header {d + 1}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InputError(f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     data = np.asarray(rows)

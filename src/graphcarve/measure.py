@@ -23,10 +23,10 @@ updates as points leave (``refine._DenseRows``).
 ``projection_energy`` is the one entry point to the lattice histograms of
 projections.  It evaluates its sampled frames together: one stacked
 ``geometry._orthonormalize`` and one stacked SVD for all of them, then
-``_cell_masses`` bins blocks of ``block_rows(|cloud|)`` frames in whole-block
-array passes.  Each frame keeps its own projection product, since one
-product over a block rounds differently; so every value equals the
-frame-by-frame evaluation bit for bit.
+``_cell_masses`` projects blocks of ``block_rows(|cloud|)`` frames onto the
+lattice together and bins each frame by its own ``bincount``.  Each frame
+keeps its own projection product, since one product over a block rounds
+differently; so every value equals the frame-by-frame evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -279,42 +279,26 @@ def _unique_rows(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], inverse
 
 
-def _row_major(cells: np.ndarray, corner: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each cell's slot: its row-major offset in its frame's box (the first
-    coordinate most significant, so slot order is lexicographic order) plus
-    the frame's base, from (count, size, n) int64 cells, (count, n) box
-    corners with the base taken off the last coordinate, and box widths.
-    int64 arithmetic wraps modulo 2^64 and every slot is small, so each is
-    exact."""
-    flat = cells[:, :, 0] - corner[:, 0, None]
-    for k in range(1, cells.shape[2]):
-        flat = flat * widths[:, k, None] + (cells[:, :, k] - corner[:, k, None])
-    return flat
-
-
-def _cell_masses(cloud: WeightedCloud, frames: np.ndarray, bin_width: float,
-                 weights: np.ndarray):
-    """The mass of each occupied lattice cell of a nonempty cloud under each
-    frame of a (count, d, n) block; ``weights`` repeats the cloud's weights at
-    least ``count`` times.
-
-    Returns (masses, starts): every frame gets a run of slots in one counting
-    table, and frame f's occupied cells, in lexicographic order, have the
-    masses ``masses[starts[f]:starts[f + 1]]``.
+def _cell_masses(cloud: WeightedCloud, frames: np.ndarray,
+                 bin_width: float) -> list[np.ndarray]:
+    """The masses of the occupied lattice cells of a nonempty cloud under each
+    frame of a (count, d, n) block, one array per frame in lexicographic cell
+    order.
 
     Each frame is projected by its own ``coords @ frame``: one product over the
     whole block rounds differently.  A frame whose cells fill a box of at most
-    ``block_rows(count)`` lattice points, so that the block's boxes hold at
-    most the pair budget, takes one slot per point of its box (``_row_major``);
-    any other frame one slot per cell, at the cell's rank from
-    ``_unique_rows``.  One ``bincount`` over the slots, laid out frame
-    by frame in point order, sums each cell's weights in the order a frame's
-    own ``bincount`` would; every weight is positive, so a slot is occupied
-    exactly when its mass is.  Raises ``InputError`` when a lattice index
-    leaves the int64 range; no slot comes near it.
+    ``block_rows(1)`` lattice points, the pair budget, takes one slot per point
+    of its box, at the cell's row-major offset in the box (the first
+    coordinate most significant, so slot order is lexicographic order; the
+    offsets of the whole block are taken at once, in int64 arithmetic that
+    wraps modulo 2^64, exact for every box this small); any other frame one
+    slot per cell, at the cell's rank from ``_unique_rows``.  The frame's own
+    ``bincount`` over its slots, its one counting table, sums each cell's
+    weights in point order, as the frame-by-frame histogram does; every weight
+    is positive, so a slot is occupied exactly when its mass is.  Raises
+    ``InputError`` when a lattice index leaves the int64 range.
     """
-    count, size = len(frames), len(cloud)
-    cells = np.empty((count, size, cloud.n))
+    cells = np.empty((len(frames), len(cloud), cloud.n))
     for f, frame in enumerate(frames):
         np.matmul(cloud.coords, frame, out=cells[f])
     with np.errstate(over="ignore"):
@@ -324,40 +308,19 @@ def _cell_masses(cloud: WeightedCloud, frames: np.ndarray, bin_width: float,
         raise InputError(f"bin width {bin_width:g} puts lattice cells past the int64 "
                          "range; use a wider bin")
     widths = hi - lo + 1.0
-    box = widths.prod(axis=1)
-    small = box <= block_rows(count)
-    sizes = np.where(small, box, 0.0).astype(np.intp)
-    ranks = {}
-    for f in np.flatnonzero(~small):
-        uniq, ranks[f] = _unique_rows(cells[f].astype(np.int64))
-        sizes[f] = len(uniq)
-    ends = np.cumsum(sizes)
-    base = ends - sizes
-    corner = lo.astype(np.int64)
-    corner[:, -1] -= base
-    widths = np.where(small[:, None], widths, 1.0).astype(np.int64)  # wide ones may not fit
-    if not ranks:
-        slots = _row_major(cells.astype(np.int64), corner, widths)
-    else:
-        slots = np.empty((count, size), dtype=np.intp)
-        slots[small] = _row_major(cells[small].astype(np.int64), corner[small], widths[small])
-        for f, rank in ranks.items():
-            slots[f] = rank + base[f]
-    table = np.bincount(slots.ravel(), weights=weights[:count * size], minlength=int(ends[-1]))
-    occupied = table > 0.0
-    return table[occupied], np.append(0, np.cumsum(occupied)[ends - 1])
-
-
-def _l2_squares(masses: np.ndarray, starts: np.ndarray, cell_vol: float) -> np.ndarray:
-    """Each frame's squared L2 density norm: the sum (``np.add.reduce``, as
-    ``np.sum`` takes it) of its own contiguous run of squared cell masses,
-    over the cell volume.  A sum over a longer run would group differently."""
-    with np.errstate(over="ignore", divide="ignore"):
-        squares = masses * masses
-        sums = np.array([np.add.reduce(squares[a:b]) for a, b in zip(starts[:-1], starts[1:])])
-        l2_sq = sums / cell_vol
-    _within_float_range(float(l2_sq.max(initial=0.0)), "the squared projected density")
-    return l2_sq
+    boxes, budget = widths.prod(axis=1), block_rows(1)
+    index = cells.astype(np.int64)
+    offsets = index - lo.astype(np.int64)[:, None, :]
+    widths = np.minimum(widths, budget).astype(np.int64)  # a wider frame's slots go unused
+    slots = offsets[:, :, 0]
+    for k in range(1, cloud.n):
+        slots = slots * widths[:, k, None] + offsets[:, :, k]
+    masses = []
+    for f, box in enumerate(boxes):
+        table = np.bincount(slots[f] if box <= budget else _unique_rows(index[f])[1],
+                            weights=cloud.weights)
+        masses.append(table[table > 0.0])
+    return masses
 
 
 def _within_float_range(value: float, what: str) -> float:
@@ -386,10 +349,11 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
     The frames, drawn by ``sample_ball``, are canonicalized (as ``Subspace``
     would) and their distances taken all at once, in arrays of samples x d^2
     floats like the sampler's; ``_cell_masses`` bins them in blocks of
-    ``block_rows(len(cloud))`` frames, so a block's lattice arrays stay within
-    the pair budget.  Each frame keeps its own projection product.  Every
-    value equals the frame-by-frame evaluation (a ``Subspace``, a lattice
-    histogram and ``grassmann_distance`` per frame) bit for bit.
+    ``block_rows(len(cloud))`` frames, so a block's lattice array stays within
+    the pair budget, and each frame's squared masses are summed by
+    ``np.add.reduce``, as ``np.sum`` takes them.  Every value equals the
+    frame-by-frame evaluation (a ``Subspace``, a lattice histogram and
+    ``grassmann_distance`` per frame) bit for bit.
     """
     if kappa <= 0:
         raise InputError("kappa must be positive")
@@ -404,11 +368,12 @@ def projection_energy(cloud: WeightedCloud, center: Subspace, kappa: float,
     values = np.zeros(len(frames))
     if len(cloud):
         step = block_rows(len(cloud))
-        weights = np.tile(cloud.weights, min(step, len(frames)))
         for start in range(0, len(frames), step):
-            masses, starts = _cell_masses(cloud, frames[start:start + step], bin_width,
-                                          weights)
-            values[start:start + step] = _l2_squares(masses, starts, bin_width**cloud.n)
+            block = _cell_masses(cloud, frames[start:start + step], bin_width)
+            with np.errstate(over="ignore", divide="ignore"):
+                for f, masses in enumerate(block, start):
+                    values[f] = np.add.reduce(masses * masses) / bin_width**cloud.n
+        _within_float_range(float(values.max()), "the squared projected density")
     with np.errstate(over="ignore"):
         mean = float(values.mean())
     return EnergyReport(mean_l2_sq=_within_float_range(mean, "the mean projection energy"),

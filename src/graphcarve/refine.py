@@ -19,8 +19,8 @@ outcome and ledger.
 
 The bad-point test reads one dense ball-mass table per pass (``_DenseRows``):
 the exactly-M set only loses points between iterations, so the table is
-updated by the mass of the points that leave, and only the rows that land
-within rounding of the threshold are recomputed exactly.
+updated by the ``ball_masses`` of the points that leave, and only the rows
+that land within rounding of the threshold are recomputed exactly.
 
 The construction mirrors a transparent bookkeeping scheme: at every stage a
 "saved" ball around the lowest bad point x is banked, the open cone shadows
@@ -175,16 +175,14 @@ class _DenseRows:
     The first call tables ``ball_masses`` of F over itself.  F only loses
     points during a pass (counts only fall as points are deleted), so each
     later call subtracts from the surviving rows the mass of the points that
-    left since the last call (``_departed_mass``): each (row, departed) pair
-    gets the first radius whose closed ball holds it, by a ``searchsorted`` of
-    the squared distance in the squared radii, the same test as
-    ``ball_masses``, and one ``einsum`` sums every radius at once.  A point
-    that joins F raises ``AlgorithmInvariantViolation``: the table would miss
-    its mass.  A row is dense when est - margin >= epsilon * r^n at every
-    radius and not dense when est + margin < epsilon * r^n at some radius; the
-    rows in between go through ``ball_masses`` against the current F, whose
-    rows do not depend on the block they share, so the bad set is the dense
-    table's bit for bit.
+    left since the last call, ``ball_masses`` of the rows over the departed
+    points, by the closed-ball test of the first table.  A point that joins F
+    raises ``AlgorithmInvariantViolation``: the table would miss its mass.  A
+    row is dense when est - margin >= epsilon * r^n at every radius and not
+    dense when est + margin < epsilon * r^n at some radius; the rows in
+    between go through ``ball_masses`` against the current F, whose rows do
+    not depend on the block they share, so the bad set is the dense table's
+    bit for bit.
 
     The margin is twice the largest gap between a running mass and the dense
     one.  With N the subcloud's size, M its mass and eps the float64 machine
@@ -192,7 +190,7 @@ class _DenseRows:
     and a sum of k such terms errs by at most k eps times their total in any
     order: the first table errs by at most N eps M; the updates (at most N
     departed points in a pass, each summed into one update) by N eps M
-    together, whatever order the ``einsum`` adds them in; the subtractions
+    together, whatever order ``ball_masses`` adds them in; the subtractions
     (at most N calls after the first) by N eps M; and the dense reference by
     N eps M.  So margin = 2 * 4 N eps M.
     """
@@ -205,20 +203,6 @@ class _DenseRows:
         self.masses = np.zeros((len(sub), len(radii)))
         self.carrier: np.ndarray | None = None
 
-    def _departed_mass(self, rows: np.ndarray, departed: np.ndarray) -> np.ndarray:
-        """Mass of the departed points within each radius of each row."""
-        r_sq = self.radii * self.radii
-        weights = self.sub.weights[departed]
-        out = np.empty((len(rows), len(r_sq)))
-        step = block_rows(len(departed) * len(r_sq))
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            dist_sq = row_dots(pair_differences(self.sub.coords[block], self.sub.coords[departed]))
-            first = np.searchsorted(r_sq, dist_sq)  # the first r with dist_sq <= r^2
-            inside = first[:, :, None] <= np.arange(len(r_sq))
-            out[lo:lo + len(block)] = np.einsum("ijk,j->ik", inside, weights)
-        return out
-
     def bad(self, exactly_m: np.ndarray) -> np.ndarray:
         """Positions of the dense points of the exactly-M mask, ascending."""
         f_km = np.flatnonzero(exactly_m)
@@ -230,7 +214,7 @@ class _DenseRows:
                     "a point joined the exactly-M set during a pass")
             departed = np.flatnonzero(self.carrier & ~exactly_m)
             if len(departed):
-                self.masses[f_km] -= self._departed_mass(f_km, departed)
+                self.masses[f_km] -= ball_masses(self.sub, self.radii, f_km, departed)
         self.carrier = exactly_m.copy()
         est = self.masses[f_km]
         dense = (est - self.margin >= self.thresholds).all(axis=1)

@@ -6,7 +6,6 @@ outer shadow radius past the enlarged ball, and every shrink try tests its
 whole enlarged ball against the witness, meets every center with every
 point of that query for the open shadow, and recounts the visits of the
 set after the deletion; each iteration counts the visits of its set again.
-The bad-point test subtracts the departed mass one radius at a time.
 """
 
 import math
@@ -15,7 +14,6 @@ import numpy as np
 
 from graphcarve.cloud import _reach, row_dots
 from graphcarve.errors import AlgorithmInvariantViolation, ResolutionExhaustedError
-from graphcarve.measure import ball_masses
 from graphcarve.refine import (
     _MAX_C_RETRIES,
     IterationRecord,
@@ -27,13 +25,6 @@ from graphcarve.refine import (
     _shadow_annulus,
 )
 from graphcarve.shells import ShellTable, block_rows, cone_shells, pair_differences
-
-
-class DenseRowsLoop(_DenseRows):
-    """``_DenseRows`` with the departed mass from ``ball_masses``, radius by radius."""
-
-    def _departed_mass(self, rows, departed):
-        return ball_masses(self.sub, self.radii, rows, departed)
 
 
 def near_loop(cloud, x, j_k, c, alive):
@@ -68,7 +59,7 @@ def refine_once_loop(cloud, entry, cfg=None):
     sub = cloud.subcloud(subset)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(sub, scale_range)
     rng = np.random.default_rng(cfg.seed)
-    dense_rows = DenseRowsLoop(sub, np.unique(np.concatenate([
+    dense_rows = _DenseRows(sub, np.unique(np.concatenate([
         scale_range.radii[scale_range.radii <= 1.0 + 1e-12], [1.0]])), epsilon)
 
     mass_total = sub.mass()

@@ -158,6 +158,13 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert str(path) in err and "not valid JSON" in err
 
+    def test_csv_cloud_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cloud.csv"
+        path.write_bytes(b"x1,x2,weight\n0,0,1\n\xff,1,1\n")
+        assert run(["adr-check", "--input", path, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid text" in err
+
     @pytest.mark.parametrize("band", ["1", "a:b", "1:2:3", "nan:1", "0.5:inf"])
     def test_malformed_band_exits_2(self, cloud_file, band, capsys):
         assert run(["adr-check", "--input", cloud_file, "--band", band]) == 2

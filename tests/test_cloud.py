@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -80,6 +81,19 @@ class TestWeightedCloud:
         assert len(sub) == 3
         assert sub.delta_res == cloud.delta_res
         assert np.allclose(sub.coords[1], cloud.coords[3])
+
+    def test_squared_span_past_the_largest_float_rejected(self):
+        # The kd-tree's squared distances reach the squared diagonal of the
+        # bounding box: up to the largest float the cloud is built, past it
+        # (along one axis or summed over two) it is refused.
+        s = math.sqrt(np.finfo(float).max)  # s * s is finite, the next float's square not
+        for coords in ([[0.0], [s]], [[-s / 2], [0.0], [s / 2]]):
+            assert WeightedCloud(np.array(coords), np.ones(len(coords)), n=1,
+                                 delta_res=1.0).extent() == s
+        for coords in ([[0.0], [math.nextafter(s, math.inf)]], [[-1e308], [0.0], [1e308]],
+                       [[0.0, 0.0], [0.8 * s, 0.8 * s]]):
+            with pytest.raises(InputError, match="largest float"):
+                WeightedCloud(np.array(coords), np.ones(len(coords)), n=1, delta_res=1.0)
 
     def test_empty_cloud(self):
         cloud = WeightedCloud(np.empty((0, 2)), np.empty(0), n=1, delta_res=0.1)
@@ -225,6 +239,20 @@ class TestScaleRange:
         assert 2.0 ** (-sr.j_max) >= cloud.delta_res
         # finest shell sits one octave above the resolution
         assert 2.0 ** (-sr.j_max - 1) <= 2 * cloud.delta_res
+
+    @pytest.mark.parametrize("k", range(-8, 13))
+    def test_default_range_is_exact_beside_powers_of_two(self, k):
+        # One ulp above 2^k, for k >= 4 and k <= -5, math.log2 rounds to k:
+        # the top shell must still reach the extent, and the finest one sit
+        # one octave above the resolution, on either side of every power of two.
+        for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf)):
+            wide = WeightedCloud(np.array([[0.0], [x]]), np.ones(2), n=1, delta_res=2.0**-20)
+            assert wide.extent() == x
+            j_min = ScaleRange.default_for(wide).j_min
+            assert 2.0 ** -j_min >= x > 2.0 ** (-j_min - 1)
+            fine = WeightedCloud(np.array([[0.0], [2.0**14]]), np.ones(2), n=1, delta_res=x)
+            j_max = ScaleRange.default_for(fine).j_max
+            assert 2.0 ** (-j_max - 1) >= x > 2.0 ** (-j_max - 2)
 
 
 @st.composite

@@ -20,7 +20,6 @@ from graphcarve.grassmannian import sample_ball
 from graphcarve.measure import (
     _CELLS_PER_POINT,
     _cell_masses,
-    _l2_squares,
     _mass_bounds,
     _unique_rows,
     ball_masses,
@@ -290,8 +289,8 @@ class TestUniqueRows:
 def pushforward(cloud, v_sub, bin_width):
     """The masses of one frame's occupied lattice cells, in lexicographic cell
     order, and the squared L2 norm of its projected density."""
-    masses, starts = _cell_masses(cloud, v_sub.frame[None], bin_width, cloud.weights)
-    return masses, float(_l2_squares(masses, starts, bin_width**cloud.n)[0])
+    (masses,) = _cell_masses(cloud, v_sub.frame[None], bin_width)
+    return masses, float(np.add.reduce(masses * masses) / bin_width**cloud.n)
 
 
 class TestPushforward:
@@ -339,13 +338,12 @@ class TestPushforward:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_wide_boxes_equal_the_frame_by_frame_loop(self, n, monkeypatch):
-        # 20 frames in one block may each use a box of 32768 // 20 = 1638
-        # lattice points; a frame whose cells fill a wider box takes one slot
-        # per occupied cell from _unique_rows.  Tilting the frames mixes the
-        # wide vertical spread into their boxes, so over dyadic bins from 8
-        # down to 1/1024 each n meets a bin with frames on both sides of that
-        # threshold.  Each frame's energy equals its own np.unique
-        # histogram's bit for bit.
+        # Each frame may use a box of 32768 lattice points, the pair budget;
+        # a frame whose cells fill a wider box takes one slot per occupied
+        # cell from _unique_rows.  Tilting the frames mixes the wide vertical
+        # spread into their boxes, so over dyadic bins from 8 down to 1/2048
+        # each n meets a bin with frames on both sides of that threshold.
+        # Each frame's energy equals its own np.unique histogram's bit for bit.
         calls = []
         monkeypatch.setattr(measure, "_unique_rows",
                             lambda cells: calls.append(1) or _unique_rows(cells))
@@ -356,7 +354,7 @@ class TestPushforward:
         center = Subspace.horizontal(4, n)
         frames = [orthonormalize_one(f) for f in sample_ball(center, 0.5, 20, seed=n)[0]]
         wide, want_wide = [], []
-        for bin_width in 2.0 ** -np.arange(-3, 11):
+        for bin_width in 2.0 ** -np.arange(-3, 12):
             calls.clear()
             got = projection_energy(cloud, center, 0.5, 20, bin_width, seed=n)
             want = projection_energy_loop(cloud, center, 0.5, 20, bin_width, seed=n)
@@ -364,7 +362,7 @@ class TestPushforward:
             wide.append(len(calls))
             boxes = [np.ptp(np.floor(coords @ frame / bin_width), axis=0) + 1.0
                      for frame in frames]
-            want_wide.append(sum(box.prod() > 32768 // 20 for box in boxes))
+            want_wide.append(sum(box.prod() > 32768 for box in boxes))
         assert wide == want_wide
         assert wide[0] == 0 and wide[-1] == 20 and any(0 < count < 20 for count in wide)
 
@@ -476,16 +474,16 @@ class TestProjectionEnergy:
                                                  want[2].tobytes(), want[3])
 
     def test_one_block_mixes_both_rankers(self, monkeypatch):
-        # 200 frames in one block may each use a box of 32768 // 200 = 163
-        # cells; at 162.5 bins per unit the segment's frames fill 160 to 164,
-        # so some rank by the table and some by _unique_rows.
+        # 200 frames of 50 points fit one block, and each frame may use a box
+        # of 32768 cells; at 33,000 bins per unit the segment's frames fill
+        # 31,486 to 33,001, so some rank by the table and some by _unique_rows.
         calls = []
         monkeypatch.setattr(measure, "_unique_rows",
                             lambda cells: calls.append(1) or _unique_rows(cells))
-        cloud = line_cloud(50, 1.0 / 49.0, delta_res=1e-3)
-        report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 162.5,
+        cloud = line_cloud(50, 1.0 / 49.0, delta_res=1e-5)
+        report = projection_energy(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 33000,
                                    seed=3)
         assert 0 < len(calls) < 200
-        want = projection_energy_loop(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 162.5,
+        want = projection_energy_loop(cloud, Subspace.horizontal(2, 1), 0.3, 200, 1 / 33000,
                                       seed=3)
         assert report.per_sample.tobytes() == want[1].tobytes()
